@@ -97,18 +97,6 @@ class _Reporter:
 # shared pieces
 
 
-def _apply_threads(n):
-    """Best effort: cap the BLAS/OpenMP pools for this process tree.
-
-    Environment variables only bind pools created afterwards; pools the
-    linked BLAS spun up at import time keep their size.
-    """
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _bifurcation_setup(run_config, problem):
     reference = reference_eigenvector(run_config.problem)
     decomp = build_projection(problem, reference=reference)
@@ -392,8 +380,6 @@ def build_parser():
         )
         cmd.add_argument("--seed", type=int, default=42,
                          help="seed for randomized estimates (default 42)")
-        cmd.add_argument("--threads", type=int,
-                         help="cap BLAS/OpenMP threads (best effort)")
         cmd.add_argument("--verbose", action="store_true",
                          help="print detailed reports")
     return parser
@@ -401,7 +387,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _apply_threads(args.threads)
 
     try:
         run_config = load_config(args.config)

@@ -13,7 +13,11 @@ couples neighbouring blocks.
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual), probing the nonlinearity with one constant-in-time
-unit comb per field and stencil colour.
+unit comb per field and stencil colour.  Its ``kl``/``ku`` are the reach
+of the couplings actually present, not the stencil's worst case.
+`BandedMatrix` keeps LAPACK band storage C-ordered, one contiguous row per
+diagonal; `dgbtrf` copies it once into its Fortran-ordered factor, so a
+factorized band holds two band-sized arrays.
 
 `BorderedSystem` solves the band plus two extra columns (parameter
 derivatives) and two extra rows (the phase functionals) by a Schur
@@ -27,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg.lapack as lapack
 
+from .problem import stencil_probes
 from .trajectory import PeriodicTrajectory
 
 __all__ = [
@@ -134,39 +139,40 @@ def coupling_blocks(samples, n_t):
     m_samp = samples.shape[0]
     if m_samp != 2 * n_t + 2:
         raise ValueError("expected 2*n_t + 2 collocation samples")
-    spec = np.fft.fft(samples, axis=0) / m_samp  # (M, batch)
-    batch = samples.shape[1]
+    spec = (np.fft.fft(samples, axis=0) / m_samp).T  # (batch, M)
+    # Output mode n takes spec[n-m] c_m + spec[n+m] conj(c_m) from mode m.
+    # Both index patterns are strided views: Toeplitz through a wrapped
+    # copy of the spectrum, Hankel directly (n + m < M never wraps).
+    window = np.lib.stride_tricks.sliding_window_view
+    wrapped = np.concatenate([spec[:, m_samp - n_t:], spec[:, : n_t + 1]], axis=1)
+    toe = window(wrapped, n_t + 1, axis=1)[:, :, ::-1]  # spec[n - m]
+    hank = window(spec, n_t + 1, axis=1)[:, : n_t + 1]  # spec[n + m]
+    p_t, q_t, p_h, q_h = toe.real, toe.imag, hank.real, hank.imag
+    # Slot 0 is Re c_0; slots 2n-1 and 2n are Re c_n and Im c_n.
     r = 2 * n_t + 1
-    out = np.zeros((batch, r, r))
-
-    def row_indices(n):
-        return (0,) if n == 0 else (2 * n - 1, 2 * n)
-
-    for n in range(n_t + 1):
-        for m in range(n_t + 1):
-            ca = spec[(n - m) % m_samp]
-            if m > 0:
-                ca = ca + spec[(n + m) % m_samp]
-                cb = 1j * (spec[(n - m) % m_samp] - spec[(n + m) % m_samp])
-            col_re = 0 if m == 0 else 2 * m - 1
-            if n == 0:
-                out[:, 0, col_re] += ca.real
-                if m > 0:
-                    out[:, 0, 2 * m] += cb.real
-            else:
-                out[:, 2 * n - 1, col_re] += ca.real
-                out[:, 2 * n, col_re] += ca.imag
-                if m > 0:
-                    out[:, 2 * n - 1, 2 * m] += cb.real
-                    out[:, 2 * n, 2 * m] += cb.imag
+    out = np.empty((spec.shape[0], r, r))
+    out[:, 0, 0] = spec[:, 0].real
+    out[:, 1::2, 0] = spec[:, 1 : n_t + 1].real
+    out[:, 2::2, 0] = spec[:, 1 : n_t + 1].imag
+    np.add(p_t[:, 0, 1:], p_h[:, 0, 1:], out=out[:, 0, 1::2])
+    np.subtract(q_h[:, 0, 1:], q_t[:, 0, 1:], out=out[:, 0, 2::2])
+    np.add(p_t[:, 1:, 1:], p_h[:, 1:, 1:], out=out[:, 1::2, 1::2])
+    np.add(q_t[:, 1:, 1:], q_h[:, 1:, 1:], out=out[:, 2::2, 1::2])
+    np.subtract(q_h[:, 1:, 1:], q_t[:, 1:, 1:], out=out[:, 1::2, 2::2])
+    np.subtract(p_t[:, 1:, 1:], p_h[:, 1:, 1:], out=out[:, 2::2, 2::2])
     return out
 
 
 class BandedMatrix:
     """A real banded matrix in LAPACK general-band storage.
 
-    ``ab[kl + ku + i - j, j]`` holds entry ``(i, j)``; rows
-    ``0 .. kl - 1`` of ``ab`` are workspace for the factorization.
+    ``ab[kl + ku + i - j, j]`` holds entry ``(i, j)`` for ``-ku <= i - j <=
+    kl``; rows ``0 .. kl - 1`` of ``ab`` are fill-in workspace for
+    `dgbtrf`.  ``ab`` is C-ordered, so every diagonal is one contiguous
+    row: the products walk diagonals with slices, and the workspace rows
+    stay untouched zero pages.  Factorizing copies ``ab`` once, into
+    LAPACK's Fortran-ordered factor, so a factorized band holds two
+    band-sized arrays.
     """
 
     def __init__(self, size, kl, ku):
@@ -179,22 +185,25 @@ class BandedMatrix:
         """Add ``values`` at entries ``(cols + row_offset, cols)``."""
         self.ab[self.kl + self.ku + row_offset, cols] += values
 
+    def _diagonals(self):
+        """Yield ``(row, lo, hi, d)``: diagonal ``i - j = d`` holds
+        ``row[lo:hi]`` in columns ``lo .. hi - 1``."""
+        n = self.size
+        for d in range(max(-self.ku, 1 - n), min(self.kl, n - 1) + 1):
+            yield self.ab[self.kl + self.ku + d], max(0, -d), n - max(0, d), d
+
     def matvec(self, x):
         """Dense-equivalent product (exact; O(band * n))."""
         out = np.zeros(self.size)
-        for off in range(-self.ku, self.kl + 1):
-            row = self.ab[self.kl + self.ku + off]
-            js = np.arange(max(0, -off), self.size - max(0, off))
-            out[js + off] += row[js] * x[js]
+        for row, lo, hi, d in self._diagonals():
+            out[lo + d : hi + d] += row[lo:hi] * x[lo:hi]
         return out
 
     def rmatvec(self, x):
         """Product with the transpose (exact; O(band * n))."""
         out = np.zeros(self.size)
-        for off in range(-self.ku, self.kl + 1):
-            row = self.ab[self.kl + self.ku + off]
-            js = np.arange(max(0, -off), self.size - max(0, off))
-            out[js] += row[js] * x[js + off]
+        for row, lo, hi, d in self._diagonals():
+            out[lo:hi] += row[lo:hi] * x[lo + d : hi + d]
         return out
 
 
@@ -204,95 +213,81 @@ def assemble_jacobian_band(problem, params, u, layout):
     ``u`` is the base trajectory (use the zero trajectory to get the
     linearisation at the origin).  The result is the exact Jacobian of the
     discrete ``residual_g`` at ``u``.
+
+    The band is only as wide as the couplings it holds: ``kl`` and ``ku``
+    are the largest ``i - j`` and ``j - i`` over the time-derivative pair
+    (+-1), the mode-diagonal offsets of ``A`` and the nonzero entries of
+    the probed ``h_u`` coupling blocks.  The coupling blocks are computed
+    before the band is allocated.  A coupling family (stencil offset, row
+    field and column field of one probe) is then written one block
+    diagonal at a time, each a single vectorised assignment into one band
+    row.
     """
     lam, sigma = params
     factor = -(sigma + 1.0)
     n_t, nx, r, block = layout.n_t, layout.nx, layout.r_per_field, layout.block
     if u.n_t != n_t or u.nx != nx:
         raise ValueError("trajectory does not match the layout")
-    width = max(1, problem.h_stencil)
-    kl = ku = (width + 1) * block - 1
-    band = BandedMatrix(layout.size, kl, ku)
-
-    # Time derivative: per component, Re/Im pair of mode n couples as
-    # d/dt (x + iy) e^{int} -> (-n y + i n x) e^{int}.
-    comp_starts = (np.arange(nx)[:, None] * block
-                   + np.array([0, r])[None, :]).ravel()
-    for n in range(1, n_t + 1):
-        cols_re = comp_starts + (2 * n - 1)
-        band.add_at(+1, cols_re, np.full(cols_re.size, float(n)))   # row Im_n
-        band.add_at(-1, cols_re + 1, np.full(cols_re.size, -float(n)))  # row Re_n
+    extremes = [-1, 1] if n_t else []  # reach i - j of every coupling kind
 
     # Linear operator A: mode-diagonal, entry A[c, c'] couples the same
     # mode part of components c and c'.
     acoo = problem.A.tocoo()
+    acoo.sum_duplicates()
+    acoo.eliminate_zeros()
     fr, jr = np.divmod(acoo.row, nx)
     fc, jc = np.divmod(acoo.col, nx)
-    off = jr - jc
-    if off.size and np.abs(off).max() > width:
-        raise ValueError(
-            "spatial stencil of A exceeds the bandwidth implied by h_stencil"
-        )
-    for o in range(-width, width + 1):
-        for f_row in range(2):
-            for f_col in range(2):
-                sel = (off == o) & (fr == f_row) & (fc == f_col)
-                if not np.any(sel):
-                    continue
-                cols_pt = jc[sel]
-                vals = factor * acoo.data[sel]
-                row_offset = o * block + (f_row - f_col) * r
-                for part in range(r):
-                    band.add_at(
-                        row_offset,
-                        cols_pt * block + f_col * r + part,
-                        vals,
-                    )
-
-    # Nonlinear coupling: probe h_u with constant-in-time unit combs, one
-    # per (field, stencil colour); the response samples at each output
-    # component are the time-samples of the coefficient function tying it
-    # to the probed column.
-    stride = 2 * problem.h_stencil + 1
-    u_samples = u.sample_values()
-    m_samp = u.n_samples
-    positions = np.arange(nx)
-    for f_col in range(2):
-        for colour in range(min(stride, nx)):
-            probe = np.zeros(2 * nx)
-            probed = np.arange(colour, nx, stride)
-            probe[f_col * nx + probed] = 1.0
-            resp = problem.apply_h_u(lam, u_samples, np.broadcast_to(
-                probe, (m_samp, 2 * nx)))
-            owner_idx = np.clip(
-                np.round((positions - colour) / stride).astype(int),
-                0, probed.size - 1,
+    if acoo.nnz:
+        if np.abs(jr - jc).max() > max(1, problem.h_stencil):
+            raise ValueError(
+                "spatial stencil of A exceeds the bandwidth implied by h_stencil"
             )
-            owner = probed[owner_idx]
-            valid = np.abs(positions - owner) <= problem.h_stencil
-            for o in range(-problem.h_stencil, problem.h_stencil + 1):
-                here = valid & (positions - owner == o)
-                if not np.any(here):
-                    continue
-                pts = positions[here]
-                own = owner[here]
-                for f_row in range(2):
-                    cols_samp = resp[:, f_row * nx + pts]
-                    if not np.any(cols_samp):
-                        continue
-                    blocks = coupling_blocks(cols_samp, n_t) * factor
-                    row_offset_base = o * block + (f_row - f_col) * r
-                    col_base = own * block + f_col * r
-                    for rr in range(r):
-                        for cc in range(r):
-                            vals = blocks[:, rr, cc]
-                            if not np.any(vals):
-                                continue
-                            band.add_at(
-                                row_offset_base + rr - cc,
-                                col_base + cc,
-                                vals,
-                            )
+        a_offsets = (jr - jc) * block + (fr - fc) * r
+        extremes += [a_offsets.min(), a_offsets.max()]
+
+    # Nonlinear coupling: probe h_u with constant-in-time unit combs; the
+    # response samples at each output component are the time-samples of
+    # the coefficient function tying it to the probed column.
+    u_samples = u.sample_values()
+    positions = np.arange(nx)
+    in_block = np.subtract.outer(np.arange(r), np.arange(r))  # rr - cc
+    families = []  # (block-pair offset, first column, owners, blocks, diagonals)
+    probes = stencil_probes(problem, lambda comb: problem.apply_h_u(
+        lam, u_samples, np.broadcast_to(comb, (u.n_samples, 2 * nx))))
+    for f_col, owner, valid, resp in probes:
+        for o in range(-problem.h_stencil, problem.h_stencil + 1):
+            pts = positions[valid & (positions - owner == o)]
+            for f_row in range(2):
+                samples = resp[:, f_row * nx + pts]
+                live = np.any(samples, axis=0)  # points h_u couples at all
+                blocks = coupling_blocks(samples[:, live], n_t) * factor
+                nonzero = in_block[np.any(blocks, axis=0)]
+                if nonzero.size:
+                    base = o * block + (f_row - f_col) * r
+                    extremes += [base + nonzero.min(), base + nonzero.max()]
+                    diagonals = range(nonzero.min(), nonzero.max() + 1)
+                    families.append(
+                        (base, f_col * r, pts[live] - o, blocks, diagonals))
+
+    kl = int(max([0, *extremes]))
+    ku = -int(min([0, *extremes]))
+    band = BandedMatrix(layout.size, kl, ku)
+    ab, diag = band.ab, kl + ku
+    if n_t:
+        # Per component, d/dt (x + iy) e^{int} = (-n y + i n x) e^{int}.
+        modes = np.arange(1.0, n_t + 1)
+        ab[diag + 1].reshape(2 * nx, r)[:, 1::2] = modes  # row Im_n, col Re_n
+        ab[diag - 1].reshape(2 * nx, r)[:, 2::2] = -modes  # row Re_n, col Im_n
+    if acoo.nnz:
+        a_cols = (jc * block + fc * r)[:, None] + np.arange(r)
+        ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
+    # Block diagonal d = rr - cc of every owner lies in one band row, at
+    # columns owner * block + first + cc.
+    by_point = ab.reshape(-1, nx, block)
+    for base, first, owners, blocks, diagonals in families:
+        for d in diagonals:
+            lo, hi = first + max(0, -d), first + r - max(0, d)
+            by_point[diag + base + d, owners, lo:hi] += np.diagonal(blocks, -d, 1, 2)
     return band
 
 
@@ -325,18 +320,21 @@ class BorderedSystem:
     # -- low-level pieces ---------------------------------------------------
 
     def _factorize(self):
-        kl, ku = self.band.kl, self.band.ku
-        ab = np.asfortranarray(self.band.ab)
-        lub, ipiv, info = lapack.dgbtrf(ab, kl, ku)
+        band = self.band
+        kl, ku = band.kl, band.ku
+        # dgbtrf copies the C-ordered band into its Fortran-ordered factor;
+        # band.ab itself stays intact for products and refinement.
+        lub, ipiv, info = lapack.dgbtrf(band.ab, kl, ku)
         if info < 0:
             raise SingularBandError(f"dgbtrf: illegal argument {-info}")
         if info > 0:
-            # Exactly singular pivot: retry with a tiny diagonal jitter;
-            # refinement against the exact operator absorbs the perturbation.
-            scale = np.abs(self.band.ab[kl + ku]).max() or 1.0
-            ab = np.asfortranarray(self.band.ab.copy())
-            ab[kl + ku] += 1e-13 * scale
-            lub, ipiv, info = lapack.dgbtrf(ab, kl, ku)
+            # Exactly singular pivot: retry with a tiny diagonal jitter, in
+            # the failed factor's storage; refinement against the exact
+            # operator absorbs the perturbation.
+            scale = np.abs(band.ab[kl + ku]).max() or 1.0
+            lub[...] = band.ab
+            lub[kl + ku] += 1e-13 * scale
+            lub, ipiv, info = lapack.dgbtrf(lub, kl, ku, overwrite_ab=1)
             if info != 0:
                 raise SingularBandError(
                     f"banded core is singular even with jitter (info={info})"

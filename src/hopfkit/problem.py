@@ -330,13 +330,37 @@ def _rel(approx, exact, ref):
     return float(np.abs(approx - exact).max() / ref)
 
 
+def stencil_probes(problem, apply):
+    """Colour-probe a linear map with ``problem.h_stencil`` spatial locality.
+
+    Unit combs with one tooth every ``2*h_stencil + 1`` grid points within
+    one field share no stencil support, so every response entry belongs to
+    exactly one tooth.  Yields ``(field, owner, valid, response)`` for each
+    field and colour: ``response = apply(comb)`` for the flat comb vector,
+    and ``owner[j]`` the tooth whose stencil covers grid point ``j``,
+    meaningful where ``valid[j]``.
+    """
+    nx = problem.nx
+    width = problem.h_stencil
+    stride = 2 * width + 1
+    positions = np.arange(nx)
+    for fld in range(2):
+        for colour in range(min(stride, nx)):
+            probed = np.arange(colour, nx, stride)
+            comb = np.zeros(problem.dim)
+            comb[fld * nx + probed] = 1.0
+            owner = probed[np.clip(
+                np.round((positions - colour) / stride).astype(int),
+                0, probed.size - 1,
+            )]
+            yield fld, owner, np.abs(positions - owner) <= width, apply(comb)
+
+
 def linearization_matrix(problem, lam, u0=None):
     """The sparse matrix of ``v -> h_u(lam, u0, v)``.
 
     Recovers the matrix from the black-box directional derivative with
-    ``2 * (2*h_stencil + 1)`` probes: unit vectors placed every
-    ``2*h_stencil + 1`` grid points within one field share no stencil
-    support, so their responses can be unscrambled column by column.
+    the ``2 * (2*h_stencil + 1)`` probes of `stencil_probes`.
 
     Parameters
     ----------
@@ -352,32 +376,19 @@ def linearization_matrix(problem, lam, u0=None):
     """
     nx = problem.nx
     dim = problem.dim
-    width = problem.h_stencil
-    stride = 2 * width + 1
     if u0 is None:
         u0 = np.zeros(dim)
     rows, cols, vals = [], [], []
     positions = np.arange(nx)
-    for fld in range(2):
-        for colour in range(min(stride, nx)):
-            probed = np.arange(colour, nx, stride)
-            probe = np.zeros(dim)
-            probe[fld * nx + probed] = 1.0
-            response = np.asarray(problem.apply_h_u(lam, u0, probe))
-            # Each response entry at grid position j belongs to the unique
-            # probed column within the stencil radius.
-            owner_idx = np.clip(
-                np.round((positions - colour) / stride).astype(int),
-                0, probed.size - 1,
-            )
-            owner = probed[owner_idx]
-            valid = np.abs(positions - owner) <= width
-            for rf in range(2):
-                block = response[rf * nx : (rf + 1) * nx]
-                hit = valid & (block != 0.0)
-                rows.append(rf * nx + positions[hit])
-                cols.append(fld * nx + owner[hit])
-                vals.append(block[hit])
+    probes = stencil_probes(
+        problem, lambda comb: np.asarray(problem.apply_h_u(lam, u0, comb)))
+    for fld, owner, valid, response in probes:
+        for rf in range(2):
+            block = response[rf * nx : (rf + 1) * nx]
+            hit = valid & (block != 0.0)
+            rows.append(rf * nx + positions[hit])
+            cols.append(fld * nx + owner[hit])
+            vals.append(block[hit])
     rows = np.concatenate(rows) if rows else np.empty(0, dtype=int)
     cols = np.concatenate(cols) if cols else np.empty(0, dtype=int)
     vals = np.concatenate(vals) if vals else np.empty(0)

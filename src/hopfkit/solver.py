@@ -36,7 +36,7 @@ from .newton import (
     TrajectoryLayout,
     assemble_jacobian_band,
 )
-from .problem import ConvergenceError, ScaledParams
+from .problem import ConvergenceError, DomainError, ScaledParams
 from .trajectory import (
     AmplitudeFunctional,
     PeriodicTrajectory,
@@ -619,7 +619,7 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
                    notes):
     """March the square system over an amplitude grid with rescaling
     predictors; returns the list of converged points, truncating with a
-    note if Newton fails."""
+    note if Newton fails or leaves the solver's domain."""
     points = []
     params = ScaledParams(0.0, 0.0)
     u = None
@@ -636,7 +636,8 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
             params, u, iters, residual, trace = _branch_newton(
                 problem, functional, alpha, params, u, newton_tol, max_iter
             )
-        except ConvergenceError as exc:
+        except (ConvergenceError, DomainError, SingularBandError,
+                np.linalg.LinAlgError) as exc:
             notes.append(
                 f"branch truncated at alpha = {alpha:g}: {exc}"
             )
@@ -664,9 +665,10 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
 
     Each point solves ``{l1 u = alpha, l2 u = 0, g((lambda, sigma), u) = 0}``
     by Newton, predicted from the previous point by amplitude rescaling
-    (``u`` linearly, parameters quadratically).  On Newton failure the
-    branch is truncated at the last converged point and a diagnostic note
-    is recorded -- no extrapolation.
+    (``u`` linearly, parameters quadratically).  When Newton fails or
+    leaves the solver's domain (parameter window, trust radius, singular
+    band), the branch is truncated at the last converged point and a
+    diagnostic note is recorded -- no extrapolation.
 
     ``alpha_max = 0`` is allowed and returns only the trivial point.
 

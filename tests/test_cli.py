@@ -326,3 +326,21 @@ def test_cli_reports_survive_failure(tmp_path):
     assert code == 1
     assert (tmp_path / "out" / "hypotheses.json").exists()
     assert (tmp_path / "out" / "resolvent.csv").exists()
+
+
+def test_cli_branch_truncates_on_domain_error(tmp_path, capsys):
+    """lambda = alpha^2 leaves the admissible window at alpha = 1.2: the
+    branch is truncated with a note and the reports are still written."""
+    cfg = write_config(
+        tmp_path,
+        "problem.L = 20\nproblem.dx = 0.2\n"
+        "solver.alpha_max = 1.2\nsolver.alpha_steps = 6\n",
+    )
+    out = tmp_path / "out"
+    code = main(["branch", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert summary["truncated"] is True
+    assert "branch truncated at alpha = 1.2" in summary["notes"][-1]
+    assert (out / "branch.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err

@@ -189,17 +189,38 @@ def operator_oracle(problem, params, base, v):
 
 
 def band_error(problem, params, base, layout, rng, scale=1.0):
+    """Worst relative mismatch of the band against the operator, checked
+    before and after a bordered solve has factorized the band; returns it
+    with the band."""
     band = assemble_jacobian_band(problem, params, base, layout)
-    worst = 0.0
-    for _ in range(3):
-        v = random_trajectory(rng, layout.n_t, layout.nx, layout.dx, scale)
-        got = band.matvec(layout.flatten_trajectory(v))
-        want = layout.flatten_trajectory(operator_oracle(problem, params, base, v))
-        worst = max(
-            worst,
-            float(np.abs(got - want).max() / max(1.0, np.abs(want).max())),
-        )
-    return worst
+
+    def worst_error():
+        worst = 0.0
+        for _ in range(3):
+            v = random_trajectory(rng, layout.n_t, layout.nx, layout.dx, scale)
+            got = band.matvec(layout.flatten_trajectory(v))
+            want = layout.flatten_trajectory(
+                operator_oracle(problem, params, base, v))
+            worst = max(
+                worst,
+                float(np.abs(got - want).max() / max(1.0, np.abs(want).max())),
+            )
+        return worst
+
+    before = worst_error()
+    system = BorderedSystem(
+        band, rng.normal(size=(band.size, 2)), make_rows(rng, band.size)
+    )
+    system.solve(rng.normal(size=band.size), rng.normal(size=2))
+    return max(before, worst_error()), band
+
+
+def band_reach(band):
+    """Lower and upper reach ``max(i - j)``, ``max(j - i)`` of the stored
+    nonzero entries."""
+    offsets = [d for d in range(-band.ku, band.kl + 1)
+               if np.any(band.ab[band.kl + band.ku + d])]
+    return max(offsets), -min(offsets)
 
 
 def test_band_is_time_derivative_when_operator_trivial():
@@ -219,16 +240,20 @@ def test_band_matches_operator_at_origin(coarse_problem, coarse_cfg):
     rng = np.random.default_rng(21)
     layout = TrajectoryLayout(4, coarse_cfg.nx, coarse_cfg.dx)
     base = zero_trajectory(4, 2 * coarse_cfg.nx, coarse_cfg.dx)
-    err = band_error(coarse_problem, ScaledParams(0.02, 0.01), base, layout, rng)
+    err, band = band_error(
+        coarse_problem, ScaledParams(0.02, 0.01), base, layout, rng)
     assert err < 1e-12
+    assert (band.kl, band.ku) == band_reach(band) == (18, 18)
 
 
 def test_band_matches_operator_on_branch(coarse_problem, coarse_cfg):
     rng = np.random.default_rng(22)
     layout = TrajectoryLayout(4, coarse_cfg.nx, coarse_cfg.dx)
     base = exact_branch_trajectory(coarse_cfg, 0.04, n_t=4)
-    err = band_error(coarse_problem, ScaledParams(0.04, -0.3), base, layout, rng)
+    err, band = band_error(
+        coarse_problem, ScaledParams(0.04, -0.3), base, layout, rng)
     assert err < 1e-12
+    assert (band.kl, band.ku) == band_reach(band) == (18, 18)
 
 
 def test_band_matches_operator_quasilinear(coarse_quasi_problem, coarse_quasi_cfg):
@@ -236,10 +261,11 @@ def test_band_matches_operator_quasilinear(coarse_quasi_problem, coarse_quasi_cf
     cfg = coarse_quasi_cfg
     layout = TrajectoryLayout(3, cfg.nx, cfg.dx)
     base = random_trajectory(rng, 3, cfg.nx, cfg.dx, scale=0.05)
-    err = band_error(
+    err, band = band_error(
         coarse_quasi_problem, ScaledParams(0.03, 0.2), base, layout, rng, scale=0.1
     )
     assert err < 1e-10
+    assert (band.kl, band.ku) == band_reach(band) == (34, 34)
 
 
 def test_band_rejects_operator_wider_than_stencil():
@@ -408,6 +434,7 @@ def test_bordered_with_exactly_singular_core():
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
     y, p = system.solve(rhs_core, rhs_border, matvec=system.apply, refine=3)
+    npt.assert_array_equal(band.ab[0], diag)  # the jitter stays in the factor
     dense = dense_from_system(system)
     expected = np.linalg.solve(dense, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-8, atol=1e-10)
