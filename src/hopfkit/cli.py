@@ -176,6 +176,7 @@ def cmd_extended(run_config, problem, outdir, seed, reporter, args):
             "nonsingular": certificate.nonsingular,
             "leakage": certificate.leakage,
             "tolerance": certificate.tolerance,
+            "sigma_min_by_mode": certificate.sigma_min_by_mode,
         },
     }
     try:

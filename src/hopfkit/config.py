@@ -18,6 +18,7 @@ fall back to a default.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,27 @@ def _validate_solver(settings):
         raise ConfigError("solver.n_max_resolvent must be at least 2")
 
 
+def _check_memory(problem, solver):
+    """Reject grids whose Newton band cannot fit in physical memory.
+
+    Upper bound of one factorized band (the band plus its LU factor, 8
+    bytes per entry): ``block = 4 n_t + 2`` unknowns per grid point and
+    ``kl = ku <= (max(1, h_stencil) + 1) * block``.  Computed in floats so
+    an infinite grid is rejected too.
+    """
+    block = 4.0 * solver.n_t + 2.0
+    half_width = (max(1, problem.h_stencil) + 1) * block
+    nx = 2.0 * problem.L / problem.dx + 1.0
+    need = 2 * 8.0 * (3.0 * half_width + 1.0) * nx * block
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not need <= available:
+        raise ConfigError(
+            f"grid too large: a Newton band needs up to {need / 2**30:.3g} GiB "
+            f"(nx ~ {nx:.3g}, n_t = {solver.n_t}), physical memory is "
+            f"{available / 2**30:.3g} GiB"
+        )
+
+
 def parse_config(text):
     """Parse config text into a validated `RunConfig`.
 
@@ -156,8 +178,9 @@ def parse_config(text):
     ------
     ConfigError
         On syntax errors, unknown or duplicate keys, unparseable values,
-        and domain violations (both the solver invariants and the grid
-        constraints enforced by `ExampleConfig`).
+        domain violations (both the solver invariants and the grid
+        constraints enforced by `ExampleConfig`), and grids whose Newton
+        band would not fit in physical memory.
     """
     values = _parse_lines(text)
 
@@ -178,6 +201,7 @@ def parse_config(text):
 
     solver = section("solver", SolverSettings)
     _validate_solver(solver)
+    _check_memory(problem_cfg, solver)
     output = section("output", OutputSettings)
     if output.verbosity < 0:
         raise ConfigError("output.verbosity must be nonnegative")

@@ -96,6 +96,12 @@ class ExampleConfig:
     def nx(self):
         return int(round(2 * self.L / self.dx)) + 1
 
+    @property
+    def h_stencil(self):
+        """Spatial reach of the nonlinearity: pointwise, or the quasilinear
+        nested central differences."""
+        return 2 if self.variant == "quasilinear" else 0
+
 
 def grid(cfg):
     """The uniform grid over ``[-L, L]`` including both endpoints."""
@@ -204,7 +210,6 @@ def make_problem(cfg=ExampleConfig()):
 
     if cfg.variant == "semilinear":
         h, h_u, h_uu = h_semi, h_semi_u, h_semi_uu
-        stencil = 0
     else:
         # Quasilinear: add h1 = ((u^2 u_x)_x, (v^2 v_x)_x) per field, with
         # nested central differences so that the derivative formulas below
@@ -239,8 +244,6 @@ def make_problem(cfg=ExampleConfig()):
                 h1_field_uu(u, au, bu), h1_field_uu(v, av, bv)
             )
 
-        stencil = 2
-
     mode = "consistent" if cfg.discretely_consistent_rho else "standard"
     return ProblemDef(
         A=a,
@@ -253,7 +256,7 @@ def make_problem(cfg=ExampleConfig()):
         L=cfg.L,
         lambda_window=(-1.0, 1.0),
         trust_radius=10.0,
-        h_stencil=stencil,
+        h_stencil=cfg.h_stencil,
         name=f"reaction-diffusion/{cfg.variant}/{mode}",
     )
 

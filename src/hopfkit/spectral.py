@@ -22,7 +22,7 @@ others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,7 +30,6 @@ import scipy.sparse.linalg as spla
 
 from .problem import (
     ConvergenceError,
-    ProblemDef,
     ResonanceError,
     SingularOperatorError,
     linearization_matrix,
@@ -48,6 +47,8 @@ __all__ = [
     "crossing_speed",
     "resolvent_scan",
     "resolvent_norm",
+    "inverse_power_sigma_min",
+    "sparse_sigma_min",
     "build_projection",
     "run_hypothesis_checks",
 ]
@@ -167,21 +168,41 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
     )
 
 
-def _smallest_singular_value(matrix, iters=40, seed=11):
-    """Inverse power iteration estimate of the smallest singular value."""
-    lu = spla.splu(sp.csc_matrix(matrix))
+def inverse_power_sigma_min(solve, solve_adjoint, start, max_steps):
+    """``(sigma, steps)``: sigma_min(M) by power iteration on ``(M^H M)^-1``.
+
+    ``solve`` and ``solve_adjoint`` apply ``M^-1`` and ``M^-H``.  Stops once
+    the estimate changes by at most 1e-6 (relative) after more than three
+    steps, or after ``max_steps``; a non-finite or zero step reads as
+    ``sigma = 0`` (numerically singular ``M``).
+    """
+    z = start / np.linalg.norm(start)
+    estimate = steps = 0
+    while steps < max_steps:
+        steps += 1
+        w = solve_adjoint(solve(z))
+        new = float(np.linalg.norm(w))
+        if not np.isfinite(new) or new == 0.0:
+            return 0.0, steps
+        z = w / new
+        estimate, previous = new, estimate
+        if steps > 3 and abs(estimate - previous) <= 1e-6 * estimate:
+            break
+    return (float(1.0 / np.sqrt(estimate)) if estimate else 0.0), steps
+
+
+def sparse_sigma_min(matrix, max_steps, seed):
+    """`inverse_power_sigma_min` through a sparse LU, from a complex start
+    drawn with ``seed`` (or generator); a singular LU reads as ``(0.0, 0)``."""
+    try:
+        lu = spla.splu(sp.csc_matrix(matrix))
+    except RuntimeError:
+        return 0.0, 0
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(size=matrix.shape[0])
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = lu.solve(lu.solve(x), trans="H")
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            return 0.0
-        x = y / nrm
-        est = nrm
-    return 1.0 / np.sqrt(est)
+    start = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(size=matrix.shape[0])
+    return inverse_power_sigma_min(
+        lu.solve, lambda b: lu.solve(b, trans="H"), start, max_steps
+    )
 
 
 def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
@@ -204,10 +225,7 @@ def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
     bordered = sp.bmat(
         [[shifted, psi[:, None]], [psi[None, :].conj(), None]], format="csc"
     )
-    try:
-        margin = _smallest_singular_value(bordered)
-    except RuntimeError:
-        return SimplicityCheck(0.0, False, "bordered matrix is singular")
+    margin, _ = sparse_sigma_min(bordered, 40, 11)
     if margin <= tolerance:
         return SimplicityCheck(margin, False,
                                f"margin {margin:.2e} <= {tolerance:g}")
@@ -283,31 +301,14 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def resolvent_norm(problem, z, probes=15, seed=13):
-    """Power-iteration estimate of ``||(z - A)^{-1}||_2`` (no guards).
+    """Estimate of ``||(z - A)^{-1}||_2 = 1 / sigma_min(z - A)`` (no guards).
 
     Diagnostic helper: near an eigenvalue of ``A`` the estimate blows up
     (or the factorisation fails, reported as ``inf``).
     """
-    dim = problem.dim
-    shifted = sp.identity(dim, format="csc", dtype=complex) * complex(z) - problem.A
-    try:
-        lu = spla.splu(shifted)
-    except RuntimeError:
-        return np.inf
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(probes):
-        y = lu.solve(lu.solve(x), trans="H")
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm):
-            return np.inf
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-        est = nrm
-    return float(np.sqrt(est))
+    shifted = sp.identity(problem.dim, dtype=complex) * complex(z) - problem.A
+    sigma, _ = sparse_sigma_min(shifted, probes, seed)
+    return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
 class ResolventRow(NamedTuple):

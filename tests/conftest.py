@@ -8,11 +8,13 @@ from hopfkit.problem import ProblemDef
 from hopfkit.reaction_diffusion import ExampleConfig, make_problem
 
 
-def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic"):
+def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic",
+                      shift=0.0):
     """Wrap a small dense matrix as a ProblemDef with a trivial nonlinearity.
 
     h = "zero":    h(lam, w) = 0
-    h = "linear":  h(lam, w) = c * lam * w   (so h_lambda_u = c * identity)
+    h = "linear":  h(lam, w) = (c * lam + shift) * w
+                   (so h_lambda_u = c * identity and h_u(0, 0) = shift)
     """
     if h == "zero":
         def hfun(lam, w):
@@ -29,10 +31,10 @@ def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic"):
 
     elif h == "linear":
         def hfun(lam, w):
-            return c * lam * np.asarray(w, dtype=float)
+            return (c * lam + shift) * np.asarray(w, dtype=float)
 
         def hu(lam, w, v):
-            return c * lam * np.asarray(v, dtype=float)
+            return (c * lam + shift) * np.asarray(v, dtype=float)
 
         def hlam(lam, w):
             return c * np.asarray(w, dtype=float)

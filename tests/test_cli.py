@@ -82,6 +82,18 @@ def test_config_validation_ranges():
         parse_config("solver.alpha_max = -1\n")
 
 
+def test_config_accepts_benchmark_grids(monkeypatch):
+    """The memory bound leaves every shipped grid runnable on 4 GiB."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    for text in ("", "solver.n_t = 32\n",
+                 "problem.variant = quasilinear\nproblem.L = 20\n"
+                 "problem.dx = 0.2\n"):
+        parse_config(text)
+    with pytest.raises(ConfigError, match="grid too large"):
+        parse_config("solver.n_t = 100\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.cfg"))
@@ -199,6 +211,9 @@ def test_cli_extended(tmp_path):
     assert abs(report["sigma"]) <= 1e-10
     assert report["jacobian"]["nonsingular"]
     assert report["jacobian"]["sigma_min"] > 1e-3
+    by_mode = report["jacobian"]["sigma_min_by_mode"]
+    assert list(by_mode) == ["0-1"] + [str(n) for n in range(2, 9)]
+    assert min(by_mode.values()) == report["jacobian"]["sigma_min"]
     # eigenvalue crossing speed, both components
     assert report["crossing"]["p"] == pytest.approx(2.0 / 3.0, abs=1e-6)
     assert abs(report["crossing"]["q"]) <= 1e-8
@@ -344,3 +359,35 @@ def test_cli_branch_truncates_on_domain_error(tmp_path, capsys):
     assert "branch truncated at alpha = 1.2" in summary["notes"][-1]
     assert (out / "branch.csv").exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_extended_failure_writes_report(tmp_path, capsys):
+    """A singular bordered system in the bifurcation-point solve ends in
+    the failure report and exit 1 for every command that runs it."""
+    cfg = write_config(
+        tmp_path,
+        "problem.L = 20\nproblem.dx = 0.2\nproblem.frozen_parameter = true\n"
+        "problem.discretely_consistent_rho = false\nsolver.n_t = 4\n",
+    )
+    for command, report in (("extended", "extended.json"),
+                            ("verify-exact", "exact_summary.json"),
+                            ("branch", "branch_summary.json")):
+        out = tmp_path / command
+        code = main([command, "--config", cfg, "--out", str(out),
+                     "--skip-check"])
+        assert code == 1, command
+        failure = json.loads((out / report).read_text())
+        assert failure["converged"] is False
+        assert failure["error"].startswith("extended Newton failed")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["problem.L = 1e9", "solver.n_t = 100000", "problem.L = inf"]
+)
+def test_cli_rejects_oversized_grid(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main(["extended", "--config", cfg, "--out", str(out)]) == 2
+    assert "grid too large" in capsys.readouterr().err
+    assert not out.exists()

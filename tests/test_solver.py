@@ -291,8 +291,29 @@ def test_jacobian_bordered_matches_apply(spinner):
     assert np.allclose(oracle[-2:], pair, atol=1e-12)
 
 
-def test_sigma_min_matches_dense_svd(spinner):
-    problem, _, functional, solution = spinner
+_SECOND_PAIR = sla.block_diag(
+    rotation_block()[:2, :2], rotation_block(freq=2.05)[:2, :2]
+)
+
+
+@pytest.mark.parametrize(
+    "a, shift, smallest_block",
+    [
+        (rotation_block(), 0.0, "0-1"),
+        # a second eigenvalue pair at 2.05i: sigma_min = 0.05 in mode 2
+        (_SECOND_PAIR, 0.0, "2"),
+        # the same operator split as A - 0.5 plus h_u(0, 0) = 0.5
+        (_SECOND_PAIR - 0.5 * np.eye(4), 0.5, "2"),
+    ],
+    ids=["spinner", "second-pair-2.05i", "second-pair-h_u-shift"],
+)
+def test_sigma_min_matches_dense_svd(a, shift, smallest_block):
+    problem = synthetic_problem(a, h="linear", c=0.8, shift=shift)
+    decomp = build_projection(problem)
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    solution = solve_extended(
+        problem, functional, initial_extended_state(decomp.psi, n_t=4)
+    )
     jac = BifurcationJacobian(problem, functional, solution.u)
     system, _ = jac.bordered_system()
     svals = np.linalg.svd(dense_from_system(system), compute_uv=False)
@@ -302,6 +323,10 @@ def test_sigma_min_matches_dense_svd(spinner):
     )
     assert cert.nonsingular
     assert abs(cert.smallest_singular_value - svals[-1]) <= 1e-4 * svals[-1]
+    assert list(cert.sigma_min_by_mode) == ["0-1", "2", "3", "4"]
+    by_mode = cert.sigma_min_by_mode
+    assert min(by_mode, key=by_mode.get) == smallest_block
+    assert f"mode block {smallest_block} " in cert.summary()
 
 
 def test_jacobian_certificate_on_example(coarse_problem, coarse_functional,
@@ -345,6 +370,7 @@ def test_certificate_flags_internal_resonance():
     cert = verify_jacobian_nonsingular(problem, functional, solution.u)
     assert not cert.nonsingular
     assert cert.smallest_singular_value <= 1e-8
+    assert "mode block 2 " in cert.summary()
 
 
 # ---------------------------------------------------------------------------
