@@ -97,33 +97,50 @@ class _Reporter:
 # shared pieces
 
 
-def _bifurcation_setup(run_config, problem):
+def _bifurcation_point(run_config, problem, outdir, seed, reporter, report,
+                       failure):
+    """Projection, amplitude functional and the extended Newton solve.
+
+    Returns ``(decomp, functional, solution)``; when the solve fails, writes
+    the failure report ``report``, prints ``failure`` with the error and
+    returns ``None``.
+    """
     reference = reference_eigenvector(run_config.problem)
     decomp = build_projection(problem, reference=reference)
     functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
-    return decomp, functional
+    try:
+        solution = solve_extended(
+            problem, functional,
+            initial_extended_state(decomp.psi, n_t=run_config.solver.n_t),
+            newton_tol=run_config.solver.newton_tol,
+            max_iter=run_config.solver.max_iter,
+        )
+    except ConvergenceError as exc:
+        _write_json(os.path.join(outdir, report), {
+            "schema": 1, "seed": seed, "converged": False, "error": str(exc),
+        })
+        reporter.info(f"{failure} ({exc})")
+        return None
+    return decomp, functional, solution
 
 
-def _solve_bifurcation_point(run_config, problem, decomp, functional):
-    return solve_extended(
-        problem, functional,
-        initial_extended_state(decomp.psi, n_t=run_config.solver.n_t),
-        newton_tol=run_config.solver.newton_tol,
-        max_iter=run_config.solver.max_iter,
+def _configured_branch(run_config, problem, functional, solution):
+    """The configured branch from the solved point, and whether it was
+    truncated."""
+    solver = run_config.solver
+    result = continue_branch(
+        problem, functional, solution.u,
+        alpha_max=solver.alpha_max, steps=solver.alpha_steps,
+        newton_tol=solver.newton_tol, max_iter=solver.max_iter,
     )
-
-
-def _failure_json(outdir, name, seed, exc):
-    _write_json(os.path.join(outdir, name), {
-        "schema": 1, "seed": seed, "converged": False, "error": str(exc),
-    })
+    return result, any("truncated" in note for note in result.notes)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_check(run_config, problem, outdir, seed, reporter):
+def cmd_check(run_config, problem, outdir, seed, reporter, args):
     report = run_hypothesis_checks(
         problem, n_max=run_config.solver.n_max_resolvent, seed=seed
     )
@@ -144,21 +161,13 @@ def _run_check(run_config, problem, outdir, seed, reporter):
     return EXIT_OK if report.all_passed else EXIT_SCIENCE
 
 
-def cmd_check(run_config, problem, outdir, seed, reporter, args):
-    return _run_check(run_config, problem, outdir, seed, reporter)
-
-
 def cmd_extended(run_config, problem, outdir, seed, reporter, args):
-    decomp, functional = _bifurcation_setup(run_config, problem)
-    try:
-        solution = _solve_bifurcation_point(
-            run_config, problem, decomp, functional
-        )
-    except ConvergenceError as exc:
-        _failure_json(outdir, "extended.json", seed, exc)
-        reporter.info(f"extended: Newton failed ({exc})")
+    point = _bifurcation_point(
+        run_config, problem, outdir, seed, reporter, "extended.json",
+        "extended: Newton failed")
+    if point is None:
         return EXIT_SCIENCE
-
+    decomp, functional, solution = point
     certificate = verify_jacobian_nonsingular(
         problem, functional, solution.u, seed=seed
     )
@@ -200,30 +209,20 @@ def cmd_extended(run_config, problem, outdir, seed, reporter, args):
 
 def cmd_branch(run_config, problem, outdir, seed, reporter, args):
     if not args.skip_check:
-        code = _run_check(run_config, problem, outdir, seed, reporter)
+        code = cmd_check(run_config, problem, outdir, seed, reporter, args)
         if code != EXIT_OK:
             reporter.info("branch: aborted, hypothesis checks failed")
             return code
 
-    decomp, functional = _bifurcation_setup(run_config, problem)
-    try:
-        solution = _solve_bifurcation_point(
-            run_config, problem, decomp, functional
-        )
-    except ConvergenceError as exc:
-        _failure_json(outdir, "branch_summary.json", seed, exc)
-        reporter.info(f"branch: bifurcation-point solve failed ({exc})")
+    point = _bifurcation_point(
+        run_config, problem, outdir, seed, reporter, "branch_summary.json",
+        "branch: bifurcation-point solve failed")
+    if point is None:
         return EXIT_SCIENCE
-
-    solver = run_config.solver
+    _, functional, solution = point
     started = time.perf_counter()
-    result = continue_branch(
-        problem, functional, solution.u,
-        alpha_max=solver.alpha_max, steps=solver.alpha_steps,
-        newton_tol=solver.newton_tol, max_iter=solver.max_iter,
-    )
+    result, truncated = _configured_branch(run_config, problem, functional, solution)
     elapsed = time.perf_counter() - started
-    truncated = any("truncated" in note for note in result.notes)
 
     summary = {
         "schema": 1,
@@ -285,23 +284,13 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         )
         return EXIT_USAGE
 
-    decomp, functional = _bifurcation_setup(run_config, problem)
-    try:
-        solution = _solve_bifurcation_point(
-            run_config, problem, decomp, functional
-        )
-    except ConvergenceError as exc:
-        _failure_json(outdir, "exact_summary.json", seed, exc)
-        reporter.info(f"verify-exact: bifurcation-point solve failed ({exc})")
+    point = _bifurcation_point(
+        run_config, problem, outdir, seed, reporter, "exact_summary.json",
+        "verify-exact: bifurcation-point solve failed")
+    if point is None:
         return EXIT_SCIENCE
-
-    solver = run_config.solver
-    result = continue_branch(
-        problem, functional, solution.u,
-        alpha_max=solver.alpha_max, steps=solver.alpha_steps,
-        newton_tol=solver.newton_tol, max_iter=solver.max_iter,
-    )
-    truncated = any("truncated" in note for note in result.notes)
+    _, functional, solution = point
+    result, truncated = _configured_branch(run_config, problem, functional, solution)
 
     rows = [["alpha", "lambda_computed", "lambda_exact", "abs_err"]]
     max_lambda_err = 0.0

@@ -304,6 +304,12 @@ class BorderedSystem:
     point); the bordered system is still regular, and `solve` repairs the
     lost accuracy with matrix-free refinement when an exact ``matvec`` of
     the full system is supplied.
+
+    `solve` and `solve_transpose` share one band factorization and one
+    routine: the transposed system is bordered the same way with the roles
+    swapped (``B`` as columns, ``C`` as rows, ``D^T`` as corner), and
+    ``dgbtrs`` solves with ``J^T`` through its ``trans`` flag.  The border
+    solves and the Schur complement are cached per orientation.
     """
 
     def __init__(self, band, columns, rows, corner=None):
@@ -314,8 +320,7 @@ class BorderedSystem:
         self.rows = rows  # pair of (indices, values)
         self.corner = np.zeros((2, 2)) if corner is None else np.asarray(corner)
         self._factor = None
-        self._schur = None
-        self._schur_t = None
+        self._schur = {}  # transpose -> (border solves, Schur complement)
 
     # -- low-level pieces ---------------------------------------------------
 
@@ -341,7 +346,7 @@ class BorderedSystem:
                 )
         self._factor = (lub, ipiv)
 
-    def _core_solve(self, b, transpose=False):
+    def _core_solve(self, b, transpose):
         lub, ipiv = self._factor
         x, info = lapack.dgbtrs(
             lub, self.band.kl, self.band.ku, b, ipiv, trans=1 if transpose else 0
@@ -372,7 +377,39 @@ class BorderedSystem:
         border = self.columns.T @ y + self.corner.T @ p
         return core, border
 
-    # -- public solve ----------------------------------------------------------
+    # -- solves ---------------------------------------------------------------
+
+    def _solve(self, rhs_core, rhs_border, matvec, refine, transpose):
+        """Solve the bordered system, or its transpose (see the class)."""
+        if self._factor is None:
+            self._factorize()
+        # Not cached: a bound method stored on self would make a reference
+        # cycle, keeping the band and its factor alive until a cyclic GC.
+        rows = (lambda y: self.columns.T @ y) if transpose else self._row_dot
+        if transpose not in self._schur:
+            cols = self._rows_dense() if transpose else self.columns
+            corner = self.corner.T if transpose else self.corner
+            xb = np.column_stack([self._core_solve(c, transpose) for c in cols.T])
+            schur = corner - np.column_stack([rows(x) for x in xb.T])
+            if not np.all(np.isfinite(schur)):
+                raise SingularBandError(
+                    "bordered reduction produced a non-finite Schur complement"
+                )
+            self._schur[transpose] = (xb, schur)
+        xb, schur = self._schur[transpose]
+
+        def direct(rc, rb):
+            ycore = self._core_solve(rc, transpose)
+            p = np.linalg.solve(schur, rb - rows(ycore))
+            return ycore - xb @ p, p
+
+        y, p = direct(rhs_core, rhs_border)
+        for _ in range(refine):
+            ac, ab_ = matvec(y, p)
+            dy, dp = direct(rhs_core - ac, rhs_border - ab_)
+            y = y + dy
+            p = p + dp
+        return y, p
 
     def solve(self, rhs_core, rhs_border, matvec=None, refine=2):
         """Solve the bordered system.
@@ -394,69 +431,11 @@ class BorderedSystem:
         -------
         (y, p) : solution core part and 2-vector.
         """
-        if self._factor is None:
-            self._factorize()
-        if matvec is None:
-            matvec = self.apply
-
-        if self._schur is None:
-            xb = np.column_stack(
-                [self._core_solve(self.columns[:, 0]),
-                 self._core_solve(self.columns[:, 1])]
-            )
-            schur = self.corner - np.vstack(
-                [self._row_dot(xb[:, 0]), self._row_dot(xb[:, 1])]
-            ).T
-            if not np.all(np.isfinite(schur)):
-                raise SingularBandError(
-                    "bordered reduction produced a non-finite Schur complement"
-                )
-            self._schur = (xb, schur)
-        xb, schur = self._schur
-
-        def direct(rc, rb):
-            ycore = self._core_solve(rc)
-            p = np.linalg.solve(schur, rb - self._row_dot(ycore))
-            return ycore - xb @ p, p
-
-        y, p = direct(rhs_core, rhs_border)
-        for _ in range(refine):
-            ac, ab_ = matvec(y, p)
-            dy, dp = direct(rhs_core - ac, rhs_border - ab_)
-            y = y + dy
-            p = p + dp
-        return y, p
+        matvec = matvec or self.apply
+        return self._solve(rhs_core, rhs_border, matvec, refine, False)
 
     def solve_transpose(self, rhs_core, rhs_border, matvec=None, refine=2):
-        """Solve the transposed bordered system (same factorization)."""
-        if self._factor is None:
-            self._factorize()
-        if matvec is None:
-            matvec = self.apply_transpose
-
-        if self._schur_t is None:
-            rows_dense = self._rows_dense()
-            xbt = np.column_stack(
-                [self._core_solve(rows_dense[:, 0], transpose=True),
-                 self._core_solve(rows_dense[:, 1], transpose=True)]
-            )
-            schur_t = self.corner.T - self.columns.T @ xbt
-            if not np.all(np.isfinite(schur_t)):
-                raise SingularBandError(
-                    "bordered reduction produced a non-finite Schur complement"
-                )
-            self._schur_t = (xbt, schur_t)
-        xbt, schur_t = self._schur_t
-
-        def direct(rc, rb):
-            ycore = self._core_solve(rc, transpose=True)
-            p = np.linalg.solve(schur_t, rb - self.columns.T @ ycore)
-            return ycore - xbt @ p, p
-
-        y, p = direct(rhs_core, rhs_border)
-        for _ in range(refine):
-            ac, ab_ = matvec(y, p)
-            dy, dp = direct(rhs_core - ac, rhs_border - ab_)
-            y = y + dy
-            p = p + dp
-        return y, p
+        """Solve the transposed system; ``matvec`` defaults to
+        `apply_transpose`, otherwise as `solve`."""
+        matvec = matvec or self.apply_transpose
+        return self._solve(rhs_core, rhs_border, matvec, refine, True)

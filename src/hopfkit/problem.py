@@ -3,9 +3,10 @@
 A `ProblemDef` bundles the sparse linear operator ``A`` with closed-form
 callables for the nonlinearity ``h`` and its derivatives, together with the
 admissible parameter window and the trust radius on which ``h`` is defined.
-Residuals of the steady and period-rescaled problems, cached resolvent
-solves ``(i*n - A)^{-1}``, and a finite-difference validation of the
-supplied derivatives all live here.
+Residuals of the steady and period-rescaled problems, cached and
+condition-guarded factorizations of ``A`` and of each shift ``z - A`` (one
+per shift), and a finite-difference validation of the supplied derivatives
+all live here.
 """
 
 from __future__ import annotations
@@ -192,9 +193,9 @@ class ProblemDef:
             except RuntimeError as exc:
                 if key[0] == "resolvent":
                     raise ResonanceError(
-                        f"i*{key[1]} - A is singular; mode {key[1]} must go "
-                        "through the spectral-projection path, not a direct "
-                        "solve"
+                        f"z - A is singular at z = {key[1]:g}; that mode must "
+                        "go through the spectral-projection path, not a "
+                        "direct solve"
                     ) from exc
                 raise SingularOperatorError(
                     f"factorization of {key} failed: {exc}"
@@ -209,9 +210,9 @@ class ProblemDef:
             if not np.isfinite(cond) or cond > COND_GUARD:
                 if key[0] == "resolvent":
                     raise ResonanceError(
-                        f"i*{key[1]} - A is numerically singular "
-                        f"(cond ~ {cond:.1e}); mode {key[1]} must go through "
-                        "the spectral-projection path, not a direct solve"
+                        f"z - A is numerically singular at z = {key[1]:g} "
+                        f"(cond ~ {cond:.1e}); that mode must go through the "
+                        "spectral-projection path, not a direct solve"
                     )
                 raise SingularOperatorError(
                     f"operator {key} is numerically singular (cond ~ {cond:.1e})"
@@ -236,9 +237,14 @@ class ProblemDef:
         rhs = np.asarray(rhs, dtype=complex)
         if n == 0:
             return -self.solve_A(rhs.real) - 1j * self.solve_A(rhs.imag)
-        shifted = sp.identity(self.dim, format="csc", dtype=complex) * (1j * n) - self.A
-        lu = self._lu(("resolvent", n), shifted)
-        return lu.solve(rhs)
+        return self.resolvent_lu(1j * n).solve(rhs)
+
+    def resolvent_lu(self, z):
+        """Cached LU of ``z - A``; `ResonanceError` when it is singular or
+        worse conditioned than `COND_GUARD`.  `solve_resolvent` uses it for
+        every mode but 0, which stays on the real LU of ``A``."""
+        shifted = sp.identity(self.dim, format="csc", dtype=complex) * z - self.A
+        return self._lu(("resolvent", z), shifted)
 
     # -- residuals ---------------------------------------------------------------
 

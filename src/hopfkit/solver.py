@@ -745,6 +745,9 @@ def check_branch_symmetry(problem, functional, result,
     uniqueness test.
 
     The report is attached to ``result.symmetry_report`` and returned.
+    Raises `ConvergenceError` when the mirrored branch truncates or a
+    phase-seed solve fails, leaves the solver's domain or meets a singular
+    band.
     """
     if newton_tol is None:
         newton_tol = result.newton_tol
@@ -780,10 +783,15 @@ def check_branch_symmetry(problem, functional, result,
     phase_deviations = {}
     for theta in thetas:
         seed = (mid.alpha * result.u_star).time_shift(theta)
-        params, u, _, _, _ = _branch_newton(
-            problem, functional, mid.alpha,
-            ScaledParams(0.0, 0.0), seed, newton_tol, max_iter,
-        )
+        try:
+            params, u, _, _, _ = _branch_newton(
+                problem, functional, mid.alpha,
+                ScaledParams(0.0, 0.0), seed, newton_tol, max_iter,
+            )
+        except (DomainError, SingularBandError, np.linalg.LinAlgError) as exc:
+            raise ConvergenceError(
+                f"phase-seed Newton failed at theta = {theta:g}: {exc}"
+            ) from exc
         dev = (u - mid.u).norm() + max(
             abs(params.lam - mid.lam), abs(params.sigma - mid.sigma)
         )

@@ -31,7 +31,6 @@ import scipy.sparse.linalg as spla
 from .problem import (
     ConvergenceError,
     ResonanceError,
-    SingularOperatorError,
     linearization_matrix,
 )
 from .trajectory import ComplexStateVector
@@ -191,18 +190,24 @@ def inverse_power_sigma_min(solve, solve_adjoint, start, max_steps):
     return (float(1.0 / np.sqrt(estimate)) if estimate else 0.0), steps
 
 
+def _lu_sigma_min(lu, max_steps, seed):
+    """`inverse_power_sigma_min` on a SuperLU factor, from a complex start
+    drawn with ``seed`` (or generator)."""
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=lu.shape[0]) + 1j * rng.normal(size=lu.shape[0])
+    return inverse_power_sigma_min(
+        lu.solve, lambda b: lu.solve(b, trans="H"), start, max_steps
+    )
+
+
 def sparse_sigma_min(matrix, max_steps, seed):
-    """`inverse_power_sigma_min` through a sparse LU, from a complex start
-    drawn with ``seed`` (or generator); a singular LU reads as ``(0.0, 0)``."""
+    """`inverse_power_sigma_min` through a fresh sparse LU of ``matrix``;
+    a singular LU reads as ``(0.0, 0)``."""
     try:
         lu = spla.splu(sp.csc_matrix(matrix))
     except RuntimeError:
         return 0.0, 0
-    rng = np.random.default_rng(seed)
-    start = rng.normal(size=matrix.shape[0]) + 1j * rng.normal(size=matrix.shape[0])
-    return inverse_power_sigma_min(
-        lu.solve, lambda b: lu.solve(b, trans="H"), start, max_steps
-    )
+    return _lu_sigma_min(lu, max_steps, seed)
 
 
 def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
@@ -301,13 +306,17 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def resolvent_norm(problem, z, probes=15, seed=13):
-    """Estimate of ``||(z - A)^{-1}||_2 = 1 / sigma_min(z - A)`` (no guards).
+    """Estimate of ``||(z - A)^{-1}||_2 = 1 / sigma_min(z - A)``.
 
-    Diagnostic helper: near an eigenvalue of ``A`` the estimate blows up
-    (or the factorisation fails, reported as ``inf``).
+    Inverse power on the problem's cached, condition-guarded LU of ``z - A``
+    (`ProblemDef.resolvent_lu`, shared with `ProblemDef.solve_resolvent`);
+    a failed guard, as at an eigenvalue of ``A``, reads as ``inf``.
     """
-    shifted = sp.identity(problem.dim, dtype=complex) * complex(z) - problem.A
-    sigma, _ = sparse_sigma_min(shifted, probes, seed)
+    try:
+        lu = problem.resolvent_lu(z)
+    except ResonanceError:
+        return np.inf
+    sigma, _ = _lu_sigma_min(lu, probes, seed)
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
@@ -321,9 +330,10 @@ def resolvent_scan(problem, n_max=16, probes=15):
     """Check invertibility of ``i*n - A`` over integer modes and bound it.
 
     For ``n = 0, 2, 3, ..., n_max`` the resolvent norm is estimated by
-    power iteration; modes ``+-1`` are excluded (they carry the critical
-    eigenvalues).  Returns ``(table, failures)`` where ``failures`` lists
-    modes whose factorisation was (numerically) singular.
+    `resolvent_norm`, one guarded factorization per mode; modes ``+-1`` are
+    excluded (they carry the critical eigenvalues).  Returns ``(table,
+    failures)`` where ``failures`` lists the modes whose estimate is not
+    finite: ``i*n - A`` (numerically) singular.
 
     The quantity that must stay bounded in ``n`` is
     ``weighted = n * norm``; see `HypothesisReport` for the plateau
@@ -334,12 +344,10 @@ def resolvent_scan(problem, n_max=16, probes=15):
     table: List[ResolventRow] = []
     failures: List[int] = []
     for n in [0] + list(range(2, n_max + 1)):
-        try:
-            problem.solve_resolvent(n, np.zeros(problem.dim, dtype=complex))
-        except (ResonanceError, SingularOperatorError):
+        est = resolvent_norm(problem, 1j * n, probes=probes)
+        if not np.isfinite(est):
             failures.append(n)
             continue
-        est = resolvent_norm(problem, 1j * n, probes=probes)
         table.append(ResolventRow(n, est, n * est))
     return table, failures
 

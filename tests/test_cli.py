@@ -361,6 +361,35 @@ def test_cli_branch_truncates_on_domain_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_branch_phase_seed_domain_error(tmp_path, capsys, monkeypatch):
+    """A phase-seed solve of the symmetry check that leaves the domain ends
+    in the symmetry error entry and exit 1, not a traceback."""
+    from hopfkit import solver
+    from hopfkit.problem import DomainError
+
+    branch_newton = solver._branch_newton
+    mirrored = []
+
+    def failing_phase_seeds(problem, functional, alpha, *args):
+        # The mirrored branch (alpha < 0) runs first; a positive amplitude
+        # after it is a phase-seed solve.
+        if alpha < 0:
+            mirrored.append(alpha)
+        elif mirrored:
+            raise DomainError("phase seed left the trust region")
+        return branch_newton(problem, functional, alpha, *args)
+
+    monkeypatch.setattr(solver, "_branch_newton", failing_phase_seeds)
+    code, out = run_cli(tmp_path, "branch", "", "--skip-check")
+    assert code == 1
+    summary = json.loads((tmp_path / "out" / "branch_summary.json").read_text())
+    assert summary["passed"] is False
+    assert "phase seed left the trust region" in summary["symmetry"]["error"]
+    assert mirrored
+    assert (tmp_path / "out" / "branch.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_extended_failure_writes_report(tmp_path, capsys):
     """A singular bordered system in the bifurcation-point solve ends in
     the failure report and exit 1 for every command that runs it."""

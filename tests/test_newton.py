@@ -7,9 +7,14 @@ random trajectories.  The bordered solver is checked against dense
 solves, including the deliberately singular-core case it exists for.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import synthetic_problem
 from hopfkit.newton import (
@@ -49,6 +54,19 @@ def test_layout_roundtrip():
     y = layout.flatten(u.coeffs)
     assert y.shape == (layout.size,)
     npt.assert_array_equal(layout.unflatten(y), u.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(0, 5), nx=st.integers(1, 6),
+       dx=st.floats(0.01, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_layout_roundtrip_property(n_t, nx, dx, seed):
+    rng = np.random.default_rng(seed)
+    layout = TrajectoryLayout(n_t=n_t, nx=nx, dx=dx)
+    u = random_trajectory(rng, n_t, nx, dx)
+    npt.assert_array_equal(layout.unflatten(layout.flatten(u.coeffs)), u.coeffs)
+    y = rng.normal(size=layout.size)
+    npt.assert_array_equal(layout.flatten(layout.unflatten(y)), y)
+    npt.assert_array_equal(layout.flatten_trajectory(layout.to_trajectory(y)), y)
 
 
 def test_layout_index_semantics():
@@ -346,6 +364,56 @@ def test_bordered_matches_dense():
     dense = dense_from_system(system)
     expected = np.linalg.solve(dense, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(4, 30), kl=st.integers(0, 4), ku=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_bordered_solves_match_dense_property(size, kl, ku, seed):
+    """Both orientations against a dense solve, on unequal bandwidths and a
+    non-symmetric corner: the transpose must use ``corner.T`` and swap the
+    border roles."""
+    assume(kl != ku)
+    rng = np.random.default_rng(seed)
+    band = random_band(rng, size, kl, ku, dominance=4.0 * (kl + ku + 1))
+    corner = rng.normal(size=(2, 2)) + np.array([[0.0, 2.0], [-2.0, 0.0]])
+    system = BorderedSystem(
+        band, rng.normal(size=(size, 2)), make_rows(rng, size, k=min(4, size)),
+        corner=corner,
+    )
+    dense = dense_from_system(system)
+    assume(np.linalg.cond(dense) < 1e8)
+    rhs_core = rng.normal(size=size)
+    rhs_border = rng.normal(size=2)
+    rhs = np.concatenate([rhs_core, rhs_border])
+    for solve, matrix in ((system.solve, dense),
+                          (system.solve_transpose, dense.T)):
+        for _ in range(2):  # first call builds the Schur cache, second reuses it
+            y, p = solve(rhs_core, rhs_border)
+            npt.assert_allclose(np.concatenate([y, p]),
+                                np.linalg.solve(matrix, rhs),
+                                rtol=1e-9, atol=1e-11)
+
+
+def test_bordered_system_freed_without_cycle_collector():
+    """A solved system holds a band and its factor; it must go when its
+    last reference does, not at some later cyclic collection."""
+    rng = np.random.default_rng(37)
+    size = 16
+    system = BorderedSystem(
+        random_band(rng, size, 2, 1, dominance=10.0),
+        rng.normal(size=(size, 2)), make_rows(rng, size),
+        corner=rng.normal(size=(2, 2)),
+    )
+    system.solve(rng.normal(size=size), rng.normal(size=2))
+    system.solve_transpose(rng.normal(size=size), rng.normal(size=2))
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_band_rmatvec_is_transpose_of_matvec():

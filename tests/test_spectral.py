@@ -194,6 +194,24 @@ def test_resolvent_scan_detects_resonance_at_two():
     assert all(row.n != 2 for row in table)
 
 
+def test_resolvent_scan_factorises_each_mode_once(monkeypatch):
+    import hopfkit.problem as problem_module
+
+    calls = []
+    splu = problem_module.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(problem_module.spla, "splu", counting_splu)
+    p = synthetic_problem(rotation_block())
+    table, failures = resolvent_scan(p, n_max=8)
+    assert failures == []
+    assert [row.n for row in table] == [0, 2, 3, 4, 5, 6, 7, 8]
+    assert len(calls) == 8  # one guarded LU per scanned mode, none repeated
+
+
 def test_resolvent_scan_validates_n_max(coarse_problem):
     with pytest.raises(ValueError):
         resolvent_scan(coarse_problem, n_max=1)
