@@ -136,16 +136,23 @@ def _parse_lines(text):
 
 
 def _validate_solver(settings):
-    if not settings.newton_tol > 0:
-        raise ConfigError("solver.newton_tol must be positive")
+    if not 0 < settings.newton_tol < np.inf:
+        raise ConfigError("solver.newton_tol must be positive and finite")
     if settings.max_iter < 1:
         raise ConfigError("solver.max_iter must be at least 1")
     if settings.n_t < 1:
         raise ConfigError("solver.n_t must be at least 1")
-    if settings.alpha_max < 0:
-        raise ConfigError("solver.alpha_max must be nonnegative")
+    if not 0 <= settings.alpha_max < np.inf:
+        raise ConfigError("solver.alpha_max must be nonnegative and finite")
     if settings.alpha_steps < 2:
         raise ConfigError("solver.alpha_steps must be at least 2")
+    # The branch divides by its first amplitude; below the smallest normal
+    # float the quotient overflows.
+    if 0 < settings.alpha_max / settings.alpha_steps < np.finfo(float).tiny:
+        raise ConfigError(
+            "solver.alpha_max must be 0 or at least alpha_steps times the "
+            "smallest normal float"
+        )
     if settings.n_max_resolvent < 2:
         raise ConfigError("solver.n_max_resolvent must be at least 2")
 

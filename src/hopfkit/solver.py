@@ -2,17 +2,19 @@
 
 Everything here works on the square bordered systems built from two
 phase-fixing rows (the amplitude functional), the banded space-time core,
-and two parameter columns:
+and two parameter columns.  One private `_Linearization` defines the
+derivative of such a map; the extended solve, the branch solve and the
+certificate all build and apply it:
 
 * `solve_extended` polishes the bifurcation data: it solves
   ``(l u - (1, 0), g_u(params, 0) u) = 0`` for ``(lambda, sigma, u)``,
   whose isolated solution is the rescaled-period bifurcation point with
   its normalised first harmonic.
-* `BifurcationJacobian` / `verify_jacobian_nonsingular` freeze the
-  derivative of that map at the solution and certify it is boundedly
-  invertible (smallest singular value per Fourier-mode block plus the
-  block-structure check: parameters couple only into the mean/fundamental
-  part, higher harmonics stay among themselves).
+* `BifurcationJacobian` / `verify_jacobian_nonsingular` take the Newton
+  linearisation of that map frozen at ``((0,0), u*)`` and certify it is
+  boundedly invertible (smallest singular value per Fourier-mode block
+  plus the block-structure check: parameters couple only into the
+  mean/fundamental part, higher harmonics stay among themselves).
 * `decompose_crossing_term` splits the parameter-derivative forcing into
   its span{u*, Au*} part -- whose coefficients are the eigenvalue crossing
   speed -- and a remainder lifted through the periodic solver.
@@ -25,6 +27,7 @@ and two parameter columns:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,20 +90,6 @@ _LEAKAGE_TOL = 1e-10
 # shared Newton machinery
 
 
-def _linearized_steady_apply(problem, lam, u):
-    """``(A + h_u(lam, 0)) u`` as a trajectory (frozen at the origin)."""
-    zeros = np.zeros((u.n_samples, u.dim))
-    hu = trajectory_from_samples(
-        problem.apply_h_u(lam, zeros, u.sample_values()), u.dx
-    )
-    linear = u.with_coeffs((problem.A @ u.coeffs.T).T)
-    return linear + hu
-
-
-def _layout_for(u):
-    return TrajectoryLayout(u.n_t, u.nx, u.dx)
-
-
 class _NewtonTrace:
     """Step/residual history plus the quadratic-contraction bookkeeping."""
 
@@ -124,19 +113,64 @@ class _NewtonTrace:
         self.step_norms.append(step)
 
 
-def _newton_square(problem, functional, target_pair, params, u,
-                   residual_fn, lambda_column_fn, band_base_fn,
-                   newton_tol, max_iter, refine=2):
+def _mixed_column(problem, lam, u):
+    """``h_lambda_u(lam, 0) u`` as a trajectory."""
+    zeros = np.zeros((u.n_samples, u.dim))
+    return trajectory_from_samples(
+        problem.apply_h_lambda_u(lam, zeros, u.sample_values()), u.dx
+    )
+
+
+class _Linearization:
+    """Derivative of a phase-bordered square map over ``(lambda, sigma, u)``.
+
+    The map is ``(l u - target, core)`` with ``core = u_t - (sigma+1) f``,
+    linearised at ``(params, u)``: the state direction goes through
+    ``g_u(params, base)`` (``base`` is ``u`` itself for the nonlinear
+    system, the origin for the linear-in-u extended system), the parameter
+    directions through the columns ``-(sigma+1) f_lambda`` and ``-f``.
+    ``core`` is the residual at ``(params, u)`` and ``f_lambda`` the
+    lambda-derivative of ``f``.
+    """
+
+    def __init__(self, problem, functional, params, base, u, core, f_lambda):
+        self.problem = problem
+        self.functional = functional
+        self.params = params
+        self.base = base
+        factor = params.sigma + 1.0
+        self.col_lam = -(factor) * f_lambda
+        # g = u_t - (sigma+1) f  =>  f = (u_t - g) / (sigma+1)
+        self.col_sig = -1.0 / factor * (u.time_derivative() - core)
+
+    def apply(self, dlam, dsig, v):
+        """Returns ``(pair, trajectory)`` image of ``(dlam, dsig, v)``."""
+        core = self.problem.linearised_g(self.params, self.base, v)
+        core = core + dlam * self.col_lam + dsig * self.col_sig
+        return self.functional.pair(v), core
+
+    def bordered_system(self):
+        """Assembled matrix form, core rows first, parameter slots last."""
+        base = self.base
+        layout = TrajectoryLayout(base.n_t, base.nx, base.dx)
+        band = assemble_jacobian_band(self.problem, self.params, base, layout)
+        columns = np.column_stack(
+            [layout.flatten_trajectory(self.col_lam),
+             layout.flatten_trajectory(self.col_sig)]
+        )
+        rows = layout.functional_rows(self.functional.weight.data)
+        return BorderedSystem(band, columns, rows), layout
+
+
+def _newton_square(functional, target_pair, params, u, residual_fn,
+                   linearize, newton_tol, max_iter):
     """Newton on {l u = target, core(params, u) = 0} over (lambda, sigma, u).
 
-    ``residual_fn(params, u)`` gives the core residual trajectory,
-    ``band_base_fn(u)`` the trajectory the core is linearised around
-    (itself for the genuinely nonlinear system, the origin for the
-    linear-in-u extended system), ``lambda_column_fn(params, u)`` the
-    lambda-derivative of the core *without* the ``-(sigma+1)`` factor.
+    ``residual_fn(params, u)`` gives the core residual trajectory and
+    ``linearize(params, u, core)`` the `_Linearization` there.  Returns
+    ``(params, u, core, iterations, trace)`` with ``core`` the converged
+    residual.
     """
-    layout = _layout_for(u)
-    rows = layout.functional_rows(functional.weight.data)
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
 
@@ -146,39 +180,26 @@ def _newton_square(problem, functional, target_pair, params, u,
         residual = core.norm() + abs(r_pair[0]) + abs(r_pair[1])
         trace.residuals.append(residual)
         if residual <= newton_tol:
-            return params, u, iteration, residual, trace
+            return params, u, core, iteration, trace
         if iteration == max_iter:
             raise ConvergenceError(
                 f"Newton did not reach {newton_tol:.1e} within {max_iter} "
                 f"iterations (residual {residual:.3e})"
             )
 
-        base = band_base_fn(u)
-        band = assemble_jacobian_band(problem, params, base, layout)
-        factor = params.sigma + 1.0
-        col_lam = -(factor) * lambda_column_fn(params, u)
-        # g = u_t - (sigma+1) f  =>  f = (u_t - g) / (sigma+1)
-        col_sig = -1.0 / factor * (u.time_derivative() - core)
-        columns = np.column_stack(
-            [layout.flatten_trajectory(col_lam),
-             layout.flatten_trajectory(col_sig)]
-        )
-        system = BorderedSystem(band, columns, rows)
+        lin = linearize(params, u, core)
+        system, layout = lin.bordered_system()
+        (i1, v1), (i2, v2) = system.rows
 
-        def exact_apply(y, p, _params=params, _base=base,
-                        _cl=col_lam, _cs=col_sig):
-            v = layout.to_trajectory(y)
-            image = problem.linearised_g(_params, _base, v) \
-                + p[0] * _cl + p[1] * _cs
-            (i1, v1), (i2, v2) = rows
+        def matvec(y, p):
+            _, image = lin.apply(p[0], p[1], layout.to_trajectory(y))
             return (
                 layout.flatten_trajectory(image),
                 np.array([v1 @ y[i1], v2 @ y[i2]]),
             )
 
         dy, dp = system.solve(
-            -layout.flatten_trajectory(core), -r_pair,
-            matvec=exact_apply, refine=refine,
+            -layout.flatten_trajectory(core), -r_pair, matvec=matvec
         )
         du = layout.to_trajectory(dy)
         trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]))
@@ -206,10 +227,6 @@ class ExtendedSolution:
     step_norms: list
     notes: list = field(default_factory=list)
 
-    @property
-    def state(self):
-        return ExtendedState(self.params, self.u)
-
 
 def extended_residual(problem, functional, params, u):
     """Residual of the bifurcation-point system.
@@ -223,6 +240,13 @@ def extended_residual(problem, functional, params, u):
     core = problem.linearised_g(params, zero, u)
     pair = functional.pair(u) - np.array([1.0, 0.0])
     return pair, core
+
+
+def _extended_linearization(problem, functional, params, u, core):
+    """The extended map's `_Linearization` at ``(params, u)``."""
+    zero = zero_trajectory(u.n_t, u.dim, u.dx)
+    return _Linearization(problem, functional, params, zero, u, core,
+                          _mixed_column(problem, params.lam, u))
 
 
 def initial_extended_state(psi, n_t=16):
@@ -249,29 +273,18 @@ def solve_extended(problem, functional, initial, newton_tol=NEWTON_TOL,
     params = ScaledParams(*params)
 
     def residual_fn(prm, traj):
-        zero = zero_trajectory(traj.n_t, traj.dim, traj.dx)
-        return problem.linearised_g(prm, zero, traj)
-
-    def lambda_column_fn(prm, traj):
-        zeros = np.zeros((traj.n_samples, traj.dim))
-        return trajectory_from_samples(
-            problem.apply_h_lambda_u(prm.lam, zeros, traj.sample_values()),
-            traj.dx,
-        )
-
-    def band_base_fn(traj):
-        return zero_trajectory(traj.n_t, traj.dim, traj.dx)
+        return extended_residual(problem, functional, prm, traj)[1]
 
     try:
-        params, u, iters, residual, trace = _newton_square(
-            problem, functional, (1.0, 0.0), params, u,
-            residual_fn, lambda_column_fn, band_base_fn,
+        params, u, _, iters, trace = _newton_square(
+            functional, (1.0, 0.0), params, u, residual_fn,
+            partial(_extended_linearization, problem, functional),
             newton_tol, max_iter,
         )
     except (DomainError, SingularBandError, np.linalg.LinAlgError) as exc:
         raise ConvergenceError(f"extended Newton failed: {exc}") from exc
     return ExtendedSolution(
-        params, u, residual, iters, trace.step_norms, trace.notes
+        params, u, trace.residuals[-1], iters, trace.step_norms, trace.notes
     )
 
 
@@ -279,44 +292,17 @@ def solve_extended(problem, functional, initial, newton_tol=NEWTON_TOL,
 # frozen Jacobian at the bifurcation point
 
 
-class BifurcationJacobian:
-    """The derivative of the extended map, frozen at ``((0,0), u_star)``.
+def BifurcationJacobian(problem, functional, u_star):
+    """The extended map's Newton linearisation, frozen at ``((0,0), u_star)``.
 
-    Applies ``(dlam, dsig, v) -> (l1 v, l2 v,
-    v_t - A v - h_u(0,0) v - dsig * (A + h_u(0,0)) u_star
-    - dlam * h_lambda_u(0,0) u_star)``.
+    The `_Linearization` that `solve_extended` steps with, taken at the
+    bifurcation point: its ``apply`` maps ``(dlam, dsig, v)`` to ``(l1 v,
+    l2 v, v_t - A v - h_u(0,0) v - dsig * (A + h_u(0,0)) u_star - dlam *
+    h_lambda_u(0,0) u_star)`` and ``bordered_system()`` assembles it.
     """
-
-    def __init__(self, problem, functional, u_star):
-        self.problem = problem
-        self.functional = functional
-        self.u_star = u_star
-        zeros = np.zeros((u_star.n_samples, u_star.dim))
-        self.column_lam = -trajectory_from_samples(
-            problem.apply_h_lambda_u(0.0, zeros, u_star.sample_values()),
-            u_star.dx,
-        )
-        self.column_sig = -_linearized_steady_apply(problem, 0.0, u_star)
-        self._zero = zero_trajectory(u_star.n_t, u_star.dim, u_star.dx)
-
-    def apply(self, dlam, dsig, v):
-        """Returns ``(pair, trajectory)`` image of ``(dlam, dsig, v)``."""
-        core = self.problem.linearised_g(ScaledParams(0.0, 0.0), self._zero, v)
-        core = core + dlam * self.column_lam + dsig * self.column_sig
-        return self.functional.pair(v), core
-
-    def bordered_system(self):
-        """Assembled matrix form, core rows first, parameter slots last."""
-        layout = _layout_for(self.u_star)
-        band = assemble_jacobian_band(
-            self.problem, ScaledParams(0.0, 0.0), self._zero, layout
-        )
-        columns = np.column_stack(
-            [layout.flatten_trajectory(self.column_lam),
-             layout.flatten_trajectory(self.column_sig)]
-        )
-        rows = layout.functional_rows(self.functional.weight.data)
-        return BorderedSystem(band, columns, rows), layout
+    params = ScaledParams(0.0, 0.0)
+    _, core = extended_residual(problem, functional, params, u_star)
+    return _extended_linearization(problem, functional, params, u_star, core)
 
 
 @dataclass
@@ -355,8 +341,7 @@ def _subspace_leakage(jac, rng):
     higher harmonics must map into higher harmonics and be invisible to
     the functionals.
     """
-    u_star = jac.u_star
-    n_t, dim, dx = u_star.n_t, u_star.dim, u_star.dx
+    n_t, dim, dx = jac.base.n_t, jac.base.dim, jac.base.dx
     worst = 0.0
 
     def random_traj(lowpass):
@@ -471,11 +456,7 @@ def decompose_crossing_term(problem, decomp, n_t=8):
     """
     psi = decomp.psi
     u_star = single_harmonic(psi, n_t)
-    zeros = np.zeros((u_star.n_samples, u_star.dim))
-    forcing = trajectory_from_samples(
-        problem.apply_h_lambda_u(0.0, zeros, u_star.sample_values()),
-        u_star.dx,
-    )
+    forcing = _mixed_column(problem, 0.0, u_star)
 
     w1 = 2.0 * forcing.fourier_coeff(1)  # = h_lambda_u(0,0) psi
     a_psi = np.asarray(problem.A @ psi.data, dtype=complex)
@@ -598,17 +579,15 @@ class BranchResult:
 
 def _branch_newton(problem, functional, alpha, params, u,
                    newton_tol, max_iter):
-    def residual_fn(prm, traj):
-        return problem.residual_g(prm, traj)
-
-    def lambda_column_fn(prm, traj):
-        return trajectory_from_samples(
+    def linearize(prm, traj, core):
+        f_lambda = trajectory_from_samples(
             problem.apply_h_lambda(prm.lam, traj.sample_values()), traj.dx
         )
+        return _Linearization(problem, functional, prm, traj, traj, core,
+                              f_lambda)
 
     return _newton_square(
-        problem, functional, (alpha, 0.0), params, u,
-        residual_fn, lambda_column_fn, lambda traj: traj,
+        functional, (alpha, 0.0), params, u, problem.residual_g, linearize,
         newton_tol, max_iter,
     )
 
@@ -640,7 +619,7 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
             params = ScaledParams(ratio**2 * params.lam,
                                   ratio**2 * params.sigma)
         try:
-            params, u, iters, residual, trace = _branch_newton(
+            params, u, core, iters, trace = _branch_newton(
                 problem, functional, alpha, params, u, newton_tol, max_iter
             )
         except (ConvergenceError, DomainError, SingularBandError,
@@ -652,13 +631,12 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
         notes.extend(trace.notes)
         l_val = functional.pair(u)
         eta = (1.0 / alpha) * u - u_star
-        g_res = problem.residual_g(params, u)
         points.append(
             BranchPoint(
                 alpha=float(alpha), lam=params.lam, sigma=params.sigma,
-                u=u, residual=residual, newton_iters=iters,
+                u=u, residual=trace.residuals[-1], newton_iters=iters,
                 l_check=l_val, eta_norm=eta.norm(),
-                sup_residual=g_res.sup_norm(),
+                sup_residual=core.sup_norm(),
                 step_norms=trace.step_norms,
             )
         )
@@ -784,7 +762,7 @@ def check_branch_symmetry(problem, functional, result,
     for theta in thetas:
         seed = (mid.alpha * result.u_star).time_shift(theta)
         try:
-            params, u, _, _, _ = _branch_newton(
+            params, u, *_ = _branch_newton(
                 problem, functional, mid.alpha,
                 ScaledParams(0.0, 0.0), seed, newton_tol, max_iter,
             )

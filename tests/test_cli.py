@@ -1,10 +1,14 @@
 """Config parsing and the command-line driver, end to end on a coarse grid."""
 
+import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hopfkit.cli import main
 from hopfkit.config import (
@@ -420,3 +424,143 @@ def test_cli_rejects_oversized_grid(tmp_path, capsys, line):
     assert main(["extended", "--config", cfg, "--out", str(out)]) == 2
     assert "grid too large" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["solver.alpha_max = nan", "solver.newton_tol = inf",
+     "solver.alpha_max = inf",
+     "solver.alpha_max = 2e-309"],  # 1 / alpha overflows
+)
+def test_cli_rejects_non_finite_solver_values(tmp_path, capsys, line):
+    cfg = write_config(
+        tmp_path, "problem.L = 20\nproblem.dx = 0.2\nsolver.n_t = 4\n" + line
+    )
+    out = tmp_path / "out"
+    assert main(["branch", "--config", cfg, "--out", str(out)]) == 2
+    assert line.split(" = ")[0] + " must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz over the config schema
+
+
+# key -> (strategy of accepted values as config text, rejected texts).
+# Accepted values stay on a tiny grid (L in [20, 21], dx in [0.15, 0.2],
+# n_t <= 4) so a run takes well under a second.
+_FUZZ_SCHEMA = {
+    "problem.variant": (st.sampled_from(["semilinear", "quasilinear"]),
+                        ["cubic"]),
+    "problem.L": (st.floats(20.0, 21.0).map(repr),
+                  ["nan", "inf", "-inf", "0", "-20", "1e9", "abc"]),
+    "problem.dx": (st.floats(0.15, 0.2).map(repr),
+                   ["nan", "inf", "0", "-0.2", "0.5"]),
+    "problem.discretely_consistent_rho": (st.sampled_from(["yes", "no"]),
+                                          ["2"]),
+    "problem.boundary": (st.just("dirichlet"), ["periodic"]),
+    "problem.frozen_parameter": (st.sampled_from(["yes", "no"]), ["maybe"]),
+    "solver.newton_tol": (st.floats(1e-12, 1e-6).map(repr),
+                          ["nan", "inf", "-inf", "0", "-1e-10"]),
+    "solver.max_iter": (st.integers(1, 30).map(str), ["0", "-1", "inf"]),
+    "solver.n_t": (st.integers(1, 4).map(str),
+                   ["0", "-1", "100000", "nan", "2.5"]),
+    "solver.alpha_max": (st.floats(0.0, 1.5).map(repr),
+                         ["nan", "inf", "-inf", "-0.1"]),
+    "solver.alpha_steps": (st.integers(2, 6).map(str), ["1", "0", "-3"]),
+    "solver.n_max_resolvent": (st.integers(2, 8).map(str), ["1", "0", "nan"]),
+    "output.format": (st.sampled_from(["csv", "json"]), ["xml"]),
+    "output.path": (st.sampled_from(["out", "nested/out"]), []),
+    "output.verbosity": (st.integers(0, 2).map(str), ["-1", "x"]),
+}
+# Their defaults are the production grid, so these keys are always set.
+_GRID_KEYS = ("problem.L", "problem.dx", "solver.n_t")
+
+
+@st.composite
+def _configs(draw):
+    """Accepted values for a random subset of the keys (the grid keys
+    always), then at most one key set to a rejected value."""
+    config = {}
+    for key, (accepted, _) in _FUZZ_SCHEMA.items():
+        if key in _GRID_KEYS or draw(st.booleans()):
+            config[key] = draw(accepted)
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(
+            [key for key, (_, rejected) in _FUZZ_SCHEMA.items() if rejected]))
+        config[bad] = draw(st.sampled_from(_FUZZ_SCHEMA[bad][1]))
+    return config
+
+
+_REPORTS = {
+    "check": ["hypotheses.json"],
+    "extended": ["extended.json"],
+    "branch": ["hypotheses.json", "branch_summary.json"],
+    "verify-exact": ["exact_summary.json"],
+}
+# Values the schema once accepted and a run then mishandled.
+_REGRESSIONS = [
+    {"problem.L": "20.0", "problem.dx": "0.2", "solver.n_t": "4", key: value}
+    for key, value in [("solver.alpha_max", "nan"),
+                       ("solver.newton_tol", "inf"),
+                       ("solver.alpha_max", "inf"),
+                       ("solver.alpha_max", "2e-309")]
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def _branch_points(outdir):
+    """Rows of the written branch table (csv or json), or None."""
+    path = os.path.join(outdir, "branch.csv")
+    if os.path.exists(path):
+        with open(path, newline="") as handle:
+            return len(list(csv.reader(handle))) - 1
+    path = os.path.join(outdir, "branch.json")
+    if os.path.exists(path):
+        with open(path) as handle:
+            return len(json.load(handle)["points"])
+    return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", list(_REPORTS))
+@settings(max_examples=12, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=_configs(), skip_check=st.booleans())
+@example(config=_REGRESSIONS[0], skip_check=False)
+@example(config=_REGRESSIONS[1], skip_check=False)
+@example(config=_REGRESSIONS[2], skip_check=False)
+@example(config=_REGRESSIONS[3], skip_check=False)
+def test_cli_fuzz_config_schema(command, config, skip_check):
+    """Every drawn config ends in exit 0, 1 or 2 without an exception (a
+    NumPy RuntimeWarning counts as one); on 0 and 1 the command's report
+    exists and every JSON report is strict JSON; a passing branch covers
+    the whole amplitude grid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = dict(config, **{"output.path": os.path.join(
+            tmp, config.get("output.path", "out"))})
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as handle:
+            handle.writelines(f"{k} = {v}\n" for k, v in config.items())
+        argv = [command, "--config", cfg]
+        if skip_check:
+            argv.append("--skip-check")
+        code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        outdir = config["output.path"]
+        reports = set(os.listdir(outdir))
+        assert reports & set(_REPORTS[command]), sorted(reports)
+        for name in reports:
+            if name.endswith(".json"):
+                with open(os.path.join(outdir, name)) as handle:
+                    json.load(handle, parse_constant=_reject_constant)
+        points = _branch_points(outdir)
+        if code == 0 and points is not None:
+            alpha_max = float(config.get("solver.alpha_max", "0.5"))
+            steps = int(config.get("solver.alpha_steps", "10"))
+            assert points == (1 if alpha_max == 0 else steps + 1)

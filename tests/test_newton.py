@@ -160,6 +160,27 @@ def test_coupling_block_matches_sampled_product():
             npt.assert_allclose(block @ parts, expected, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(0, 6), nx=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_coupling_blocks_match_sampled_product_property(n_t, nx, seed):
+    # One block per state column: multiplying at the 2 n_t + 2 collocation
+    # points and keeping the retained rfft modes is the block product.
+    rng = np.random.default_rng(seed)
+    u = random_trajectory(rng, n_t, nx, 1.0)
+    samples = rng.normal(size=(u.n_samples, u.dim))
+    product = np.fft.rfft(samples * u.sample_values(), axis=0) / u.n_samples
+    layout = TrajectoryLayout(n_t, nx, 1.0)
+
+    def by_column(coeffs):  # (dim, R) mode-part vectors, column f*nx + j
+        parts = layout.flatten(coeffs).reshape(nx, 2, 2 * n_t + 1)
+        return parts.transpose(1, 0, 2).reshape(u.dim, 2 * n_t + 1)
+
+    image = np.einsum("cij,cj->ci", coupling_blocks(samples, n_t),
+                      by_column(u.coeffs))
+    npt.assert_allclose(image, by_column(product[: n_t + 1]), atol=1e-12)
+
+
 def test_coupling_block_batch_layout():
     rng = np.random.default_rng(11)
     n_t = 2
