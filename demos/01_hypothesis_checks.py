@@ -1,13 +1,14 @@
 """Verify the spectral hypotheses behind a Hopf bifurcation.
 
 Before trusting any branch computation, the toolkit checks the conditions
-that make the bifurcation well-posed:
+that make the bifurcation well-posed, all on the linearisation
+B = A + h_u(0, 0) at the equilibrium:
 
   * the supplied derivative callables are mutually consistent,
   * the critical eigenvalue pair +-i is simple,
   * the eigenvalues cross the imaginary axis with nonzero speed,
   * no other temporal mode i*n lies in the spectrum,
-  * the resolvent norms n * ||(i n - A)^-1|| level off.
+  * the resolvent norms n * ||(i n - B)^-1|| level off.
 
 Each condition gets its own verdict, so a broken assumption points at
 itself instead of producing a mysterious solver failure downstream.

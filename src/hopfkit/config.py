@@ -153,8 +153,10 @@ def _validate_solver(settings):
             "solver.alpha_max must be 0 or at least alpha_steps times the "
             "smallest normal float"
         )
-    if settings.n_max_resolvent < 2:
-        raise ConfigError("solver.n_max_resolvent must be at least 2")
+    # The resolvent-bound verdict compares the scan's head (modes 2..n/2)
+    # with its tail; below 4 the head is empty and the verdict always fails.
+    if settings.n_max_resolvent < 4:
+        raise ConfigError("solver.n_max_resolvent must be at least 4")
 
 
 def _check_memory(problem, solver):

@@ -1,9 +1,10 @@
-"""The linear periodic problem ``u_t - A u = v`` around the resonance.
+"""The linear periodic problem ``u_t - B u = v`` around the resonance.
 
-For forcing ``v`` with no temporal modes in {-1, 0, 1} the equation has a
-unique periodic solution, obtained mode-by-mode as
-``u_hat(n) = (i n - A)^{-1} v_hat(n)``.  `solve_periodic_nonresonant` does
-exactly that.
+``B = A + h_u(0, 0)`` is the linearisation at the equilibrium
+(`ProblemDef.operator`).  For forcing ``v`` with no temporal modes in
+{-1, 0, 1} the equation has a unique periodic solution, obtained
+mode-by-mode as ``u_hat(n) = (i n - B)^{-1} v_hat(n)``.
+`solve_periodic_nonresonant` does exactly that.
 
 `solve_periodic_full` follows the structure of the underlying uniqueness
 argument instead: it splits ``v`` by the rank-two spectral projection,
@@ -132,10 +133,10 @@ def _check_nonresonant(v, tol=RESONANT_CONTENT_TOL):
 
 
 def solve_periodic_nonresonant(problem, v):
-    """Unique periodic solution of ``u_t - A u = v`` for nonresonant ``v``.
+    """Unique periodic solution of ``u_t - B u = v`` for nonresonant ``v``.
 
     ``v`` must have (numerically) no temporal modes in {-1, 0, 1}; the
-    solution is ``u_hat(n) = (i n - A)^{-1} v_hat(n)`` mode by mode and
+    solution is ``u_hat(n) = (i n - B)^{-1} v_hat(n)`` mode by mode and
     inherits that property.
 
     Raises
@@ -143,7 +144,7 @@ def solve_periodic_nonresonant(problem, v):
     ResonantContentError
         If ``v`` has content in the excluded modes.
     ResonanceError
-        Propagated from the per-mode solves if some ``i n - A`` is
+        Propagated from the per-mode solves if some ``i n - B`` is
         (numerically) singular -- a genuine spectrum-on-the-axis defect.
     """
     _check_nonresonant(v)
@@ -225,7 +226,7 @@ def _projected_scalar_paths(decomp, v):
 
 
 def _deflated_critical_solve(problem, decomp, rhs):
-    """Solve ``(i - A) s = rhs`` for ``rhs`` in the critical complement.
+    """Solve ``(i - B) s = rhs`` for ``rhs`` in the critical complement.
 
     The shifted operator is singular by construction (the crossing
     eigenvalue); bordering it with the eigenvector column and the adjoint
@@ -234,7 +235,7 @@ def _deflated_critical_solve(problem, decomp, rhs):
     with zero eigenvector coordinate.
     """
     dim = problem.dim
-    shifted = sp.identity(dim, format="csc", dtype=complex) * 1j - problem.A
+    shifted = 1j * sp.identity(dim, format="csc") - problem.operator()
     col = sp.csc_matrix(decomp.psi.data.reshape(-1, 1))
     row = sp.csc_matrix(
         np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
@@ -246,7 +247,7 @@ def _deflated_critical_solve(problem, decomp, rhs):
 
 
 def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
-    """Solve ``u_t - A u = v`` through the spectral splitting.
+    """Solve ``u_t - B u = v`` through the spectral splitting.
 
     The forcing is decomposed as ``v = P v + (I - P) v``.  Along the
     critical pair the equation reduces to the two scalar ODEs solved by
@@ -285,7 +286,7 @@ def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
             out[n] += problem.solve_resolvent(n, rest)
 
     u = v.with_coeffs(out)
-    linear = u.with_coeffs((problem.A @ u.coeffs.T).T)
+    linear = u.with_coeffs((problem.operator() @ u.coeffs.T).T)
     defect = (u.time_derivative() - linear - v).norm()
     if defect > residual_tol * max(v.norm(), 1e-300):
         raise RuntimeError(

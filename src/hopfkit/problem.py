@@ -3,10 +3,11 @@
 A `ProblemDef` bundles the sparse linear operator ``A`` with closed-form
 callables for the nonlinearity ``h`` and its derivatives, together with the
 admissible parameter window and the trust radius on which ``h`` is defined.
-Residuals of the steady and period-rescaled problems, cached and
-condition-guarded factorizations of ``A`` and of each shift ``z - A`` (one
-per shift), and a finite-difference validation of the supplied derivatives
-all live here.
+Residuals of the steady and period-rescaled problems, the linearisation
+``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), cached and
+condition-guarded factorizations of each shift ``z - B`` (one per shift),
+and a finite-difference validation of the supplied derivatives all live
+here.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class SingularOperatorError(RuntimeError):
 
 
 class ResonanceError(RuntimeError):
-    """Raised when ``i*n - A`` is numerically singular.
+    """Raised when ``i*n - B`` is numerically singular.
 
     On a bifurcation problem this is expected for ``n = +-1``; those modes
     must be handled through the spectral-projection path instead of a
@@ -77,10 +78,14 @@ def _as_flat(w):
 class ProblemDef:
     """A two-field evolution problem ``u_t = A u + h(lam, u)``.
 
+    Its linearisation at the equilibrium ``u = 0`` is ``B = A + h_u(0, 0)``
+    (`operator`); the spectral checks, the resolvents and the periodic
+    solver all analyse ``B``.
+
     Parameters
     ----------
     A : scipy.sparse matrix, shape (dim, dim)
-        The (invertible) linear part on the flattened state.
+        The linear part on the flattened state.
     apply_h : callable ``(lam, w) -> array``
         Nonlinearity evaluated pointwise in time; ``w`` has shape
         ``(..., dim)`` and the call must vectorise over leading axes.
@@ -178,8 +183,21 @@ class ProblemDef:
             return self.A @ arr
         return (self.A @ arr.T).T
 
+    def operator(self, lam=0.0):
+        """``B = A + h_u(lam, 0)`` in CSC; the sparse sum drops exact zeros,
+        so this is bitwise ``A`` when ``h_u(lam, 0) = 0``.  The ``lam = 0``
+        matrix is cached and must not be modified."""
+        if lam == 0.0 and "operator" in self._caches:
+            return self._caches["operator"]
+        op = (self.A + linearization_matrix(self, lam)).tocsc()
+        if lam == 0.0:
+            self._caches["operator"] = op
+        return op
+
     def _lu(self, key, matrix):
-        """Factorise once per key; thread-safe; guard against singularity."""
+        """Factorise once per key; thread-safe.  A singular factor, or one
+        worse conditioned than `COND_GUARD`, raises `ResonanceError` for a
+        ``("resolvent", z)`` key and `SingularOperatorError` otherwise."""
         cache = self._caches["lu"]
         lu = cache.get(key)
         if lu is not None:
@@ -190,27 +208,19 @@ class ProblemDef:
                 return lu
             try:
                 lu = spla.splu(sp.csc_matrix(matrix))
-            except RuntimeError as exc:
-                if key[0] == "resolvent":
-                    raise ResonanceError(
-                        f"z - A is singular at z = {key[1]:g}; that mode must "
-                        "go through the spectral-projection path, not a "
-                        "direct solve"
-                    ) from exc
-                raise SingularOperatorError(
-                    f"factorization of {key} failed: {exc}"
-                ) from exc
-            norm_fwd = spla.onenormest(matrix)
-            inv_op = spla.LinearOperator(
-                matrix.shape, matvec=lu.solve,
-                rmatvec=lambda b: lu.solve(b, trans="H"),
-                dtype=matrix.dtype,
-            )
-            cond = norm_fwd * spla.onenormest(inv_op)
+            except RuntimeError:  # exactly singular
+                cond = np.inf
+            else:
+                inv_op = spla.LinearOperator(
+                    matrix.shape, matvec=lu.solve,
+                    rmatvec=lambda b: lu.solve(b, trans="H"),
+                    dtype=matrix.dtype,
+                )
+                cond = spla.onenormest(matrix) * spla.onenormest(inv_op)
             if not np.isfinite(cond) or cond > COND_GUARD:
                 if key[0] == "resolvent":
                     raise ResonanceError(
-                        f"z - A is numerically singular at z = {key[1]:g} "
+                        f"z - B is numerically singular at z = {key[1]:g} "
                         f"(cond ~ {cond:.1e}); that mode must go through the "
                         "spectral-projection path, not a direct solve"
                     )
@@ -220,31 +230,20 @@ class ProblemDef:
             cache[key] = lu
             return lu
 
-    def solve_A(self, rhs):
-        """Solve ``A w = rhs``."""
-        if isinstance(rhs, StateVector):
-            return self.state(self.solve_A(rhs.data))
-        lu = self._lu(("A",), self.A)
-        return lu.solve(np.asarray(rhs, dtype=float))
-
     def solve_resolvent(self, n, rhs):
-        """Solve ``(i*n - A) w = rhs`` for integer temporal mode ``n``.
+        """Solve ``(i*n - B) w = rhs`` for integer temporal mode ``n``.
 
         Raises `ResonanceError` when the shifted operator is numerically
         singular, which on a bifurcation problem happens at ``n = +-1``.
         """
-        n = int(n)
         rhs = np.asarray(rhs, dtype=complex)
-        if n == 0:
-            return -self.solve_A(rhs.real) - 1j * self.solve_A(rhs.imag)
-        return self.resolvent_lu(1j * n).solve(rhs)
+        return self.resolvent_lu(1j * int(n)).solve(rhs)
 
     def resolvent_lu(self, z):
-        """Cached LU of ``z - A``; `ResonanceError` when it is singular or
-        worse conditioned than `COND_GUARD`.  `solve_resolvent` uses it for
-        every mode but 0, which stays on the real LU of ``A``."""
-        shifted = sp.identity(self.dim, format="csc", dtype=complex) * z - self.A
-        return self._lu(("resolvent", z), shifted)
+        """Cached LU of ``z - B`` (``B`` = `operator`); `ResonanceError`
+        when it is singular or worse conditioned than `COND_GUARD`."""
+        shifted = sp.identity(self.dim, format="csc", dtype=complex) * z
+        return self._lu(("resolvent", z), shifted - self.operator())
 
     # -- residuals ---------------------------------------------------------------
 

@@ -16,8 +16,9 @@ certificate all build and apply it:
   plus the block-structure check: parameters couple only into the
   mean/fundamental part, higher harmonics stay among themselves).
 * `decompose_crossing_term` splits the parameter-derivative forcing into
-  its span{u*, Au*} part -- whose coefficients are the eigenvalue crossing
-  speed -- and a remainder lifted through the periodic solver.
+  its span{u*, Bu*} part (``B = A + h_u(0, 0)``) -- whose coefficients are
+  the eigenvalue crossing speed -- and a remainder lifted through the
+  periodic solver.
 * `continue_branch` tracks the periodic branch parameterised by the
   amplitude ``alpha = l1(u)``, with `check_branch_symmetry` and
   `fit_branch_curvature` validating the odd symmetry and the quadratic
@@ -31,7 +32,6 @@ from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linear_periodic import solve_periodic_full
 from .newton import (
@@ -40,13 +40,8 @@ from .newton import (
     TrajectoryLayout,
     assemble_jacobian_band,
 )
-from .problem import (
-    ConvergenceError,
-    DomainError,
-    ScaledParams,
-    linearization_matrix,
-)
-from .spectral import inverse_power_sigma_min, sparse_sigma_min
+from .problem import ConvergenceError, DomainError, ResonanceError, ScaledParams
+from .spectral import _lu_sigma_min, inverse_power_sigma_min
 from .trajectory import (
     PeriodicTrajectory,
     single_harmonic,
@@ -380,8 +375,10 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     its smallest singular value is the least over the blocks, each from
     `inverse_power_sigma_min` in at most ``power_iterations`` steps.  Block
     ``"0-1"`` is the bordered system of ``u_star`` cut to modes 0 and 1,
-    block ``"n"`` the sparse ``i n - A - h_u(0,0)``.  The leakage check on the
-    full Jacobian justifies the split.  The verdict is
+    block ``"n"`` the problem's cached resolvent LU of ``i n - B`` with
+    ``B = A + h_u(0,0)``, the factor the resolvent scan uses; a failed
+    condition guard there reads as 0.  The leakage check on the full
+    Jacobian justifies the split.  The verdict is
     ``smallest_singular_value > tolerance`` and ``leakage <= 1e-10``.
     """
     rng = np.random.default_rng(seed)
@@ -397,11 +394,13 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
         sigma, steps = 0.0, 1
     by_mode = {"0-1": sigma}
 
-    operator = problem.A + linearization_matrix(problem, 0.0)
     for n in range(2, u_star.n_t + 1):
-        by_mode[str(n)], taken = sparse_sigma_min(
-            1j * n * sp.identity(problem.dim) - operator, power_iterations, rng
-        )
+        try:
+            lu = problem.resolvent_lu(1j * n)
+        except ResonanceError:
+            by_mode[str(n)] = 0.0
+            continue
+        by_mode[str(n)], taken = _lu_sigma_min(lu, power_iterations, rng)
         steps += taken
 
     sigma_min = min(by_mode.values())
@@ -424,8 +423,9 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
 class CrossingDecomposition:
     """Split of the parameter-derivative forcing at the bifurcation point.
 
-    ``h_lambda_u(0,0) u_star = p * u_star + q * A u_star + (core of) u_sharp``
-    where ``u_sharp`` solves the periodic linear problem for the remainder.
+    ``h_lambda_u(0,0) u_star = p * u_star + q * B u_star + (core of) u_sharp``
+    with ``B = A + h_u(0,0)``, where ``u_sharp`` solves the periodic linear
+    problem for the remainder.
     ``(p, q)`` equal the real and imaginary parts of the eigenvalue
     crossing speed.
     """
@@ -437,7 +437,7 @@ class CrossingDecomposition:
 
 
 def decompose_crossing_term(problem, decomp, n_t=8):
-    """Decompose the crossing forcing into span{u*, Au*} plus a lifted rest.
+    """Decompose the crossing forcing into span{u*, Bu*} plus a lifted rest.
 
     Parameters
     ----------
@@ -459,13 +459,14 @@ def decompose_crossing_term(problem, decomp, n_t=8):
     forcing = _mixed_column(problem, 0.0, u_star)
 
     w1 = 2.0 * forcing.fourier_coeff(1)  # = h_lambda_u(0,0) psi
-    a_psi = np.asarray(problem.A @ psi.data, dtype=complex)
+    operator = problem.operator()
+    a_psi = np.asarray(operator @ psi.data, dtype=complex)
     phi = decomp.phi_adj
     c = complex(w1 @ np.conj(phi.data)) * psi.dx
-    m = complex(a_psi @ np.conj(phi.data)) * psi.dx  # ~ mu, but exact in A
+    m = complex(a_psi @ np.conj(phi.data)) * psi.dx  # ~ mu, but exact in B
     if abs(m.imag) < 1e-8 * max(1.0, abs(m)):
         raise ValueError(
-            "span{u*, Au*} is degenerate: <A psi, phi> is numerically real "
+            "span{u*, Bu*} is degenerate: <B psi, phi> is numerically real "
             f"({m:.3e})"
         )
     q = c.imag / m.imag
@@ -478,11 +479,11 @@ def decompose_crossing_term(problem, decomp, n_t=8):
     else:
         u_sharp = solve_periodic_full(problem, decomp, remainder)
 
-    # reconstruction: p u* + q Au* + (d/dt - A) u_sharp should equal forcing
+    # reconstruction: p u* + q Bu* + (d/dt - B) u_sharp should equal forcing
     lifted = u_sharp.time_derivative() - u_sharp.with_coeffs(
-        (problem.A @ u_sharp.coeffs.T).T
+        (operator @ u_sharp.coeffs.T).T
     )
-    a_u_star = u_star.with_coeffs((problem.A @ u_star.coeffs.T).T)
+    a_u_star = u_star.with_coeffs((operator @ u_star.coeffs.T).T)
     recon = p * u_star + q * a_u_star + lifted
     residual = (recon - forcing).norm() / max(1.0, forcing.norm())
     return CrossingDecomposition(

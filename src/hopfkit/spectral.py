@@ -1,15 +1,15 @@
 """Spectral checks at the equilibrium: the conditions for a bifurcation.
 
-Everything the bifurcation argument needs from the linearisation is
-verified here numerically:
+Everything the bifurcation argument needs from the linearisation
+``B = A + h_u(0, 0)`` (`ProblemDef.operator`) is verified here numerically:
 
 * a simple eigenvalue pair on the imaginary axis (`eigenpair_near`,
   `check_simplicity`),
 * the speed with which that eigenvalue crosses the axis as the parameter
   moves (`crossing_speed`, computed two independent ways and
   cross-checked),
-* invertibility of ``i*n - A`` for the non-critical integer modes plus a
-  uniform bound ``M`` on ``n * ||(i*n - A)^{-1}||`` (`resolvent_scan`),
+* invertibility of ``i*n - B`` for the non-critical integer modes plus a
+  uniform bound ``M`` on ``n * ||(i*n - B)^{-1}||`` (`resolvent_scan`),
 * the rank-two spectral projection onto the critical pair
   (`build_projection`).
 
@@ -28,11 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import (
-    ConvergenceError,
-    ResonanceError,
-    linearization_matrix,
-)
+from .problem import ConvergenceError, ResonanceError
 from .trajectory import ComplexStateVector
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "resolvent_scan",
     "resolvent_norm",
     "inverse_power_sigma_min",
-    "sparse_sigma_min",
     "build_projection",
     "run_hypothesis_checks",
 ]
@@ -83,13 +78,6 @@ class SimplicityCheck(NamedTuple):
     note: str = ""
 
 
-def _operator_matrix(problem, lam):
-    """``A + h_u(lam, 0)`` as a sparse matrix (just ``A`` when ``lam = 0``)."""
-    if lam == 0.0:
-        return problem.A
-    return (problem.A + linearization_matrix(problem, lam)).tocsc()
-
-
 def _normalize_phase(vec, dx):
     """Unit discrete norm and a deterministic phase (largest entry real > 0)."""
     k = int(np.argmax(np.abs(vec)))
@@ -113,7 +101,7 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
     target : complex
         Where to look.
     lam : float
-        Parameter of the linearisation (0 = bare ``A``).
+        Parameter of the linearisation (0 = ``B``, the equilibrium's).
     adjoint : bool
         Solve for the transpose operator instead; use
         ``target = conj(mu)`` to get the adjoint vector of ``mu``.
@@ -130,7 +118,7 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
     ConvergenceError
         If the residual tolerance is not reached.
     """
-    mat = _operator_matrix(problem, lam)
+    mat = problem.operator(lam)
     if adjoint:
         mat = mat.T.tocsc()
     dim = mat.shape[0]
@@ -200,37 +188,31 @@ def _lu_sigma_min(lu, max_steps, seed):
     )
 
 
-def sparse_sigma_min(matrix, max_steps, seed):
-    """`inverse_power_sigma_min` through a fresh sparse LU of ``matrix``;
-    a singular LU reads as ``(0.0, 0)``."""
-    try:
-        lu = spla.splu(sp.csc_matrix(matrix))
-    except RuntimeError:
-        return 0.0, 0
-    return _lu_sigma_min(lu, max_steps, seed)
-
-
 def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
     """Decide whether an eigenpair is simple (1-D kernel, margin below).
 
-    The margin is the second-smallest singular value of ``mu - A``,
-    estimated as the smallest singular value of the bordered matrix
+    The margin is the second-smallest singular value of ``mu - B``
+    (``B = A + h_u(lam, 0)``), estimated as the smallest singular value of
+    the bordered matrix
 
-        [[mu - A, psi], [psi^H, 0]]
+        [[mu - B, psi], [psi^H, 0]]
 
-    which deflates the known kernel direction.  The pair counts as simple
-    when the margin clears ``tolerance`` while the eigen-residual (an
-    upper bound for the smallest singular value) is smaller by a factor
-    ``1e8``.
+    which deflates the known kernel direction (a singular LU reads as 0).
+    The pair counts as simple when the margin clears ``tolerance`` while
+    the eigen-residual (an upper bound for the smallest singular value) is
+    smaller by a factor ``1e8``.
     """
-    mat = _operator_matrix(problem, lam)
+    mat = problem.operator(lam)
     dim = mat.shape[0]
     psi = pair.psi.data / np.linalg.norm(pair.psi.data)
     shifted = sp.identity(dim, dtype=complex, format="csc") * pair.mu - mat
     bordered = sp.bmat(
         [[shifted, psi[:, None]], [psi[None, :].conj(), None]], format="csc"
     )
-    margin, _ = sparse_sigma_min(bordered, 40, 11)
+    try:
+        margin, _ = _lu_sigma_min(spla.splu(bordered), 40, 11)
+    except RuntimeError:
+        margin = 0.0
     if margin <= tolerance:
         return SimplicityCheck(margin, False,
                                f"margin {margin:.2e} <= {tolerance:g}")
@@ -306,11 +288,12 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def resolvent_norm(problem, z, probes=15, seed=13):
-    """Estimate of ``||(z - A)^{-1}||_2 = 1 / sigma_min(z - A)``.
+    """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
 
-    Inverse power on the problem's cached, condition-guarded LU of ``z - A``
-    (`ProblemDef.resolvent_lu`, shared with `ProblemDef.solve_resolvent`);
-    a failed guard, as at an eigenvalue of ``A``, reads as ``inf``.
+    Inverse power on the problem's cached, condition-guarded LU of ``z - B``
+    (`ProblemDef.resolvent_lu`, shared with `ProblemDef.solve_resolvent`
+    and the Jacobian certificate); a failed guard, as at an eigenvalue of
+    ``B``, reads as ``inf``.
     """
     try:
         lu = problem.resolvent_lu(z)
@@ -327,13 +310,13 @@ class ResolventRow(NamedTuple):
 
 
 def resolvent_scan(problem, n_max=16, probes=15):
-    """Check invertibility of ``i*n - A`` over integer modes and bound it.
+    """Check invertibility of ``i*n - B`` over integer modes and bound it.
 
     For ``n = 0, 2, 3, ..., n_max`` the resolvent norm is estimated by
     `resolvent_norm`, one guarded factorization per mode; modes ``+-1`` are
     excluded (they carry the critical eigenvalues).  Returns ``(table,
     failures)`` where ``failures`` lists the modes whose estimate is not
-    finite: ``i*n - A`` (numerically) singular.
+    finite: ``i*n - B`` (numerically) singular.
 
     The quantity that must stay bounded in ``n`` is
     ``weighted = n * norm``; see `HypothesisReport` for the plateau
@@ -434,6 +417,11 @@ def build_projection(problem, target=1j, reference=None, tol=1e-10):
         no rank-two projection exists.
     """
     pair = eigenpair_near(problem, target, tol=tol)
+    return _projection_from_pair(problem, pair, target, reference, tol)
+
+
+def _projection_from_pair(problem, pair, target, reference=None, tol=1e-10):
+    """`build_projection` around an already located critical ``pair``."""
     adj = eigenpair_near(problem, np.conj(complex(target)), adjoint=True, tol=tol)
     psi_vec = pair.psi.data
     if reference is not None:
@@ -475,9 +463,9 @@ class HypothesisReport:
       clean margin;
     * ``transversality`` -- the eigenvalue crosses the axis with nonzero
       speed as the parameter moves;
-    * ``nonresonance`` -- ``i*n - A`` is invertible for all scanned
+    * ``nonresonance`` -- ``i*n - B`` is invertible for all scanned
       ``n != +-1``;
-    * ``resolvent_bound`` -- ``n * ||(i*n - A)^{-1}||`` has plateaued by
+    * ``resolvent_bound`` -- ``n * ||(i*n - B)^{-1}||`` has plateaued by
       the end of the scan.
     """
 
@@ -542,8 +530,12 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, dlam=1e-4,
 
     Each check runs in isolation: an exception inside one records a
     ``False`` verdict and a note for that key only, so a deliberately
-    broken condition does not hide the state of the others.
+    broken condition does not hide the state of the others; the crossing
+    speed reuses the ``simple_pair`` eigenpair when there is one.  Raises
+    `ValueError` for ``n_max < 4``, where the bound verdict has no head.
     """
+    if n_max < 4:
+        raise ValueError("n_max must be at least 4")
     verdicts = {}
     notes = {}
 
@@ -567,7 +559,10 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, dlam=1e-4,
 
     crossing = None
     try:
-        crossing = crossing_speed(problem, dlam=dlam, target=target)
+        decomp = None if eig is None else _projection_from_pair(
+            problem, eig, target)
+        crossing = crossing_speed(problem, dlam=dlam, target=target,
+                                  decomp=decomp)
         verdicts["transversality"] = crossing.transversal
         if not crossing.transversal:
             notes["transversality"] = (

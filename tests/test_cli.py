@@ -442,6 +442,20 @@ def test_cli_rejects_non_finite_solver_values(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_max", ["2", "3"])
+def test_cli_rejects_resolvent_scan_without_head(tmp_path, capsys, n_max):
+    # Below 4 the scan has no modes 2..n_max/2 to compare its tail with, so
+    # the resolvent-bound verdict could never pass.
+    cfg = write_config(
+        tmp_path, "problem.L = 20\nproblem.dx = 0.2\n"
+        f"solver.n_max_resolvent = {n_max}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+    assert "solver.n_max_resolvent must be at least 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzz over the config schema
 
@@ -468,7 +482,8 @@ _FUZZ_SCHEMA = {
     "solver.alpha_max": (st.floats(0.0, 1.5).map(repr),
                          ["nan", "inf", "-inf", "-0.1"]),
     "solver.alpha_steps": (st.integers(2, 6).map(str), ["1", "0", "-3"]),
-    "solver.n_max_resolvent": (st.integers(2, 8).map(str), ["1", "0", "nan"]),
+    "solver.n_max_resolvent": (st.integers(4, 8).map(str),
+                                ["3", "1", "0", "nan"]),
     "output.format": (st.sampled_from(["csv", "json"]), ["xml"]),
     "output.path": (st.sampled_from(["out", "nested/out"]), []),
     "output.verbosity": (st.integers(0, 2).map(str), ["-1", "x"]),

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hopfkit.config import RunConfig, build_problem
 from hopfkit.problem import (
     DomainError,
     ProblemDef,
     ResonanceError,
     ScaledParams,
-    SingularOperatorError,
 )
+from hopfkit.reaction_diffusion import ExampleConfig
 from hopfkit.trajectory import PeriodicTrajectory, StateVector, zero_trajectory
 
 
@@ -118,19 +119,21 @@ def test_apply_A_statevector_and_batch():
         assert np.allclose(out[k], p.apply_A(batch[k]))
 
 
-def test_solve_A_roundtrip():
+def test_resolvent_mode0_roundtrip():
+    # Mode 0 solves (0 - B) w = rhs; here h_u(0, 0) = 0, so B = A.
     p = cubic_problem()
     rng = np.random.default_rng(2)
     w = rng.normal(size=p.dim)
-    assert np.allclose(p.solve_A(p.apply_A(w)), w, atol=1e-10)
+    assert np.allclose(p.solve_resolvent(0, -p.apply_A(w)), w, atol=1e-10)
     rhs = rng.normal(size=p.dim)
-    sol = p.solve_A(rhs)
-    assert np.linalg.norm(p.apply_A(sol) - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert np.allclose(p.solve_A(np.zeros(p.dim)), 0.0)
+    sol = p.solve_resolvent(0, rhs)
+    assert np.linalg.norm(p.apply_A(sol.real) + rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert np.abs(sol.imag).max() == 0.0
+    assert np.allclose(p.solve_resolvent(0, np.zeros(p.dim)), 0.0)
 
 
 def test_singular_A_rejected():
-    p = cubic_problem()
+    p = cubic_problem(nx=2)
     bad = ProblemDef(
         A=sp.csc_matrix(np.zeros((4, 4))),
         apply_h=p.apply_h,
@@ -141,8 +144,34 @@ def test_singular_A_rejected():
         dx=1.0,
         L=1.0,
     )
-    with pytest.raises(SingularOperatorError):
-        bad.solve_A(np.ones(4))
+    with pytest.raises(ResonanceError, match="z = 0"):
+        bad.solve_resolvent(0, np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "name", ["coarse_problem", "coarse_standard_problem", "coarse_quasi_problem",
+             "frozen"],
+)
+def test_operator_is_bitwise_A_when_h_u_vanishes(request, name):
+    # Every shipped problem has h_u(0, 0) = 0, so B = A + h_u(0, 0) must be
+    # the very same matrix: the checks and solves see unchanged numbers.
+    if name == "frozen":
+        run = RunConfig(problem=ExampleConfig(L=20.0, dx=0.2),
+                        frozen_parameter=True)
+        p = build_problem(run)
+    else:
+        p = request.getfixturevalue(name)
+    op = p.operator()
+    assert op.format == "csc" and op is p.operator()
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(op, attr), getattr(p.A, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+
+
+def test_operator_adds_h_u():
+    p = cubic_problem()
+    dense = p.operator(0.3).toarray()
+    assert np.array_equal(dense, p.A.toarray() + 0.3 * np.eye(p.dim))
 
 
 def test_resolvent_solves_shifted_system():
@@ -156,11 +185,12 @@ def test_resolvent_solves_shifted_system():
     assert np.allclose(p.solve_resolvent(4, np.zeros(p.dim)), 0.0)
 
 
-def test_resolvent_mode0_matches_solve_A():
+def test_resolvent_mode0_matches_dense_solve():
     p = cubic_problem()
     rng = np.random.default_rng(4)
     rhs = rng.normal(size=p.dim)
-    assert np.allclose(p.solve_resolvent(0, rhs), -p.solve_A(rhs), atol=1e-12)
+    dense = -np.linalg.solve(p.A.toarray(), rhs)
+    assert np.allclose(p.solve_resolvent(0, rhs), dense, atol=1e-12)
 
 
 def test_resolvent_identity():

@@ -26,7 +26,13 @@ from hopfkit.solver import (
     solve_extended,
     verify_jacobian_nonsingular,
 )
-from hopfkit.spectral import SpectralDecomposition, build_projection, crossing_speed
+from hopfkit.spectral import (
+    SpectralDecomposition,
+    build_projection,
+    crossing_speed,
+    eigenpair_near,
+    run_hypothesis_checks,
+)
 from hopfkit.trajectory import (
     ComplexStateVector,
     PeriodicTrajectory,
@@ -327,6 +333,50 @@ def test_sigma_min_matches_dense_svd(a, shift, smallest_block):
     by_mode = cert.sigma_min_by_mode
     assert min(by_mode, key=by_mode.get) == smallest_block
     assert f"mode block {smallest_block} " in cert.summary()
+
+
+def test_checks_analyse_the_linearisation_not_bare_A():
+    # A - 0.5 I with h_u(0, 0) = 0.5 I: every check must see B = A + h_u(0, 0),
+    # which is the unshifted operator, not bare A (pair at -0.5 +- i).
+    shifted = synthetic_problem(_SECOND_PAIR - 0.5 * np.eye(4), h="linear",
+                                c=0.8, shift=0.5)
+    plain = synthetic_problem(_SECOND_PAIR, h="linear", c=0.8)
+    assert abs(eigenpair_near(shifted, 1j).mu - 1j) <= 1e-10
+    got = run_hypothesis_checks(shifted)
+    expect = run_hypothesis_checks(plain)
+    assert [row.n for row in got.resolvent_table] == \
+        [row.n for row in expect.resolvent_table]
+    assert np.allclose(
+        [row.norm_estimate for row in got.resolvent_table],
+        [row.norm_estimate for row in expect.resolvent_table],
+        rtol=1e-12, atol=0.0,
+    )
+    assert abs(got.simplicity.margin - expect.simplicity.margin) <= 1e-12
+
+
+def test_certificate_reuses_the_resolvent_factors(monkeypatch):
+    # After the hypothesis checks, the certificate's blocks 2..n_t are the
+    # scan's cached LUs of i n - B: no sparse factorization is added.
+    import hopfkit.problem as problem_module
+
+    problem = synthetic_problem(rotation_block(), h="linear", c=0.8)
+    run_hypothesis_checks(problem, n_max=8)
+    decomp = build_projection(problem)
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    solution = solve_extended(
+        problem, functional, initial_extended_state(decomp.psi, n_t=4)
+    )
+    calls = []
+    splu = problem_module.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(problem_module.spla, "splu", counting_splu)
+    cert = verify_jacobian_nonsingular(problem, functional, solution.u)
+    assert list(cert.sigma_min_by_mode) == ["0-1", "2", "3", "4"]
+    assert calls == []
 
 
 def test_jacobian_certificate_on_example(coarse_problem, coarse_functional,

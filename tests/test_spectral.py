@@ -215,6 +215,9 @@ def test_resolvent_scan_factorises_each_mode_once(monkeypatch):
 def test_resolvent_scan_validates_n_max(coarse_problem):
     with pytest.raises(ValueError):
         resolvent_scan(coarse_problem, n_max=1)
+    # The checks' bound verdict compares modes 2..n_max/2 with the tail.
+    with pytest.raises(ValueError, match="at least 4"):
+        run_hypothesis_checks(coarse_problem, n_max=3)
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +333,23 @@ def test_hypothesis_verdicts_are_independent():
     assert not report3.verdicts["simple_pair"]
     assert report3.verdicts["transversality"]
     assert report3.verdicts["nonresonance"]
+
+
+def test_hypothesis_checks_locate_the_pair_once(monkeypatch):
+    # The pair found for simple_pair feeds the crossing speed's projection:
+    # the pair, its adjoint and the pair at lam = +-dlam, nothing twice.
+    import hopfkit.spectral as spectral_module
+
+    calls = []
+    locate = spectral_module.eigenpair_near
+
+    def counting(problem, target, **kwargs):
+        calls.append((target, kwargs.get("lam", 0.0), kwargs.get("adjoint", False)))
+        return locate(problem, target, **kwargs)
+
+    monkeypatch.setattr(spectral_module, "eigenpair_near", counting)
+    p = synthetic_problem(rotation_block(), h="linear", c=0.8)
+    report = run_hypothesis_checks(p, n_max=8)
+    assert report.verdicts["simple_pair"] and report.verdicts["transversality"]
+    assert calls == [(1j, 0.0, False), (-1j, 0.0, True),
+                     (1j, 1e-4, False), (1j, -1e-4, False)]
