@@ -132,6 +132,7 @@ def _configured_branch(run_config, problem, functional, solution):
         problem, functional, solution.u,
         alpha_max=solver.alpha_max, steps=solver.alpha_steps,
         newton_tol=solver.newton_tol, max_iter=solver.max_iter,
+        params_star=solution.params,
     )
     return result, any("truncated" in note for note in result.notes)
 
@@ -241,6 +242,7 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
     }
 
     passed = not truncated
+    symmetry = None
     if len(result.points) >= 4 and not truncated:
         fit = fit_branch_curvature(result)
         summary["fit"] = {
@@ -266,10 +268,12 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
     summary["passed"] = passed
     _write_json(os.path.join(outdir, "branch_summary.json"), summary)
 
-    reporter.info(
-        f"branch: {len(result.points)} points in {elapsed:.1f}s, "
-        + ("PASS" if passed else "FAIL")
-    )
+    line = (f"branch: {len(result.points)} points in {elapsed:.1f}s, "
+            + ("PASS" if passed else "FAIL"))
+    if symmetry is not None and reporter.verbosity >= 2:
+        line += (f"; symmetry check: {symmetry.newton_iters} Newton "
+                 f"iterations, {symmetry.factorizations} factorizations")
+    reporter.info(line)
     for note in result.notes:
         reporter.info(f"  note: {note}")
     return EXIT_OK if passed else EXIT_SCIENCE

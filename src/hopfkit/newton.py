@@ -24,6 +24,9 @@ derivatives) and two extra rows (the phase functionals) by a Schur
 complement on the 2x2 corner, with optional matrix-free iterative
 refinement -- needed because the core band is *exactly singular* at a
 solved branch point (time translation) while the bordered system is not.
+`BorderedSystem.rebordered` puts new borders on an existing factor, with
+the core conjugated by `TrajectoryLayout.rotate` (the flat form of a time
+shift), so one factor serves every time translate of its base trajectory.
 """
 
 from __future__ import annotations
@@ -93,6 +96,24 @@ class TrajectoryLayout:
 
     def flatten_trajectory(self, traj):
         return self.flatten(traj.coeffs)
+
+    def rotate(self, y, psi):
+        """The flat form of ``time_shift(psi)``: the ``(Re, Im)`` pair of
+        mode ``n`` turns by ``n * psi`` at every point and field.
+
+        ``y`` is a flat vector or a ``(size, k)`` stack of them; the inverse
+        is ``rotate(., -psi)``.  O(size).
+        """
+        y = np.asarray(y, dtype=float)
+        arr = y.reshape(2 * self.nx, self.r_per_field, -1)
+        angles = np.arange(1, self.n_t + 1)[:, None] * float(psi)
+        cos, sin = np.cos(angles), np.sin(angles)
+        re, im = arr[:, 1::2], arr[:, 2::2]
+        out = np.empty_like(arr)
+        out[:, 0] = arr[:, 0]
+        out[:, 1::2] = cos * re - sin * im
+        out[:, 2::2] = sin * re + cos * im
+        return out.reshape(y.shape)
 
     def to_trajectory(self, y):
         return PeriodicTrajectory(self.unflatten(y), self.dx)
@@ -310,6 +331,10 @@ class BorderedSystem:
     swapped (``B`` as columns, ``C`` as rows, ``D^T`` as corner), and
     ``dgbtrs`` solves with ``J^T`` through its ``trans`` flag.  The border
     solves and the Schur complement are cached per orientation.
+
+    `rebordered` borders an already factored core anew: the new system
+    shares the band and its factor, with the core taken as ``S J S^-1``
+    for a rotation ``S`` of the layout (see `rebordered`).
     """
 
     def __init__(self, band, columns, rows, corner=None):
@@ -320,11 +345,33 @@ class BorderedSystem:
         self.rows = rows  # pair of (indices, values)
         self.corner = np.zeros((2, 2)) if corner is None else np.asarray(corner)
         self._factor = None
+        self._rotation = None  # (layout, psi) of a re-bordered system
         self._schur = {}  # transpose -> (border solves, Schur complement)
+
+    def rebordered(self, columns, rows, layout, psi):
+        """The system ``[[S J S^-1, columns], [rows^T, 0]]`` on this factor.
+
+        ``S = layout.rotate(., psi)``.  The band is not copied and not
+        factorized again (this system is factorized first if it was not);
+        only the Schur complement of the new borders is computed.  ``S`` is
+        orthogonal, so the transpose solves ``S J^-T S^-1`` the same way.
+        The band product is not rotated: `solve` on the new system needs
+        an exact ``matvec``.
+        """
+        if layout.size != self.band.size:
+            raise ValueError("layout does not match the band")
+        self.factorize()
+        system = BorderedSystem(self.band, columns, rows)
+        system._factor = self._factor
+        system._rotation = (layout, float(psi))
+        return system
 
     # -- low-level pieces ---------------------------------------------------
 
-    def _factorize(self):
+    def factorize(self):
+        """LU-factorize the band core once (later calls do nothing)."""
+        if self._factor is not None:
+            return
         band = self.band
         kl, ku = band.kl, band.ku
         # dgbtrf copies the C-ordered band into its Fortran-ordered factor;
@@ -347,12 +394,19 @@ class BorderedSystem:
         self._factor = (lub, ipiv)
 
     def _core_solve(self, b, transpose):
+        """``J^-1 b`` (``J^-T b``) for one vector or a ``(size, k)`` stack,
+        conjugated by the rotation of a re-bordered system."""
+        if self._rotation is not None:
+            layout, psi = self._rotation
+            b = layout.rotate(b, -psi)
         lub, ipiv = self._factor
         x, info = lapack.dgbtrs(
             lub, self.band.kl, self.band.ku, b, ipiv, trans=1 if transpose else 0
         )
         if info != 0:
             raise SingularBandError(f"dgbtrs failed with info={info}")
+        if self._rotation is not None:
+            x = layout.rotate(x, psi)
         return x
 
     def _row_dot(self, y):
@@ -381,15 +435,16 @@ class BorderedSystem:
 
     def _solve(self, rhs_core, rhs_border, matvec, refine, transpose):
         """Solve the bordered system, or its transpose (see the class)."""
-        if self._factor is None:
-            self._factorize()
+        self.factorize()
         # Not cached: a bound method stored on self would make a reference
         # cycle, keeping the band and its factor alive until a cyclic GC.
         rows = (lambda y: self.columns.T @ y) if transpose else self._row_dot
         if transpose not in self._schur:
             cols = self._rows_dense() if transpose else self.columns
             corner = self.corner.T if transpose else self.corner
-            xb = np.column_stack([self._core_solve(c, transpose) for c in cols.T])
+            # One dgbtrs call for both columns; C order, as the column
+            # stack it replaces, keeps the rounding of ``xb @ p``.
+            xb = np.ascontiguousarray(self._core_solve(cols, transpose))
             schur = corner - np.column_stack([rows(x) for x in xb.T])
             if not np.all(np.isfinite(schur)):
                 raise SingularBandError(
@@ -431,11 +486,18 @@ class BorderedSystem:
         -------
         (y, p) : solution core part and 2-vector.
         """
-        matvec = matvec or self.apply
-        return self._solve(rhs_core, rhs_border, matvec, refine, False)
+        return self._solve(rhs_core, rhs_border, self._matvec(matvec, False),
+                           refine, False)
 
     def solve_transpose(self, rhs_core, rhs_border, matvec=None, refine=2):
         """Solve the transposed system; ``matvec`` defaults to
         `apply_transpose`, otherwise as `solve`."""
-        matvec = matvec or self.apply_transpose
-        return self._solve(rhs_core, rhs_border, matvec, refine, True)
+        return self._solve(rhs_core, rhs_border, self._matvec(matvec, True),
+                           refine, True)
+
+    def _matvec(self, matvec, transpose):
+        if matvec is not None:
+            return matvec
+        if self._rotation is not None:
+            raise ValueError("a re-bordered system refines against an exact matvec")
+        return self.apply_transpose if transpose else self.apply

@@ -20,9 +20,20 @@ certificate all build and apply it:
   the eigenvalue crossing speed -- and a remainder lifted through the
   periodic solver.
 * `continue_branch` tracks the periodic branch parameterised by the
-  amplitude ``alpha = l1(u)``, with `check_branch_symmetry` and
-  `fit_branch_curvature` validating the odd symmetry and the quadratic
-  leading behaviour of the parameter along the branch.
+  amplitude ``alpha = l1(u)`` from the solved bifurcation point, with
+  `check_branch_symmetry` and `fit_branch_curvature` validating the odd
+  symmetry and the quadratic leading behaviour of the parameter along the
+  branch.
+
+The continuation and the extended solve factor one band per Newton step.
+The symmetry check factors one band for all of its solves: g is autonomous,
+so its derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
+S_psi^-1`` with ``S_psi`` an O(size) rotation of the Fourier modes, and
+every Newton step of the mirrored branch and of the phase seeds solves
+through the mid point's factor rotated to the iterate's phase, refined
+against the exact derivative (a chord iteration; the residual and the
+tolerance stay exact).  A solve whose step does not at least halve the
+residual refactors at its iterate and finishes with exact Newton.
 """
 
 from __future__ import annotations
@@ -144,30 +155,61 @@ class _Linearization:
         core = core + dlam * self.col_lam + dsig * self.col_sig
         return self.functional.pair(v), core
 
-    def bordered_system(self):
-        """Assembled matrix form, core rows first, parameter slots last."""
+    def bordered_system(self, factor=None, psi=0.0):
+        """Assembled matrix form, core rows first, parameter slots last.
+
+        With a factored `BorderedSystem` ``factor`` no band is assembled:
+        the core is ``factor``'s, rotated by ``psi`` (`BorderedSystem.
+        rebordered`), and the parameter columns and rows are this one's.
+        """
         base = self.base
         layout = TrajectoryLayout(base.n_t, base.nx, base.dx)
-        band = assemble_jacobian_band(self.problem, self.params, base, layout)
         columns = np.column_stack(
             [layout.flatten_trajectory(self.col_lam),
              layout.flatten_trajectory(self.col_sig)]
         )
         rows = layout.functional_rows(self.functional.weight.data)
+        if factor is not None:
+            return factor.rebordered(columns, rows, layout, psi), layout
+        band = assemble_jacobian_band(self.problem, self.params, base, layout)
         return BorderedSystem(band, columns, rows), layout
 
 
+class _SharedFactor:
+    """One factored branch linearisation serving every time translate.
+
+    g is autonomous, so ``g_u(p, tau_psi u) = S_psi g_u(p, u) S_psi^-1``
+    with ``S_psi`` the layout rotation of ``time_shift(psi)``.  ``system``
+    is the factored bordered system at a branch point whose pair is
+    ``(alpha, 0)``, ``alpha > 0``; an iterate near ``tau_psi`` of that point
+    has ``phase_angle = -psi``.  ``factorizations`` counts this factor
+    plus every exact Newton step taken after a solve on it stalled.
+    """
+
+    def __init__(self, lin):
+        self.system, _ = lin.bordered_system()
+        self.system.factorize()
+        self.factorizations = 1
+
+
 def _newton_square(functional, target_pair, params, u, residual_fn,
-                   linearize, newton_tol, max_iter):
+                   linearize, newton_tol, max_iter, factor=None):
     """Newton on {l u = target, core(params, u) = 0} over (lambda, sigma, u).
 
     ``residual_fn(params, u)`` gives the core residual trajectory and
     ``linearize(params, u, core)`` the `_Linearization` there.  Returns
     ``(params, u, core, iterations, trace)`` with ``core`` the converged
     residual.
+
+    With a `_SharedFactor` the steps solve through its factor rotated to
+    the iterate's phase (a chord iteration refined against the exact
+    derivative) instead of a new band each.  A step that does not halve
+    the residual ends that: the solve finishes with exact Newton, each step
+    counted in ``factor.factorizations``.
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
+    shared = factor
 
     for iteration in range(max_iter + 1):
         core = residual_fn(params, u)
@@ -182,8 +224,16 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
                 f"iterations (residual {residual:.3e})"
             )
 
+        if shared is not None and iteration and residual > 0.5 * trace.residuals[-2]:
+            shared = None  # the last chord step did not halve the residual
         lin = linearize(params, u, core)
-        system, layout = lin.bordered_system()
+        if shared is None:
+            system, layout = lin.bordered_system()
+            if factor is not None:
+                factor.factorizations += 1
+        else:
+            system, layout = lin.bordered_system(
+                shared.system, -functional.phase_angle(u))
         (i1, v1), (i2, v2) = system.rows
 
         def matvec(y, p):
@@ -578,37 +628,41 @@ class BranchResult:
         return out
 
 
-def _branch_newton(problem, functional, alpha, params, u,
-                   newton_tol, max_iter):
-    def linearize(prm, traj, core):
-        f_lambda = trajectory_from_samples(
-            problem.apply_h_lambda(prm.lam, traj.sample_values()), traj.dx
-        )
-        return _Linearization(problem, functional, prm, traj, traj, core,
-                              f_lambda)
+def _branch_linearization(problem, functional, params, u, core):
+    """The branch map's `_Linearization` at ``(params, u)``."""
+    f_lambda = trajectory_from_samples(
+        problem.apply_h_lambda(params.lam, u.sample_values()), u.dx
+    )
+    return _Linearization(problem, functional, params, u, u, core, f_lambda)
 
+
+def _branch_newton(problem, functional, alpha, params, u,
+                   newton_tol, max_iter, factor=None):
     return _newton_square(
-        functional, (alpha, 0.0), params, u, problem.residual_g, linearize,
-        newton_tol, max_iter,
+        functional, (alpha, 0.0), params, u, problem.residual_g,
+        partial(_branch_linearization, problem, functional),
+        newton_tol, max_iter, factor,
     )
 
 
-def _trivial_point(u_star):
+def _trivial_point(u_star, origin):
     zero = zero_trajectory(u_star.n_t, u_star.dim, u_star.dx)
     return BranchPoint(
-        alpha=0.0, lam=0.0, sigma=0.0, u=zero, residual=0.0,
+        alpha=0.0, lam=origin.lam, sigma=origin.sigma, u=zero, residual=0.0,
         newton_iters=0, l_check=np.zeros(2), eta_norm=0.0,
         sup_residual=0.0, step_norms=[],
     )
 
 
-def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
-                   notes):
+def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
+                   max_iter, notes, factor=None):
     """March the square system over an amplitude grid with rescaling
-    predictors; returns the list of converged points, truncating with a
-    note if Newton fails or leaves the solver's domain."""
+    predictors from the bifurcation point's parameters ``origin``; returns
+    the list of converged points, truncating with a note if Newton fails
+    or leaves the solver's domain.  ``factor`` goes to every Newton solve
+    (see `_newton_square`)."""
     points = []
-    params = ScaledParams(0.0, 0.0)
+    params = origin
     u = None
     prev_alpha = None
     for alpha in grid:
@@ -617,11 +671,14 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
         else:
             ratio = alpha / prev_alpha
             u = ratio * u
-            params = ScaledParams(ratio**2 * params.lam,
-                                  ratio**2 * params.sigma)
+            params = ScaledParams(
+                origin.lam + ratio**2 * (params.lam - origin.lam),
+                origin.sigma + ratio**2 * (params.sigma - origin.sigma),
+            )
         try:
             params, u, core, iters, trace = _branch_newton(
-                problem, functional, alpha, params, u, newton_tol, max_iter
+                problem, functional, alpha, params, u, newton_tol, max_iter,
+                factor,
             )
         except (ConvergenceError, DomainError, SingularBandError,
                 np.linalg.LinAlgError) as exc:
@@ -646,12 +703,15 @@ def _continue_grid(problem, functional, u_star, grid, newton_tol, max_iter,
 
 
 def continue_branch(problem, functional, u_star, alpha_max, steps,
-                    newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITERATIONS):
+                    newton_tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITERATIONS,
+                    params_star=ScaledParams(0.0, 0.0)):
     """Continue the periodic branch over ``alpha = alpha_max * k / steps``.
 
-    Each point solves ``{l1 u = alpha, l2 u = 0, g((lambda, sigma), u) = 0}``
-    by Newton, predicted from the previous point by amplitude rescaling
-    (``u`` linearly, parameters quadratically).  When Newton fails or
+    The branch starts at the bifurcation point ``(params_star, u_star)``
+    that `solve_extended` found.  Each point solves ``{l1 u = alpha,
+    l2 u = 0, g((lambda, sigma), u) = 0}`` by Newton, predicted from the
+    previous point by amplitude rescaling (``u`` linearly, parameters
+    ``params - params_star`` quadratically).  When Newton fails or
     leaves the solver's domain (parameter window, trust radius, singular
     band), the branch is truncated at the last converged point and a
     diagnostic note is recorded -- no extrapolation.
@@ -661,16 +721,18 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     Returns
     -------
     BranchResult
-        Points sorted by amplitude, including the trivial point at 0.
+        Points sorted by amplitude, including the trivial point at 0, which
+        carries ``params_star``.
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
     grid = alpha_max * np.arange(1, steps + 1) / steps if alpha_max > 0 else []
     notes = []
+    origin = ScaledParams(*params_star)
     points = _continue_grid(
-        problem, functional, u_star, grid, newton_tol, max_iter, notes
+        problem, functional, u_star, origin, grid, newton_tol, max_iter, notes
     )
-    points.insert(0, _trivial_point(u_star))
+    points.insert(0, _trivial_point(u_star, origin))
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, notes=notes
     )
@@ -687,7 +749,9 @@ class SymmetryReport:
     Reflecting the amplitude maps a branch point to the half-period
     translate of its partner: parameters even in ``alpha``, state obeying
     ``u(-alpha) = tau_pi u(alpha)`` (equivalently, the first-order part
-    flips sign while the correction translates).
+    flips sign while the correction translates).  ``newton_iters`` sums
+    the Newton iterations of the mirrored points and the phase seeds,
+    ``factorizations`` counts the band factorizations they took.
     """
 
     parameter_deviation: float
@@ -696,6 +760,8 @@ class SymmetryReport:
     tolerance: float
     passed: bool
     per_alpha: list = field(default_factory=list)
+    newton_iters: int = 0
+    factorizations: int = 0
 
     def to_json_dict(self):
         return {
@@ -707,6 +773,8 @@ class SymmetryReport:
             },
             "tolerance": self.tolerance,
             "passed": self.passed,
+            "newton_iters": self.newton_iters,
+            "factorizations": self.factorizations,
         }
 
 
@@ -721,7 +789,20 @@ def check_branch_symmetry(problem, functional, result,
     norm.  Additionally, Newton started from time-translated seeds
     ``tau_theta(alpha u_star)`` must fall back to the same phase-fixed
     representative (the phase row selects it), which is the sampled
-    uniqueness test.
+    uniqueness test.  Both start from the branch's origin point
+    ``result.points[0]``.
+
+    The whole check factorizes one band: the branch linearisation at the
+    mid point, whose pair is ``(alpha, 0)``.  g is autonomous, so the
+    derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
+    S_psi^-1``, with ``S_psi`` the O(size) rotation of each mode ``n`` by
+    ``n psi`` (``S_pi`` is the mirror).  Every Newton step of the mirrored
+    branch and of the seeds solves through that factor rotated by ``psi =
+    -phase_angle(u)`` of its iterate, refined against the exact
+    derivative; the residual and the tolerance stay exact.  A step that
+    does not at least halve the residual refactors at its iterate and
+    finishes that solve with exact Newton.  The report counts the Newton
+    iterations and every factorization.
 
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a
@@ -734,11 +815,22 @@ def check_branch_symmetry(problem, functional, result,
     plus = [pt for pt in result.points if pt.alpha > 0.0]
     if not plus:
         raise ValueError("branch has no nontrivial points to mirror")
+    origin = result.points[0].params
+    mid = plus[len(plus) // 2]
+    try:
+        factor = _SharedFactor(_branch_linearization(
+            problem, functional, mid.params, mid.u,
+            problem.residual_g(mid.params, mid.u)))
+    except SingularBandError as exc:
+        raise ConvergenceError(
+            f"symmetry check: no factor at alpha = {mid.alpha:g}: {exc}"
+        ) from exc
 
     notes = []
     grid = np.array([-pt.alpha for pt in plus])
     minus = _continue_grid(
-        problem, functional, result.u_star, grid, newton_tol, max_iter, notes
+        problem, functional, result.u_star, origin, grid, newton_tol,
+        max_iter, notes, factor,
     )
     if len(minus) != len(plus):
         raise ConvergenceError(
@@ -758,19 +850,20 @@ def check_branch_symmetry(problem, functional, result,
 
     # sampled uniqueness: translated seeds must converge back to the
     # phase-fixed representative
-    mid = plus[len(plus) // 2]
+    newton_iters = sum(mt.newton_iters for mt in minus)
     phase_deviations = {}
     for theta in thetas:
         seed = (mid.alpha * result.u_star).time_shift(theta)
         try:
-            params, u, *_ = _branch_newton(
-                problem, functional, mid.alpha,
-                ScaledParams(0.0, 0.0), seed, newton_tol, max_iter,
+            params, u, _, iters, _ = _branch_newton(
+                problem, functional, mid.alpha, origin, seed, newton_tol,
+                max_iter, factor,
             )
         except (DomainError, SingularBandError, np.linalg.LinAlgError) as exc:
             raise ConvergenceError(
                 f"phase-seed Newton failed at theta = {theta:g}: {exc}"
             ) from exc
+        newton_iters += iters
         dev = (u - mid.u).norm() + max(
             abs(params.lam - mid.lam), abs(params.sigma - mid.sigma)
         )
@@ -788,6 +881,8 @@ def check_branch_symmetry(problem, functional, result,
         tolerance=float(tol),
         passed=bool(passed),
         per_alpha=per_alpha,
+        newton_iters=newton_iters,
+        factorizations=factor.factorizations,
     )
     result.symmetry_report = report
     return report
@@ -795,7 +890,7 @@ def check_branch_symmetry(problem, functional, result,
 
 @dataclass
 class CurvatureFit:
-    """Least-squares model ``param ~ c1 * alpha + c2 * alpha**2``.
+    """Least-squares model ``param - param_star ~ c1 * alpha + c2 * alpha**2``.
 
     ``(c1, s1)`` estimate the branch-parameter derivatives at the origin
     (zero at a genuine bifurcation), ``(c2, s2)`` the curvatures.
@@ -813,18 +908,23 @@ class CurvatureFit:
 def fit_branch_curvature(result, fit_tolerance=FIT_TOLERANCE):
     """Quadratic fit of the branch parameters against the amplitude.
 
-    Requires at least 4 points; the verdict passes when the linear
-    coefficients vanish within ``fit_tolerance`` (the branch parameters
-    must be even functions of the amplitude to leading order).
+    Parameters are taken relative to the origin point ``result.points[0]``
+    (the bifurcation point).  Requires at least 4 points; the verdict
+    passes when the linear coefficients vanish within ``fit_tolerance``
+    (the branch parameters must be even functions of the amplitude to
+    leading order).
     """
     alphas = result.alphas
     if alphas.size < 4:
         raise ValueError("need at least 4 branch points for the fit")
     design = np.column_stack([alphas, alphas**2])
-    coeff_l, res_l, *_ = np.linalg.lstsq(design, result.lambdas, rcond=None)
-    coeff_s, res_s, *_ = np.linalg.lstsq(design, result.sigmas, rcond=None)
-    fit_l = design @ coeff_l - result.lambdas
-    fit_s = design @ coeff_s - result.sigmas
+    origin = result.points[0]
+    lambdas = result.lambdas - origin.lam
+    sigmas = result.sigmas - origin.sigma
+    coeff_l, res_l, *_ = np.linalg.lstsq(design, lambdas, rcond=None)
+    coeff_s, res_s, *_ = np.linalg.lstsq(design, sigmas, rcond=None)
+    fit_l = design @ coeff_l - lambdas
+    fit_s = design @ coeff_s - sigmas
     worst = float(max(np.abs(fit_l).max(), np.abs(fit_s).max()))
     c1, c2 = map(float, coeff_l)
     s1, s2 = map(float, coeff_s)

@@ -247,6 +247,31 @@ def test_cli_branch_writes_csv_and_summary(tmp_path):
     assert summary["symmetry"]["passed"]
 
 
+def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
+    """With standard rho the discrete bifurcation sits at lambda* != 0; the
+    branch starts there and the fit measures lambda - lambda*, so the
+    branch passes.  The verbose line reports the symmetry check's cost."""
+    cfg = write_config(
+        tmp_path,
+        "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
+        "problem.discretely_consistent_rho = false\n"
+        "solver.alpha_max = 0.1\nsolver.alpha_steps = 8\n",
+    )
+    out = tmp_path / "out"
+    code = main(["branch", "--config", cfg, "--out", str(out), "--verbose"])
+    assert code == 0
+    summary = json.loads((out / "branch_summary.json").read_text())
+    lam_star = summary["extended"]["lambda"]
+    assert lam_star < -1e-5
+    origin = (out / "branch.csv").read_text().splitlines()[1].split(",")
+    assert float(origin[0]) == 0.0 and float(origin[1]) == lam_star
+    assert summary["fit"]["ok"] and abs(summary["fit"]["c1"]) <= 1e-3
+    symmetry = summary["symmetry"]
+    assert symmetry["passed"] and symmetry["factorizations"] == 1
+    assert (f"symmetry check: {symmetry['newton_iters']} Newton iterations, "
+            "1 factorizations") in capsys.readouterr().out
+
+
 def test_cli_branch_skip_check(tmp_path):
     code, out = run_cli(tmp_path, "branch", "", "--skip-check")
     assert code == 0

@@ -96,6 +96,25 @@ def test_layout_trajectory_helpers():
     assert back.dx == u.dx
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(1, 6), nx=st.integers(1, 4),
+       psi=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
+def test_layout_rotate_is_time_shift_property(n_t, nx, psi, seed):
+    rng = np.random.default_rng(seed)
+    layout = TrajectoryLayout(n_t=n_t, nx=nx, dx=0.3)
+    u = random_trajectory(rng, n_t, nx, 0.3)
+    y = layout.flatten_trajectory(u)
+    turned = layout.rotate(y, psi)
+    npt.assert_allclose(turned, layout.flatten_trajectory(u.time_shift(psi)),
+                        rtol=1e-13, atol=1e-13)
+    npt.assert_allclose(layout.rotate(turned, -psi), y, rtol=1e-13, atol=1e-13)
+    # a stack of vectors turns column by column
+    stack = rng.normal(size=(layout.size, 2))
+    turned = layout.rotate(stack, psi)
+    for k in range(2):
+        npt.assert_array_equal(turned[:, k], layout.rotate(stack[:, k], psi))
+
+
 def test_functional_rows_match_amplitude_pair():
     rng = np.random.default_rng(3)
     nx, n_t, dx = 6, 3, 0.4
@@ -307,6 +326,37 @@ def test_band_matches_operator_quasilinear(coarse_quasi_problem, coarse_quasi_cf
     assert (band.kl, band.ku) == band_reach(band) == (34, 34)
 
 
+@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
+def test_band_is_equivariant_on_the_collocation_lattice(grid, request):
+    """At ``psi = 2 pi k / M`` (``M`` collocation samples) the samples of
+    ``tau_psi u`` are those of ``u`` cycled, so the band at ``tau_psi u`` is
+    ``S_psi J(u) S_psi^-1`` exactly; the mirror ``psi = pi`` is on it.  Off
+    the lattice the sampled product's aliasing breaks the identity."""
+    cfg = request.getfixturevalue(f"{grid}_cfg")
+    problem = request.getfixturevalue(f"{grid}_problem")
+    n_t = 3
+    layout = TrajectoryLayout(n_t, cfg.nx, cfg.dx)
+    rng = np.random.default_rng(24)
+    base = random_trajectory(rng, n_t, cfg.nx, cfg.dx, scale=0.05)
+    params = ScaledParams(0.04, -0.3)
+
+    def dense_at(u):
+        band = assemble_jacobian_band(problem, params, u, layout)
+        out = np.zeros((band.size, band.size))
+        for row, lo, hi, d in band._diagonals():
+            cols = np.arange(lo, hi)
+            out[cols + d, cols] = row[lo:hi]
+        return out
+
+    dense = dense_at(base)
+    for k in (1, 3, n_t + 1):
+        psi = 2.0 * np.pi * k / (2 * n_t + 2)
+        shifted = dense_at(base.time_shift(psi))
+        # S J S^-1 with S orthogonal: J S^-1 = (S J^T)^T
+        conjugated = layout.rotate(layout.rotate(dense.T, psi).T, psi)
+        assert np.abs(shifted - conjugated).max() <= 1e-12
+
+
 def test_band_rejects_operator_wider_than_stencil():
     # A couples next-nearest neighbours but h_stencil says bandwidth 1.
     nx = 6
@@ -435,6 +485,48 @@ def test_bordered_system_freed_without_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_rebordered_system_solves_the_rotated_core():
+    """A re-bordered system shares the band and its factor and solves
+    ``[[S J S^-1, C], [R^T, D]]`` in both orientations; its refinement
+    needs an exact matvec."""
+    rng = np.random.default_rng(38)
+    layout = TrajectoryLayout(n_t=2, nx=3, dx=0.5)
+    size, psi = layout.size, 0.9
+    band = random_band(rng, size, 4, 3, dominance=20.0)
+    parent = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
+    system = parent.rebordered(
+        rng.normal(size=(size, 2)), make_rows(rng, size), layout, psi)
+    assert system.band is band and system._factor is parent._factor
+
+    eye = np.eye(size)
+    turn = layout.rotate(eye, psi)
+    full = dense_from_system(system)
+    full[:size, :size] = turn @ dense_from_band(band) @ turn.T
+
+    def exact(y, p):
+        out = full @ np.concatenate([y, p])
+        return out[:size], out[size:]
+
+    def exact_transpose(y, p):
+        out = full.T @ np.concatenate([y, p])
+        return out[:size], out[size:]
+
+    rhs_core, rhs_border = rng.normal(size=size), rng.normal(size=2)
+    rhs = np.concatenate([rhs_core, rhs_border])
+    for solve, matvec, matrix in ((system.solve, exact, full),
+                                  (system.solve_transpose, exact_transpose, full.T)):
+        for refine in (0, 2):  # the factor is exact for this core
+            y, p = solve(rhs_core, rhs_border, matvec=matvec, refine=refine)
+            npt.assert_allclose(np.concatenate([y, p]),
+                                np.linalg.solve(matrix, rhs),
+                                rtol=1e-10, atol=1e-12)
+    with pytest.raises(ValueError, match="exact matvec"):
+        system.solve(rhs_core, rhs_border)
+    with pytest.raises(ValueError, match="layout"):
+        parent.rebordered(parent.columns, parent.rows,
+                          TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi)
 
 
 def test_band_rmatvec_is_transpose_of_matvec():

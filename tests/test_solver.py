@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+import hopfkit.newton as newton_module
+import hopfkit.solver as solver_module
 
 from conftest import rotation_block, synthetic_problem
 from test_newton import dense_from_system
@@ -525,6 +530,18 @@ def test_branch_includes_trivial_origin(coarse_branch):
     assert origin.residual == 0.0
 
 
+def test_branch_starts_at_the_solved_point(standard_setup,
+                                          coarse_standard_problem):
+    _, functional, solution = standard_setup
+    assert solution.params.lam != 0.0
+    result = continue_branch(coarse_standard_problem, functional, solution.u,
+                             alpha_max=0.3, steps=6,
+                             params_star=solution.params)
+    assert result.points[0].params == solution.params
+    fit = fit_branch_curvature(result)
+    assert fit.ok and abs(fit.c1) <= 1e-4
+
+
 def test_branch_newton_stays_cheap(coarse_branch):
     # Rescaling predictors put every seed inside the quadratic basin.
     assert all(pt.newton_iters <= 3 for pt in coarse_branch.points)
@@ -643,6 +660,46 @@ def test_symmetry_json_dict(coarse_symmetry):
     assert obj["schema"] == 1
     assert obj["passed"] is True
     assert set(obj) >= {"parameter_deviation", "state_deviation", "tolerance"}
+    assert obj["factorizations"] == coarse_symmetry.factorizations
+    assert obj["newton_iters"] == coarse_symmetry.newton_iters
+
+
+def test_symmetry_check_factorizes_one_band(monkeypatch, coarse_problem,
+                                            coarse_functional, coarse_branch):
+    """The mirrored branch and the phase seeds all solve through the mid
+    point's factor, rotated: one dgbtrf for the whole check."""
+    calls = []
+    dgbtrf = newton_module.lapack.dgbtrf
+
+    def counting_dgbtrf(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(newton_module.lapack, "dgbtrf", counting_dgbtrf)
+    report = check_branch_symmetry(
+        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+    assert report.passed
+    assert len(calls) == 1 and report.factorizations == 1
+    assert report.newton_iters >= 3  # every phase seed iterates
+
+
+def test_symmetry_check_refactors_when_the_factor_stalls(
+        monkeypatch, coarse_problem, coarse_functional, coarse_branch):
+    """A shared factor far from the branch (the band at the origin) stops
+    halving the residual; those solves refactor and finish with exact
+    Newton, and the check still passes."""
+    shared = solver_module._SharedFactor
+
+    def poor_factor(lin):
+        zero = zero_trajectory(lin.base.n_t, lin.base.dim, lin.base.dx)
+        return shared(solver_module._branch_linearization(
+            lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero))
+
+    monkeypatch.setattr(solver_module, "_SharedFactor", poor_factor)
+    report = check_branch_symmetry(
+        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+    assert report.passed
+    assert report.factorizations > 1
 
 
 def test_symmetry_requires_nontrivial_points(coarse_problem,
@@ -688,6 +745,15 @@ def test_fit_flags_linear_contamination():
     assert not fit.ok
     assert fit.c1 == pytest.approx(0.3, abs=1e-10)
     assert fit.c2 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_fit_is_relative_to_the_origin_point():
+    alphas = np.linspace(0.0, 0.5, 6)
+    fit = fit_branch_curvature(
+        fake_branch(alphas, -1.5e-4 + alphas**2, 2e-3 + 0.0 * alphas))
+    assert fit.ok
+    assert abs(fit.c1) <= 1e-12 and abs(fit.c2 - 1.0) <= 1e-12
+    assert abs(fit.s1) <= 1e-12 and abs(fit.s2) <= 1e-12
 
 
 def test_fit_zero_branch_is_clean():
