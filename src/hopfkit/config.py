@@ -160,12 +160,13 @@ def _validate_solver(settings):
 
 
 def _check_memory(problem, solver):
-    """Reject grids whose Newton band cannot fit in physical memory.
+    """Reject grids whose Newton bands cannot fit in physical memory.
 
-    Upper bound of one factorized band (the band plus its LU factor, 8
-    bytes per entry): ``block = 4 n_t + 2`` unknowns per grid point and
-    ``kl = ku <= (max(1, h_stencil) + 1) * block``.  Computed in floats so
-    an infinite grid is rejected too.
+    Upper bound of two band-sized arrays (8 bytes per entry): ``block = 4
+    n_t + 2`` unknowns per grid point and ``kl = ku <= (max(1, h_stencil) +
+    1) * block``.  A Newton step factors its band in place, so the two are
+    the symmetry check's shared factor plus one exact fallback step beside
+    it.  Computed in floats so an infinite grid is rejected too.
     """
     block = 4.0 * solver.n_t + 2.0
     half_width = (max(1, problem.h_stencil) + 1) * block

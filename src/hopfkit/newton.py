@@ -15,9 +15,10 @@ pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual), probing the nonlinearity with one constant-in-time
 unit comb per field and stencil colour.  Its ``kl``/``ku`` are the reach
 of the couplings actually present, not the stencil's worst case.
-`BandedMatrix` keeps LAPACK band storage C-ordered, one contiguous row per
-diagonal; `dgbtrf` copies it once into its Fortran-ordered factor, so a
-factorized band holds two band-sized arrays.
+`BandedMatrix` keeps LAPACK band storage in the Fortran order `dgbtrf`
+takes, one contiguous run per matrix column.  The Newton steps factor it in
+place, so a factorized Newton band is one band-sized array; solves that
+refine against the band factor a copy instead.
 
 `BorderedSystem` solves the band plus two extra columns (parameter
 derivatives) and two extra rows (the phase functionals) by a Schur
@@ -48,7 +49,7 @@ __all__ = [
 
 
 class SingularBandError(RuntimeError):
-    """The banded factorization failed even after diagonal jitter."""
+    """The banded factorization or the bordered reduction failed."""
 
 
 class TrajectoryLayout:
@@ -189,29 +190,56 @@ class BandedMatrix:
 
     ``ab[kl + ku + i - j, j]`` holds entry ``(i, j)`` for ``-ku <= i - j <=
     kl``; rows ``0 .. kl - 1`` of ``ab`` are fill-in workspace for
-    `dgbtrf`.  ``ab`` is C-ordered, so every diagonal is one contiguous
-    row: the products walk diagonals with slices, and the workspace rows
-    stay untouched zero pages.  Factorizing copies ``ab`` once, into
-    LAPACK's Fortran-ordered factor, so a factorized band holds two
-    band-sized arrays.
+    `dgbtrf`.  ``ab`` is the transpose of a C-contiguous ``(size, 2*kl +
+    ku + 1)`` array: the Fortran-ordered ``AB`` of LAPACK, with every
+    matrix column one contiguous run.  `factorize` copies it, or factors
+    it in place; then the band is *consumed* (``ab`` holds LU data) and the
+    products refuse to run.
     """
 
     def __init__(self, size, kl, ku):
         self.size = size
         self.kl = kl
         self.ku = ku
-        self.ab = np.zeros((2 * kl + ku + 1, size))
+        self.ab = np.zeros((size, 2 * kl + ku + 1)).T
+        self.consumed = False
 
     def add_at(self, row_offset, cols, values):
         """Add ``values`` at entries ``(cols + row_offset, cols)``."""
         self.ab[self.kl + self.ku + row_offset, cols] += values
 
+    def factorize(self, overwrite=False):
+        """LU factor ``(lub, ipiv)`` of the band by `dgbtrf`.
+
+        ``overwrite`` factors ``ab`` in place, which consumes the band;
+        otherwise the factor is a copy.  An exactly zero pivot is set to
+        ``1e-13`` times the largest diagonal magnitude: dgbtrf computed no
+        multipliers for its column, so the factor is exact for the band
+        with that one diagonal entry perturbed, and refinement against the
+        exact operator absorbs the perturbation.
+        """
+        kl, ku = self.kl, self.ku
+        scale = np.abs(self._entries()[kl + ku]).max() or 1.0
+        lub, ipiv, info = lapack.dgbtrf(self.ab, kl, ku, overwrite_ab=int(overwrite))
+        self.consumed = bool(overwrite)
+        if info < 0:
+            raise SingularBandError(f"dgbtrf: illegal argument {-info}")
+        if info > 0:
+            pivots = lub[kl + ku]
+            pivots[pivots == 0.0] = 1e-13 * scale
+        return lub, ipiv
+
+    def _entries(self):
+        if self.consumed:
+            raise ValueError("the band was factorized in place; it holds LU data")
+        return self.ab
+
     def _diagonals(self):
         """Yield ``(row, lo, hi, d)``: diagonal ``i - j = d`` holds
         ``row[lo:hi]`` in columns ``lo .. hi - 1``."""
-        n = self.size
+        n, ab = self.size, self._entries()
         for d in range(max(-self.ku, 1 - n), min(self.kl, n - 1) + 1):
-            yield self.ab[self.kl + self.ku + d], max(0, -d), n - max(0, d), d
+            yield ab[self.kl + self.ku + d], max(0, -d), n - max(0, d), d
 
     def matvec(self, x):
         """Dense-equivalent product (exact; O(band * n))."""
@@ -240,9 +268,9 @@ def assemble_jacobian_band(problem, params, u, layout):
     (+-1), the mode-diagonal offsets of ``A`` and the nonzero entries of
     the probed ``h_u`` coupling blocks.  The coupling blocks are computed
     before the band is allocated.  A coupling family (stencil offset, row
-    field and column field of one probe) is then written one block
-    diagonal at a time, each a single vectorised assignment into one band
-    row.
+    field and column field of one probe) is then written one block column
+    at a time, each a single vectorised assignment of contiguous runs of
+    the band's storage.
     """
     lam, sigma = params
     factor = -(sigma + 1.0)
@@ -285,30 +313,33 @@ def assemble_jacobian_band(problem, params, u, layout):
                 nonzero = in_block[np.any(blocks, axis=0)]
                 if nonzero.size:
                     base = o * block + (f_row - f_col) * r
-                    extremes += [base + nonzero.min(), base + nonzero.max()]
-                    diagonals = range(nonzero.min(), nonzero.max() + 1)
+                    lo, hi = nonzero.min(), nonzero.max()
+                    extremes += [base + lo, base + hi]
                     families.append(
-                        (base, f_col * r, pts[live] - o, blocks, diagonals))
+                        (base, f_col * r, pts[live] - o, blocks, lo, hi))
 
     kl = int(max([0, *extremes]))
     ku = -int(min([0, *extremes]))
     band = BandedMatrix(layout.size, kl, ku)
     ab, diag = band.ab, kl + ku
+    columns = ab.T.reshape(nx, block, 2 * kl + ku + 1)  # [point, slot, band row]
     if n_t:
         # Per component, d/dt (x + iy) e^{int} = (-n y + i n x) e^{int}.
         modes = np.arange(1.0, n_t + 1)
-        ab[diag + 1].reshape(2 * nx, r)[:, 1::2] = modes  # row Im_n, col Re_n
-        ab[diag - 1].reshape(2 * nx, r)[:, 2::2] = -modes  # row Re_n, col Im_n
+        by_field = columns.reshape(2 * nx, r, -1)
+        by_field[:, 1::2, diag + 1] = modes  # row Im_n, col Re_n
+        by_field[:, 2::2, diag - 1] = -modes  # row Re_n, col Im_n
     if acoo.nnz:
         a_cols = (jc * block + fc * r)[:, None] + np.arange(r)
         ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
-    # Block diagonal d = rr - cc of every owner lies in one band row, at
-    # columns owner * block + first + cc.
-    by_point = ab.reshape(-1, nx, block)
-    for base, first, owners, blocks, diagonals in families:
-        for d in diagonals:
-            lo, hi = first + max(0, -d), first + r - max(0, d)
-            by_point[diag + base + d, owners, lo:hi] += np.diagonal(blocks, -d, 1, 2)
+    # Entry (rr, cc) of an owner's block sits in band row diag + base + rr -
+    # cc of column owner * block + first + cc, so the rows rr with rr - cc
+    # in [lo, hi] of one block column are one contiguous run.
+    for base, first, owners, blocks, lo, hi in families:
+        for cc in range(max(0, -hi), min(r, r - lo)):
+            top, bottom = max(0, cc + lo), min(r, cc + hi + 1)
+            rows = slice(diag + base - cc + top, diag + base - cc + bottom)
+            columns[owners, first + cc, rows] += blocks[:, top:bottom, cc]
     return band
 
 
@@ -324,7 +355,8 @@ class BorderedSystem:
     numerically singular (time-translation symmetry at a converged branch
     point); the bordered system is still regular, and `solve` repairs the
     lost accuracy with matrix-free refinement when an exact ``matvec`` of
-    the full system is supplied.
+    the full system is supplied.  Refinement against the band's own
+    `apply` needs the band, so it works only when `factorize` kept it.
 
     `solve` and `solve_transpose` share one band factorization and one
     routine: the transposed system is bordered the same way with the roles
@@ -368,30 +400,16 @@ class BorderedSystem:
 
     # -- low-level pieces ---------------------------------------------------
 
-    def factorize(self):
-        """LU-factorize the band core once (later calls do nothing)."""
-        if self._factor is not None:
-            return
-        band = self.band
-        kl, ku = band.kl, band.ku
-        # dgbtrf copies the C-ordered band into its Fortran-ordered factor;
-        # band.ab itself stays intact for products and refinement.
-        lub, ipiv, info = lapack.dgbtrf(band.ab, kl, ku)
-        if info < 0:
-            raise SingularBandError(f"dgbtrf: illegal argument {-info}")
-        if info > 0:
-            # Exactly singular pivot: retry with a tiny diagonal jitter, in
-            # the failed factor's storage; refinement against the exact
-            # operator absorbs the perturbation.
-            scale = np.abs(band.ab[kl + ku]).max() or 1.0
-            lub[...] = band.ab
-            lub[kl + ku] += 1e-13 * scale
-            lub, ipiv, info = lapack.dgbtrf(lub, kl, ku, overwrite_ab=1)
-            if info != 0:
-                raise SingularBandError(
-                    f"banded core is singular even with jitter (info={info})"
-                )
-        self._factor = (lub, ipiv)
+    def factorize(self, overwrite=False):
+        """LU-factorize the band core once (later calls do nothing).
+
+        ``overwrite`` factors the band in place (`BandedMatrix.factorize`):
+        one band-sized array instead of two, after which only solves
+        refined against an exact ``matvec`` can run.  Otherwise the band
+        stays intact for products and refinement.
+        """
+        if self._factor is None:
+            self._factor = self.band.factorize(overwrite)
 
     def _core_solve(self, b, transpose):
         """``J^-1 b`` (``J^-T b``) for one vector or a ``(size, k)`` stack,

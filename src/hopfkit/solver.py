@@ -188,7 +188,7 @@ class _SharedFactor:
 
     def __init__(self, lin):
         self.system, _ = lin.bordered_system()
-        self.system.factorize()
+        self.system.factorize(overwrite=True)
         self.factorizations = 1
 
 
@@ -206,6 +206,10 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     derivative) instead of a new band each.  A step that does not halve
     the residual ends that: the solve finishes with exact Newton, each step
     counted in ``factor.factorizations``.
+
+    Each exact step factors its band in place and releases the system
+    before the next step assembles, so one band-sized array is alive at a
+    time (plus the shared factor's).
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
@@ -229,6 +233,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
         lin = linearize(params, u, core)
         if shared is None:
             system, layout = lin.bordered_system()
+            system.factorize(overwrite=True)
             if factor is not None:
                 factor.factorizations += 1
         else:
@@ -246,6 +251,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
         dy, dp = system.solve(
             -layout.flatten_trajectory(core), -r_pair, matvec=matvec
         )
+        del system  # its band and factor, before the next step assembles
         du = layout.to_trajectory(dy)
         trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]))
         u = u + du

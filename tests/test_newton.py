@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hopfkit.newton as newton_module
 from conftest import synthetic_problem
 from hopfkit.newton import (
     BandedMatrix,
@@ -527,6 +528,77 @@ def test_rebordered_system_solves_the_rotated_core():
     with pytest.raises(ValueError, match="layout"):
         parent.rebordered(parent.columns, parent.rows,
                           TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi)
+
+
+def test_band_refined_solve_keeps_the_band():
+    """A solve refined against the band's own product factors a copy:
+    ``ab`` stays exactly as assembled."""
+    rng = np.random.default_rng(39)
+    size = 24
+    band = random_band(rng, size, 3, 2, dominance=10.0)
+    before = band.ab.copy()
+    system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
+    system.solve(rng.normal(size=size), rng.normal(size=2))
+    assert not band.consumed
+    assert not np.shares_memory(system._factor[0], band.ab)
+    npt.assert_array_equal(band.ab, before)
+
+
+def test_in_place_factor_with_zero_pivot_matches_dense(monkeypatch):
+    """An exactly zero pivot is replaced inside the one factor dgbtrf made
+    in place, without a second factorization; refinement against the exact
+    operator recovers the dense solution of the regular bordered system."""
+    rng = np.random.default_rng(40)
+    size, kl, ku, j = 16, 2, 3, 6
+    band = random_band(rng, size, kl, ku, dominance=10.0)
+    # Rows >= j vanish in columns <= j: elimination of the leading block
+    # leaves them alone and then meets an all-zero pivot column at j.
+    for i in range(j, min(size, j + kl + 1)):
+        for k in range(max(0, i - kl), j + 1):
+            band.ab[kl + ku + i - k, k] = 0.0
+    system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
+    dense = dense_from_system(system)
+    assert np.linalg.matrix_rank(dense[:size, :size]) == size - 1
+
+    infos = []
+    dgbtrf = newton_module.lapack.dgbtrf
+
+    def recording_dgbtrf(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        infos.append(out[-1])
+        return out
+
+    monkeypatch.setattr(newton_module.lapack, "dgbtrf", recording_dgbtrf)
+    system.factorize(overwrite=True)
+    assert infos == [j + 1]  # LAPACK counts columns from 1
+    assert band.consumed and np.shares_memory(system._factor[0], band.ab)
+
+    def exact(y, p):
+        out = dense @ np.concatenate([y, p])
+        return out[:size], out[size:]
+
+    rhs = rng.normal(size=size + 2)
+    y, p = system.solve(rhs[:size], rhs[size:], matvec=exact, refine=3)
+    npt.assert_allclose(np.concatenate([y, p]), np.linalg.solve(dense, rhs),
+                        rtol=1e-8, atol=1e-10)
+
+
+def test_consumed_band_refuses_products():
+    """After an in-place factorization ``ab`` holds LU data: every product
+    that would read it as the matrix raises, and so does a solve that
+    refines against the band."""
+    rng = np.random.default_rng(41)
+    size = 12
+    band = random_band(rng, size, 2, 1, dominance=8.0)
+    system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
+    system.factorize(overwrite=True)
+    y, p = rng.normal(size=size), rng.normal(size=2)
+    for product in (band.matvec, band.rmatvec):
+        with pytest.raises(ValueError, match="LU data"):
+            product(y)
+    for product in (system.apply, system.apply_transpose, system.solve):
+        with pytest.raises(ValueError, match="LU data"):
+            product(y, p)
 
 
 def test_band_rmatvec_is_transpose_of_matvec():

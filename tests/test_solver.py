@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +198,61 @@ def test_solve_extended_contracts_quadratically(coarse_problem,
     assert all(b <= a * a for a, b in zip(steps, steps[1:]))
     assert sol.residual <= NEWTON_TOL
     assert sol.notes == []
+
+
+def test_newton_factors_each_band_in_place(monkeypatch, coarse_problem,
+                                           coarse_functional, coarse_solution):
+    """Every Newton step's dgbtrf factor is its assembled band's own
+    storage: one band-sized array per factorization."""
+    bands, factors = [], []
+    assemble = solver_module.assemble_jacobian_band
+    dgbtrf = newton_module.lapack.dgbtrf
+
+    def recording_assemble(*args):
+        bands.append(assemble(*args))
+        return bands[-1]
+
+    def recording_dgbtrf(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        factors.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording_assemble)
+    monkeypatch.setattr(newton_module.lapack, "dgbtrf", recording_dgbtrf)
+    solve_extended(coarse_problem, coarse_functional,
+                   (ScaledParams(0.2, 0.1), 1.5 * coarse_solution.u))
+    assert len(bands) == len(factors) >= 2
+    for band, lub in zip(bands, factors):
+        assert band.consumed and np.shares_memory(lub, band.ab)
+
+
+def test_newton_releases_each_step_before_the_next_band(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution):
+    """When a Newton step assembles its band, no earlier step's bordered
+    system (band plus factor) is still alive, even without a cyclic GC."""
+    systems, dead = [], []
+
+    class RecordedSystem(newton_module.BorderedSystem):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            systems.append(weakref.ref(self))
+
+    assemble = solver_module.assemble_jacobian_band
+
+    def checking_assemble(*args):
+        dead.append([ref() is None for ref in systems])
+        return assemble(*args)
+
+    monkeypatch.setattr(solver_module, "BorderedSystem", RecordedSystem)
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", checking_assemble)
+    gc.disable()
+    try:
+        solve_extended(coarse_problem, coarse_functional,
+                       (ScaledParams(0.2, 0.1), 1.5 * coarse_solution.u))
+    finally:
+        gc.enable()
+    assert len(dead) >= 2 and dead[1]
+    assert all(all(step) for step in dead)
 
 
 def test_solve_extended_standard_stencil(standard_setup):
