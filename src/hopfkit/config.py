@@ -166,7 +166,8 @@ def _check_memory(problem, solver):
     n_t + 2`` unknowns per grid point and ``kl = ku <= (max(1, h_stencil) +
     1) * block``.  A Newton step factors its band in place, so the two are
     the symmetry check's shared factor plus one exact fallback step beside
-    it.  Computed in floats so an infinite grid is rejected too.
+    it.  Assembly adds only a fixed chunk of coupling blocks beside the
+    band it fills.  Computed in floats so an infinite grid is rejected too.
     """
     block = 4.0 * solver.n_t + 2.0
     half_width = (max(1, problem.h_stencil) + 1) * block

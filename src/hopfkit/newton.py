@@ -14,7 +14,10 @@ h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual), probing the nonlinearity with one constant-in-time
 unit comb per field and stencil colour.  Its ``kl``/``ku`` are the reach
-of the couplings actually present, not the stencil's worst case.
+of the couplings actually present, not the stencil's worst case.  It makes
+the ``h_u`` coupling blocks a bounded chunk of grid points at a time and
+writes each chunk into the band as it is made, so assembly needs the band
+plus a fixed workspace, whatever the grid.
 `BandedMatrix` keeps LAPACK band storage in the Fortran order `dgbtrf`
 takes, one contiguous run per matrix column.  The Newton steps factor it in
 place, so a factorized Newton band is one band-sized array; solves that
@@ -46,6 +49,10 @@ __all__ = [
     "BorderedSystem",
     "SingularBandError",
 ]
+
+
+# Bytes of h_u coupling blocks that `assemble_jacobian_band` makes at once.
+_CHUNK_BYTES = 8 * 2**20
 
 
 class SingularBandError(RuntimeError):
@@ -266,18 +273,20 @@ def assemble_jacobian_band(problem, params, u, layout):
     The band is only as wide as the couplings it holds: ``kl`` and ``ku``
     are the largest ``i - j`` and ``j - i`` over the time-derivative pair
     (+-1), the mode-diagonal offsets of ``A`` and the nonzero entries of
-    the probed ``h_u`` coupling blocks.  The coupling blocks are computed
-    before the band is allocated.  A coupling family (stencil offset, row
-    field and column field of one probe) is then written one block column
-    at a time, each a single vectorised assignment of contiguous runs of
-    the band's storage.
+    the probed ``h_u`` coupling blocks.  A coupling family (stencil offset,
+    row field and column field of one probe) keeps only its probe samples.
+    Its blocks are made a bounded chunk of owners at a time, never all at
+    once: first for the reach of the families that could widen the band,
+    then, after the band is allocated, for the write.  A chunk is written
+    one block column at a time, each a single vectorised assignment of
+    contiguous runs of the band's storage.
     """
     lam, sigma = params
     factor = -(sigma + 1.0)
     n_t, nx, r, block = layout.n_t, layout.nx, layout.r_per_field, layout.block
     if u.n_t != n_t or u.nx != nx:
         raise ValueError("trajectory does not match the layout")
-    extremes = [-1, 1] if n_t else []  # reach i - j of every coupling kind
+    low, high = (-1, 1) if n_t else (0, 0)  # reach i - j of the couplings
 
     # Linear operator A: mode-diagonal, entry A[c, c'] couples the same
     # mode part of components c and c'.
@@ -292,15 +301,14 @@ def assemble_jacobian_band(problem, params, u, layout):
                 "spatial stencil of A exceeds the bandwidth implied by h_stencil"
             )
         a_offsets = (jr - jc) * block + (fr - fc) * r
-        extremes += [a_offsets.min(), a_offsets.max()]
+        low, high = min(low, a_offsets.min()), max(high, a_offsets.max())
 
     # Nonlinear coupling: probe h_u with constant-in-time unit combs; the
     # response samples at each output component are the time-samples of
     # the coefficient function tying it to the probed column.
     u_samples = u.sample_values()
     positions = np.arange(nx)
-    in_block = np.subtract.outer(np.arange(r), np.arange(r))  # rr - cc
-    families = []  # (block-pair offset, first column, owners, blocks, diagonals)
+    families = []  # (block-pair offset, first column, owners, live samples)
     probes = stencil_probes(problem, lambda comb: problem.apply_h_u(
         lam, u_samples, np.broadcast_to(comb, (u.n_samples, 2 * nx))))
     for f_col, owner, valid, resp in probes:
@@ -309,17 +317,33 @@ def assemble_jacobian_band(problem, params, u, layout):
             for f_row in range(2):
                 samples = resp[:, f_row * nx + pts]
                 live = np.any(samples, axis=0)  # points h_u couples at all
-                blocks = coupling_blocks(samples[:, live], n_t) * factor
-                nonzero = in_block[np.any(blocks, axis=0)]
-                if nonzero.size:
-                    base = o * block + (f_row - f_col) * r
-                    lo, hi = nonzero.min(), nonzero.max()
-                    extremes += [base + lo, base + hi]
-                    families.append(
-                        (base, f_col * r, pts[live] - o, blocks, lo, hi))
+                if live.any():
+                    families.append((o * block + (f_row - f_col) * r,
+                                     f_col * r, pts[live] - o, samples[:, live]))
 
-    kl = int(max([0, *extremes]))
-    ku = -int(min([0, *extremes]))
+    in_block = np.subtract.outer(np.arange(r), np.arange(r))  # rr - cc
+    step = max(1, _CHUNK_BYTES // (8 * r * r))  # owners per chunk
+
+    def chunks(samples):
+        """Yield ``(part, blocks, lo, hi)`` per chunk ``samples[:, part]``
+        with a nonzero block entry; ``[lo, hi]`` spans its nonzero
+        ``rr - cc``."""
+        for start in range(0, samples.shape[1], step):
+            part = slice(start, start + step)
+            blocks = coupling_blocks(samples[:, part], n_t)
+            blocks *= factor
+            nonzero = in_block[np.any(blocks, axis=0)]
+            if nonzero.size:
+                yield part, blocks, nonzero.min(), nonzero.max()
+
+    # A family's entries lie at offsets base + (rr - cc), |rr - cc| < r:
+    # only a family whose interval leaves [low, high] can widen the band.
+    for base, _, _, samples in families:
+        if not low <= base - r + 1 <= base + r - 1 <= high:
+            for _, _, lo, hi in chunks(samples):
+                low, high = min(low, base + lo), max(high, base + hi)
+
+    kl, ku = int(high), -int(low)
     band = BandedMatrix(layout.size, kl, ku)
     ab, diag = band.ab, kl + ku
     columns = ab.T.reshape(nx, block, 2 * kl + ku + 1)  # [point, slot, band row]
@@ -334,12 +358,14 @@ def assemble_jacobian_band(problem, params, u, layout):
         ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
     # Entry (rr, cc) of an owner's block sits in band row diag + base + rr -
     # cc of column owner * block + first + cc, so the rows rr with rr - cc
-    # in [lo, hi] of one block column are one contiguous run.
-    for base, first, owners, blocks, lo, hi in families:
-        for cc in range(max(0, -hi), min(r, r - lo)):
-            top, bottom = max(0, cc + lo), min(r, cc + hi + 1)
-            rows = slice(diag + base - cc + top, diag + base - cc + bottom)
-            columns[owners, first + cc, rows] += blocks[:, top:bottom, cc]
+    # in [lo, hi] of one block column are one contiguous run.  Band entries
+    # are never -0.0, so leaving out zero entries changes no bits.
+    for base, first, owners, samples in families:
+        for part, blocks, lo, hi in chunks(samples):
+            for cc in range(max(0, -hi), min(r, r - lo)):
+                top, bottom = max(0, cc + lo), min(r, cc + hi + 1)
+                rows = slice(diag + base - cc + top, diag + base - cc + bottom)
+                columns[owners[part], first + cc, rows] += blocks[:, top:bottom, cc]
     return band
 
 

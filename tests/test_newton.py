@@ -8,6 +8,7 @@ solves, including the deliberately singular-core case it exists for.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -356,6 +357,92 @@ def test_band_is_equivariant_on_the_collocation_lattice(grid, request):
         # S J S^-1 with S orthogonal: J S^-1 = (S J^T)^T
         conjugated = layout.rotate(layout.rotate(dense.T, psi).T, psi)
         assert np.abs(shifted - conjugated).max() <= 1e-12
+
+
+def band_case(grid, kind, n_t, request):
+    """``(problem, params, base, layout)`` on a coarse grid; ``kind`` is
+    ``"origin"``, ``"branch"`` or ``"random"``."""
+    cfg = request.getfixturevalue(f"{grid}_cfg")
+    problem = request.getfixturevalue(f"{grid}_problem")
+    layout = TrajectoryLayout(n_t, cfg.nx, cfg.dx)
+    if kind == "origin":
+        base = zero_trajectory(n_t, 2 * cfg.nx, cfg.dx)
+    elif kind == "branch":
+        base = exact_branch_trajectory(cfg, 0.04, n_t=n_t)
+    else:
+        base = random_trajectory(np.random.default_rng(25), n_t, cfg.nx,
+                                 cfg.dx, scale=0.05)
+    return problem, ScaledParams(0.03, -0.3), base, layout
+
+
+def recording_coupling_blocks(monkeypatch):
+    """Patch `coupling_blocks` in the assembly; returns the list of the
+    shapes of the blocks it makes."""
+    made = []
+
+    def record(samples, n_t):
+        blocks = coupling_blocks(samples, n_t)
+        made.append(blocks.shape)
+        return blocks
+
+    monkeypatch.setattr(newton_module, "coupling_blocks", record)
+    return made
+
+
+@pytest.mark.parametrize("grid, kind", [
+    ("coarse", "origin"), ("coarse", "branch"), ("coarse", "random"),
+    ("coarse_quasi", "random"),
+])
+def test_band_is_bitwise_chunk_invariant(grid, kind, request, monkeypatch):
+    """A budget of a few blocks splits every coupling family into several
+    chunks with a partial last one; the band keeps every bit."""
+    problem, params, base, layout = band_case(grid, kind, 4, request)
+    whole = assemble_jacobian_band(problem, params, base, layout)
+    r = layout.r_per_field
+    monkeypatch.setattr(newton_module, "_CHUNK_BYTES", 4 * 8 * r * r)
+    made = recording_coupling_blocks(monkeypatch)
+    chunked = assemble_jacobian_band(problem, params, base, layout)
+    batches = {shape[0] for shape in made}
+    assert max(batches) == 4 and min(batches) < 4
+    assert (chunked.kl, chunked.ku) == (whole.kl, whole.ku)
+    npt.assert_array_equal(chunked.ab.view(np.int64), whole.ab.view(np.int64))
+
+
+@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
+def test_band_reach_is_that_of_the_dense_operator(grid, request):
+    """``kl``/``ku`` are the largest ``i - j`` and ``j - i`` over the
+    nonzero entries of the operator, built column by column."""
+    problem, params, base, layout = band_case(grid, "random", 2, request)
+    band = assemble_jacobian_band(problem, params, base, layout)
+    dense = np.empty((layout.size, layout.size))
+    unit = np.zeros(layout.size)
+    for k in range(layout.size):
+        unit[k] = 1.0
+        dense[:, k] = layout.flatten_trajectory(problem.linearised_g(
+            params, base, layout.to_trajectory(unit)))
+        unit[k] = 0.0
+    rows, cols = np.nonzero(dense)
+    assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
+
+
+def test_band_assembly_holds_one_chunk_of_blocks(monkeypatch, request):
+    """Beside the band, assembly allocates at most two chunks of blocks
+    plus arrays of a fixed multiple of ``size`` (probe samples, the entries
+    of ``A`` and their band indices), not the summed blocks of every
+    coupling family."""
+    problem, params, base, layout = band_case("coarse", "random", 16, request)
+    r = layout.r_per_field
+    budget = 4 * 8 * r * r
+    monkeypatch.setattr(newton_module, "_CHUNK_BYTES", budget)
+    made = recording_coupling_blocks(monkeypatch)
+    tracemalloc.start()
+    try:
+        band = assemble_jacobian_band(problem, params, base, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(8 * np.prod(shape) for shape in made) >= 8 * budget
+    assert peak - band.ab.nbytes < 2 * budget + 32 * 8 * layout.size
 
 
 def test_band_rejects_operator_wider_than_stencil():
