@@ -357,6 +357,18 @@ _COMMANDS = {
 }
 
 
+def _seed(text):
+    """``--seed``: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hopfkit",
@@ -372,7 +384,7 @@ def build_parser():
             "--skip-check", action="store_true",
             help="skip the hypothesis checks that gate `branch`",
         )
-        cmd.add_argument("--seed", type=int, default=42,
+        cmd.add_argument("--seed", type=_seed, default=42,
                          help="seed for randomized estimates (default 42)")
         cmd.add_argument("--verbose", action="store_true",
                          help="print detailed reports")
@@ -389,7 +401,12 @@ def main(argv=None):
         return EXIT_USAGE
 
     outdir = args.out or run_config.output.path
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"hopfkit: cannot create output directory {outdir}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
     verbosity = run_config.output.verbosity
     if args.verbose:
         verbosity = max(verbosity, 2)

@@ -19,12 +19,12 @@ fall back to a default.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import ProblemDef
 from .reaction_diffusion import ExampleConfig, make_problem
+from .solver import MAX_NEWTON_ITERATIONS, NEWTON_TOL
 
 __all__ = [
     "ConfigError",
@@ -43,8 +43,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    newton_tol: float = 1e-10
-    max_iter: int = 25
+    newton_tol: float = NEWTON_TOL
+    max_iter: int = MAX_NEWTON_ITERATIONS
     n_t: int = 16
     alpha_max: float = 0.5
     alpha_steps: int = 10
@@ -228,7 +228,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -239,7 +239,8 @@ def build_problem(run_config):
     With ``frozen_parameter`` the nonlinearity is pinned to its
     ``lambda = 0`` slice: ``h(lam, u) := h(0, u)`` with matching (zero)
     parameter derivatives, so the supplied derivatives stay consistent
-    while the transversality genuinely vanishes.
+    while the transversality genuinely vanishes.  The frozen problem has
+    caches of its own.
     """
     base = make_problem(run_config.problem)
     if not run_config.frozen_parameter:
@@ -260,17 +261,12 @@ def build_problem(run_config):
     def h_lambda_u_zero(lam, w, z):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    return ProblemDef(
-        A=base.A,
+    return replace(
+        base,
         apply_h=h_frozen,
         apply_h_u=h_u_frozen,
         apply_h_lambda=h_lambda_zero,
         apply_h_lambda_u=h_lambda_u_zero,
         apply_h_uu=h_uu_frozen,
-        dx=base.dx,
-        L=base.L,
-        lambda_window=base.lambda_window,
-        trust_radius=base.trust_radius,
-        h_stencil=base.h_stencil,
         name=base.name + "/frozen-parameter",
     )

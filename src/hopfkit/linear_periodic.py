@@ -8,13 +8,15 @@ mode-by-mode as ``u_hat(n) = (i n - B)^{-1} v_hat(n)``.
 
 `solve_periodic_full` follows the structure of the underlying uniqueness
 argument instead: it splits ``v`` by the rank-two spectral projection,
-solves two scalar first-order ODEs for the coefficients along the critical
+solves one scalar first-order ODE for the coefficient along the critical
 eigenvector (`solve_resonant_ode`, done by exact division in coefficient
-space), and a complement system mode by mode -- including the critical
-temporal modes, where the complement operator is made invertible by
-bordering with the eigenpair.  Its domain is the full range of the
-period-one linearisation: everything except genuinely secular forcing
-(eigenvector direction at frequency ``+-1``), which it rejects.
+space), takes the coefficient along its conjugate as that path's
+conjugate reflection (``v`` is real), and solves a complement system mode
+by mode -- including the critical temporal modes, where the complement
+operator is made invertible by bordering with the eigenpair.  Its domain
+is the full range of the period-one linearisation: everything except
+genuinely secular forcing (eigenvector direction at frequency ``+-1``),
+which it rejects.
 """
 
 from __future__ import annotations
@@ -204,25 +206,19 @@ def solve_resonant_ode(forcing, resonant_mode=1, scale=None):
     return ResonantScalarPath(out)
 
 
-def _projected_scalar_paths(decomp, v):
-    """Coefficient paths of ``P v`` along ``psi`` and ``conj(psi)``.
-
-    Returns the two-sided coefficient arrays ``g_hat`` (along ``psi``) and
-    ``h_hat`` (along ``conj(psi)``) for ``n = -n_t .. n_t``, using
-    ``v_hat(-n) = conj(v_hat(n))``.
+def _projected_scalar_path(decomp, v):
+    """Coefficient path ``g_hat`` of ``P v`` along ``psi``, ``n = -n_t ..
+    n_t``.  ``v`` is real, ``v_hat(-n) = conj(v_hat(n))``, so ``g_hat(-n)``
+    is the conjugate of ``v_hat(n)``'s coordinate along ``conj(psi)``.
     """
     n_t = v.n_t
     ghat = np.zeros(2 * n_t + 1, dtype=complex)
-    hhat = np.zeros(2 * n_t + 1, dtype=complex)
     for n in range(0, n_t + 1):
         g, h = decomp.coordinates(v.coeffs[n])
         ghat[n + n_t] = g
-        hhat[n + n_t] = h
         if n > 0:
-            # reality of v: coordinates of conj(v_hat(n)) swap and conjugate
             ghat[-n + n_t] = np.conj(h)
-            hhat[-n + n_t] = np.conj(g)
-    return ResonantScalarPath(ghat), ResonantScalarPath(hhat)
+    return ResonantScalarPath(ghat)
 
 
 def _deflated_critical_solve(problem, decomp, rhs):
@@ -234,24 +230,24 @@ def _deflated_critical_solve(problem, decomp, rhs):
     border multiplier vanishes, so the core part is the unique solution
     with zero eigenvector coordinate.
     """
-    dim = problem.dim
-    shifted = 1j * sp.identity(dim, format="csc") - problem.operator()
     col = sp.csc_matrix(decomp.psi.data.reshape(-1, 1))
     row = sp.csc_matrix(
         np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
     )
-    bordered = sp.bmat([[shifted, col], [row, None]], format="csc")
+    bordered = sp.bmat([[problem.shifted(1j), col], [row, None]], format="csc")
     lu = problem._lu(("deflated-critical", 1), bordered)
     sol = lu.solve(np.concatenate([rhs, [0.0j]]))
-    return sol[:dim]
+    return sol[:problem.dim]
 
 
 def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
     """Solve ``u_t - B u = v`` through the spectral splitting.
 
     The forcing is decomposed as ``v = P v + (I - P) v``.  Along the
-    critical pair the equation reduces to the two scalar ODEs solved by
-    `solve_resonant_ode`; the complement is solved mode by mode, with the
+    critical pair the equation reduces to one scalar ODE ``c' - i c = g``
+    along ``psi``, solved by `solve_resonant_ode`, plus its conjugate
+    reflection: ``v`` is real, so the coefficient along ``conj(psi)`` is
+    ``conj(c(-n))``.  The complement is solved mode by mode, with the
     critical temporal modes going through a deflated (bordered) solve.
     The assembled solution is checked against the equation and must meet
     ``residual_tol`` relative accuracy.
@@ -265,10 +261,9 @@ def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
     """
     n_t = v.n_t
 
-    ghat, hhat = _projected_scalar_paths(decomp, v)
-    vnorm = v.norm()
-    cpath = solve_resonant_ode(ghat, resonant_mode=1, scale=vnorm)
-    dpath = solve_resonant_ode(hhat, resonant_mode=-1, scale=vnorm)
+    cpath = solve_resonant_ode(_projected_scalar_path(decomp, v),
+                               resonant_mode=1, scale=v.norm())
+    dpath = cpath.conjugate_reflected()
 
     psi = decomp.psi.data
     psi_bar = np.conj(psi)

@@ -24,10 +24,10 @@ place, so a factorized Newton band is one band-sized array; solves that
 refine against the band factor a copy instead.
 
 `BorderedSystem` solves the band plus two extra columns (parameter
-derivatives) and two extra rows (the phase functionals) by a Schur
-complement on the 2x2 corner, with optional matrix-free iterative
-refinement -- needed because the core band is *exactly singular* at a
-solved branch point (time translation) while the bordered system is not.
+derivatives) and two extra rows (the phase functionals) by a 2x2 Schur
+complement, with optional matrix-free iterative refinement -- needed
+because the core band is *exactly singular* at a solved branch point (time
+translation) while the bordered system is not.
 `BorderedSystem.rebordered` puts new borders on an existing factor, with
 the core conjugated by `TrajectoryLayout.rotate` (the flat form of a time
 shift), so one factor serves every time translate of its base trajectory.
@@ -370,38 +370,37 @@ def assemble_jacobian_band(problem, params, u, layout):
 
 
 class BorderedSystem:
-    """A banded core with two extra columns, rows, and a 2x2 corner.
+    """A banded core with two extra columns and two extra rows.
 
         [ J    C ] [ y ]   [ r_core   ]
-        [ B^T  D ] [ p ] = [ r_border ]
+        [ B^T  0 ] [ p ] = [ r_border ]
 
     ``J`` is the banded core, ``C`` the (size, 2) parameter columns,
-    ``B`` the two functional rows, ``D`` the 2x2 corner.  Solved by LU of
-    the band plus a Schur complement on the corner.  The core may be
-    numerically singular (time-translation symmetry at a converged branch
-    point); the bordered system is still regular, and `solve` repairs the
-    lost accuracy with matrix-free refinement when an exact ``matvec`` of
-    the full system is supplied.  Refinement against the band's own
-    `apply` needs the band, so it works only when `factorize` kept it.
+    ``B`` the two functional rows.  Solved by LU of the band plus the 2x2
+    Schur complement ``-B^T J^-1 C``.  The core may be numerically
+    singular (time-translation symmetry at a converged branch point); the
+    bordered system is still regular, and `solve` repairs the lost
+    accuracy with matrix-free refinement when an exact ``matvec`` of the
+    full system is supplied.  Refinement against the band's own `apply`
+    needs the band, so it works only when `factorize` kept it.
 
     `solve` and `solve_transpose` share one band factorization and one
     routine: the transposed system is bordered the same way with the roles
-    swapped (``B`` as columns, ``C`` as rows, ``D^T`` as corner), and
-    ``dgbtrs`` solves with ``J^T`` through its ``trans`` flag.  The border
-    solves and the Schur complement are cached per orientation.
+    swapped (``B`` as columns, ``C`` as rows), and ``dgbtrs`` solves with
+    ``J^T`` through its ``trans`` flag.  The border solves and the Schur
+    complement are cached per orientation.
 
     `rebordered` borders an already factored core anew: the new system
     shares the band and its factor, with the core taken as ``S J S^-1``
     for a rotation ``S`` of the layout (see `rebordered`).
     """
 
-    def __init__(self, band, columns, rows, corner=None):
+    def __init__(self, band, columns, rows):
         self.band = band
         self.columns = np.asarray(columns, dtype=float)
         if self.columns.shape != (band.size, 2):
             raise ValueError("expected two border columns of core size")
         self.rows = rows  # pair of (indices, values)
-        self.corner = np.zeros((2, 2)) if corner is None else np.asarray(corner)
         self._factor = None
         self._rotation = None  # (layout, psi) of a re-bordered system
         self._schur = {}  # transpose -> (border solves, Schur complement)
@@ -466,14 +465,12 @@ class BorderedSystem:
     def apply(self, y, p):
         """Exact product of the bordered matrix built from the band."""
         core = self.band.matvec(y) + self.columns @ p
-        border = self._row_dot(y) + self.corner @ p
-        return core, border
+        return core, self._row_dot(y)
 
     def apply_transpose(self, y, p):
         """Exact product of the transposed bordered matrix."""
         core = self.band.rmatvec(y) + self._rows_dense() @ p
-        border = self.columns.T @ y + self.corner.T @ p
-        return core, border
+        return core, self.columns.T @ y
 
     # -- solves ---------------------------------------------------------------
 
@@ -485,11 +482,10 @@ class BorderedSystem:
         rows = (lambda y: self.columns.T @ y) if transpose else self._row_dot
         if transpose not in self._schur:
             cols = self._rows_dense() if transpose else self.columns
-            corner = self.corner.T if transpose else self.corner
             # One dgbtrs call for both columns; C order, as the column
             # stack it replaces, keeps the rounding of ``xb @ p``.
             xb = np.ascontiguousarray(self._core_solve(cols, transpose))
-            schur = corner - np.column_stack([rows(x) for x in xb.T])
+            schur = -np.column_stack([rows(x) for x in xb.T])
             if not np.all(np.isfinite(schur)):
                 raise SingularBandError(
                     "bordered reduction produced a non-finite Schur complement"

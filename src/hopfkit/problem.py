@@ -4,10 +4,10 @@ A `ProblemDef` bundles the sparse linear operator ``A`` with closed-form
 callables for the nonlinearity ``h`` and its derivatives, together with the
 admissible parameter window and the trust radius on which ``h`` is defined.
 Residuals of the steady and period-rescaled problems, the linearisation
-``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), cached and
-condition-guarded factorizations of each shift ``z - B`` (one per shift),
-and a finite-difference validation of the supplied derivatives all live
-here.
+``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), its
+shifts ``z - B`` (`ProblemDef.shifted`) with cached, condition-guarded
+factorizations (one per shift), and a finite-difference validation of the
+supplied derivatives all live here.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class ProblemDef:
     trust_radius: float = np.inf
     h_stencil: int = 0
     name: str = "problem"
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _caches: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         a = sp.csc_matrix(self.A)
@@ -239,11 +240,15 @@ class ProblemDef:
         rhs = np.asarray(rhs, dtype=complex)
         return self.resolvent_lu(1j * int(n)).solve(rhs)
 
+    def shifted(self, z, lam=0.0):
+        """``z - B`` in complex CSC, with ``B = operator(lam)``."""
+        eye = sp.identity(self.dim, format="csc", dtype=complex)
+        return eye * z - self.operator(lam)
+
     def resolvent_lu(self, z):
-        """Cached LU of ``z - B`` (``B`` = `operator`); `ResonanceError`
-        when it is singular or worse conditioned than `COND_GUARD`."""
-        shifted = sp.identity(self.dim, format="csc", dtype=complex) * z
-        return self._lu(("resolvent", z), shifted - self.operator())
+        """Cached LU of ``z - B`` (`shifted`); `ResonanceError` when it is
+        singular or worse conditioned than `COND_GUARD`."""
+        return self._lu(("resolvent", z), self.shifted(z))
 
     # -- residuals ---------------------------------------------------------------
 
@@ -361,19 +366,11 @@ def stencil_probes(problem, apply):
             yield fld, owner, np.abs(positions - owner) <= width, apply(comb)
 
 
-def linearization_matrix(problem, lam, u0=None):
-    """The sparse matrix of ``v -> h_u(lam, u0, v)``.
+def linearization_matrix(problem, lam):
+    """The sparse matrix of ``v -> h_u(lam, 0, v)``, at the equilibrium only.
 
     Recovers the matrix from the black-box directional derivative with
     the ``2 * (2*h_stencil + 1)`` probes of `stencil_probes`.
-
-    Parameters
-    ----------
-    problem : ProblemDef
-    lam : float
-        Parameter at which to linearise.
-    u0 : array, optional
-        Base state (defaults to 0, the equilibrium).
 
     Returns
     -------
@@ -381,12 +378,11 @@ def linearization_matrix(problem, lam, u0=None):
     """
     nx = problem.nx
     dim = problem.dim
-    if u0 is None:
-        u0 = np.zeros(dim)
+    zero = np.zeros(dim)
     rows, cols, vals = [], [], []
     positions = np.arange(nx)
     probes = stencil_probes(
-        problem, lambda comb: np.asarray(problem.apply_h_u(lam, u0, comb)))
+        problem, lambda comb: np.asarray(problem.apply_h_u(lam, zero, comb)))
     for fld, owner, valid, response in probes:
         for rf in range(2):
             block = response[rf * nx : (rf + 1) * nx]

@@ -143,14 +143,6 @@ def _diff1(vals, dx):
     return out / (2.0 * dx)
 
 
-def _diff2(vals, dx):
-    """Central second difference along the last axis, zero beyond the ends."""
-    out = -2.0 * vals
-    out[..., 1:] += vals[..., :-1]
-    out[..., :-1] += vals[..., 1:]
-    return out / (dx * dx)
-
-
 def make_problem(cfg=ExampleConfig()):
     """Assemble the example as a `ProblemDef`.
 

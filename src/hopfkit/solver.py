@@ -51,8 +51,8 @@ from .newton import (
     TrajectoryLayout,
     assemble_jacobian_band,
 )
-from .problem import ConvergenceError, DomainError, ResonanceError, ScaledParams
-from .spectral import _lu_sigma_min, inverse_power_sigma_min
+from .problem import ConvergenceError, DomainError, ScaledParams
+from .spectral import _resolvent_sigma_min, inverse_power_sigma_min
 from .trajectory import (
     PeriodicTrajectory,
     single_harmonic,
@@ -90,6 +90,9 @@ MAX_NEWTON_ITERATIONS = 25
 BIJECTIVITY_TOLERANCE = 1e-6
 FIT_TOLERANCE = 1e-3
 _LEAKAGE_TOL = 1e-10
+#: How a Newton solve fails besides running out of iterations: it leaves
+#: the solver's domain or meets a singular bordered system.
+_SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,7 @@ def solve_extended(problem, functional, initial, newton_tol=NEWTON_TOL,
             partial(_extended_linearization, problem, functional),
             newton_tol, max_iter,
         )
-    except (DomainError, SingularBandError, np.linalg.LinAlgError) as exc:
+    except _SOLVE_ERRORS as exc:
         raise ConvergenceError(f"extended Newton failed: {exc}") from exc
     return ExtendedSolution(
         params, u, trace.residuals[-1], iters, trace.step_norms, trace.notes
@@ -431,10 +434,10 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     its smallest singular value is the least over the blocks, each from
     `inverse_power_sigma_min` in at most ``power_iterations`` steps.  Block
     ``"0-1"`` is the bordered system of ``u_star`` cut to modes 0 and 1,
-    block ``"n"`` the problem's cached resolvent LU of ``i n - B`` with
-    ``B = A + h_u(0,0)``, the factor the resolvent scan uses; a failed
-    condition guard there reads as 0.  The leakage check on the full
-    Jacobian justifies the split.  The verdict is
+    block ``"n"`` the resolvent ``i n - B`` with ``B = A + h_u(0,0)``,
+    estimated as in the resolvent scan (`spectral._resolvent_sigma_min`);
+    a failed condition guard there reads as 0.  The leakage check on the
+    full Jacobian justifies the split.  The verdict is
     ``smallest_singular_value > tolerance`` and ``leakage <= 1e-10``.
     """
     rng = np.random.default_rng(seed)
@@ -451,12 +454,8 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     by_mode = {"0-1": sigma}
 
     for n in range(2, u_star.n_t + 1):
-        try:
-            lu = problem.resolvent_lu(1j * n)
-        except ResonanceError:
-            by_mode[str(n)] = 0.0
-            continue
-        by_mode[str(n)], taken = _lu_sigma_min(lu, power_iterations, rng)
+        by_mode[str(n)], taken = _resolvent_sigma_min(
+            problem, 1j * n, power_iterations, rng)
         steps += taken
 
     sigma_min = min(by_mode.values())
@@ -686,8 +685,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
                 problem, functional, alpha, params, u, newton_tol, max_iter,
                 factor,
             )
-        except (ConvergenceError, DomainError, SingularBandError,
-                np.linalg.LinAlgError) as exc:
+        except (ConvergenceError, *_SOLVE_ERRORS) as exc:
             notes.append(
                 f"branch truncated at alpha = {alpha:g}: {exc}"
             )
@@ -865,7 +863,7 @@ def check_branch_symmetry(problem, functional, result,
                 problem, functional, mid.alpha, origin, seed, newton_tol,
                 max_iter, factor,
             )
-        except (DomainError, SingularBandError, np.linalg.LinAlgError) as exc:
+        except _SOLVE_ERRORS as exc:
             raise ConvergenceError(
                 f"phase-seed Newton failed at theta = {theta:g}: {exc}"
             ) from exc

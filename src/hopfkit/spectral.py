@@ -121,15 +121,17 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
     mat = problem.operator(lam)
     if adjoint:
         mat = mat.T.tocsc()
-    dim = mat.shape[0]
+
+    def factor(z):
+        shifted = problem.shifted(z, lam)
+        return spla.splu(shifted.T.tocsc() if adjoint else shifted)
+
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    x = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
     x /= np.linalg.norm(x)
 
     offset = 1e-4 * (1.0 + 1.0j) / np.sqrt(2.0)
-    shift = complex(target) + offset
-    eye = sp.identity(dim, format="csc", dtype=complex)
-    lu = spla.splu(sp.csc_matrix(eye * shift - mat))
+    lu = factor(complex(target) + offset)
 
     mu = complex(target)
     residual = np.inf
@@ -147,7 +149,7 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
             # Stalled: re-centre the shift on the Rayleigh quotient.
             refactored = True
             try:
-                lu = spla.splu(sp.csc_matrix(eye * (mu + offset * 1e-3) - mat))
+                lu = factor(mu + offset * 1e-3)
             except RuntimeError:
                 pass  # keep the old factorisation
     raise ConvergenceError(
@@ -202,12 +204,10 @@ def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
     the eigen-residual (an upper bound for the smallest singular value) is
     smaller by a factor ``1e8``.
     """
-    mat = problem.operator(lam)
-    dim = mat.shape[0]
     psi = pair.psi.data / np.linalg.norm(pair.psi.data)
-    shifted = sp.identity(dim, dtype=complex, format="csc") * pair.mu - mat
     bordered = sp.bmat(
-        [[shifted, psi[:, None]], [psi[None, :].conj(), None]], format="csc"
+        [[problem.shifted(pair.mu, lam), psi[:, None]],
+         [psi[None, :].conj(), None]], format="csc"
     )
     try:
         margin, _ = _lu_sigma_min(spla.splu(bordered), 40, 11)
@@ -287,19 +287,25 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
     return CrossingSpeed(formula, fdiff, dlam)
 
 
-def resolvent_norm(problem, z, probes=15, seed=13):
-    """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
-
-    Inverse power on the problem's cached, condition-guarded LU of ``z - B``
-    (`ProblemDef.resolvent_lu`, shared with `ProblemDef.solve_resolvent`
-    and the Jacobian certificate); a failed guard, as at an eigenvalue of
-    ``B``, reads as ``inf``.
-    """
+def _resolvent_sigma_min(problem, z, max_steps, seed):
+    """``(sigma, steps)``: sigma_min(z - B) by `_lu_sigma_min` on the
+    problem's cached, condition-guarded LU (`ProblemDef.resolvent_lu`,
+    shared with `ProblemDef.solve_resolvent`); a failed guard, as at an
+    eigenvalue of ``B``, reads as ``(0.0, 0)``."""
     try:
         lu = problem.resolvent_lu(z)
     except ResonanceError:
-        return np.inf
-    sigma, _ = _lu_sigma_min(lu, probes, seed)
+        return 0.0, 0
+    return _lu_sigma_min(lu, max_steps, seed)
+
+
+def resolvent_norm(problem, z, probes=15, seed=13):
+    """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
+
+    `_resolvent_sigma_min`, as the Jacobian certificate's blocks; a failed
+    condition guard reads as ``inf``.
+    """
+    sigma, _ = _resolvent_sigma_min(problem, z, probes, seed)
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
@@ -371,21 +377,17 @@ class SpectralDecomposition:
     mu: complex
 
     def project(self, w):
-        data = w.data if isinstance(w, ComplexStateVector) else np.asarray(w, dtype=complex)
-        dx = self.psi.dx
-        c1 = complex(np.sum(data * np.conj(self.phi_adj.data)) * dx)
-        c2 = complex(np.sum(data * self.phi_adj.data) * dx)
+        c1, c2 = self.coordinates(w)
         out = c1 * self.psi.data + c2 * np.conj(self.psi.data)
-        if isinstance(w, ComplexStateVector):
-            return ComplexStateVector(out, dx)
-        return out
-
-    def complement(self, w):
-        data = w.data if isinstance(w, ComplexStateVector) else np.asarray(w, dtype=complex)
-        out = data - (self.project(data))
         if isinstance(w, ComplexStateVector):
             return ComplexStateVector(out, self.psi.dx)
         return out
+
+    def complement(self, w):
+        out = self.project(w)
+        if isinstance(w, ComplexStateVector):
+            return ComplexStateVector(w.data - out.data, self.psi.dx)
+        return np.asarray(w, dtype=complex) - out
 
     def coordinates(self, w):
         """The two complex coefficients of ``P w`` along ``psi, conj(psi)``."""

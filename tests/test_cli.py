@@ -206,6 +206,45 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_load_config_rejects_non_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"problem.L = 20\n\xff\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_config(str(cfg))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["--out", "output.path"])
+def test_cli_uncreatable_output_directory_is_usage_error(tmp_path, capsys,
+                                                         where):
+    """An output path naming an existing file (``--out``) or lying under
+    one (``output.path``) is a usage error, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if where == "--out":
+        cfg = write_config(tmp_path, COARSE)
+        argv = ["check", "--config", cfg, "--out", str(blocker)]
+    else:
+        cfg = write_config(tmp_path, COARSE + f"output.path = {blocker}/out\n")
+        argv = ["check", "--config", cfg]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify-exact"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, COARSE)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--out", str(out), "--seed", "-1"])
+    assert info.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_extended(tmp_path):
     code, out = run_cli(tmp_path, "extended")
     assert code == 0

@@ -495,7 +495,6 @@ def dense_from_system(system):
     full[:n, n:] = system.columns
     for k, (idx, vals) in enumerate(system.rows):
         np.add.at(full[n + k], idx, vals)
-    full[n:, n:] = system.corner
     return full
 
 
@@ -515,7 +514,6 @@ def test_bordered_matches_dense():
         band,
         rng.normal(size=(size, 2)),
         make_rows(rng, size),
-        corner=rng.normal(size=(2, 2)),
     )
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
@@ -529,16 +527,13 @@ def test_bordered_matches_dense():
 @given(size=st.integers(4, 30), kl=st.integers(0, 4), ku=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_bordered_solves_match_dense_property(size, kl, ku, seed):
-    """Both orientations against a dense solve, on unequal bandwidths and a
-    non-symmetric corner: the transpose must use ``corner.T`` and swap the
-    border roles."""
+    """Both orientations against a dense solve, on unequal bandwidths: the
+    transpose must swap the border roles."""
     assume(kl != ku)
     rng = np.random.default_rng(seed)
     band = random_band(rng, size, kl, ku, dominance=4.0 * (kl + ku + 1))
-    corner = rng.normal(size=(2, 2)) + np.array([[0.0, 2.0], [-2.0, 0.0]])
     system = BorderedSystem(
         band, rng.normal(size=(size, 2)), make_rows(rng, size, k=min(4, size)),
-        corner=corner,
     )
     dense = dense_from_system(system)
     assume(np.linalg.cond(dense) < 1e8)
@@ -562,7 +557,6 @@ def test_bordered_system_freed_without_cycle_collector():
     system = BorderedSystem(
         random_band(rng, size, 2, 1, dominance=10.0),
         rng.normal(size=(size, 2)), make_rows(rng, size),
-        corner=rng.normal(size=(2, 2)),
     )
     system.solve(rng.normal(size=size), rng.normal(size=2))
     system.solve_transpose(rng.normal(size=size), rng.normal(size=2))
@@ -577,7 +571,7 @@ def test_bordered_system_freed_without_cycle_collector():
 
 def test_rebordered_system_solves_the_rotated_core():
     """A re-bordered system shares the band and its factor and solves
-    ``[[S J S^-1, C], [R^T, D]]`` in both orientations; its refinement
+    ``[[S J S^-1, C], [R^T, 0]]`` in both orientations; its refinement
     needs an exact matvec."""
     rng = np.random.default_rng(38)
     layout = TrajectoryLayout(n_t=2, nx=3, dx=0.5)
@@ -704,7 +698,6 @@ def test_bordered_transpose_solve_matches_dense():
         band,
         rng.normal(size=(size, 2)),
         make_rows(rng, size),
-        corner=rng.normal(size=(2, 2)),
     )
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)

@@ -1,9 +1,12 @@
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import rotation_block, synthetic_problem
+from hopfkit import config
 from hopfkit.config import RunConfig, build_problem
 from hopfkit.problem import (
     DomainError,
@@ -11,7 +14,7 @@ from hopfkit.problem import (
     ResonanceError,
     ScaledParams,
 )
-from hopfkit.reaction_diffusion import ExampleConfig
+from hopfkit.reaction_diffusion import ExampleConfig, make_problem
 from hopfkit.trajectory import PeriodicTrajectory, StateVector, zero_trajectory
 
 
@@ -172,6 +175,46 @@ def test_operator_adds_h_u():
     p = cubic_problem()
     dense = p.operator(0.3).toarray()
     assert np.array_equal(dense, p.A.toarray() + 0.3 * np.eye(p.dim))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_shifted_is_z_minus_the_linearisation(lam):
+    # A - 0.5 I with h_u(lam, 0) = (0.8 lam + 0.5) I: the shift is taken of
+    # B = A + h_u(lam, 0), not of bare A, and its transpose is the adjoint's.
+    a = rotation_block() - 0.5 * np.eye(4)
+    p = synthetic_problem(a, h="linear", c=0.8, shift=0.5)
+    z = 0.25 + 1.5j
+    dense = z * np.eye(4) - (a + (0.8 * lam + 0.5) * np.eye(4))
+    shifted = p.shifted(z, lam)
+    assert shifted.format == "csc" and shifted.dtype == complex
+    np.testing.assert_array_equal(shifted.toarray(), dense)
+    adjoint = shifted.T.tocsc()
+    assert adjoint.format == "csc"
+    np.testing.assert_array_equal(adjoint.toarray(), dense.T)
+    if lam == 0.0:
+        np.testing.assert_array_equal(p.shifted(z).toarray(), dense)
+
+
+def test_caches_are_not_a_constructor_argument():
+    p = cubic_problem()
+    fields = {f.name: getattr(p, f.name)
+              for f in dataclasses.fields(p) if f.init}
+    with pytest.raises(TypeError):
+        ProblemDef(**fields, _caches={})
+
+
+def test_replaced_problem_has_caches_of_its_own(monkeypatch, coarse_cfg):
+    """A copy made by `dataclasses.replace`, as the frozen-parameter
+    problem is, must not see its base's operator or factorizations."""
+    base = make_problem(coarse_cfg)
+    base.resolvent_lu(2j)
+    monkeypatch.setattr(config, "make_problem", lambda cfg: base)
+    frozen = build_problem(RunConfig(problem=coarse_cfg, frozen_parameter=True))
+    renamed = dataclasses.replace(base, name="copy")
+    for copy in (frozen, renamed):
+        assert copy._caches is not base._caches
+        assert "operator" not in copy._caches and not copy._caches["lu"]
+    assert "operator" in base._caches and base._caches["lu"]
 
 
 def test_resolvent_solves_shifted_system():
