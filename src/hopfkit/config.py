@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .newton import band_bytes_bound
 from .reaction_diffusion import ExampleConfig, make_problem
 from .solver import MAX_NEWTON_ITERATIONS, NEWTON_TOL
 
@@ -162,17 +163,14 @@ def _validate_solver(settings):
 def _check_memory(problem, solver):
     """Reject grids whose Newton bands cannot fit in physical memory.
 
-    Upper bound of two band-sized arrays (8 bytes per entry): ``block = 4
-    n_t + 2`` unknowns per grid point and ``kl = ku <= (max(1, h_stencil) +
-    1) * block``.  A Newton step factors its band in place, so the two are
-    the symmetry check's shared factor plus one exact fallback step beside
-    it.  Assembly adds only a fixed chunk of coupling blocks beside the
-    band it fills.  Computed in floats so an infinite grid is rejected too.
+    Upper bound of two band-sized arrays (`newton.band_bytes_bound`).  A
+    Newton step factors its band in place, so the two are the symmetry
+    check's shared factor plus one exact fallback step beside it.  Assembly
+    adds only a fixed chunk of coupling blocks beside the band it fills.
+    Computed in floats so an infinite grid is rejected too.
     """
-    block = 4.0 * solver.n_t + 2.0
-    half_width = (max(1, problem.h_stencil) + 1) * block
     nx = 2.0 * problem.L / problem.dx + 1.0
-    need = 2 * 8.0 * (3.0 * half_width + 1.0) * nx * block
+    need = 2 * band_bytes_bound(nx, solver.n_t, problem.h_stencil)
     available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not need <= available:
         raise ConfigError(

@@ -40,6 +40,8 @@ RESONANT_CONTENT_TOL = 1e-12
 #: Relative size above which forcing at the resonant frequency of the
 #: scalar ODE is rejected.
 RESONANT_FORCING_TOL = 1e-10
+#: Relative residual `solve_periodic_full` must meet.
+SPLIT_RESIDUAL_TOL = 1e-8
 
 
 class ResonantContentError(ValueError):
@@ -118,13 +120,13 @@ class ResonantScalarPath:
         return f"ResonantScalarPath(n_t={self.n_t}, norm={self.norm():.3e})"
 
 
-def _check_nonresonant(v, tol=RESONANT_CONTENT_TOL):
+def _check_nonresonant(v):
     scale = max(float(np.abs(v.coeffs).max()), 1e-300)
     bad = {}
     for n in (0, 1):
         if v.n_t >= n:
             worst = float(np.abs(v.coeffs[n]).max())
-            if worst > tol * scale:
+            if worst > RESONANT_CONTENT_TOL * scale:
                 bad[n] = worst
     if bad:
         raise ResonantContentError(
@@ -158,21 +160,18 @@ def solve_periodic_nonresonant(problem, v):
     return v.with_coeffs(out)
 
 
-def solve_resonant_ode(forcing, resonant_mode=1, scale=None):
-    """Solve ``c'(t) - i * resonant_mode * c(t) = forcing(t)`` periodically.
+def solve_resonant_ode(forcing, scale=None):
+    """Solve ``c'(t) - i c(t) = forcing(t)`` periodically.
 
-    In coefficient space the equation is diagonal:
-    ``c_hat(n) = g_hat(n) / (i (n - resonant_mode))``, which pins every
-    coefficient except the resonant one; that one is set to zero -- the
-    normalisation that makes the solution unique.
+    This is the equation along the eigenvector.  In coefficient space it
+    is diagonal: ``c_hat(n) = g_hat(n) / (i (n - 1))``, which pins every
+    coefficient except the resonant one (``n = 1``); that one is set to
+    zero -- the normalisation that makes the solution unique.
 
     Parameters
     ----------
     forcing : ResonantScalarPath
-        Must have (numerically) zero coefficient at ``resonant_mode``.
-    resonant_mode : int
-        ``+1`` for the equation along the eigenvector (``c' - ic = g``),
-        ``-1`` for its conjugate partner (``d' + id = h``).
+        Must have (numerically) zero coefficient at ``n = 1``.
     scale : float, optional
         Reference magnitude for the secularity test.  Defaults to the
         forcing's own norm; callers that obtained the forcing by
@@ -185,24 +184,20 @@ def solve_resonant_ode(forcing, resonant_mode=1, scale=None):
         If the forcing has content at the resonant frequency (no periodic
         solution exists then).
     """
-    if abs(resonant_mode) != 1:
-        raise ValueError("resonant_mode must be +1 or -1")
     n_t = forcing.n_t
     if scale is None:
         scale = forcing.norm()
     scale = max(scale, 1e-300)
-    pinned = forcing.coeff(resonant_mode)
+    pinned = forcing.coeff(1)
     if abs(pinned) > RESONANT_FORCING_TOL * scale:
         raise ResonantForcingError(
             f"forcing has secular content {abs(pinned):.2e} at the resonant "
-            f"frequency n = {resonant_mode}; the periodic problem is "
-            "unsolvable"
+            "frequency n = 1; the periodic problem is unsolvable"
         )
     ns = np.arange(-n_t, n_t + 1)
-    denom = 1j * (ns - resonant_mode)
     out = np.zeros_like(forcing.coeffs)
-    mask = ns != resonant_mode
-    out[mask] = forcing.coeffs[mask] / denom[mask]
+    mask = ns != 1
+    out[mask] = forcing.coeffs[mask] / (1j * (ns[mask] - 1))
     return ResonantScalarPath(out)
 
 
@@ -240,7 +235,7 @@ def _deflated_critical_solve(problem, decomp, rhs):
     return sol[:problem.dim]
 
 
-def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
+def solve_periodic_full(problem, decomp, v):
     """Solve ``u_t - B u = v`` through the spectral splitting.
 
     The forcing is decomposed as ``v = P v + (I - P) v``.  Along the
@@ -250,7 +245,7 @@ def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
     ``conj(c(-n))``.  The complement is solved mode by mode, with the
     critical temporal modes going through a deflated (bordered) solve.
     The assembled solution is checked against the equation and must meet
-    ``residual_tol`` relative accuracy.
+    `SPLIT_RESIDUAL_TOL` relative accuracy.
 
     The solvability constraint is genuine: forcing with an eigenvector
     component at frequency ``+-1`` is secular and raises
@@ -261,8 +256,7 @@ def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
     """
     n_t = v.n_t
 
-    cpath = solve_resonant_ode(_projected_scalar_path(decomp, v),
-                               resonant_mode=1, scale=v.norm())
+    cpath = solve_resonant_ode(_projected_scalar_path(decomp, v), scale=v.norm())
     dpath = cpath.conjugate_reflected()
 
     psi = decomp.psi.data
@@ -283,7 +277,7 @@ def solve_periodic_full(problem, decomp, v, residual_tol=1e-8):
     u = v.with_coeffs(out)
     linear = u.with_coeffs((problem.operator() @ u.coeffs.T).T)
     defect = (u.time_derivative() - linear - v).norm()
-    if defect > residual_tol * max(v.norm(), 1e-300):
+    if defect > SPLIT_RESIDUAL_TOL * max(v.norm(), 1e-300):
         raise RuntimeError(
             f"splitting solve left residual {defect:.2e}; the spectral "
             "decomposition is not accurate enough for this forcing"

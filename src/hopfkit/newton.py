@@ -43,6 +43,7 @@ from .trajectory import PeriodicTrajectory
 
 __all__ = [
     "TrajectoryLayout",
+    "band_bytes_bound",
     "coupling_blocks",
     "assemble_jacobian_band",
     "BandedMatrix",
@@ -145,6 +146,19 @@ class TrajectoryLayout:
         vals = np.concatenate([w[f * nx : (f + 1) * nx] for f in range(2)])
         vals = 2.0 * vals * self.dx
         return (idx_re, vals), (idx_im, -vals)
+
+
+def band_bytes_bound(nx, n_t, h_stencil):
+    """Upper bound on the bytes of one Newton band, 8 per stored entry.
+
+    `TrajectoryLayout` has ``block = 4 n_t + 2`` unknowns per grid point,
+    and `assemble_jacobian_band` gives ``kl = ku <= (max(1, h_stencil) + 1)
+    * block``, of which LAPACK band storage keeps ``2 kl + ku + 1`` rows.
+    Computed in floats, so an infinite ``nx`` gives ``inf``.
+    """
+    block = 4.0 * n_t + 2.0
+    half_width = (max(1, h_stencil) + 1) * block
+    return 8.0 * (3.0 * half_width + 1.0) * nx * block
 
 
 def coupling_blocks(samples, n_t):

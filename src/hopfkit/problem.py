@@ -36,6 +36,7 @@ __all__ = [
 #: Condition-number ceiling beyond which a resolvent factorization is
 #: treated as singular.
 COND_GUARD = 1e12
+DERIVATIVE_TOLERANCE = 1e-6
 
 
 class DomainError(ValueError):
@@ -302,8 +303,8 @@ class ProblemDef:
         Returns
         -------
         DerivativeReport
-            Maximum relative errors; `DerivativeReport.ok` applies a
-            tolerance appropriate for central differences.
+            Maximum relative errors; `DerivativeReport.ok` applies
+            `DERIVATIVE_TOLERANCE`, appropriate for central differences.
         """
         if step <= 0:
             raise ValueError("step must be positive")
@@ -408,8 +409,9 @@ class DerivativeReport(NamedTuple):
     def worst(self):
         return max(self.err_h_u, self.err_h_lambda_u, self.err_h_uu)
 
-    def ok(self, tol=1e-6):
-        return self.worst <= tol
+    @property
+    def ok(self):
+        return self.worst <= DERIVATIVE_TOLERANCE
 
     def __str__(self):
         return (

@@ -90,6 +90,7 @@ MAX_NEWTON_ITERATIONS = 25
 BIJECTIVITY_TOLERANCE = 1e-6
 FIT_TOLERANCE = 1e-3
 _LEAKAGE_TOL = 1e-10
+SYMMETRY_PHASES = (np.pi / 6, np.pi / 3, np.pi / 2)
 #: How a Newton solve fails besides running out of iterations: it leaves
 #: the solver's domain or meets a singular bordered system.
 _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
@@ -426,7 +427,6 @@ def _subspace_leakage(jac, rng):
 
 
 def verify_jacobian_nonsingular(problem, functional, u_star,
-                                tolerance=BIJECTIVITY_TOLERANCE,
                                 power_iterations=30, seed=0):
     """Certify invertibility of the frozen bifurcation Jacobian.
 
@@ -437,8 +437,8 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     block ``"n"`` the resolvent ``i n - B`` with ``B = A + h_u(0,0)``,
     estimated as in the resolvent scan (`spectral._resolvent_sigma_min`);
     a failed condition guard there reads as 0.  The leakage check on the
-    full Jacobian justifies the split.  The verdict is
-    ``smallest_singular_value > tolerance`` and ``leakage <= 1e-10``.
+    full Jacobian justifies the split.  The verdict is ``leakage <= 1e-10``
+    and ``smallest_singular_value > BIJECTIVITY_TOLERANCE``.
     """
     rng = np.random.default_rng(seed)
     low = PeriodicTrajectory(u_star.coeffs[:2], u_star.dx)
@@ -462,9 +462,9 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     leakage = _subspace_leakage(BifurcationJacobian(problem, functional, u_star), rng)
     return JacobianCertificate(
         smallest_singular_value=float(sigma_min),
-        nonsingular=bool(sigma_min > tolerance and leakage <= _LEAKAGE_TOL),
+        nonsingular=bool(sigma_min > BIJECTIVITY_TOLERANCE and leakage <= _LEAKAGE_TOL),
         leakage=float(leakage),
-        tolerance=float(tolerance),
+        tolerance=float(BIJECTIVITY_TOLERANCE),
         power_iterations=steps,
         sigma_min_by_mode=by_mode,
     )
@@ -782,19 +782,17 @@ class SymmetryReport:
         }
 
 
-def check_branch_symmetry(problem, functional, result,
-                          thetas=(np.pi / 6, np.pi / 3, np.pi / 2),
-                          newton_tol=None, max_iter=MAX_NEWTON_ITERATIONS):
+def check_branch_symmetry(problem, functional, result):
     """Re-solve the branch at negated amplitudes and compare.
 
     For each computed ``alpha > 0`` the mirrored system is solved from a
     ``-alpha`` predictor and the identities ``params(-alpha) =
     params(alpha)`` and ``u(-alpha) = tau_pi u(alpha)`` are measured in
     norm.  Additionally, Newton started from time-translated seeds
-    ``tau_theta(alpha u_star)`` must fall back to the same phase-fixed
-    representative (the phase row selects it), which is the sampled
-    uniqueness test.  Both start from the branch's origin point
-    ``result.points[0]``.
+    ``tau_theta(alpha u_star)``, ``theta`` in `SYMMETRY_PHASES`, must fall
+    back to the same phase-fixed representative (the phase row selects it):
+    the sampled uniqueness test.  All solves start from ``result.points[0]``
+    and stop at ``result.newton_tol`` or `MAX_NEWTON_ITERATIONS` iterations.
 
     The whole check factorizes one band: the branch linearisation at the
     mid point, whose pair is ``(alpha, 0)``.  g is autonomous, so the
@@ -813,8 +811,7 @@ def check_branch_symmetry(problem, functional, result,
     phase-seed solve fails, leaves the solver's domain or meets a singular
     band.
     """
-    if newton_tol is None:
-        newton_tol = result.newton_tol
+    newton_tol = result.newton_tol
     tol = 1e-8 + 10.0 * newton_tol
     plus = [pt for pt in result.points if pt.alpha > 0.0]
     if not plus:
@@ -834,7 +831,7 @@ def check_branch_symmetry(problem, functional, result,
     grid = np.array([-pt.alpha for pt in plus])
     minus = _continue_grid(
         problem, functional, result.u_star, origin, grid, newton_tol,
-        max_iter, notes, factor,
+        MAX_NEWTON_ITERATIONS, notes, factor,
     )
     if len(minus) != len(plus):
         raise ConvergenceError(
@@ -856,12 +853,12 @@ def check_branch_symmetry(problem, functional, result,
     # phase-fixed representative
     newton_iters = sum(mt.newton_iters for mt in minus)
     phase_deviations = {}
-    for theta in thetas:
+    for theta in SYMMETRY_PHASES:
         seed = (mid.alpha * result.u_star).time_shift(theta)
         try:
             params, u, _, iters, _ = _branch_newton(
                 problem, functional, mid.alpha, origin, seed, newton_tol,
-                max_iter, factor,
+                MAX_NEWTON_ITERATIONS, factor,
             )
         except _SOLVE_ERRORS as exc:
             raise ConvergenceError(
@@ -909,12 +906,12 @@ class CurvatureFit:
     tolerance: float
 
 
-def fit_branch_curvature(result, fit_tolerance=FIT_TOLERANCE):
+def fit_branch_curvature(result):
     """Quadratic fit of the branch parameters against the amplitude.
 
     Parameters are taken relative to the origin point ``result.points[0]``
     (the bifurcation point).  Requires at least 4 points; the verdict
-    passes when the linear coefficients vanish within ``fit_tolerance``
+    passes when the linear coefficients vanish within `FIT_TOLERANCE`
     (the branch parameters must be even functions of the amplitude to
     leading order).
     """
@@ -932,8 +929,8 @@ def fit_branch_curvature(result, fit_tolerance=FIT_TOLERANCE):
     worst = float(max(np.abs(fit_l).max(), np.abs(fit_s).max()))
     c1, c2 = map(float, coeff_l)
     s1, s2 = map(float, coeff_s)
-    ok = abs(c1) <= fit_tolerance and abs(s1) <= fit_tolerance
+    ok = abs(c1) <= FIT_TOLERANCE and abs(s1) <= FIT_TOLERANCE
     return CurvatureFit(
         c1=c1, c2=c2, s1=s1, s2=s2, max_fit_residual=worst,
-        ok=bool(ok), tolerance=float(fit_tolerance),
+        ok=bool(ok), tolerance=float(FIT_TOLERANCE),
     )

@@ -50,8 +50,14 @@ __all__ = [
 SIMPLICITY_TOLERANCE = 1e-3
 TRANSVERSALITY_TOLERANCE = 1e-6
 EIG_RESIDUAL_TOLERANCE = 1e-8
+EIG_ITERATION_TOLERANCE = 1e-10
+EIG_START_SEED = 7
 #: Relative agreement required between the two crossing-speed computations.
 CROSSING_AGREEMENT = 1e-4
+RESOLVENT_PROBES = 15
+RESOLVENT_SEED = 13
+PLATEAU_FACTOR = 1.05
+DERIVATIVE_SAMPLES = 4
 
 
 class InconsistencyError(RuntimeError):
@@ -86,14 +92,13 @@ def _normalize_phase(vec, dx):
     return out
 
 
-def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
-                   adjoint=False, seed=7):
+def eigenpair_near(problem, target, lam=0.0, max_iter=60, adjoint=False):
     """Find the eigenvalue of ``A + h_u(lam, 0)`` closest to ``target``.
 
-    Shifted inverse iteration with Rayleigh-quotient readout; the shift
-    starts slightly off ``target`` (so an exact eigenvalue at the target
-    still factorises) and is re-centred once on the current Rayleigh
-    quotient if progress stalls.
+    Shifted inverse iteration with Rayleigh-quotient readout from a random
+    start vector (seed `EIG_START_SEED`); the shift starts slightly off
+    ``target`` (so an exact eigenvalue at the target still factorises) and
+    is re-centred once on the current Rayleigh quotient if progress stalls.
 
     Parameters
     ----------
@@ -105,13 +110,11 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
     adjoint : bool
         Solve for the transpose operator instead; use
         ``target = conj(mu)`` to get the adjoint vector of ``mu``.
-    seed : int
-        Seed for the start vector.
 
     Returns
     -------
     EigenPair
-        With ``residual <= tol * max(1, |mu|)`` guaranteed.
+        ``residual <= EIG_ITERATION_TOLERANCE * max(1, |mu|)`` guaranteed.
 
     Raises
     ------
@@ -126,7 +129,7 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
         shifted = problem.shifted(z, lam)
         return spla.splu(shifted.T.tocsc() if adjoint else shifted)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EIG_START_SEED)
     x = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
     x /= np.linalg.norm(x)
 
@@ -142,7 +145,7 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, tol=1e-10,
         ax = mat @ x
         mu = complex(np.vdot(x, ax))
         residual = float(np.linalg.norm(ax - mu * x))
-        if residual <= tol * max(1.0, abs(mu)):
+        if residual <= EIG_ITERATION_TOLERANCE * max(1.0, abs(mu)):
             vec = _normalize_phase(x, problem.dx)
             return EigenPair(mu, ComplexStateVector(vec, problem.dx), residual)
         if not refactored and it >= 12:
@@ -190,32 +193,32 @@ def _lu_sigma_min(lu, max_steps, seed):
     )
 
 
-def check_simplicity(problem, pair, lam=0.0, tolerance=SIMPLICITY_TOLERANCE):
+def check_simplicity(problem, pair):
     """Decide whether an eigenpair is simple (1-D kernel, margin below).
 
     The margin is the second-smallest singular value of ``mu - B``
-    (``B = A + h_u(lam, 0)``), estimated as the smallest singular value of
+    (``B = A + h_u(0, 0)``), estimated as the smallest singular value of
     the bordered matrix
 
         [[mu - B, psi], [psi^H, 0]]
 
     which deflates the known kernel direction (a singular LU reads as 0).
-    The pair counts as simple when the margin clears ``tolerance`` while
-    the eigen-residual (an upper bound for the smallest singular value) is
-    smaller by a factor ``1e8``.
+    The pair counts as simple when the margin clears `SIMPLICITY_TOLERANCE`
+    while the eigen-residual (an upper bound for the smallest singular
+    value) is smaller by a factor ``1e8``.
     """
     psi = pair.psi.data / np.linalg.norm(pair.psi.data)
     bordered = sp.bmat(
-        [[problem.shifted(pair.mu, lam), psi[:, None]],
+        [[problem.shifted(pair.mu), psi[:, None]],
          [psi[None, :].conj(), None]], format="csc"
     )
     try:
         margin, _ = _lu_sigma_min(spla.splu(bordered), 40, 11)
     except RuntimeError:
         margin = 0.0
-    if margin <= tolerance:
-        return SimplicityCheck(margin, False,
-                               f"margin {margin:.2e} <= {tolerance:g}")
+    if margin <= SIMPLICITY_TOLERANCE:
+        return SimplicityCheck(
+            margin, False, f"margin {margin:.2e} <= {SIMPLICITY_TOLERANCE:g}")
     if not pair.residual < 1e-8 * margin:
         return SimplicityCheck(
             margin, False,
@@ -299,13 +302,13 @@ def _resolvent_sigma_min(problem, z, max_steps, seed):
     return _lu_sigma_min(lu, max_steps, seed)
 
 
-def resolvent_norm(problem, z, probes=15, seed=13):
+def resolvent_norm(problem, z):
     """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
 
-    `_resolvent_sigma_min`, as the Jacobian certificate's blocks; a failed
-    condition guard reads as ``inf``.
+    `_resolvent_sigma_min` in `RESOLVENT_PROBES` steps from `RESOLVENT_SEED`,
+    as the certificate's blocks; a failed condition guard reads as ``inf``.
     """
-    sigma, _ = _resolvent_sigma_min(problem, z, probes, seed)
+    sigma, _ = _resolvent_sigma_min(problem, z, RESOLVENT_PROBES, RESOLVENT_SEED)
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
@@ -315,7 +318,7 @@ class ResolventRow(NamedTuple):
     weighted: float  # n * norm_estimate, the quantity that must stay bounded
 
 
-def resolvent_scan(problem, n_max=16, probes=15):
+def resolvent_scan(problem, n_max=16):
     """Check invertibility of ``i*n - B`` over integer modes and bound it.
 
     For ``n = 0, 2, 3, ..., n_max`` the resolvent norm is estimated by
@@ -333,7 +336,7 @@ def resolvent_scan(problem, n_max=16, probes=15):
     table: List[ResolventRow] = []
     failures: List[int] = []
     for n in [0] + list(range(2, n_max + 1)):
-        est = resolvent_norm(problem, 1j * n, probes=probes)
+        est = resolvent_norm(problem, 1j * n)
         if not np.isfinite(est):
             failures.append(n)
             continue
@@ -341,12 +344,12 @@ def resolvent_scan(problem, n_max=16, probes=15):
     return table, failures
 
 
-def _resolvent_verdicts(table, failures, n_max, plateau_factor=1.05):
+def _resolvent_verdicts(table, failures, n_max):
     """Non-resonance and resolvent-bound verdicts from a scan table.
 
     The bound verdict asks that ``n * norm`` has stopped growing: its
     maximum over the tail ``n > n_max/2`` must not exceed the maximum over
-    the first half by more than ``plateau_factor``.  A finite scan cannot
+    the first half by more than `PLATEAU_FACTOR`.  A finite scan cannot
     prove the infinite statement; this is the recorded heuristic.
     """
     nonresonant = not failures
@@ -357,7 +360,7 @@ def _resolvent_verdicts(table, failures, n_max, plateau_factor=1.05):
     head = [w for n, w in weighted if n <= half]
     tail = [w for n, w in weighted if n > half]
     m_const = max(w for _, w in weighted)
-    bounded = bool(head) and (not tail or max(tail) <= plateau_factor * max(head))
+    bounded = bool(head) and (not tail or max(tail) <= PLATEAU_FACTOR * max(head))
     return nonresonant, bounded, m_const
 
 
@@ -399,7 +402,7 @@ class SpectralDecomposition:
         )
 
 
-def build_projection(problem, target=1j, reference=None, tol=1e-10):
+def build_projection(problem, target=1j, reference=None):
     """Compute the critical eigenpair, its adjoint, and the projection.
 
     Parameters
@@ -418,13 +421,13 @@ def build_projection(problem, target=1j, reference=None, tol=1e-10):
         If ``<psi, phi>`` is numerically zero -- the pair is defective and
         no rank-two projection exists.
     """
-    pair = eigenpair_near(problem, target, tol=tol)
-    return _projection_from_pair(problem, pair, target, reference, tol)
+    pair = eigenpair_near(problem, target)
+    return _projection_from_pair(problem, pair, target, reference)
 
 
-def _projection_from_pair(problem, pair, target, reference=None, tol=1e-10):
+def _projection_from_pair(problem, pair, target, reference=None):
     """`build_projection` around an already located critical ``pair``."""
-    adj = eigenpair_near(problem, np.conj(complex(target)), adjoint=True, tol=tol)
+    adj = eigenpair_near(problem, np.conj(complex(target)), adjoint=True)
     psi_vec = pair.psi.data
     if reference is not None:
         scale = complex(
@@ -526,8 +529,7 @@ class HypothesisReport:
         return lines
 
 
-def run_hypothesis_checks(problem, target=1j, n_max=16, dlam=1e-4,
-                          derivative_samples=4, seed=0):
+def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
     """Run every spectral check and collect independent verdicts.
 
     Each check runs in isolation: an exception inside one records a
@@ -535,14 +537,15 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, dlam=1e-4,
     broken condition does not hide the state of the others; the crossing
     speed reuses the ``simple_pair`` eigenpair when there is one.  Raises
     `ValueError` for ``n_max < 4``, where the bound verdict has no head.
+    The derivatives are checked at `DERIVATIVE_SAMPLES` states from ``seed``.
     """
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
     verdicts = {}
     notes = {}
 
-    report = problem.check_derivatives(samples=derivative_samples, seed=seed)
-    verdicts["derivative_consistency"] = report.ok(1e-6)
+    report = problem.check_derivatives(samples=DERIVATIVE_SAMPLES, seed=seed)
+    verdicts["derivative_consistency"] = report.ok
     if not verdicts["derivative_consistency"]:
         notes["derivative_consistency"] = str(report)
 
@@ -563,8 +566,7 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, dlam=1e-4,
     try:
         decomp = None if eig is None else _projection_from_pair(
             problem, eig, target)
-        crossing = crossing_speed(problem, dlam=dlam, target=target,
-                                  decomp=decomp)
+        crossing = crossing_speed(problem, target=target, decomp=decomp)
         verdicts["transversality"] = crossing.transversal
         if not crossing.transversal:
             notes["transversality"] = (

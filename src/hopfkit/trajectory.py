@@ -99,8 +99,7 @@ class StateVector:
 class ComplexStateVector:
     """A complex vector on the spatial grid, e.g. an eigenvector.
 
-    Carries the same grid metadata as `StateVector`.  The hermitian pairing
-    ``pair(w)`` is linear in ``self`` and conjugate-linear in ``w``.
+    Carries the same grid metadata as `StateVector`.
     """
 
     __slots__ = ("data", "dx")
@@ -124,12 +123,6 @@ class ComplexStateVector:
     @property
     def imag(self):
         return StateVector(self.data.imag, self.dx)
-
-    def pair(self, other):
-        """Hermitian pairing ``sum(self * conj(other)) * dx``."""
-        if self.data.size != other.data.size:
-            raise ValueError("state vectors live on different grids")
-        return complex(self.data @ np.conj(other.data)) * self.dx
 
     def norm(self):
         return float(np.sqrt((self.data @ np.conj(self.data)).real * self.dx))
@@ -456,12 +449,8 @@ class AmplitudeFunctional:
             raise TypeError("weight must be a StateVector")
         self.weight = weight
 
-    def m(self, x):
-        """The scalar functional on real state vectors."""
-        return x.dot(self.weight)
-
     def m_complex(self, z):
-        """Complexification of `m` (linear, no conjugation)."""
+        """Complexification of ``m`` (linear, no conjugation)."""
         data = z.data if isinstance(z, ComplexStateVector) else np.asarray(z)
         return complex(data @ self.weight.data) * self.weight.dx
 

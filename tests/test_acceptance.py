@@ -5,6 +5,7 @@ Each test prints one numbered ``PASS`` line with the measured quantities
 here are contractual -- loosening one is an API break, not a test fix.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -376,10 +377,38 @@ def test_hypothesis_checker(tmp_path):
     _assert_single_flip(
         run_hypothesis_checks(shifted, target=2j, n_max=8), "nonresonance"
     )
+
+    # supplied h contradicts its derivatives: h = 0 while h_u = lam
+    def zero_h(lam, w):
+        return np.zeros_like(np.asarray(w, dtype=float))
+
+    lying = dataclasses.replace(
+        synthetic_problem(rotation_block(), h="linear"), apply_h=zero_h
+    )
+    _assert_single_flip(
+        run_hypothesis_checks(lying, n_max=8), "derivative_consistency"
+    )
+
+    # eigenvalues -10^(1-k) +- i k creep towards the overtones: every
+    # i k - A stays invertible, but k * ||(i k - A)^-1|| = 10^(k-1) k grows
+    creeping = synthetic_problem(
+        sla.block_diag(
+            rotation_block()[:2, :2],
+            *[[[-10.0 ** (1 - k), -k], [k, -10.0 ** (1 - k)]]
+              for k in range(3, 9)],
+            np.diag([-2.0, -3.0]),
+        ),
+        h="linear",
+    )
+    report = run_hypothesis_checks(creeping, n_max=8)
+    _assert_single_flip(report, "resolvent_bound")
+    assert report.bound_constant >= 1e7
     announce(
         8, "hypothesis checker",
-        "exit 0 on production defaults; doubled / flat / shifted synthetics "
-        "each flip exactly their own verdict",
+        "exit 0 on production defaults; doubled / flat / shifted / lying / "
+        "creeping synthetics each flip exactly their own verdict "
+        "(simple_pair, transversality, nonresonance, derivative_consistency, "
+        "resolvent_bound)",
     )
 
 

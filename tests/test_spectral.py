@@ -84,6 +84,30 @@ def test_eigenpair_nonconvergence_reports():
         eigenpair_near(p, 1j, max_iter=2)
 
 
+@pytest.mark.parametrize("target, factorizations", [(1.08j, 2), (1.02j, 1)])
+def test_eigenpair_recentres_a_stalled_shift(monkeypatch, target,
+                                             factorizations):
+    # Eigenvalues +-i and +-1.2i: from 1.08i the iteration contracts only
+    # by 0.08 / 0.12 per step, stalls, and re-centres its shift once on the
+    # Rayleigh quotient; from 1.02i it converges on the first factor.
+    import hopfkit.spectral as spectral_module
+
+    calls = []
+    splu = spectral_module.spla.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_module.spla, "splu", counting_splu)
+    p = synthetic_problem(sla.block_diag(
+        rotation_block()[:2, :2], rotation_block(freq=1.2)[:2, :2]))
+    pair = eigenpair_near(p, target)
+    assert abs(pair.mu - 1j) <= 1e-10
+    assert pair.residual <= 1e-10
+    assert len(calls) == factorizations
+
+
 # ---------------------------------------------------------------------------
 # simplicity
 
