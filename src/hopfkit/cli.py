@@ -239,6 +239,7 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
         "truncated": truncated,
         "notes": list(result.notes),
         "seconds": elapsed,
+        "newton_space": result.newton_space,
     }
 
     passed = not truncated
@@ -270,9 +271,11 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
 
     line = (f"branch: {len(result.points)} points in {elapsed:.1f}s, "
             + ("PASS" if passed else "FAIL"))
-    if symmetry is not None and reporter.verbosity >= 2:
-        line += (f"; symmetry check: {symmetry.newton_iters} Newton "
-                 f"iterations, {symmetry.factorizations} factorizations")
+    if reporter.verbosity >= 2:
+        line += f"; newton space: {result.newton_space}"
+        if symmetry is not None:
+            line += (f"; symmetry check: {symmetry.newton_iters} Newton "
+                     f"iterations, {symmetry.factorizations} factorizations")
     reporter.info(line)
     for note in result.notes:
         reporter.info(f"  note: {note}")
@@ -336,12 +339,16 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         "error_constant": worst / (dx * dx),
         "truncated": bool(truncated),
         "passed": passed,
+        "newton_space": result.newton_space,
     })
-    reporter.info(
+    line = (
         f"verify-exact ({mode}): max |lambda - alpha^2| = {max_lambda_err:.3e}, "
         f"max state error = {max_state_err:.3e}, tolerance {tolerance:.3e}: "
         + ("PASS" if passed else "FAIL")
     )
+    if reporter.verbosity >= 2:
+        line += f"; newton space: {result.newton_space}"
+    reporter.info(line)
     return EXIT_OK if passed else EXIT_SCIENCE
 
 

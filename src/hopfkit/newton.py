@@ -9,6 +9,13 @@ contiguous -- so every operator with finite spatial stencil becomes a
 time-periodic coefficient act within a point's block, the spatial operator
 couples neighbouring blocks.
 
+A layout may keep a subset of the modes.  The half-wave set `odd_modes`
+(``1, 3, 5, ...``) holds the trajectories with ``u(t + pi) = -u(t)``; at
+such a base an odd nonlinearity's ``h_u`` has only even modes, so the
+Jacobian maps odd modes to odd modes and its band on the odd set has a
+block of ``2 n_t`` per point (``n_t`` even) instead of ``4 n_t + 2``:
+about a quarter of the entries, with ``kl`` halved.
+
 `assemble_jacobian_band` builds the band for ``v -> v_t - (sigma+1)(A v +
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
@@ -43,6 +50,7 @@ from .trajectory import PeriodicTrajectory
 
 __all__ = [
     "TrajectoryLayout",
+    "odd_modes",
     "band_bytes_bound",
     "coupling_blocks",
     "assemble_jacobian_band",
@@ -60,47 +68,74 @@ class SingularBandError(RuntimeError):
     """The banded factorization or the bordered reduction failed."""
 
 
+def odd_modes(n_t):
+    """The half-wave mode set ``1, 3, 5, ... <= n_t``: the Fourier modes of
+    a trajectory with ``u(t + pi) = -u(t)``."""
+    return range(1, int(n_t) + 1, 2)
+
+
+def _rows(modes):
+    """The coefficient rows of a mode ``range`` as a slice (a view)."""
+    return slice(modes.start, modes.stop, modes.step)
+
+
 class TrajectoryLayout:
     """Index map between trajectory coefficients and a flat real vector.
 
-    Flat index of (grid point ``j``, field ``f``, real part ``r``) is
-    ``j * block + f * R + r`` with ``R = 2*n_t + 1`` and
-    ``block = 2 * R``.
+    The layout keeps the Fourier modes ``modes``, a ``range`` within ``0
+    .. n_t``: all of them by default, or `odd_modes` for the half-wave
+    space of trajectories with ``u(t + pi) = -u(t)``.  Per field, mode 0
+    (when kept) has one slot, its real part, and every other kept mode two,
+    its real and imaginary parts, in mode order: ``R = 2 * len(modes) - 1``
+    slots with mode 0, ``2 * len(modes)`` without.  Flat index of (grid
+    point ``j``, field ``f``, slot ``s``) is ``j * block + f * R + s`` with
+    ``block = 2 * R``; with all modes, ``R = 2*n_t + 1``.  Modes left out
+    read as zero.  Every slot computation (`flatten`, `unflatten`,
+    `rotate`, `functional_rows`, and the band's through `coupling_blocks`)
+    reads the mode set from here.
     """
 
-    def __init__(self, n_t, nx, dx):
+    def __init__(self, n_t, nx, dx, modes=None):
         self.n_t = int(n_t)
         self.nx = int(nx)
         self.dx = float(dx)
-        self.r_per_field = 2 * self.n_t + 1
+        self.modes = range(self.n_t + 1) if modes is None else modes
+        if not (self.modes and self.modes.step > 0
+                and 0 <= self.modes[0] and self.modes[-1] <= self.n_t):
+            raise ValueError(f"{self.modes} is not a mode set within 0 .. {self.n_t}")
+        # Slot 0 holds mode 0 when it is kept; the modes n >= 1 (``waves``)
+        # follow as (Re, Im) pairs from slot ``mean_slots``.
+        self.mean_slots = int(self.modes[0] == 0)
+        self.waves = self.modes[self.mean_slots:]
+        self.r_per_field = 2 * len(self.modes) - self.mean_slots
         self.block = 2 * self.r_per_field
         self.size = self.nx * self.block
 
     def flatten(self, coeffs):
         """Coefficients ``(n_t+1, 2*nx)`` (complex) to the flat real vector."""
         coeffs = np.asarray(coeffs)
-        n_t, nx, r = self.n_t, self.nx, self.r_per_field
-        out = np.empty((nx, 2, r))
+        nx, m, rows = self.nx, self.mean_slots, _rows(self.waves)
+        out = np.empty((nx, 2, self.r_per_field))
         # per field f: columns of coeffs are [f*nx : (f+1)*nx]
         for f in range(2):
             cols = coeffs[:, f * nx : (f + 1) * nx]
-            out[:, f, 0] = cols[0].real
-            if n_t >= 1:
-                out[:, f, 1::2] = cols[1:].real.T
-                out[:, f, 2::2] = cols[1:].imag.T
+            if m:
+                out[:, f, 0] = cols[0].real
+            out[:, f, m::2] = cols[rows].real.T
+            out[:, f, m + 1::2] = cols[rows].imag.T
         return out.reshape(self.size)
 
     def unflatten(self, y):
-        """Inverse of `flatten`."""
-        n_t, nx, r = self.n_t, self.nx, self.r_per_field
-        arr = np.asarray(y).reshape(nx, 2, r)
-        coeffs = np.zeros((n_t + 1, 2 * nx), dtype=complex)
+        """Inverse of `flatten`; modes left out are zero."""
+        nx, m, rows = self.nx, self.mean_slots, _rows(self.waves)
+        arr = np.asarray(y).reshape(nx, 2, self.r_per_field)
+        coeffs = np.zeros((self.n_t + 1, 2 * nx), dtype=complex)
         for f in range(2):
-            coeffs[0, f * nx : (f + 1) * nx] = arr[:, f, 0]
-            if n_t >= 1:
-                coeffs[1:, f * nx : (f + 1) * nx] = (
-                    arr[:, f, 1::2] + 1j * arr[:, f, 2::2]
-                ).T
+            if m:
+                coeffs[0, f * nx : (f + 1) * nx] = arr[:, f, 0]
+            coeffs[rows, f * nx : (f + 1) * nx] = (
+                arr[:, f, m::2] + 1j * arr[:, f, m + 1::2]
+            ).T
         return coeffs
 
     def flatten_trajectory(self, traj):
@@ -114,14 +149,16 @@ class TrajectoryLayout:
         is ``rotate(., -psi)``.  O(size).
         """
         y = np.asarray(y, dtype=float)
+        m = self.mean_slots
         arr = y.reshape(2 * self.nx, self.r_per_field, -1)
-        angles = np.arange(1, self.n_t + 1)[:, None] * float(psi)
+        angles = np.array(self.waves)[:, None] * float(psi)
         cos, sin = np.cos(angles), np.sin(angles)
-        re, im = arr[:, 1::2], arr[:, 2::2]
+        re, im = arr[:, m::2], arr[:, m + 1::2]
         out = np.empty_like(arr)
-        out[:, 0] = arr[:, 0]
-        out[:, 1::2] = cos * re - sin * im
-        out[:, 2::2] = sin * re + cos * im
+        if m:
+            out[:, 0] = arr[:, 0]
+        out[:, m::2] = cos * re - sin * im
+        out[:, m + 1::2] = sin * re + cos * im
         return out.reshape(y.shape)
 
     def to_trajectory(self, y):
@@ -134,14 +171,15 @@ class TrajectoryLayout:
         ``l2 u = -2 * sum_c w_c * Im u_hat(1)_c * dx``; both touch only the
         first-harmonic slots.
         """
-        if self.n_t < 1:
+        if 1 not in self.waves:
             raise ValueError("layout has no first harmonic")
         nx, r, block = self.nx, self.r_per_field, self.block
         w = np.asarray(weight, dtype=float)
         if w.size != 2 * nx:
             raise ValueError("weight length does not match the grid")
+        slot = self.mean_slots + 2 * self.waves.index(1)  # Re u_hat(1)
         points = np.arange(nx)
-        idx_re = np.concatenate([points * block + f * r + 1 for f in range(2)])
+        idx_re = np.concatenate([points * block + f * r + slot for f in range(2)])
         idx_im = idx_re + 1
         vals = np.concatenate([w[f * nx : (f + 1) * nx] for f in range(2)])
         vals = 2.0 * vals * self.dx
@@ -151,17 +189,19 @@ class TrajectoryLayout:
 def band_bytes_bound(nx, n_t, h_stencil):
     """Upper bound on the bytes of one Newton band, 8 per stored entry.
 
-    `TrajectoryLayout` has ``block = 4 n_t + 2`` unknowns per grid point,
-    and `assemble_jacobian_band` gives ``kl = ku <= (max(1, h_stencil) + 1)
-    * block``, of which LAPACK band storage keeps ``2 kl + ku + 1`` rows.
-    Computed in floats, so an infinite ``nx`` gives ``inf``.
+    `TrajectoryLayout` with all modes has ``block = 4 n_t + 2`` unknowns
+    per grid point, and `assemble_jacobian_band` gives ``kl = ku <=
+    (max(1, h_stencil) + 1) * block``, of which LAPACK band storage keeps
+    ``2 kl + ku + 1`` rows.  The half-wave band is smaller, so this bounds
+    every Newton band.  Computed in floats, so an infinite ``nx`` gives
+    ``inf``.
     """
     block = 4.0 * n_t + 2.0
     half_width = (max(1, h_stencil) + 1) * block
     return 8.0 * (3.0 * half_width + 1.0) * nx * block
 
 
-def coupling_blocks(samples, n_t):
+def coupling_blocks(samples, n_t, modes=None):
     """Mode-coupling blocks of multiplication by sampled functions.
 
     Parameters
@@ -171,38 +211,48 @@ def coupling_blocks(samples, n_t):
         function per batch column.
     n_t : int
         Temporal truncation.
+    modes : range, optional
+        The mode set of the slots (`TrajectoryLayout.modes`), all modes
+        ``0 .. n_t`` by default.
 
     Returns
     -------
     array, shape (batch, R, R)
-        Real matrices acting on the per-component mode-part vector; exact
-        for the pseudo-spectral (sampled) product including its aliasing.
+        Real matrices acting on the per-component slot vector of the mode
+        set; exact for the pseudo-spectral (sampled) product including its
+        aliasing.  A subset's blocks are bitwise the matching sub-blocks of
+        the full ones.
     """
     samples = np.asarray(samples, dtype=float)
     m_samp = samples.shape[0]
     if m_samp != 2 * n_t + 2:
         raise ValueError("expected 2*n_t + 2 collocation samples")
+    layout = TrajectoryLayout(n_t, 1, 1.0, modes)
+    m, keep, waves = layout.mean_slots, _rows(layout.modes), _rows(layout.waves)
     spec = (np.fft.fft(samples, axis=0) / m_samp).T  # (batch, M)
     # Output mode n takes spec[n-m] c_m + spec[n+m] conj(c_m) from mode m.
     # Both index patterns are strided views: Toeplitz through a wrapped
-    # copy of the spectrum, Hankel directly (n + m < M never wraps).
+    # copy of the spectrum, Hankel directly (n + m < M never wraps); the
+    # mode set picks a strided view of each.
     window = np.lib.stride_tricks.sliding_window_view
     wrapped = np.concatenate([spec[:, m_samp - n_t:], spec[:, : n_t + 1]], axis=1)
-    toe = window(wrapped, n_t + 1, axis=1)[:, :, ::-1]  # spec[n - m]
-    hank = window(spec, n_t + 1, axis=1)[:, : n_t + 1]  # spec[n + m]
+    toe = window(wrapped, n_t + 1, axis=1)[:, :, ::-1][:, keep, keep]  # spec[n - m]
+    hank = window(spec, n_t + 1, axis=1)[:, : n_t + 1][:, keep, keep]  # spec[n + m]
     p_t, q_t, p_h, q_h = toe.real, toe.imag, hank.real, hank.imag
-    # Slot 0 is Re c_0; slots 2n-1 and 2n are Re c_n and Im c_n.
-    r = 2 * n_t + 1
+    # Slot 0 is Re c_0 (when mode 0 is kept); then Re c_n, Im c_n pairs.
+    r = layout.r_per_field
     out = np.empty((spec.shape[0], r, r))
-    out[:, 0, 0] = spec[:, 0].real
-    out[:, 1::2, 0] = spec[:, 1 : n_t + 1].real
-    out[:, 2::2, 0] = spec[:, 1 : n_t + 1].imag
-    np.add(p_t[:, 0, 1:], p_h[:, 0, 1:], out=out[:, 0, 1::2])
-    np.subtract(q_h[:, 0, 1:], q_t[:, 0, 1:], out=out[:, 0, 2::2])
-    np.add(p_t[:, 1:, 1:], p_h[:, 1:, 1:], out=out[:, 1::2, 1::2])
-    np.add(q_t[:, 1:, 1:], q_h[:, 1:, 1:], out=out[:, 2::2, 1::2])
-    np.subtract(q_h[:, 1:, 1:], q_t[:, 1:, 1:], out=out[:, 1::2, 2::2])
-    np.subtract(p_t[:, 1:, 1:], p_h[:, 1:, 1:], out=out[:, 2::2, 2::2])
+    if m:
+        out[:, 0, 0] = spec[:, 0].real
+        out[:, 1::2, 0] = spec[:, waves].real
+        out[:, 2::2, 0] = spec[:, waves].imag
+        np.add(p_t[:, 0, 1:], p_h[:, 0, 1:], out=out[:, 0, 1::2])
+        np.subtract(q_h[:, 0, 1:], q_t[:, 0, 1:], out=out[:, 0, 2::2])
+    w = slice(m, None)  # the waves among the kept modes
+    np.add(p_t[:, w, w], p_h[:, w, w], out=out[:, m::2, m::2])
+    np.add(q_t[:, w, w], q_h[:, w, w], out=out[:, m + 1::2, m::2])
+    np.subtract(q_h[:, w, w], q_t[:, w, w], out=out[:, m::2, m + 1::2])
+    np.subtract(p_t[:, w, w], p_h[:, w, w], out=out[:, m + 1::2, m + 1::2])
     return out
 
 
@@ -300,7 +350,7 @@ def assemble_jacobian_band(problem, params, u, layout):
     n_t, nx, r, block = layout.n_t, layout.nx, layout.r_per_field, layout.block
     if u.n_t != n_t or u.nx != nx:
         raise ValueError("trajectory does not match the layout")
-    low, high = (-1, 1) if n_t else (0, 0)  # reach i - j of the couplings
+    low, high = (-1, 1) if layout.waves else (0, 0)  # reach i - j of the couplings
 
     # Linear operator A: mode-diagonal, entry A[c, c'] couples the same
     # mode part of components c and c'.
@@ -344,7 +394,7 @@ def assemble_jacobian_band(problem, params, u, layout):
         ``rr - cc``."""
         for start in range(0, samples.shape[1], step):
             part = slice(start, start + step)
-            blocks = coupling_blocks(samples[:, part], n_t)
+            blocks = coupling_blocks(samples[:, part], n_t, layout.modes)
             blocks *= factor
             nonzero = in_block[np.any(blocks, axis=0)]
             if nonzero.size:
@@ -361,12 +411,12 @@ def assemble_jacobian_band(problem, params, u, layout):
     band = BandedMatrix(layout.size, kl, ku)
     ab, diag = band.ab, kl + ku
     columns = ab.T.reshape(nx, block, 2 * kl + ku + 1)  # [point, slot, band row]
-    if n_t:
+    if layout.waves:
         # Per component, d/dt (x + iy) e^{int} = (-n y + i n x) e^{int}.
-        modes = np.arange(1.0, n_t + 1)
+        m, modes = layout.mean_slots, np.array(layout.waves, dtype=float)
         by_field = columns.reshape(2 * nx, r, -1)
-        by_field[:, 1::2, diag + 1] = modes  # row Im_n, col Re_n
-        by_field[:, 2::2, diag - 1] = -modes  # row Re_n, col Im_n
+        by_field[:, m::2, diag + 1] = modes  # row Im_n, col Re_n
+        by_field[:, m + 1::2, diag - 1] = -modes  # row Re_n, col Im_n
     if acoo.nnz:
         a_cols = (jc * block + fc * r)[:, None] + np.arange(r)
         ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]

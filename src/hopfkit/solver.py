@@ -26,6 +26,14 @@ certificate all build and apply it:
   branch.
 
 The continuation and the extended solve factor one band per Newton step.
+When ``h`` is odd (`ProblemDef.odd_symmetric`, probed on the first Newton
+solve) and the iterate has no even Fourier modes, a Newton step solves on
+the odd modes only (the half-wave space, `newton.odd_modes`): the branch
+keeps ``u(t + pi) = -u(t)``, the Jacobian there maps odd modes to odd
+modes, and the band is about a quarter of the full one.  The full
+residual, even modes included, still decides convergence; a solve whose
+even residual exceeds the tolerance finishes in the full space.  The
+hypothesis checks and the certificate stay on the full space.
 The symmetry check factors one band for all of its solves: g is autonomous,
 so its derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
 S_psi^-1`` with ``S_psi`` an O(size) rotation of the Fourier modes, and
@@ -50,6 +58,7 @@ from .newton import (
     SingularBandError,
     TrajectoryLayout,
     assemble_jacobian_band,
+    odd_modes,
 )
 from .problem import ConvergenceError, DomainError, ScaledParams
 from .spectral import _resolvent_sigma_min, inverse_power_sigma_min
@@ -101,13 +110,15 @@ _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
 
 
 class _NewtonTrace:
-    """Step/residual history plus the quadratic-contraction bookkeeping."""
+    """Step/residual history plus the quadratic-contraction bookkeeping;
+    ``full_steps`` counts the steps solved in the full space."""
 
     def __init__(self, tol):
         self.tol = tol
         self.step_norms = []
         self.residuals = []
         self.notes = []
+        self.full_steps = 0
 
     def record_step(self, step):
         if (
@@ -121,6 +132,23 @@ class _NewtonTrace:
                 f"({self.step_norms[-1]:.3e} -> {step:.3e})"
             )
         self.step_norms.append(step)
+
+
+def _even_part(traj):
+    """Modes 0, 2, 4, ... of ``traj``: zero exactly when ``u(t + pi) =
+    -u(t)``."""
+    coeffs = np.zeros_like(traj.coeffs)
+    coeffs[0::2] = traj.coeffs[0::2]
+    return traj.with_coeffs(coeffs)
+
+
+def _half_wave(problem, *trajectories):
+    """Whether Newton systems at these trajectories take the half-wave
+    space: ``h`` is odd (`ProblemDef.odd_symmetric`) and no trajectory has
+    an even mode."""
+    return (trajectories[0].n_t >= 1
+            and not any(np.any(traj.coeffs[0::2]) for traj in trajectories)
+            and problem.odd_symmetric())
 
 
 def _mixed_column(problem, lam, u):
@@ -148,6 +176,7 @@ class _Linearization:
         self.functional = functional
         self.params = params
         self.base = base
+        self.u = u
         factor = params.sigma + 1.0
         self.col_lam = -(factor) * f_lambda
         # g = u_t - (sigma+1) f  =>  f = (u_t - g) / (sigma+1)
@@ -159,15 +188,30 @@ class _Linearization:
         core = core + dlam * self.col_lam + dsig * self.col_sig
         return self.functional.pair(v), core
 
-    def bordered_system(self, factor=None, psi=0.0):
-        """Assembled matrix form, core rows first, parameter slots last.
+    def layout(self, full=False):
+        """The space of this linearization's systems: the half-wave modes
+        (`odd_modes`) when ``h`` is odd and neither ``base`` nor ``u`` has
+        an even mode (`_half_wave`), unless ``full``; all modes otherwise.
 
-        With a factored `BorderedSystem` ``factor`` no band is assembled:
-        the core is ``factor``'s, rotated by ``psi`` (`BorderedSystem.
-        rebordered`), and the parameter columns and rows are this one's.
+        On the half-wave space ``g_u(params, base)`` maps odd modes to odd
+        modes (``h_u`` is even in an odd base), so the Newton step of an
+        odd residual is the full step restricted to the odd modes.
         """
         base = self.base
-        layout = TrajectoryLayout(base.n_t, base.nx, base.dx)
+        half = not full and _half_wave(self.problem, base, self.u)
+        return TrajectoryLayout(base.n_t, base.nx, base.dx,
+                                odd_modes(base.n_t) if half else None)
+
+    def bordered_system(self, layout=None, factor=None, psi=0.0):
+        """Assembled matrix form in ``layout`` (default `layout()`), core
+        rows first, parameter slots last.
+
+        With a factored `BorderedSystem` ``factor`` in ``layout`` no band
+        is assembled: the core is ``factor``'s, rotated by ``psi``
+        (`BorderedSystem.rebordered`), and the parameter columns and rows
+        are this one's.
+        """
+        layout = self.layout() if layout is None else layout
         columns = np.column_stack(
             [layout.flatten_trajectory(self.col_lam),
              layout.flatten_trajectory(self.col_sig)]
@@ -175,7 +219,7 @@ class _Linearization:
         rows = layout.functional_rows(self.functional.weight.data)
         if factor is not None:
             return factor.rebordered(columns, rows, layout, psi), layout
-        band = assemble_jacobian_band(self.problem, self.params, base, layout)
+        band = assemble_jacobian_band(self.problem, self.params, self.base, layout)
         return BorderedSystem(band, columns, rows), layout
 
 
@@ -186,12 +230,13 @@ class _SharedFactor:
     with ``S_psi`` the layout rotation of ``time_shift(psi)``.  ``system``
     is the factored bordered system at a branch point whose pair is
     ``(alpha, 0)``, ``alpha > 0``; an iterate near ``tau_psi`` of that point
-    has ``phase_angle = -psi``.  ``factorizations`` counts this factor
-    plus every exact Newton step taken after a solve on it stalled.
+    has ``phase_angle = -psi``.  ``layout`` is the system's space (the
+    half-wave one when the point is half-wave).  ``factorizations`` counts
+    this factor plus every exact Newton step taken after a solve left it.
     """
 
     def __init__(self, lin):
-        self.system, _ = lin.bordered_system()
+        self.system, self.layout = lin.bordered_system()
         self.system.factorize(overwrite=True)
         self.factorizations = 1
 
@@ -205,11 +250,17 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     ``(params, u, core, iterations, trace)`` with ``core`` the converged
     residual.
 
+    Each step solves in its linearization's space (`_Linearization.
+    layout`): the half-wave one keeps the iterate free of even modes.  The
+    full residual, even modes included, decides convergence; once its even
+    modes exceed ``newton_tol`` the rest of the solve takes the full space.
+
     With a `_SharedFactor` the steps solve through its factor rotated to
     the iterate's phase (a chord iteration refined against the exact
     derivative) instead of a new band each.  A step that does not halve
-    the residual ends that: the solve finishes with exact Newton, each step
-    counted in ``factor.factorizations``.
+    the residual, or whose space is not the factor's, ends that: the solve
+    finishes with exact Newton, each step counted in
+    ``factor.factorizations``.
 
     Each exact step factors its band in place and releases the system
     before the next step assembles, so one band-sized array is alive at a
@@ -218,6 +269,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
     shared = factor
+    full = False
 
     for iteration in range(max_iter + 1):
         core = residual_fn(params, u)
@@ -234,15 +286,21 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
 
         if shared is not None and iteration and residual > 0.5 * trace.residuals[-2]:
             shared = None  # the last chord step did not halve the residual
+        full = full or _even_part(core).norm() > newton_tol
         lin = linearize(params, u, core)
+        layout = lin.layout(full)
+        if shared is not None and shared.layout.modes != layout.modes:
+            shared = None  # the factor is not in this step's space
+        if layout.modes != odd_modes(layout.n_t):
+            trace.full_steps += 1
         if shared is None:
-            system, layout = lin.bordered_system()
+            system, _ = lin.bordered_system(layout)
             system.factorize(overwrite=True)
             if factor is not None:
                 factor.factorizations += 1
         else:
-            system, layout = lin.bordered_system(
-                shared.system, -functional.phase_angle(u))
+            system, _ = lin.bordered_system(
+                layout, shared.system, -functional.phase_angle(u))
         (i1, v1), (i2, v2) = system.rows
 
         def matvec(y, p):
@@ -434,15 +492,17 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     its smallest singular value is the least over the blocks, each from
     `inverse_power_sigma_min` in at most ``power_iterations`` steps.  Block
     ``"0-1"`` is the bordered system of ``u_star`` cut to modes 0 and 1,
-    block ``"n"`` the resolvent ``i n - B`` with ``B = A + h_u(0,0)``,
-    estimated as in the resolvent scan (`spectral._resolvent_sigma_min`);
+    in the full space whatever space the Newton solves took, block ``"n"``
+    the resolvent ``i n - B`` with ``B = A + h_u(0,0)``, estimated as in
+    the resolvent scan (`spectral._resolvent_sigma_min`);
     a failed condition guard there reads as 0.  The leakage check on the
     full Jacobian justifies the split.  The verdict is ``leakage <= 1e-10``
     and ``smallest_singular_value > BIJECTIVITY_TOLERANCE``.
     """
     rng = np.random.default_rng(seed)
-    low = PeriodicTrajectory(u_star.coeffs[:2], u_star.dx)
-    system, layout = BifurcationJacobian(problem, functional, low).bordered_system()
+    low = BifurcationJacobian(
+        problem, functional, PeriodicTrajectory(u_star.coeffs[:2], u_star.dx))
+    system, layout = low.bordered_system(low.layout(full=True))
     try:
         sigma, steps = inverse_power_sigma_min(
             lambda b: np.concatenate(system.solve(b[:-2], b[-2:])),
@@ -578,11 +638,19 @@ class BranchPoint:
 
 @dataclass
 class BranchResult:
-    """An amplitude-ordered sweep of branch points plus diagnostics."""
+    """An amplitude-ordered sweep of branch points plus diagnostics.
+
+    ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep.
+    ``newton_space`` is ``"half-wave"`` when ``h`` is odd, ``u_star`` has no
+    even Fourier mode and no Newton step of the sweep left the odd modes
+    (`_Linearization.layout`), ``"full"`` otherwise.
+    """
 
     points: list
     u_star: PeriodicTrajectory
     newton_tol: float
+    max_iter: int = MAX_NEWTON_ITERATIONS
+    newton_space: str = "full"
     notes: list = field(default_factory=list)
     symmetry_report: Optional["SymmetryReport"] = None
 
@@ -664,9 +732,11 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
     """March the square system over an amplitude grid with rescaling
     predictors from the bifurcation point's parameters ``origin``; returns
     the list of converged points, truncating with a note if Newton fails
-    or leaves the solver's domain.  ``factor`` goes to every Newton solve
-    (see `_newton_square`)."""
+    or leaves the solver's domain, and the number of Newton steps solved
+    in the full space.  ``factor`` goes to every Newton solve (see
+    `_newton_square`)."""
     points = []
+    full_steps = 0
     params = origin
     u = None
     prev_alpha = None
@@ -691,6 +761,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
             )
             break
         notes.extend(trace.notes)
+        full_steps += trace.full_steps
         l_val = functional.pair(u)
         eta = (1.0 / alpha) * u - u_star
         points.append(
@@ -703,7 +774,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
             )
         )
         prev_alpha = alpha
-    return points
+    return points, full_steps
 
 
 def continue_branch(problem, functional, u_star, alpha_max, steps,
@@ -726,19 +797,21 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     -------
     BranchResult
         Points sorted by amplitude, including the trivial point at 0, which
-        carries ``params_star``.
+        carries ``params_star``, and the space the Newton steps took.
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
     grid = alpha_max * np.arange(1, steps + 1) / steps if alpha_max > 0 else []
     notes = []
     origin = ScaledParams(*params_star)
-    points = _continue_grid(
+    points, full_steps = _continue_grid(
         problem, functional, u_star, origin, grid, newton_tol, max_iter, notes
     )
     points.insert(0, _trivial_point(u_star, origin))
+    half = not full_steps and _half_wave(problem, u_star)
     return BranchResult(
-        points=points, u_star=u_star, newton_tol=newton_tol, notes=notes
+        points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
+        newton_space="half-wave" if half else "full", notes=notes,
     )
 
 
@@ -792,7 +865,7 @@ def check_branch_symmetry(problem, functional, result):
     ``tau_theta(alpha u_star)``, ``theta`` in `SYMMETRY_PHASES`, must fall
     back to the same phase-fixed representative (the phase row selects it):
     the sampled uniqueness test.  All solves start from ``result.points[0]``
-    and stop at ``result.newton_tol`` or `MAX_NEWTON_ITERATIONS` iterations.
+    and stop at ``result.newton_tol`` or ``result.max_iter`` iterations.
 
     The whole check factorizes one band: the branch linearisation at the
     mid point, whose pair is ``(alpha, 0)``.  g is autonomous, so the
@@ -829,9 +902,9 @@ def check_branch_symmetry(problem, functional, result):
 
     notes = []
     grid = np.array([-pt.alpha for pt in plus])
-    minus = _continue_grid(
+    minus, _ = _continue_grid(
         problem, functional, result.u_star, origin, grid, newton_tol,
-        MAX_NEWTON_ITERATIONS, notes, factor,
+        result.max_iter, notes, factor,
     )
     if len(minus) != len(plus):
         raise ConvergenceError(
@@ -858,9 +931,9 @@ def check_branch_symmetry(problem, functional, result):
         try:
             params, u, _, iters, _ = _branch_newton(
                 problem, functional, mid.alpha, origin, seed, newton_tol,
-                MAX_NEWTON_ITERATIONS, factor,
+                result.max_iter, factor,
             )
-        except _SOLVE_ERRORS as exc:
+        except (ConvergenceError, *_SOLVE_ERRORS) as exc:
             raise ConvergenceError(
                 f"phase-seed Newton failed at theta = {theta:g}: {exc}"
             ) from exc

@@ -1,5 +1,7 @@
 """Shared fixtures and synthetic problem builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -55,6 +57,20 @@ def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic",
         dx=dx,
         L=1.0,
         name=name,
+    )
+
+
+def with_even_term(problem, eps):
+    """``problem`` with ``eps * w**2`` added to h, pointwise: h is no longer
+    odd, so the periodic branch has even Fourier modes.  ``h_u(lam, 0)``,
+    and with it every hypothesis check, is unchanged."""
+    return dataclasses.replace(
+        problem,
+        apply_h=lambda lam, w: problem.apply_h(lam, w) + eps * w * w,
+        apply_h_u=lambda lam, w, v: problem.apply_h_u(lam, w, v) + 2.0 * eps * w * v,
+        apply_h_uu=lambda lam, w, v1, v2: (
+            problem.apply_h_uu(lam, w, v1, v2) + 2.0 * eps * v1 * v2),
+        name=problem.name + "+even",
     )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import with_even_term
 from hopfkit.cli import main
 from hopfkit.config import (
     ConfigError,
@@ -309,6 +310,38 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     assert symmetry["passed"] and symmetry["factorizations"] == 1
     assert (f"symmetry check: {symmetry['newton_iters']} Newton iterations, "
             "1 factorizations") in capsys.readouterr().out
+
+
+def run_both_reports(tmp_path):
+    """``branch`` and ``verify-exact`` with ``--verbose``: their exit codes
+    and the ``newton_space`` of their summaries."""
+    results = []
+    for command, report in (("branch", "branch_summary.json"),
+                            ("verify-exact", "exact_summary.json")):
+        code, out = run_cli(tmp_path, command, "", "--skip-check", "--verbose")
+        summary = json.loads((tmp_path / "out" / report).read_text())
+        results.append((code, summary["newton_space"]))
+    return results
+
+
+def test_cli_reports_the_half_wave_space(tmp_path, capsys):
+    """h is odd on the production-style config: both reports name the
+    half-wave space, and ``--verbose`` prints it on both command lines."""
+    assert run_both_reports(tmp_path) == [(0, "half-wave"), (0, "half-wave")]
+    assert capsys.readouterr().out.count("; newton space: half-wave") == 2
+
+
+def test_cli_even_term_reports_the_full_space(tmp_path, capsys, monkeypatch):
+    """An even term in h sends the solves to the full space; the branch
+    still passes, and verify-exact fails only against the closed form that
+    the even term breaks."""
+    from hopfkit import cli
+
+    build = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem",
+                        lambda run_config: with_even_term(build(run_config), 0.5))
+    assert run_both_reports(tmp_path) == [(0, "full"), (1, "full")]
+    assert capsys.readouterr().out.count("; newton space: full") == 2
 
 
 def test_cli_branch_skip_check(tmp_path):

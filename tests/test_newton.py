@@ -26,6 +26,7 @@ from hopfkit.newton import (
     TrajectoryLayout,
     assemble_jacobian_band,
     coupling_blocks,
+    odd_modes,
 )
 from hopfkit.problem import ScaledParams
 from hopfkit.reaction_diffusion import exact_branch_trajectory
@@ -142,6 +143,50 @@ def test_functional_rows_check_weight_length():
         layout.functional_rows(np.ones(4))
 
 
+def odd_trajectory(rng, n_t, nx, dx):
+    """A random trajectory with odd Fourier modes only: u(t + pi) = -u(t)."""
+    coeffs = np.array(random_trajectory(rng, n_t, nx, dx).coeffs)
+    coeffs[0::2] = 0.0
+    return PeriodicTrajectory(coeffs, dx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(1, 7), nx=st.integers(1, 5),
+       psi=st.floats(-7.0, 7.0), seed=st.integers(0, 2**32 - 1))
+def test_half_wave_layout_property(n_t, nx, psi, seed):
+    """On the odd modes: flatten/unflatten round trip, `rotate` is
+    `time_shift`, and the functional rows give the amplitude pair."""
+    rng = np.random.default_rng(seed)
+    dx = 0.3
+    layout = TrajectoryLayout(n_t, nx, dx, odd_modes(n_t))
+    assert layout.block == 4 * len(odd_modes(n_t))
+    u = odd_trajectory(rng, n_t, nx, dx)
+    y = layout.flatten_trajectory(u)
+    assert y.shape == (layout.size,)
+    npt.assert_array_equal(layout.unflatten(y), u.coeffs)
+    z = rng.normal(size=layout.size)
+    npt.assert_array_equal(layout.flatten(layout.unflatten(z)), z)
+    assert not np.any(layout.unflatten(z)[0::2])
+
+    turned = layout.rotate(y, psi)
+    npt.assert_allclose(turned, layout.flatten_trajectory(u.time_shift(psi)),
+                        rtol=1e-13, atol=1e-13)
+    npt.assert_allclose(layout.rotate(turned, -psi), y, rtol=1e-13, atol=1e-13)
+
+    weight = StateVector(rng.normal(size=2 * nx), dx)
+    (i1, v1), (i2, v2) = layout.functional_rows(weight.data)
+    npt.assert_allclose([v1 @ y[i1], v2 @ y[i2]],
+                        AmplitudeFunctional(weight).pair(u), rtol=1e-13, atol=1e-14)
+
+
+def test_layout_mode_set_is_checked():
+    for modes in (range(1, 5, 2), odd_modes(0), range(2, 0, -1)):
+        with pytest.raises(ValueError, match="mode set"):
+            TrajectoryLayout(2, 3, 1.0, modes)
+    with pytest.raises(ValueError, match="first harmonic"):
+        TrajectoryLayout(4, 3, 1.0, range(0, 5, 2)).functional_rows(np.ones(6))
+
+
 # ---------------------------------------------------------------------------
 # mode-coupling blocks
 
@@ -238,6 +283,17 @@ def test_coupling_block_cosine():
 def test_coupling_block_sample_count_checked():
     with pytest.raises(ValueError):
         coupling_blocks(np.zeros((7, 1)), 3)
+
+
+@pytest.mark.parametrize("n_t", range(1, 9))
+def test_half_wave_coupling_blocks_are_the_odd_sub_blocks(n_t):
+    rng = np.random.default_rng(40 + n_t)
+    samples = rng.normal(size=(2 * n_t + 2, 5))
+    full = coupling_blocks(samples, n_t)
+    slots = [s for n in odd_modes(n_t) for s in (2 * n - 1, 2 * n)]
+    odd = coupling_blocks(samples, n_t, odd_modes(n_t))
+    npt.assert_array_equal(odd.view(np.int64),
+                           full[:, slots][:, :, slots].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +436,8 @@ def recording_coupling_blocks(monkeypatch):
     shapes of the blocks it makes."""
     made = []
 
-    def record(samples, n_t):
-        blocks = coupling_blocks(samples, n_t)
+    def record(samples, n_t, modes=None):
+        blocks = coupling_blocks(samples, n_t, modes)
         made.append(blocks.shape)
         return blocks
 
@@ -458,6 +514,25 @@ def test_band_rejects_operator_wider_than_stencil():
     base = zero_trajectory(2, 2 * nx, 1.0)
     with pytest.raises(ValueError, match="stencil"):
         assemble_jacobian_band(problem, ScaledParams(0.0, 0.0), base, layout)
+
+
+@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
+def test_half_wave_band_is_the_odd_part_of_the_full_band(grid, request):
+    """At an odd base the band on the odd modes is the full band's odd
+    block, and it is under 0.3 times the full band's size at n_t = 16."""
+    problem, params, _, full = band_case(grid, "random", 16, request)
+    rng = np.random.default_rng(26)
+    base = odd_trajectory(rng, 16, full.nx, full.dx) * 0.05
+    half = TrajectoryLayout(16, full.nx, full.dx, odd_modes(16))
+    full_band = assemble_jacobian_band(problem, params, base, full)
+    half_band = assemble_jacobian_band(problem, params, base, half)
+    assert half_band.ab.nbytes <= 0.3 * full_band.ab.nbytes
+    y = rng.normal(size=half.size)
+    image = full.to_trajectory(full_band.matvec(full.flatten(half.unflatten(y))))
+    npt.assert_allclose(half_band.matvec(y), half.flatten_trajectory(image),
+                        rtol=1e-12, atol=1e-12 * np.abs(y).max())
+    # the odd modes map to odd modes: the even part of the image is rounding
+    assert np.abs(image.coeffs[0::2]).max() <= 1e-12 * np.abs(image.coeffs).max()
 
 
 def test_band_rejects_mismatched_trajectory(coarse_problem, coarse_cfg):

@@ -3,14 +3,17 @@ import gc
 import weakref
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import hopfkit.newton as newton_module
 import hopfkit.solver as solver_module
 
-from conftest import rotation_block, synthetic_problem
+from conftest import rotation_block, synthetic_problem, with_even_term
 from test_newton import dense_from_system
+from hopfkit.newton import odd_modes
 from hopfkit.problem import ConvergenceError, ScaledParams
 from hopfkit.reaction_diffusion import (
     ExampleConfig,
@@ -383,7 +386,8 @@ def test_sigma_min_matches_dense_svd(a, shift, smallest_block):
         problem, functional, initial_extended_state(decomp.psi, n_t=4)
     )
     jac = BifurcationJacobian(problem, functional, solution.u)
-    system, _ = jac.bordered_system()
+    # the certificate covers every mode, so compare with the full space
+    system, _ = jac.bordered_system(jac.layout(full=True))
     svals = np.linalg.svd(dense_from_system(system), compute_uv=False)
 
     cert = verify_jacobian_nonsingular(
@@ -691,6 +695,139 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
 
 
 # ---------------------------------------------------------------------------
+# half-wave Newton: the periodic systems on the odd Fourier modes
+
+
+def dense_of_storage(system):
+    """The bordered matrix, read from the band's LAPACK storage
+    (``ab[kl + ku + i - j, j]`` is entry ``(i, j)``) instead of through
+    ``size`` band products."""
+    band = system.band
+    offsets = np.arange(-band.kl, band.ku + 1)  # j - i
+    core = sp.dia_matrix((band.ab[band.kl + band.ku - offsets], offsets),
+                         shape=(band.size, band.size))
+    dense = np.zeros((band.size + 2, band.size + 2))
+    dense[:-2, :-2] = core.toarray()
+    dense[:-2, -2:] = system.columns
+    for k, (idx, vals) in enumerate(system.rows):
+        np.add.at(dense[band.size + k], idx, vals)
+    return dense
+
+
+@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
+def test_half_wave_step_matches_the_full_step(grid, request):
+    """One bordered Newton step at an odd iterate: the half-wave step, with
+    zero even modes, and the full-space step both match a dense solve of
+    the full system."""
+    cfg = request.getfixturevalue(f"{grid}_cfg")
+    problem = request.getfixturevalue(f"{grid}_problem")
+    decomp = build_projection(problem, reference=reference_eigenvector(cfg))
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    n_t = 3
+    coeffs = np.array(exact_branch_trajectory(cfg, 0.04, n_t=n_t).coeffs)
+    coeffs[3] = 0.01 * coeffs[1]  # an odd overtone off the branch
+    u = PeriodicTrajectory(coeffs, cfg.dx)
+    params = ScaledParams(0.03, -0.01)
+    core = problem.residual_g(params, u)
+    r_pair = functional.pair(u) - np.array([0.25, 0.0])
+    lin = solver_module._branch_linearization(problem, functional, params, u, core)
+    half_system, half = lin.bordered_system()
+    full_system, full = lin.bordered_system(lin.layout(full=True))
+    assert half.modes == odd_modes(n_t) and full.modes == range(n_t + 1)
+
+    rhs = np.concatenate([-full.flatten_trajectory(core), -r_pair])
+    oracle = np.linalg.solve(dense_of_storage(full_system), rhs)
+    atol = 1e-9 * np.abs(oracle).max()
+    dy, dp = half_system.solve(-half.flatten_trajectory(core), -r_pair)
+    npt.assert_allclose(np.concatenate([full.flatten(half.unflatten(dy)), dp]),
+                        oracle, rtol=0.0, atol=atol)
+    npt.assert_allclose(np.concatenate(full_system.solve(rhs[:-2], rhs[-2:])),
+                        oracle, rtol=0.0, atol=atol)
+
+
+@pytest.fixture(scope="module")
+def even_setup(coarse_problem, coarse_cfg):
+    """The coarse example with an even term ``0.5 w**2`` added to h."""
+    problem = with_even_term(coarse_problem, 0.5)
+    decomp = build_projection(problem, reference=reference_eigenvector(coarse_cfg))
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    solution = solve_extended(
+        problem, functional, initial_extended_state(decomp.psi, n_t=8))
+    return problem, functional, solution
+
+
+def even_branch(problem, functional, u_star, params_star):
+    return continue_branch(problem, functional, u_star, alpha_max=0.3,
+                           steps=6, params_star=params_star)
+
+
+def test_even_term_takes_the_full_space_and_converges(even_setup, coarse_branch,
+                                                     coarse_problem, coarse_cfg):
+    problem, functional, solution = even_setup
+    assert coarse_branch.newton_space == "half-wave"
+    assert not problem.odd_symmetric()
+    # at the same odd iterate only the odd problem takes the half-wave space
+    u = exact_branch_trajectory(coarse_cfg, 0.01, n_t=8)
+    params = ScaledParams(0.01, 0.0)
+    for prob, modes in ((coarse_problem, odd_modes(8)), (problem, range(9))):
+        lin = solver_module._branch_linearization(
+            prob, functional, params, u, prob.residual_g(params, u))
+        assert lin.layout().modes == modes
+    result = even_branch(problem, functional, solution.u, solution.params)
+    assert result.newton_space == "full"
+    assert result.notes == [] and len(result.points) == 7
+    assert all(pt.residual <= NEWTON_TOL for pt in result.points)
+    # the even term drives the modes a half-wave solve would drop
+    assert np.abs(result.points[-1].u.coeffs[0::2]).max() > 1e-3
+
+
+def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch):
+    """A problem whose probe reads odd while its residual has even modes,
+    from an odd start: the even residual exceeds the tolerance, so every
+    step runs in the full space and finds the branch that the full space
+    finds."""
+    problem, functional, solution = even_setup
+    reference = even_branch(problem, functional, solution.u, solution.params)
+    misread = dataclasses.replace(problem)
+    misread._caches["odd"] = True
+    coeffs = np.array(solution.u.coeffs)
+    coeffs[0::2] = 0.0
+    u_star = PeriodicTrajectory(coeffs, solution.u.dx)
+
+    spaces = []
+    assemble = solver_module.assemble_jacobian_band
+
+    def recording(problem, params, base, layout):
+        spaces.append(layout.modes)
+        return assemble(problem, params, base, layout)
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording)
+    result = even_branch(misread, functional, u_star, solution.params)
+    assert result.newton_space == "full" and result.notes == []
+    assert spaces and set(spaces) == {range(9)}
+    npt.assert_allclose(result.lambdas, reference.lambdas, rtol=0.0, atol=1e-10)
+
+
+def test_uneven_iterate_drops_a_half_wave_factor(coarse_problem, coarse_functional,
+                                                 coarse_branch):
+    """An iterate with even modes cannot step through a half-wave shared
+    factor: the solve takes exact full-space Newton steps instead."""
+    mid = coarse_branch.points[5]
+    factor = solver_module._SharedFactor(solver_module._branch_linearization(
+        coarse_problem, coarse_functional, mid.params, mid.u,
+        coarse_problem.residual_g(mid.params, mid.u)))
+    assert factor.layout.modes == odd_modes(mid.u.n_t)
+    coeffs = np.array(mid.u.coeffs)
+    coeffs[2] = 1e-3 * coeffs[1]
+    params, u, _, iters, trace = solver_module._branch_newton(
+        coarse_problem, coarse_functional, mid.alpha, mid.params,
+        PeriodicTrajectory(coeffs, mid.u.dx), NEWTON_TOL, 25, factor)
+    assert iters >= 1 and trace.full_steps == iters
+    assert factor.factorizations == 1 + iters
+    assert (u - mid.u).norm() <= 1e-8 and abs(params.lam - mid.lam) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # symmetry of the branch under amplitude reflection
 
 
@@ -757,6 +894,29 @@ def test_symmetry_check_refactors_when_the_factor_stalls(
         coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
     assert report.passed
     assert report.factorizations > 1
+
+
+def test_symmetry_check_keeps_the_branch_iteration_cap(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution):
+    """The mirrored and phase-seed solves stop at the ``max_iter`` the
+    branch was continued with (2 here), not at `MAX_NEWTON_ITERATIONS`:
+    a phase seed needs more than 2 iterations, so the check fails."""
+    result = continue_branch(coarse_problem, coarse_functional,
+                             coarse_solution.u, alpha_max=0.5, steps=10,
+                             max_iter=2, params_star=coarse_solution.params)
+    assert result.max_iter == 2 and result.notes == []
+    caps = []
+    newton = solver_module._newton_square
+
+    def recording(*args):
+        caps.append(args[7])
+        return newton(*args)
+
+    monkeypatch.setattr(solver_module, "_newton_square", recording)
+    with pytest.raises(ConvergenceError,
+                       match="phase-seed Newton failed .* within 2 iterations"):
+        check_branch_symmetry(coarse_problem, coarse_functional, result)
+    assert len(caps) == 11 and set(caps) == {2}  # 10 mirrored, 1 phase seed
 
 
 def test_symmetry_requires_nontrivial_points(coarse_problem,
