@@ -14,7 +14,6 @@ one genuinely unsolvable input being refused.
 import numpy as np
 
 from hopfkit import (
-    ComplexStateVector,
     ExampleConfig,
     PeriodicTrajectory,
     ResonantForcingError,
@@ -59,11 +58,8 @@ print(f"resonant scalar ODE:   residual {ode_residual:.2e}, "
 # itself: the solver splits it off and solves the complement through a
 # bordered (deflated) factorisation.
 decomp = build_projection(problem, reference=reference_eigenvector(cfg))
-w = ComplexStateVector(
-    rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim),
-    problem.dx,
-)
-v_mixed = v + single_harmonic(decomp.complement(w), n_t)
+w = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
+v_mixed = v + single_harmonic(decomp.complement(w), n_t, problem.dx)
 u_mixed = solve_periodic_full(problem, decomp, v_mixed)
 defect = (
     u_mixed.time_derivative()

@@ -125,16 +125,14 @@ def _bifurcation_point(run_config, problem, outdir, seed, reporter, report,
 
 
 def _configured_branch(run_config, problem, functional, solution):
-    """The configured branch from the solved point, and whether it was
-    truncated."""
+    """The configured branch from the solved point."""
     solver = run_config.solver
-    result = continue_branch(
+    return continue_branch(
         problem, functional, solution.u,
         alpha_max=solver.alpha_max, steps=solver.alpha_steps,
         newton_tol=solver.newton_tol, max_iter=solver.max_iter,
         params_star=solution.params,
     )
-    return result, any("truncated" in note for note in result.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,7 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
         return EXIT_SCIENCE
     _, functional, solution = point
     started = time.perf_counter()
-    result, truncated = _configured_branch(run_config, problem, functional, solution)
+    result = _configured_branch(run_config, problem, functional, solution)
     elapsed = time.perf_counter() - started
 
     summary = {
@@ -236,15 +234,15 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
             "residual": solution.residual,
         },
         "points": len(result.points),
-        "truncated": truncated,
+        "truncated": result.truncated,
         "notes": list(result.notes),
         "seconds": elapsed,
         "newton_space": result.newton_space,
     }
 
-    passed = not truncated
+    passed = not result.truncated
     symmetry = None
-    if len(result.points) >= 4 and not truncated:
+    if len(result.points) >= 4 and not result.truncated:
         fit = fit_branch_curvature(result)
         summary["fit"] = {
             "c1": fit.c1, "c2": fit.c2, "s1": fit.s1, "s2": fit.s2,
@@ -297,7 +295,7 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
     if point is None:
         return EXIT_SCIENCE
     _, functional, solution = point
-    result, truncated = _configured_branch(run_config, problem, functional, solution)
+    result = _configured_branch(run_config, problem, functional, solution)
 
     rows = [["alpha", "lambda_computed", "lambda_exact", "abs_err"]]
     max_lambda_err = 0.0
@@ -327,7 +325,7 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         mode = "standard"
         tolerance = STANDARD_MODE_ERROR_CAP * dx * dx
     worst = float(max(max_lambda_err, max_state_err))
-    passed = bool((not truncated) and worst <= tolerance)
+    passed = bool((not result.truncated) and worst <= tolerance)
 
     _write_json(os.path.join(outdir, "exact_summary.json"), {
         "schema": 1,
@@ -337,7 +335,7 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         "max_lambda_error": float(max_lambda_err),
         "max_state_error": float(max_state_err),
         "error_constant": worst / (dx * dx),
-        "truncated": bool(truncated),
+        "truncated": result.truncated,
         "passed": passed,
         "newton_space": result.newton_space,
     })

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .newton import band_bytes_bound
-from .reaction_diffusion import ExampleConfig, make_problem
+from .reaction_diffusion import VARIANTS, ExampleConfig, make_problem
 from .solver import MAX_NEWTON_ITERATIONS, NEWTON_TOL
 
 __all__ = [
@@ -94,7 +94,7 @@ def _parse_choice(choices):
 
 
 _SCHEMA = {
-    "problem.variant": _parse_choice(("semilinear", "quasilinear")),
+    "problem.variant": _parse_choice(VARIANTS),
     "problem.L": float,
     "problem.dx": float,
     "problem.discretely_consistent_rho": _parse_bool,
@@ -231,6 +231,16 @@ def load_config(path):
     return parse_config(text)
 
 
+def _at_zero_lambda(apply):
+    """``apply`` with its parameter pinned: ``(lam, *args) -> apply(0, *args)``."""
+    return lambda lam, *args: apply(0.0, *args)
+
+
+def _zeros_like_last(lam, *args):
+    """Zeros shaped like the last argument: a vanishing lambda-derivative."""
+    return np.zeros_like(np.asarray(args[-1], dtype=float))
+
+
 def build_problem(run_config):
     """Assemble the `ProblemDef` described by a `RunConfig`.
 
@@ -244,27 +254,12 @@ def build_problem(run_config):
     if not run_config.frozen_parameter:
         return base
 
-    def h_frozen(lam, w):
-        return base.apply_h(0.0, w)
-
-    def h_u_frozen(lam, w, z):
-        return base.apply_h_u(0.0, w, z)
-
-    def h_uu_frozen(lam, w, a, b):
-        return base.apply_h_uu(0.0, w, a, b)
-
-    def h_lambda_zero(lam, w):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
-    def h_lambda_u_zero(lam, w, z):
-        return np.zeros_like(np.asarray(z, dtype=float))
-
     return replace(
         base,
-        apply_h=h_frozen,
-        apply_h_u=h_u_frozen,
-        apply_h_lambda=h_lambda_zero,
-        apply_h_lambda_u=h_lambda_u_zero,
-        apply_h_uu=h_uu_frozen,
+        apply_h=_at_zero_lambda(base.apply_h),
+        apply_h_u=_at_zero_lambda(base.apply_h_u),
+        apply_h_lambda=_zeros_like_last,
+        apply_h_lambda_u=_zeros_like_last,
+        apply_h_uu=_at_zero_lambda(base.apply_h_uu),
         name=base.name + "/frozen-parameter",
     )

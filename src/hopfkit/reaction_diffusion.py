@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .problem import ProblemDef
-from .trajectory import ComplexStateVector, PeriodicTrajectory, StateVector
+from .trajectory import ComplexStateVector, StateVector, single_harmonic
 
 __all__ = [
     "ExampleConfig",
@@ -165,6 +165,11 @@ def make_problem(cfg=ExampleConfig()):
     def join(u, v):
         return np.concatenate([u, v], axis=-1)
 
+    def fieldwise(fn, *ws):
+        """``fn`` on the ``u`` parts of ``ws``, then on the ``v`` parts."""
+        parts = [split(w) for w in ws]
+        return join(fn(*(p[0] for p in parts)), fn(*(p[1] for p in parts)))
+
     def cubic_factor(lam, u, v):
         return lam * kap2 - u * u - v * v
 
@@ -183,12 +188,10 @@ def make_problem(cfg=ExampleConfig()):
         )
 
     def h_semi_lam(lam, w):
-        u, v = split(w)
-        return join(u * kap2, v * kap2)
+        return fieldwise(lambda f: f * kap2, w)
 
-    def h_semi_lam_u(lam, w, z):
-        zu, zv = split(z)
-        return join(zu * kap2, zv * kap2)
+    def h_semi_lam_u(lam, w, z):  # h_lam is linear in w
+        return h_semi_lam(lam, z)
 
     def h_semi_uu(lam, w, a_, b_):
         u, v = split(w)
@@ -220,21 +223,13 @@ def make_problem(cfg=ExampleConfig()):
             )
 
         def h(lam, w):
-            u, v = split(w)
-            return h_semi(lam, w) + join(h1_field(u), h1_field(v))
+            return h_semi(lam, w) + fieldwise(h1_field, w)
 
         def h_u(lam, w, z):
-            u, v = split(w)
-            zu, zv = split(z)
-            return h_semi_u(lam, w, z) + join(h1_field_u(u, zu), h1_field_u(v, zv))
+            return h_semi_u(lam, w, z) + fieldwise(h1_field_u, w, z)
 
         def h_uu(lam, w, a_, b_):
-            u, v = split(w)
-            au, av = split(a_)
-            bu, bv = split(b_)
-            return h_semi_uu(lam, w, a_, b_) + join(
-                h1_field_uu(u, au, bu), h1_field_uu(v, av, bv)
-            )
+            return h_semi_uu(lam, w, a_, b_) + fieldwise(h1_field_uu, w, a_, b_)
 
     mode = "consistent" if cfg.discretely_consistent_rho else "standard"
     return ProblemDef(
@@ -278,11 +273,8 @@ def exact_branch_state(cfg, lam, t):
 
 
 def exact_branch_trajectory(cfg, lam, n_t=16):
-    """The closed-form orbit as a `PeriodicTrajectory` (first harmonic only)."""
+    """The closed-form orbit as a `PeriodicTrajectory`: the first harmonic
+    `single_harmonic` of ``sqrt(lam) * reference_eigenvector(cfg)``."""
     if lam < 0:
         raise ValueError("the closed-form branch needs lam >= 0")
-    kap = np.sqrt(lam) * kappa_grid(cfg)
-    coeffs = np.zeros((n_t + 1, 2 * cfg.nx), dtype=complex)
-    coeffs[1, : cfg.nx] = kap / 2.0
-    coeffs[1, cfg.nx :] = -1j * kap / 2.0
-    return PeriodicTrajectory(coeffs, cfg.dx)
+    return single_harmonic(reference_eigenvector(cfg) * np.sqrt(lam), n_t)

@@ -641,9 +641,11 @@ class BranchResult:
     """An amplitude-ordered sweep of branch points plus diagnostics.
 
     ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep.
-    ``newton_space`` is ``"half-wave"`` when ``h`` is odd, ``u_star`` has no
-    even Fourier mode and no Newton step of the sweep left the odd modes
-    (`_Linearization.layout`), ``"full"`` otherwise.
+    ``truncated`` is set when the sweep stopped short of its amplitude grid's
+    end (a note says why).  ``newton_space`` is ``"half-wave"`` when ``h``
+    is odd, ``u_star`` has no even Fourier mode and no Newton step of the
+    sweep left the odd modes (`_Linearization.layout`), ``"full"``
+    otherwise.
     """
 
     points: list
@@ -651,6 +653,7 @@ class BranchResult:
     newton_tol: float
     max_iter: int = MAX_NEWTON_ITERATIONS
     newton_space: str = "full"
+    truncated: bool = False
     notes: list = field(default_factory=list)
     symmetry_report: Optional["SymmetryReport"] = None
 
@@ -807,11 +810,13 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     points, full_steps = _continue_grid(
         problem, functional, u_star, origin, grid, newton_tol, max_iter, notes
     )
+    truncated = len(points) < len(grid)
     points.insert(0, _trivial_point(u_star, origin))
     half = not full_steps and _half_wave(problem, u_star)
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
-        newton_space="half-wave" if half else "full", notes=notes,
+        newton_space="half-wave" if half else "full",
+        truncated=truncated, notes=notes,
     )
 
 

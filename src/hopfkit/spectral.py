@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 SIMPLICITY_TOLERANCE = 1e-3
+#: Step cap and start seed of `check_simplicity`'s inverse power iteration.
+SIMPLICITY_STEPS = 40
+SIMPLICITY_SEED = 11
 TRANSVERSALITY_TOLERANCE = 1e-6
 EIG_RESIDUAL_TOLERANCE = 1e-8
 EIG_ITERATION_TOLERANCE = 1e-10
@@ -202,7 +205,8 @@ def check_simplicity(problem, pair):
 
         [[mu - B, psi], [psi^H, 0]]
 
-    which deflates the known kernel direction (a singular LU reads as 0).
+    which deflates the known kernel direction (a singular LU reads as 0),
+    by `_lu_sigma_min` in `SIMPLICITY_STEPS` steps from `SIMPLICITY_SEED`.
     The pair counts as simple when the margin clears `SIMPLICITY_TOLERANCE`
     while the eigen-residual (an upper bound for the smallest singular
     value) is smaller by a factor ``1e8``.
@@ -213,7 +217,8 @@ def check_simplicity(problem, pair):
          [psi[None, :].conj(), None]], format="csc"
     )
     try:
-        margin, _ = _lu_sigma_min(spla.splu(bordered), 40, 11)
+        margin, _ = _lu_sigma_min(
+            spla.splu(bordered), SIMPLICITY_STEPS, SIMPLICITY_SEED)
     except RuntimeError:
         margin = 0.0
     if margin <= SIMPLICITY_TOLERANCE:
@@ -372,7 +377,7 @@ class SpectralDecomposition:
     normalisation ``<psi, phi_adj> = 1``, so ``P`` fixes ``psi`` and
     ``conj(psi)`` and (within eigen-residual accuracy) commutes with the
     operator.  ``complement`` gives the part of a vector in the invariant
-    complement.
+    complement.  Vectors are flat arrays.
     """
 
     psi: ComplexStateVector
@@ -381,20 +386,14 @@ class SpectralDecomposition:
 
     def project(self, w):
         c1, c2 = self.coordinates(w)
-        out = c1 * self.psi.data + c2 * np.conj(self.psi.data)
-        if isinstance(w, ComplexStateVector):
-            return ComplexStateVector(out, self.psi.dx)
-        return out
+        return c1 * self.psi.data + c2 * np.conj(self.psi.data)
 
     def complement(self, w):
-        out = self.project(w)
-        if isinstance(w, ComplexStateVector):
-            return ComplexStateVector(w.data - out.data, self.psi.dx)
-        return np.asarray(w, dtype=complex) - out
+        return np.asarray(w, dtype=complex) - self.project(w)
 
     def coordinates(self, w):
         """The two complex coefficients of ``P w`` along ``psi, conj(psi)``."""
-        data = w.data if isinstance(w, ComplexStateVector) else np.asarray(w, dtype=complex)
+        data = np.asarray(w, dtype=complex)
         dx = self.psi.dx
         return (
             complex(np.sum(data * np.conj(self.phi_adj.data)) * dx),

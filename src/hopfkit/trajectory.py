@@ -31,7 +31,54 @@ __all__ = [
 _MODE0_IMAG_TOL = 1e-9
 
 
-class StateVector:
+class _GridVector:
+    """What `StateVector` and `ComplexStateVector` share: a read-only copy
+    of ``data`` with grid spacing ``dx``.  They differ in ``_dtype``, the
+    dtype of ``data`` and the type of the scalars that scale it."""
+
+    __slots__ = ("data", "dx")
+    _dtype = float
+
+    def __init__(self, data, dx):
+        arr = np.asarray(data, dtype=self._dtype).copy()
+        if arr.ndim != 1 or arr.size % 2 != 0:
+            raise ValueError("state vector must be 1-D with even length")
+        arr.flags.writeable = False
+        self.data = arr
+        self.dx = float(dx)
+
+    @property
+    def nx(self):
+        return self.data.size // 2
+
+    def norm(self):
+        return float(np.sqrt((self.data @ np.conj(self.data)).real * self.dx))
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return type(self)(self.data + other.data, self.dx)
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return type(self)(self.data - other.data, self.dx)
+
+    def __mul__(self, scalar):
+        return type(self)(self.data * self._dtype(scalar), self.dx)
+
+    __rmul__ = __mul__
+
+    def _check_compatible(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other.data.size != self.data.size or other.dx != self.dx:
+            raise ValueError("state vectors live on different grids")
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(nx={self.nx}, dx={self.dx:g}, "
+                f"norm={self.norm():.3e})")
+
+
+class StateVector(_GridVector):
     """A real vector on the spatial grid: both fields concatenated.
 
     Parameters
@@ -42,19 +89,7 @@ class StateVector:
         Grid spacing, used by the inner product and norms.
     """
 
-    __slots__ = ("data", "dx")
-
-    def __init__(self, data, dx):
-        arr = np.asarray(data, dtype=float).copy()
-        if arr.ndim != 1 or arr.size % 2 != 0:
-            raise ValueError("state vector must be 1-D with even length")
-        arr.flags.writeable = False
-        self.data = arr
-        self.dx = float(dx)
-
-    @property
-    def nx(self):
-        return self.data.size // 2
+    __slots__ = ()
 
     @property
     def fields(self):
@@ -67,54 +102,18 @@ class StateVector:
         self._check_compatible(other)
         return float(self.data @ other.data) * self.dx
 
-    def norm(self):
-        return float(np.sqrt(self.data @ self.data * self.dx))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return StateVector(self.data + other.data, self.dx)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return StateVector(self.data - other.data, self.dx)
-
-    def __mul__(self, scalar):
-        return StateVector(self.data * float(scalar), self.dx)
-
-    __rmul__ = __mul__
-
     def __neg__(self):
         return StateVector(-self.data, self.dx)
 
-    def _check_compatible(self, other):
-        if not isinstance(other, StateVector):
-            raise TypeError("expected a StateVector")
-        if other.data.size != self.data.size or other.dx != self.dx:
-            raise ValueError("state vectors live on different grids")
 
-    def __repr__(self):
-        return f"StateVector(nx={self.nx}, dx={self.dx:g}, norm={self.norm():.3e})"
-
-
-class ComplexStateVector:
+class ComplexStateVector(_GridVector):
     """A complex vector on the spatial grid, e.g. an eigenvector.
 
     Carries the same grid metadata as `StateVector`.
     """
 
-    __slots__ = ("data", "dx")
-
-    def __init__(self, data, dx):
-        arr = np.asarray(data, dtype=complex).copy()
-        if arr.ndim != 1 or arr.size % 2 != 0:
-            raise ValueError("state vector must be 1-D with even length")
-        arr.flags.writeable = False
-        self.data = arr
-        self.dx = float(dx)
-
-    @property
-    def nx(self):
-        return self.data.size // 2
+    __slots__ = ()
+    _dtype = complex
 
     @property
     def real(self):
@@ -123,23 +122,6 @@ class ComplexStateVector:
     @property
     def imag(self):
         return StateVector(self.data.imag, self.dx)
-
-    def norm(self):
-        return float(np.sqrt((self.data @ np.conj(self.data)).real * self.dx))
-
-    def __mul__(self, scalar):
-        return ComplexStateVector(self.data * complex(scalar), self.dx)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return ComplexStateVector(self.data + other.data, self.dx)
-
-    def __sub__(self, other):
-        return ComplexStateVector(self.data - other.data, self.dx)
-
-    def __repr__(self):
-        return f"ComplexStateVector(nx={self.nx}, dx={self.dx:g}, norm={self.norm():.3e})"
 
 
 class PeriodicTrajectory:
@@ -450,9 +432,8 @@ class AmplitudeFunctional:
         self.weight = weight
 
     def m_complex(self, z):
-        """Complexification of ``m`` (linear, no conjugation)."""
-        data = z.data if isinstance(z, ComplexStateVector) else np.asarray(z)
-        return complex(data @ self.weight.data) * self.weight.dx
+        """Complexification of ``m`` (linear, no conjugation) on an array."""
+        return complex(np.asarray(z) @ self.weight.data) * self.weight.dx
 
     def pair(self, traj):
         """Evaluate ``(l1, l2)`` on a trajectory; returns shape-(2,) array."""
@@ -521,7 +502,7 @@ def build_amplitude_functional(psi, adjoint=None):
     c = np.linalg.solve(gram, np.array([1.0, 0.0]))
     weight = c[0] * d1 + c[1] * d2
     func = AmplitudeFunctional(weight)
-    check = func.m_complex(psi)
+    check = func.m_complex(psi.data)
     if abs(check - 1.0) > 1e-10:
         raise ValueError(f"normalisation failed: m_c(psi) = {check:.3e}, wanted 1")
     return func

@@ -74,6 +74,27 @@ def with_even_term(problem, eps):
     )
 
 
+def dense_of_storage(system):
+    """Dense copy of a `BandedMatrix`, or of a `BorderedSystem` with its
+    two border columns and rows appended, read from the band's LAPACK
+    storage (``ab[kl + ku + i - j, j]`` is entry ``(i, j)``) rather than
+    through the band's own products."""
+    band = getattr(system, "band", system)
+    assert not band.consumed, "the band was factorized in place"
+    offsets = np.arange(-band.kl, band.ku + 1)  # j - i
+    core = sp.dia_matrix((band.ab[band.kl + band.ku - offsets], offsets),
+                         shape=(band.size, band.size)).toarray()
+    if band is system:
+        return core
+    n = band.size
+    dense = np.zeros((n + 2, n + 2))
+    dense[:n, :n] = core
+    dense[:n, n:] = system.columns
+    for k, (idx, vals) in enumerate(system.rows):
+        np.add.at(dense[n + k], idx, vals)
+    return dense
+
+
 def rotation_block(freq=1.0, decay=(-2.0, -3.0)):
     """4x4 matrix with eigenvalues +-i*freq and the given real decay rates."""
     return np.array(

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hopfkit.newton as newton_module
-from conftest import synthetic_problem
+from conftest import dense_of_storage, synthetic_problem
 from hopfkit.newton import (
     BandedMatrix,
     BorderedSystem,
@@ -399,12 +399,7 @@ def test_band_is_equivariant_on_the_collocation_lattice(grid, request):
     params = ScaledParams(0.04, -0.3)
 
     def dense_at(u):
-        band = assemble_jacobian_band(problem, params, u, layout)
-        out = np.zeros((band.size, band.size))
-        for row, lo, hi, d in band._diagonals():
-            cols = np.arange(lo, hi)
-            out[cols + d, cols] = row[lo:hi]
-        return out
+        return dense_of_storage(assemble_jacobian_band(problem, params, u, layout))
 
     dense = dense_at(base)
     for k in (1, 3, n_t + 1):
@@ -558,21 +553,6 @@ def random_band(rng, size, kl, ku, dominance=0.0):
     return band
 
 
-def dense_from_band(band):
-    eye = np.eye(band.size)
-    return np.column_stack([band.matvec(eye[:, k]) for k in range(band.size)])
-
-
-def dense_from_system(system):
-    n = system.band.size
-    full = np.zeros((n + 2, n + 2))
-    full[:n, :n] = dense_from_band(system.band)
-    full[:n, n:] = system.columns
-    for k, (idx, vals) in enumerate(system.rows):
-        np.add.at(full[n + k], idx, vals)
-    return full
-
-
 def make_rows(rng, size, k=4):
     idx = rng.choice(size, size=k, replace=False)
     return (idx, rng.normal(size=k)), (
@@ -593,7 +573,7 @@ def test_bordered_matches_dense():
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
     y, p = system.solve(rhs_core, rhs_border)
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     expected = np.linalg.solve(dense, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-10, atol=1e-12)
 
@@ -610,7 +590,7 @@ def test_bordered_solves_match_dense_property(size, kl, ku, seed):
     system = BorderedSystem(
         band, rng.normal(size=(size, 2)), make_rows(rng, size, k=min(4, size)),
     )
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     assume(np.linalg.cond(dense) < 1e8)
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
@@ -659,8 +639,8 @@ def test_rebordered_system_solves_the_rotated_core():
 
     eye = np.eye(size)
     turn = layout.rotate(eye, psi)
-    full = dense_from_system(system)
-    full[:size, :size] = turn @ dense_from_band(band) @ turn.T
+    full = dense_of_storage(system)
+    full[:size, :size] = turn @ dense_of_storage(band) @ turn.T
 
     def exact(y, p):
         out = full @ np.concatenate([y, p])
@@ -713,7 +693,7 @@ def test_in_place_factor_with_zero_pivot_matches_dense(monkeypatch):
         for k in range(max(0, i - kl), j + 1):
             band.ab[kl + ku + i - k, k] = 0.0
     system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     assert np.linalg.matrix_rank(dense[:size, :size]) == size - 1
 
     infos = []
@@ -760,7 +740,7 @@ def test_consumed_band_refuses_products():
 def test_band_rmatvec_is_transpose_of_matvec():
     rng = np.random.default_rng(34)
     band = random_band(rng, 18, 3, 2)
-    dense = dense_from_band(band)
+    dense = dense_of_storage(band)
     x = rng.normal(size=18)
     npt.assert_allclose(band.rmatvec(x), dense.T @ x, atol=1e-12)
 
@@ -777,7 +757,7 @@ def test_bordered_transpose_solve_matches_dense():
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
     y, p = system.solve_transpose(rhs_core, rhs_border)
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     expected = np.linalg.solve(dense.T, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-10, atol=1e-12)
     # and the exact transpose apply agrees with the dense transpose
@@ -803,7 +783,7 @@ def test_bordered_transpose_with_singular_core():
     rhs_core = rng.normal(size=size)
     rhs_border = rng.normal(size=2)
     y, p = system.solve_transpose(rhs_core, rhs_border, refine=3)
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     expected = np.linalg.solve(dense.T, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-8, atol=1e-10)
 
@@ -818,7 +798,7 @@ def test_bordered_apply_matches_dense():
     y = rng.normal(size=size)
     p = rng.normal(size=2)
     core, border = system.apply(y, p)
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     full = dense @ np.concatenate([y, p])
     npt.assert_allclose(core, full[:size], atol=1e-12)
     npt.assert_allclose(border, full[size:], atol=1e-12)
@@ -843,7 +823,7 @@ def test_bordered_with_exactly_singular_core():
     rhs_border = rng.normal(size=2)
     y, p = system.solve(rhs_core, rhs_border, matvec=system.apply, refine=3)
     npt.assert_array_equal(band.ab[0], diag)  # the jitter stays in the factor
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
     expected = np.linalg.solve(dense, np.concatenate([rhs_core, rhs_border]))
     npt.assert_allclose(np.concatenate([y, p]), expected, rtol=1e-8, atol=1e-10)
 

@@ -15,7 +15,15 @@ from hopfkit.problem import (
     ScaledParams,
 )
 from hopfkit.reaction_diffusion import ExampleConfig, make_problem
-from hopfkit.trajectory import PeriodicTrajectory, StateVector, zero_trajectory
+from hopfkit.solver import extended_residual
+from hopfkit.spectral import build_projection
+from hopfkit.trajectory import (
+    PeriodicTrajectory,
+    StateVector,
+    build_amplitude_functional,
+    single_harmonic,
+    zero_trajectory,
+)
 
 
 def cubic_problem(nx=3, dx=0.5, trust=np.inf, window=(-1.0, 1.0)):
@@ -353,6 +361,20 @@ def test_residual_g_sigma_domain():
     z = zero_trajectory(3, p.dim, p.dx)
     with pytest.raises(DomainError, match="sigma"):
         p.residual_g(ScaledParams(0.0, -1.0), z)
+
+
+def test_linearised_g_sigma_domain():
+    """The derivative shares `residual_g`'s domain: no non-positive period,
+    so the extended residual at sigma = -1 raises too."""
+    p = synthetic_problem(rotation_block(), h="linear")
+    z = zero_trajectory(3, p.dim, p.dx)
+    params = ScaledParams(0.0, -1.0)
+    with pytest.raises(DomainError, match="sigma"):
+        p.linearised_g(params, z, z)
+    decomp = build_projection(p)
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    with pytest.raises(DomainError, match="sigma"):
+        extended_residual(p, functional, params, single_harmonic(decomp.psi, 3))
 
 
 def test_linearised_g_matches_finite_difference():

@@ -14,6 +14,7 @@ from hopfkit.reaction_diffusion import (
     rho,
     rho_grid,
 )
+from hopfkit.trajectory import PeriodicTrajectory
 
 SMALL = dict(L=20.0, dx=0.2)
 
@@ -294,6 +295,22 @@ def test_exact_branch_trajectory_matches_state_samples():
     for t in (0.0, 0.9, 3.3):
         assert np.allclose(u.at_time(t).data, exact_branch_state(cfg, lam, t).data,
                            atol=1e-13)
+
+
+def test_exact_branch_trajectory_is_the_scaled_eigenvector():
+    """The first-harmonic embedding of ``sqrt(lam) * (kappa, -i kappa)``
+    equals the coefficient-by-coefficient construction on the samples."""
+    cfg = small_cfg()
+    lam, n_t = 0.16, 5
+    kap = np.sqrt(lam) * kappa_grid(cfg)
+    coeffs = np.zeros((n_t + 1, 2 * cfg.nx), dtype=complex)
+    coeffs[1, : cfg.nx] = kap / 2.0
+    coeffs[1, cfg.nx :] = -1j * kap / 2.0
+    u = exact_branch_trajectory(cfg, lam, n_t=n_t)
+    assert u.dx == cfg.dx
+    assert np.array_equal(u.coeffs, coeffs)
+    assert np.array_equal(u.sample_values(),
+                          PeriodicTrajectory(coeffs, cfg.dx).sample_values())
 
 
 def test_standard_mode_branch_residual_is_small_not_zero():

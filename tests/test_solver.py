@@ -6,13 +6,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 import hopfkit.newton as newton_module
 import hopfkit.solver as solver_module
 
-from conftest import rotation_block, synthetic_problem, with_even_term
-from test_newton import dense_from_system
+from conftest import (
+    dense_of_storage,
+    rotation_block,
+    synthetic_problem,
+    with_even_term,
+)
 from hopfkit.newton import odd_modes
 from hopfkit.problem import ConvergenceError, ScaledParams
 from hopfkit.reaction_diffusion import (
@@ -349,7 +352,7 @@ def test_jacobian_bordered_matches_apply(spinner):
     problem, _, functional, solution = spinner
     jac = BifurcationJacobian(problem, functional, solution.u)
     system, layout = jac.bordered_system()
-    dense = dense_from_system(system)
+    dense = dense_of_storage(system)
 
     rng = np.random.default_rng(6)
     flat = rng.normal(size=layout.size)
@@ -388,7 +391,7 @@ def test_sigma_min_matches_dense_svd(a, shift, smallest_block):
     jac = BifurcationJacobian(problem, functional, solution.u)
     # the certificate covers every mode, so compare with the full space
     system, _ = jac.bordered_system(jac.layout(full=True))
-    svals = np.linalg.svd(dense_from_system(system), compute_uv=False)
+    svals = np.linalg.svd(dense_of_storage(system), compute_uv=False)
 
     cert = verify_jacobian_nonsingular(
         problem, functional, solution.u, power_iterations=300
@@ -567,7 +570,7 @@ def test_crossing_rejects_degenerate_span():
 
 def test_branch_reproduces_exact_solution(coarse_branch):
     assert len(coarse_branch.points) == 11
-    assert coarse_branch.notes == []
+    assert coarse_branch.notes == [] and not coarse_branch.truncated
     for pt in coarse_branch.points[1:]:
         assert abs(pt.lam - pt.alpha**2) <= 1e-9
         assert abs(pt.sigma) <= 1e-10
@@ -617,6 +620,7 @@ def test_branch_truncates_with_note(coarse_quasi_problem):
         alpha_max=0.3, steps=3, max_iter=0,
     )
     assert len(result.points) == 1  # only the origin survived
+    assert result.truncated
     assert any("truncated at alpha" in note for note in result.notes)
 
 
@@ -637,6 +641,7 @@ def test_branch_zero_amplitude_is_trivial(coarse_problem, coarse_functional,
     assert len(result.points) == 1
     assert result.points[0].alpha == 0.0
     assert result.notes == []
+    assert not result.truncated
 
 
 def test_branch_csv_rows(coarse_branch):
@@ -696,22 +701,6 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
 
 # ---------------------------------------------------------------------------
 # half-wave Newton: the periodic systems on the odd Fourier modes
-
-
-def dense_of_storage(system):
-    """The bordered matrix, read from the band's LAPACK storage
-    (``ab[kl + ku + i - j, j]`` is entry ``(i, j)``) instead of through
-    ``size`` band products."""
-    band = system.band
-    offsets = np.arange(-band.kl, band.ku + 1)  # j - i
-    core = sp.dia_matrix((band.ab[band.kl + band.ku - offsets], offsets),
-                         shape=(band.size, band.size))
-    dense = np.zeros((band.size + 2, band.size + 2))
-    dense[:-2, :-2] = core.toarray()
-    dense[:-2, -2:] = system.columns
-    for k, (idx, vals) in enumerate(system.rows):
-        np.add.at(dense[band.size + k], idx, vals)
-    return dense
 
 
 @pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])

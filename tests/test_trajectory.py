@@ -277,3 +277,22 @@ def test_state_vector_ops():
     assert np.allclose(u, [1.0, 2.0]) and np.allclose(v, [3.0, 4.0])
     with pytest.raises(ValueError):
         a.dot(StateVector([1.0, 2.0], 0.5))
+
+
+def test_complex_state_vector_ops():
+    a = ComplexStateVector([1 + 2j, -1j, 0.5, 2.0], 0.5)
+    b = ComplexStateVector([1j, 1.0, -1.0, 2j], 0.5)
+    assert np.allclose((a + 2.0j * b - a).data, 2.0j * b.data)
+    assert np.isclose(a.norm(), np.sqrt(np.sum(np.abs(a.data) ** 2) * 0.5))
+    assert repr(a).startswith("ComplexStateVector(nx=2, dx=0.5")
+    assert isinstance(a.real, StateVector) and not isinstance(a, StateVector)
+    for other in (ComplexStateVector([1.0, 2.0], 0.5),
+                  ComplexStateVector(b.data, 0.25)):
+        with pytest.raises(ValueError, match="different grids"):
+            a + other
+        with pytest.raises(ValueError, match="different grids"):
+            a - other
+    with pytest.raises(TypeError, match="expected a ComplexStateVector"):
+        a + a.real
+    with pytest.raises(TypeError, match="expected a StateVector"):
+        a.real + a
