@@ -247,8 +247,7 @@ def build_problem(run_config):
     With ``frozen_parameter`` the nonlinearity is pinned to its
     ``lambda = 0`` slice: ``h(lam, u) := h(0, u)`` with matching (zero)
     parameter derivatives, so the supplied derivatives stay consistent
-    while the transversality genuinely vanishes.  The frozen problem has
-    caches of its own.
+    while the transversality genuinely vanishes.
     """
     base = make_problem(run_config.problem)
     if not run_config.frozen_parameter:

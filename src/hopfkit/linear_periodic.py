@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .problem import SingularOperatorError, _guarded_lu
 from .trajectory import PeriodicTrajectory
 
 __all__ = [
@@ -230,7 +231,12 @@ def _deflated_critical_solve(problem, decomp, rhs):
         np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
     )
     bordered = sp.bmat([[problem.shifted(1j), col], [row, None]], format="csc")
-    lu = problem._lu(("deflated-critical", 1), bordered)
+    lu, cond = _guarded_lu(bordered)
+    if lu is None:
+        raise SingularOperatorError(
+            "operator ('deflated-critical', 1) is numerically singular "
+            f"(cond ~ {cond:.1e})"
+        )
     sol = lu.solve(np.concatenate([rhs, [0.0j]]))
     return sol[:problem.dim]
 

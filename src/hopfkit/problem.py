@@ -5,15 +5,15 @@ callables for the nonlinearity ``h`` and its derivatives, together with the
 admissible parameter window and the trust radius on which ``h`` is defined.
 Residuals of the steady and period-rescaled problems, the linearisation
 ``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), its
-shifts ``z - B`` (`ProblemDef.shifted`) with cached, condition-guarded
-factorizations (one per shift), and a finite-difference validation of the
-supplied derivatives all live here.
+shifts ``z - B`` (`ProblemDef.shifted`) with a condition-guarded
+factorization (`_guarded_lu`) that lives only as long as its caller, and a
+finite-difference validation of the supplied derivatives all live here.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
@@ -129,8 +129,6 @@ class ProblemDef:
     trust_radius: float = np.inf
     h_stencil: int = 0
     name: str = "problem"
-    _caches: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def __post_init__(self):
         a = sp.csc_matrix(self.A)
@@ -142,8 +140,6 @@ class ProblemDef:
         if not self.trust_radius > 0:
             raise ValueError("trust radius must be positive")
         object.__setattr__(self, "A", a)
-        self._caches["lock"] = threading.Lock()
-        self._caches["lu"] = {}
 
     # -- shape helpers -------------------------------------------------------
 
@@ -191,49 +187,14 @@ class ProblemDef:
     def operator(self, lam=0.0):
         """``B = A + h_u(lam, 0)`` in CSC; the sparse sum drops exact zeros,
         so this is bitwise ``A`` when ``h_u(lam, 0) = 0``.  The ``lam = 0``
-        matrix is cached and must not be modified."""
-        if lam == 0.0 and "operator" in self._caches:
-            return self._caches["operator"]
-        op = (self.A + linearization_matrix(self, lam)).tocsc()
+        matrix is built once per problem and must not be modified."""
         if lam == 0.0:
-            self._caches["operator"] = op
-        return op
+            return self._operator_at_zero
+        return (self.A + linearization_matrix(self, lam)).tocsc()
 
-    def _lu(self, key, matrix):
-        """Factorise once per key; thread-safe.  A singular factor, or one
-        worse conditioned than `COND_GUARD`, raises `ResonanceError` for a
-        ``("resolvent", z)`` key and `SingularOperatorError` otherwise."""
-        cache = self._caches["lu"]
-        lu = cache.get(key)
-        if lu is not None:
-            return lu
-        with self._caches["lock"]:
-            lu = cache.get(key)
-            if lu is not None:
-                return lu
-            try:
-                lu = spla.splu(sp.csc_matrix(matrix))
-            except RuntimeError:  # exactly singular
-                cond = np.inf
-            else:
-                inv_op = spla.LinearOperator(
-                    matrix.shape, matvec=lu.solve,
-                    rmatvec=lambda b: lu.solve(b, trans="H"),
-                    dtype=matrix.dtype,
-                )
-                cond = spla.onenormest(matrix) * spla.onenormest(inv_op)
-            if not np.isfinite(cond) or cond > COND_GUARD:
-                if key[0] == "resolvent":
-                    raise ResonanceError(
-                        f"z - B is numerically singular at z = {key[1]:g} "
-                        f"(cond ~ {cond:.1e}); that mode must go through the "
-                        "spectral-projection path, not a direct solve"
-                    )
-                raise SingularOperatorError(
-                    f"operator {key} is numerically singular (cond ~ {cond:.1e})"
-                )
-            cache[key] = lu
-            return lu
+    @cached_property
+    def _operator_at_zero(self):
+        return (self.A + linearization_matrix(self, 0.0)).tocsc()
 
     def solve_resolvent(self, n, rhs):
         """Solve ``(i*n - B) w = rhs`` for integer temporal mode ``n``.
@@ -250,9 +211,16 @@ class ProblemDef:
         return eye * z - self.operator(lam)
 
     def resolvent_lu(self, z):
-        """Cached LU of ``z - B`` (`shifted`); `ResonanceError` when it is
+        """A fresh LU of ``z - B`` (`shifted`); `ResonanceError` when it is
         singular or worse conditioned than `COND_GUARD`."""
-        return self._lu(("resolvent", z), self.shifted(z))
+        lu, cond = _guarded_lu(self.shifted(z))
+        if lu is None:
+            raise ResonanceError(
+                f"z - B is numerically singular at z = {z:g} "
+                f"(cond ~ {cond:.1e}); that mode must go through the "
+                "spectral-projection path, not a direct solve"
+            )
+        return lu
 
     # -- residuals ---------------------------------------------------------------
 
@@ -305,20 +273,22 @@ class ProblemDef:
         Then ``u(t + pi) = -u(t)`` is invariant under the flow, and at such
         a base the periodic Newton systems map odd Fourier modes to odd
         modes.  Probed on the first call (the first Newton solve), then
-        cached.
+        kept.
         """
-        if "odd" not in self._caches:
-            rng = np.random.default_rng(ODD_PROBE_SEED)
-            lo, hi = self.lambda_window
-            odd = True
-            for lam in rng.uniform(-0.4, 0.4, ODD_PROBE_PARAMETERS) * min(hi, -lo, 1.0):
-                w, v = rng.normal(size=(2, 3, self.dim)) * 0.01
-                odd = (odd
-                       and np.array_equal(self.apply_h(lam, -w), -self.apply_h(lam, w))
-                       and np.array_equal(self.apply_h_u(lam, -w, v),
-                                          self.apply_h_u(lam, w, v)))
-            self._caches["odd"] = bool(odd)
-        return self._caches["odd"]
+        return self._odd_symmetric
+
+    @cached_property
+    def _odd_symmetric(self):
+        rng = np.random.default_rng(ODD_PROBE_SEED)
+        lo, hi = self.lambda_window
+        odd = True
+        for lam in rng.uniform(-0.4, 0.4, ODD_PROBE_PARAMETERS) * min(hi, -lo, 1.0):
+            w, v = rng.normal(size=(2, 3, self.dim)) * 0.01
+            odd = (odd
+                   and np.array_equal(self.apply_h(lam, -w), -self.apply_h(lam, w))
+                   and np.array_equal(self.apply_h_u(lam, -w, v),
+                                      self.apply_h_u(lam, w, v)))
+        return bool(odd)
 
     # -- derivative validation ------------------------------------------------------
 
@@ -364,6 +334,25 @@ class ProblemDef:
             fd = (self.apply_h(lam + dl, u) - self.apply_h(lam - dl, u)) / (2 * dl)
             err_lu = max(err_lu, _rel(fd, self.apply_h_lambda(lam, u), ref))
         return DerivativeReport(err_u, err_lu, err_uu, step)
+
+
+def _guarded_lu(matrix):
+    """``(lu, cond)``: the SuperLU factor of ``matrix`` and an estimate of
+    its 1-norm condition number; ``lu`` is None when the matrix is exactly
+    singular or worse conditioned than `COND_GUARD`, and the caller raises
+    the error that fits its operator."""
+    try:
+        lu = spla.splu(sp.csc_matrix(matrix))
+    except RuntimeError:  # exactly singular
+        return None, np.inf
+    inv_op = spla.LinearOperator(
+        matrix.shape, matvec=lu.solve,
+        rmatvec=lambda b: lu.solve(b, trans="H"), dtype=matrix.dtype,
+    )
+    cond = spla.onenormest(matrix) * spla.onenormest(inv_op)
+    if not np.isfinite(cond) or cond > COND_GUARD:
+        return None, cond
+    return lu, cond
 
 
 def _rel(approx, exact, ref):

@@ -296,10 +296,10 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def _resolvent_sigma_min(problem, z, max_steps, seed):
-    """``(sigma, steps)``: sigma_min(z - B) by `_lu_sigma_min` on the
-    problem's cached, condition-guarded LU (`ProblemDef.resolvent_lu`,
-    shared with `ProblemDef.solve_resolvent`); a failed guard, as at an
-    eigenvalue of ``B``, reads as ``(0.0, 0)``."""
+    """``(sigma, steps)``: sigma_min(z - B) by `_lu_sigma_min` on one
+    condition-guarded LU (`ProblemDef.resolvent_lu`, the factorization
+    `ProblemDef.solve_resolvent` uses), freed on return; a failed guard, as
+    at an eigenvalue of ``B``, reads as ``(0.0, 0)``."""
     try:
         lu = problem.resolvent_lu(z)
     except ResonanceError:

@@ -174,6 +174,17 @@ def test_cli_check_passes(tmp_path):
     assert len(lines) > 2
 
 
+def test_cli_reports_follow_the_umask(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        code, out = run_cli(tmp_path, "check")
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert (tmp_path / "out" / "hypotheses.json").stat().st_mode & 0o777 == 0o644
+    assert not [p for p in os.listdir(out) if p.startswith(".tmp-hopfkit-")]
+
+
 def test_cli_check_seed_echo(tmp_path):
     code, out = run_cli(tmp_path, "check", "", "--seed", "7")
     assert code == 0

@@ -6,13 +6,14 @@ from hopfkit.linear_periodic import (
     ResonantContentError,
     ResonantForcingError,
     ResonantScalarPath,
+    _deflated_critical_solve,
     solve_periodic_full,
     solve_periodic_nonresonant,
     solve_resonant_ode,
 )
-from hopfkit.problem import ResonanceError
-from hopfkit.spectral import build_projection
-from hopfkit.trajectory import PeriodicTrajectory
+from hopfkit.problem import ResonanceError, SingularOperatorError
+from hopfkit.spectral import SpectralDecomposition, build_projection
+from hopfkit.trajectory import ComplexStateVector, PeriodicTrajectory
 
 
 def make_nonresonant_trajectory(dim, dx, n_t=6, seed=0, scale=1.0):
@@ -303,3 +304,20 @@ def test_resonant_ode_scale_reference():
         solve_resonant_ode(g)  # relative to its own norm: 100% secular
     c = solve_resonant_ode(g, scale=1.0)
     assert c.norm() == 0.0
+
+
+def test_deflated_solve_rejects_a_singular_bordered_operator():
+    # B has the eigenvalue i exactly, but an adjoint orthogonal to psi
+    # leaves the bordered operator singular.
+    p = synthetic_problem(rotation_block())
+    psi = np.array([1.0, -1.0j, 0.0, 0.0]) / np.sqrt(2.0)
+    assert np.allclose(p.operator() @ psi, 1j * psi)
+    phi_adj = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    decomp = SpectralDecomposition(
+        ComplexStateVector(psi, p.dx), ComplexStateVector(phi_adj, p.dx), 1j)
+    with pytest.raises(
+        SingularOperatorError,
+        match=r"^operator \('deflated-critical', 1\) is numerically singular "
+              r"\(cond ~ \S+\)$",
+    ):
+        _deflated_critical_solve(p, decomp, np.ones(p.dim, dtype=complex))

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import rotation_block, synthetic_problem
 from hopfkit import config
@@ -14,9 +15,18 @@ from hopfkit.problem import (
     ResonanceError,
     ScaledParams,
 )
-from hopfkit.reaction_diffusion import ExampleConfig, make_problem
-from hopfkit.solver import extended_residual
-from hopfkit.spectral import build_projection
+from hopfkit.reaction_diffusion import (
+    ExampleConfig,
+    make_problem,
+    reference_eigenvector,
+)
+from hopfkit.solver import (
+    extended_residual,
+    initial_extended_state,
+    solve_extended,
+    verify_jacobian_nonsingular,
+)
+from hopfkit.spectral import build_projection, run_hypothesis_checks
 from hopfkit.trajectory import (
     PeriodicTrajectory,
     StateVector,
@@ -203,26 +213,50 @@ def test_shifted_is_z_minus_the_linearisation(lam):
         np.testing.assert_array_equal(p.shifted(z).toarray(), dense)
 
 
-def test_caches_are_not_a_constructor_argument():
-    p = cubic_problem()
-    fields = {f.name: getattr(p, f.name)
-              for f in dataclasses.fields(p) if f.init}
-    with pytest.raises(TypeError):
-        ProblemDef(**fields, _caches={})
-
-
 def test_replaced_problem_has_caches_of_its_own(monkeypatch, coarse_cfg):
     """A copy made by `dataclasses.replace`, as the frozen-parameter
-    problem is, must not see its base's operator or factorizations."""
+    problem is, builds its own operator and odd-symmetry probe instead of
+    seeing its base's."""
     base = make_problem(coarse_cfg)
-    base.resolvent_lu(2j)
+    operator = base.operator()
+    assert base.operator() is operator and base.odd_symmetric()
     monkeypatch.setattr(config, "make_problem", lambda cfg: base)
     frozen = build_problem(RunConfig(problem=coarse_cfg, frozen_parameter=True))
     renamed = dataclasses.replace(base, name="copy")
     for copy in (frozen, renamed):
-        assert copy._caches is not base._caches
-        assert "operator" not in copy._caches and not copy._caches["lu"]
-    assert "operator" in base._caches and base._caches["lu"]
+        assert "_operator_at_zero" not in vars(copy)
+        assert "_odd_symmetric" not in vars(copy)
+        assert copy.operator() is not operator
+        assert (copy.operator() != operator).nnz == 0
+        assert copy.odd_symmetric()
+
+
+def test_problem_holds_no_factorization(coarse_cfg):
+    """The checks and the certificate factor ``i n - B`` for each mode and
+    free the factor afterwards: nothing reachable from the problem is a
+    SuperLU object, and each `resolvent_lu` call factors afresh."""
+    problem = make_problem(coarse_cfg)
+    run_hypothesis_checks(problem, n_max=8)
+    decomp = build_projection(problem, reference=reference_eigenvector(coarse_cfg))
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    solution = solve_extended(problem, functional,
+                              initial_extended_state(decomp.psi, n_t=4))
+    verify_jacobian_nonsingular(problem, functional, solution.u)
+
+    seen, stack = set(), list(vars(problem).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, spla.SuperLU)
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not callable(obj):
+            stack.extend(vars(obj).values())
+    assert problem.resolvent_lu(2j) is not problem.resolvent_lu(2j)
 
 
 def test_resolvent_solves_shifted_system():
@@ -267,7 +301,7 @@ def test_resonant_mode_raises():
     assert np.linalg.norm(res - np.ones(4)) < 1e-10
 
 
-def test_factorization_cache_is_thread_safe():
+def test_concurrent_resolvent_solves_agree():
     p = cubic_problem(nx=6)
     rng = np.random.default_rng(6)
     rhs = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)

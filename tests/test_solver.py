@@ -423,9 +423,9 @@ def test_checks_analyse_the_linearisation_not_bare_A():
     assert abs(got.simplicity.margin - expect.simplicity.margin) <= 1e-12
 
 
-def test_certificate_reuses_the_resolvent_factors(monkeypatch):
-    # After the hypothesis checks, the certificate's blocks 2..n_t are the
-    # scan's cached LUs of i n - B: no sparse factorization is added.
+def test_certificate_factors_each_resolvent_block_once(monkeypatch):
+    # The certificate's blocks 2..n_t each take one guarded LU of i n - B
+    # of their own; the hypothesis checks before them leave none behind.
     import hopfkit.problem as problem_module
 
     problem = synthetic_problem(rotation_block(), h="linear", c=0.8)
@@ -445,7 +445,7 @@ def test_certificate_reuses_the_resolvent_factors(monkeypatch):
     monkeypatch.setattr(problem_module.spla, "splu", counting_splu)
     cert = verify_jacobian_nonsingular(problem, functional, solution.u)
     assert list(cert.sigma_min_by_mode) == ["0-1", "2", "3", "4"]
-    assert calls == []
+    assert calls == [(4, 4)] * 3
 
 
 def test_jacobian_certificate_on_example(coarse_problem, coarse_functional,
@@ -778,7 +778,8 @@ def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch
     problem, functional, solution = even_setup
     reference = even_branch(problem, functional, solution.u, solution.params)
     misread = dataclasses.replace(problem)
-    misread._caches["odd"] = True
+    vars(misread)["_odd_symmetric"] = True  # the probe's kept answer
+    assert misread.odd_symmetric()
     coeffs = np.array(solution.u.coeffs)
     coeffs[0::2] = 0.0
     u_star = PeriodicTrajectory(coeffs, solution.u.dx)
