@@ -42,8 +42,7 @@ toy = ProblemDef(
     apply_h_u=lambda lam, w, v: lam * v,
     apply_h_lambda=lambda lam, w: np.asarray(w, dtype=float),
     apply_h_lambda_u=lambda lam, w, v: np.asarray(v, dtype=float),
-    apply_h_uu=lambda lam, w, v1, v2: np.zeros_like(np.asarray(w)),
-    dx=1.0, L=1.0, name="overtone-in-spectrum",
+    dx=1.0, name="overtone-in-spectrum",
 )
 broken = run_hypothesis_checks(toy, target=2j, n_max=8)
 for line in broken.summary_lines():

@@ -259,6 +259,5 @@ def build_problem(run_config):
         apply_h_u=_at_zero_lambda(base.apply_h_u),
         apply_h_lambda=_zeros_like_last,
         apply_h_lambda_u=_zeros_like_last,
-        apply_h_uu=_at_zero_lambda(base.apply_h_uu),
         name=base.name + "/frozen-parameter",
     )

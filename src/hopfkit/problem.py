@@ -99,12 +99,8 @@ class ProblemDef:
         Parameter derivative ``h_lam(lam, w)``.
     apply_h_lambda_u : callable ``(lam, w, v) -> array``
         Mixed derivative ``h_{lam u}(lam, w) v``.
-    apply_h_uu : callable ``(lam, w, v1, v2) -> array``
-        Second derivative ``h_uu(lam, w)[v1, v2]`` (symmetric in v1, v2).
     dx : float
-        Spatial grid spacing.
-    L : float
-        Half-width of the spatial interval (metadata).
+        Spatial grid spacing; positive and finite.
     lambda_window : (float, float)
         Open interval of admissible parameters; must contain 0.
     trust_radius : float
@@ -113,6 +109,7 @@ class ProblemDef:
         Spatial locality of ``h``: the derivative at grid point ``j``
         depends on points within ``|j' - j| <= h_stencil``.  0 for
         pointwise nonlinearities; used to probe Jacobians efficiently.
+        A non-negative integer.
     name : str
         Human-readable tag used in reports.
     """
@@ -122,9 +119,7 @@ class ProblemDef:
     apply_h_u: Callable
     apply_h_lambda: Callable
     apply_h_lambda_u: Callable
-    apply_h_uu: Callable
     dx: float
-    L: float
     lambda_window: Tuple[float, float] = (-1.0, 1.0)
     trust_radius: float = np.inf
     h_stencil: int = 0
@@ -139,6 +134,10 @@ class ProblemDef:
             raise ValueError("lambda window must be an open interval containing 0")
         if not self.trust_radius > 0:
             raise ValueError("trust radius must be positive")
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError("dx must be positive and finite")
+        if not (isinstance(self.h_stencil, (int, np.integer)) and self.h_stencil >= 0):
+            raise ValueError("h_stencil must be a non-negative integer")
         object.__setattr__(self, "A", a)
 
     # -- shape helpers -------------------------------------------------------
@@ -297,7 +296,7 @@ class ProblemDef:
 
         Draws ``samples`` random states of sup-norm about ``scale`` and
         random admissible parameters, and central-differences ``apply_h``
-        to check ``apply_h_u``, ``apply_h_lambda_u`` and ``apply_h_uu``.
+        to check ``apply_h_u``, ``apply_h_lambda`` and ``apply_h_lambda_u``.
 
         Returns
         -------
@@ -310,12 +309,11 @@ class ProblemDef:
         rng = np.random.default_rng(seed)
         lo, hi = self.lambda_window
         span = min(hi, -lo, 1.0)
-        err_u = err_lu = err_uu = 0.0
+        err_u = err_lu = 0.0
         for _ in range(samples):
             lam = float(rng.uniform(-0.4, 0.4) * span)
             u = rng.normal(size=self.dim) * scale
             v = rng.normal(size=self.dim) * scale
-            w = rng.normal(size=self.dim) * scale
             ref = max(scale, float(np.abs(self.apply_h(lam, u)).max()))
 
             fd = (self.apply_h(lam, u + step * v)
@@ -327,13 +325,9 @@ class ProblemDef:
                   - self.apply_h_u(lam - dl, u, v)) / (2 * dl)
             err_lu = max(err_lu, _rel(fd, self.apply_h_lambda_u(lam, u, v), ref))
 
-            fd = (self.apply_h_u(lam, u + step * w, v)
-                  - self.apply_h_u(lam, u - step * w, v)) / (2 * step)
-            err_uu = max(err_uu, _rel(fd, self.apply_h_uu(lam, u, v, w), ref))
-
             fd = (self.apply_h(lam + dl, u) - self.apply_h(lam - dl, u)) / (2 * dl)
             err_lu = max(err_lu, _rel(fd, self.apply_h_lambda(lam, u), ref))
-        return DerivativeReport(err_u, err_lu, err_uu, step)
+        return DerivativeReport(err_u, err_lu, step)
 
 
 def _guarded_lu(matrix):
@@ -416,16 +410,17 @@ def linearization_matrix(problem, lam):
 
 
 class DerivativeReport(NamedTuple):
-    """Outcome of `ProblemDef.check_derivatives` (max relative errors)."""
+    """Outcome of `ProblemDef.check_derivatives` (max relative errors);
+    ``err_h_lambda_u`` covers both ``apply_h_lambda`` and
+    ``apply_h_lambda_u``."""
 
     err_h_u: float
     err_h_lambda_u: float
-    err_h_uu: float
     step: float
 
     @property
     def worst(self):
-        return max(self.err_h_u, self.err_h_lambda_u, self.err_h_uu)
+        return max(self.err_h_u, self.err_h_lambda_u)
 
     @property
     def ok(self):
@@ -434,6 +429,5 @@ class DerivativeReport(NamedTuple):
     def __str__(self):
         return (
             f"derivative check (step {self.step:g}): "
-            f"h_u {self.err_h_u:.2e}, h_lambda_u {self.err_h_lambda_u:.2e}, "
-            f"h_uu {self.err_h_uu:.2e}"
+            f"h_u {self.err_h_u:.2e}, h_lambda_u {self.err_h_lambda_u:.2e}"
         )

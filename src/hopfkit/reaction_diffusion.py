@@ -193,18 +193,8 @@ def make_problem(cfg=ExampleConfig()):
     def h_semi_lam_u(lam, w, z):  # h_lam is linear in w
         return h_semi_lam(lam, z)
 
-    def h_semi_uu(lam, w, a_, b_):
-        u, v = split(w)
-        au, av = split(a_)
-        bu, bv = split(b_)
-        cross = au * bv + av * bu
-        return join(
-            -6.0 * u * au * bu - 2.0 * v * cross - 2.0 * u * av * bv,
-            -2.0 * v * au * bu - 2.0 * u * cross - 6.0 * v * av * bv,
-        )
-
     if cfg.variant == "semilinear":
-        h, h_u, h_uu = h_semi, h_semi_u, h_semi_uu
+        h, h_u = h_semi, h_semi_u
     else:
         # Quasilinear: add h1 = ((u^2 u_x)_x, (v^2 v_x)_x) per field, with
         # nested central differences so that the derivative formulas below
@@ -215,21 +205,11 @@ def make_problem(cfg=ExampleConfig()):
         def h1_field_u(u, z):
             return _diff1(2.0 * u * _diff1(u, dx) * z + u * u * _diff1(z, dx), dx)
 
-        def h1_field_uu(u, a_, b_):
-            return _diff1(
-                2.0 * _diff1(u, dx) * a_ * b_
-                + 2.0 * u * (a_ * _diff1(b_, dx) + b_ * _diff1(a_, dx)),
-                dx,
-            )
-
         def h(lam, w):
             return h_semi(lam, w) + fieldwise(h1_field, w)
 
         def h_u(lam, w, z):
             return h_semi_u(lam, w, z) + fieldwise(h1_field_u, w, z)
-
-        def h_uu(lam, w, a_, b_):
-            return h_semi_uu(lam, w, a_, b_) + fieldwise(h1_field_uu, w, a_, b_)
 
     mode = "consistent" if cfg.discretely_consistent_rho else "standard"
     return ProblemDef(
@@ -238,9 +218,7 @@ def make_problem(cfg=ExampleConfig()):
         apply_h_u=h_u,
         apply_h_lambda=h_semi_lam,
         apply_h_lambda_u=h_semi_lam_u,
-        apply_h_uu=h_uu,
         dx=dx,
-        L=cfg.L,
         lambda_window=(-1.0, 1.0),
         trust_radius=10.0,
         h_stencil=cfg.h_stencil,

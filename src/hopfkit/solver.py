@@ -681,18 +681,16 @@ class BranchResult:
             )
         return rows
 
-    def to_json_dict(self, include_trajectories=False):
-        points = []
-        for pt in self.points:
-            entry = {
+    def to_json_dict(self):
+        points = [
+            {
                 "alpha": pt.alpha, "lambda": pt.lam, "sigma": pt.sigma,
                 "eta_norm": pt.eta_norm, "residual": pt.residual,
                 "newton_iters": pt.newton_iters,
                 "l_check": list(map(float, pt.l_check)),
             }
-            if include_trajectories:
-                entry["u"] = pt.u.to_json_dict()
-            points.append(entry)
+            for pt in self.points
+        ]
         out = {
             "schema": 1,
             "newton_tol": self.newton_tol,

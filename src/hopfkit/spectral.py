@@ -238,17 +238,12 @@ class CrossingSpeed(NamedTuple):
 
     ``formula`` pairs the mixed derivative against the adjoint eigenvector;
     ``finite_difference`` tracks the eigenvalue at ``lam = +-dlam``.  The
-    constructor-level cross-check guarantees they agree; ``value`` exposes
-    the formula variant.
+    constructor-level cross-check guarantees they agree.
     """
 
     formula: complex
     finite_difference: complex
     dlam: float
-
-    @property
-    def value(self):
-        return self.formula
 
     @property
     def transversal(self):

@@ -14,7 +14,6 @@ discarded on analysis.
 
 from __future__ import annotations
 
-import json
 import numpy as np
 
 __all__ = [
@@ -231,14 +230,6 @@ class PeriodicTrajectory:
         phases = np.exp(1j * float(theta) * np.arange(self.n_t + 1))
         return self.with_coeffs(self.coeffs * phases[:, None])
 
-    def pad_modes(self, n_t):
-        """Embed into a finer temporal truncation (``n_t`` must not shrink)."""
-        if n_t < self.n_t:
-            raise ValueError("pad_modes cannot drop retained modes")
-        out = np.zeros((n_t + 1, self.dim), dtype=complex)
-        out[: self.n_t + 1] = self.coeffs
-        return PeriodicTrajectory(out, self.dx)
-
     def split_subspaces(self):
         """Split into mean, fundamental and higher-harmonic parts.
 
@@ -306,47 +297,6 @@ class PeriodicTrajectory:
             f"PeriodicTrajectory(n_t={self.n_t}, nx={self.nx}, "
             f"dx={self.dx:g}, norm={self.norm():.3e})"
         )
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self):
-        """A JSON-ready dict (schema version 1)."""
-        return {
-            "schema": 1,
-            "n_t": self.n_t,
-            "dim": self.dim,
-            "dx": self.dx,
-            "modes": [
-                {"n": int(n), "re": self.coeffs[n].real.tolist(),
-                 "im": self.coeffs[n].imag.tolist()}
-                for n in range(self.n_t + 1)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("schema") != 1:
-            raise ValueError(f"unsupported trajectory schema: {obj.get('schema')!r}")
-        n_t = int(obj["n_t"])
-        dim = int(obj["dim"])
-        coeffs = np.zeros((n_t + 1, dim), dtype=complex)
-        for mode in obj["modes"]:
-            n = int(mode["n"])
-            if not 0 <= n <= n_t:
-                raise ValueError(f"mode index {n} out of range")
-            coeffs[n] = np.asarray(mode["re"], dtype=float) + 1j * np.asarray(
-                mode["im"], dtype=float
-            )
-        return cls(coeffs, float(obj["dx"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def zero_trajectory(n_t, dim, dx):
@@ -449,19 +399,6 @@ class AmplitudeFunctional:
         """
         p, q = self.pair(traj)
         return float(np.arctan2(q, p))
-
-    def to_json_dict(self):
-        return {
-            "schema": 1,
-            "dx": self.weight.dx,
-            "weight": self.weight.data.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        if obj.get("schema") != 1:
-            raise ValueError(f"unsupported functional schema: {obj.get('schema')!r}")
-        return cls(StateVector(obj["weight"], float(obj["dx"])))
 
 
 def build_amplitude_functional(psi, adjoint=None):

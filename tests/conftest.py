@@ -53,9 +53,7 @@ def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic",
         apply_h_u=hu,
         apply_h_lambda=hlam,
         apply_h_lambda_u=hlamu,
-        apply_h_uu=lambda lam, w, v1, v2: np.zeros_like(v1),
         dx=dx,
-        L=1.0,
         name=name,
     )
 
@@ -68,8 +66,6 @@ def with_even_term(problem, eps):
         problem,
         apply_h=lambda lam, w: problem.apply_h(lam, w) + eps * w * w,
         apply_h_u=lambda lam, w, v: problem.apply_h_u(lam, w, v) + 2.0 * eps * w * v,
-        apply_h_uu=lambda lam, w, v1, v2: (
-            problem.apply_h_uu(lam, w, v1, v2) + 2.0 * eps * v1 * v2),
         name=problem.name + "+even",
     )
 

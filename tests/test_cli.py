@@ -108,7 +108,7 @@ def test_build_problem_plain():
     cfg = parse_config("problem.L = 20\nproblem.dx = 0.2\n")
     problem = build_problem(cfg)
     assert problem.name == "reaction-diffusion/semilinear/consistent"
-    assert problem.L == 20.0
+    assert problem.nx == 201  # 2 L / dx + 1 points on [-L, L]
 
 
 def test_build_problem_frozen_parameter():

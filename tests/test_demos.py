@@ -21,8 +21,8 @@ def test_demo_runs(demo, tmp_path):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["TMPDIR"] = str(tmp_path)  # where demo 05 puts its run directory
-    # The suite's RuntimeWarning gate, inside each demo process too.
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    # The suite's warning gates, inside each demo process too.
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning"
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,

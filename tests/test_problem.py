@@ -65,9 +65,6 @@ def cubic_problem(nx=3, dx=0.5, trust=np.inf, window=(-1.0, 1.0)):
     def h_lam_u(lam, w, v):
         return np.array(v, dtype=float, copy=True)
 
-    def h_uu(lam, w, v1, v2):
-        return -2.0 * (wdot(v1, v2) * w + wdot(w, v1) * v2 + wdot(w, v2) * v1)
-
     rng = np.random.default_rng(42)
     a = rng.normal(size=(2 * nx, 2 * nx))
     a = a - 5.0 * np.eye(2 * nx)  # comfortably invertible, spectrum well left
@@ -77,9 +74,7 @@ def cubic_problem(nx=3, dx=0.5, trust=np.inf, window=(-1.0, 1.0)):
         apply_h_u=h_u,
         apply_h_lambda=h_lam,
         apply_h_lambda_u=h_lam_u,
-        apply_h_uu=h_uu,
         dx=dx,
-        L=nx * dx / 2,
         lambda_window=window,
         trust_radius=trust,
         name="cubic-test",
@@ -98,16 +93,13 @@ def rotation_block_problem():
     )
     zero = lambda lam, w: np.zeros_like(w)
     zero3 = lambda lam, w, v: np.zeros_like(v)
-    zero4 = lambda lam, w, v1, v2: np.zeros_like(v1)
     return ProblemDef(
         A=sp.csc_matrix(a),
         apply_h=zero,
         apply_h_u=zero3,
         apply_h_lambda=zero,
         apply_h_lambda_u=zero3,
-        apply_h_uu=zero4,
         dx=1.0,
-        L=1.0,
         name="rotation-test",
     )
 
@@ -161,9 +153,7 @@ def test_singular_A_rejected():
         apply_h_u=p.apply_h_u,
         apply_h_lambda=p.apply_h_lambda,
         apply_h_lambda_u=p.apply_h_lambda_u,
-        apply_h_uu=p.apply_h_uu,
         dx=1.0,
-        L=1.0,
     )
     with pytest.raises(ResonanceError, match="z = 0"):
         bad.solve_resolvent(0, np.ones(4))
@@ -373,9 +363,7 @@ def test_residual_g_linear_problem_mode_formula():
         apply_h_u=lambda lam, w, v: lam * v,
         apply_h_lambda=lambda lam, w: np.array(w, dtype=float, copy=True),
         apply_h_lambda_u=lambda lam, w, v: np.array(v, dtype=float, copy=True),
-        apply_h_uu=lambda lam, w, v1, v2: np.zeros_like(v1),
         dx=p_cubic.dx,
-        L=p_cubic.L,
     )
     rng = np.random.default_rng(8)
     n_t = 4
@@ -448,28 +436,26 @@ def test_check_derivatives_zero_nonlinearity():
         apply_h_u=lambda lam, w, v: np.zeros_like(v),
         apply_h_lambda=lambda lam, w: np.zeros_like(w),
         apply_h_lambda_u=lambda lam, w, v: np.zeros_like(v),
-        apply_h_uu=lambda lam, w, v1, v2: np.zeros_like(v1),
         dx=p.dx,
-        L=p.L,
     )
     report = zero.check_derivatives(samples=3, seed=2)
     assert report.worst == 0.0
 
 
-def test_check_derivatives_catches_wrong_derivative():
-    p = cubic_problem()
-    broken = ProblemDef(
-        A=p.A,
-        apply_h=p.apply_h,
-        apply_h_u=lambda lam, w, v: lam * v,  # missing cubic terms
-        apply_h_lambda=p.apply_h_lambda,
-        apply_h_lambda_u=p.apply_h_lambda_u,
-        apply_h_uu=p.apply_h_uu,
-        dx=p.dx,
-        L=p.L,
-    )
+@pytest.mark.parametrize("callable_name, wrong, field", [
+    ("apply_h_u", lambda lam, w, v: lam * v, "err_h_u"),  # no cubic terms
+    ("apply_h_lambda", lambda lam, w: 2.0 * w, "err_h_lambda_u"),
+    ("apply_h_lambda_u", lambda lam, w, v: np.zeros_like(v), "err_h_lambda_u"),
+], ids=["h_u", "h_lambda", "h_lambda_u"])
+def test_check_derivatives_catches_wrong_derivative(callable_name, wrong, field):
+    """Each derivative callable broken alone fails the check through its
+    own error field; the other field stays at finite-difference accuracy."""
+    broken = dataclasses.replace(cubic_problem(), **{callable_name: wrong})
     report = broken.check_derivatives(samples=3, scale=0.1, seed=3)
-    assert report.err_h_u > 1e-4
+    assert not report.ok
+    assert getattr(report, field) > 1e-4
+    other = "err_h_lambda_u" if field == "err_h_u" else "err_h_u"
+    assert getattr(report, other) <= 1e-6
 
 
 def test_directional_derivative_second_order():
@@ -487,6 +473,19 @@ def test_directional_derivative_second_order():
 
     e1, e2 = defect(1e-3), defect(5e-4)
     assert 3.5 <= e1 / e2 <= 4.5
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h_stencil", -1), ("h_stencil", 1.5), ("h_stencil", "2"),
+    ("dx", 0.0), ("dx", -1.0), ("dx", np.nan), ("dx", np.inf),
+])
+def test_problem_rejects_invalid_grid_fields(field, value):
+    """A negative stencil would drop h_u(lam, 0) from every probe, and a
+    non-positive dx has no grid; the constructor refuses both, also when
+    `dataclasses.replace` calls it."""
+    p = synthetic_problem(rotation_block(), h="linear", c=0.8)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(p, **{field: value})
 
 
 def test_scaled_params_fields():

@@ -229,23 +229,6 @@ def test_quasilinear_derivatives_validate():
     assert report.ok, str(report)
 
 
-def test_quasilinear_second_derivative_is_derivative_of_first():
-    # The corrected second-derivative formula must be the actual derivative
-    # of apply_h_u, not just symmetric: central-difference apply_h_u in w.
-    p = make_problem(small_cfg(variant="quasilinear"))
-    rng = np.random.default_rng(7)
-    u = rng.normal(size=p.dim) * 0.1
-    v = rng.normal(size=p.dim) * 0.1
-    w = rng.normal(size=p.dim) * 0.1
-    eps = 1e-6
-    fd = (p.apply_h_u(0.2, u + eps * w, v) - p.apply_h_u(0.2, u - eps * w, v)) / (2 * eps)
-    exact = p.apply_h_uu(0.2, u, v, w)
-    assert np.abs(fd - exact).max() <= 1e-7
-    # and it is symmetric in the two directions
-    assert np.allclose(p.apply_h_uu(0.2, u, v, w), p.apply_h_uu(0.2, u, w, v),
-                       atol=1e-14)
-
-
 def test_h_stencil_metadata():
     assert make_problem(small_cfg()).h_stencil == 0
     assert make_problem(small_cfg(variant="quasilinear")).h_stencil == 2

@@ -155,7 +155,6 @@ def test_crossing_speed_reaction_diffusion(coarse_problem):
     assert abs(cs.formula.imag) <= 1e-6
     assert abs(cs.finite_difference - cs.formula) <= 1e-4 * abs(cs.formula) + 1e-8
     assert cs.transversal
-    assert cs.value == cs.formula
 
 
 def test_crossing_speed_zero_when_h_lambda_u_vanishes():

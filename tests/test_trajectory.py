@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from hopfkit.trajectory import (
-    AmplitudeFunctional,
     ComplexStateVector,
     PeriodicTrajectory,
     StateVector,
@@ -144,27 +141,6 @@ def test_single_harmonic_layout():
                            atol=1e-13)
 
 
-def test_pad_modes_preserves_values():
-    u = make_traj(n_t=3, nx=2)
-    v = u.pad_modes(7)
-    assert v.n_t == 7
-    for t in (0.1, 2.2):
-        assert np.allclose(v.at_time(t).data, u.at_time(t).data, atol=1e-13)
-    with pytest.raises(ValueError):
-        u.pad_modes(2)
-
-
-def test_json_roundtrip(tmp_path):
-    u = make_traj(n_t=4, nx=3, dx=0.25, seed=5)
-    path = tmp_path / "traj.json"
-    u.save(path)
-    blob = json.loads(path.read_text())
-    assert blob["schema"] == 1
-    v = PeriodicTrajectory.load(path)
-    assert v.n_t == u.n_t and v.dx == u.dx
-    assert np.allclose(v.coeffs, u.coeffs, atol=0)
-
-
 def test_grid_mismatch_raises():
     u = make_traj(n_t=3, nx=2, dx=0.1)
     v = make_traj(n_t=3, nx=2, dx=0.2)
@@ -251,14 +227,6 @@ def test_phase_angle_tracks_shift():
     theta = 0.77
     # An advance by theta needs an advance by -theta to undo.
     assert np.isclose(func.phase_angle(u.time_shift(theta)), -theta, atol=1e-12)
-
-
-def test_functional_json_roundtrip():
-    psi, _ = random_pair(seed=30)
-    func = build_amplitude_functional(psi)
-    clone = AmplitudeFunctional.from_json_dict(func.to_json_dict())
-    u = make_traj(n_t=3, nx=6, dx=psi.dx, seed=31)
-    assert np.allclose(clone.pair(u), func.pair(u), atol=0)
 
 
 def test_zero_trajectory():
