@@ -242,6 +242,7 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
         "notes": list(result.notes),
         "seconds": elapsed,
         "newton_space": result.newton_space,
+        "factorizations": result.factorizations,
     }
 
     passed = not result.truncated
@@ -274,7 +275,8 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
     line = (f"branch: {len(result.points)} points in {elapsed:.1f}s, "
             + ("PASS" if passed else "FAIL"))
     if reporter.verbosity >= 2:
-        line += f"; newton space: {result.newton_space}"
+        line += (f"; newton space: {result.newton_space}; continuation: "
+                 f"{result.factorizations} factorizations")
         if symmetry is not None:
             line += (f"; symmetry check: {symmetry.newton_iters} Newton "
                      f"iterations, {symmetry.factorizations} factorizations")

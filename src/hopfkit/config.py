@@ -163,11 +163,12 @@ def _validate_solver(settings):
 def _check_memory(problem, solver):
     """Reject grids whose Newton bands cannot fit in physical memory.
 
-    Upper bound of two band-sized arrays (`newton.band_bytes_bound`).  A
-    Newton step factors its band in place, so the two are the symmetry
-    check's shared factor plus one exact fallback step beside it.  Assembly
-    adds only a fixed chunk of coupling blocks beside the band it fills.
-    Computed in floats so an infinite grid is rejected too.
+    Upper bound of two band-sized arrays (`newton.band_bytes_bound`).  The
+    Newton solves hold one band at a time, factored in place, and release
+    it before the next is assembled; the second band's worth is a margin
+    for what lives beside it (iterates, border solves, and the fixed chunk
+    of coupling blocks that assembly adds).  Computed in floats so an
+    infinite grid is rejected too.
     """
     nx = 2.0 * problem.L / problem.dx + 1.0
     need = 2 * band_bytes_bound(nx, solver.n_t, problem.h_stencil)

@@ -35,7 +35,7 @@ derivatives) and two extra rows (the phase functionals) by a 2x2 Schur
 complement, with optional matrix-free iterative refinement -- needed
 because the core band is *exactly singular* at a solved branch point (time
 translation) while the bordered system is not.
-`BorderedSystem.rebordered` puts new borders on an existing factor, with
+`BorderedSystem.on_factor` puts new borders on an existing factor, with
 the core conjugated by `TrajectoryLayout.rotate` (the flat form of a time
 shift), so one factor serves every time translate of its base trajectory.
 """
@@ -454,9 +454,9 @@ class BorderedSystem:
     ``J^T`` through its ``trans`` flag.  The border solves and the Schur
     complement are cached per orientation.
 
-    `rebordered` borders an already factored core anew: the new system
+    `on_factor` borders an already factored core anew: the new system
     shares the band and its factor, with the core taken as ``S J S^-1``
-    for a rotation ``S`` of the layout (see `rebordered`).
+    for a rotation ``S`` of the layout (see `on_factor`).
     """
 
     def __init__(self, band, columns, rows):
@@ -466,24 +466,24 @@ class BorderedSystem:
             raise ValueError("expected two border columns of core size")
         self.rows = rows  # pair of (indices, values)
         self._factor = None
-        self._rotation = None  # (layout, psi) of a re-bordered system
+        self._rotation = None  # (layout, psi) of a rotated system (`on_factor`)
         self._schur = {}  # transpose -> (border solves, Schur complement)
 
-    def rebordered(self, columns, rows, layout, psi):
-        """The system ``[[S J S^-1, columns], [rows^T, 0]]`` on this factor.
+    @classmethod
+    def on_factor(cls, band, factor, columns, rows, layout, psi):
+        """The system ``[[S J S^-1, columns], [rows^T, 0]]`` on ``factor``,
+        the LU ``(lub, ipiv)`` of ``band``'s core ``J``.
 
-        ``S = layout.rotate(., psi)``.  The band is not copied and not
-        factorized again (this system is factorized first if it was not);
-        only the Schur complement of the new borders is computed.  ``S`` is
-        orthogonal, so the transpose solves ``S J^-T S^-1`` the same way.
-        The band product is not rotated: `solve` on the new system needs
-        an exact ``matvec``.
+        ``S = layout.rotate(., psi)``.  Nothing is assembled or factorized
+        again; only the Schur complement of the new borders is computed.
+        ``S`` is orthogonal, so the transpose solves ``S J^-T S^-1`` the
+        same way.  The band product is not rotated: `solve` on a rotated
+        system needs an exact ``matvec``.
         """
-        if layout.size != self.band.size:
+        if layout.size != band.size:
             raise ValueError("layout does not match the band")
-        self.factorize()
-        system = BorderedSystem(self.band, columns, rows)
-        system._factor = self._factor
+        system = cls(band, columns, rows)
+        system._factor = factor
         system._rotation = (layout, float(psi))
         return system
 
@@ -502,7 +502,7 @@ class BorderedSystem:
 
     def _core_solve(self, b, transpose):
         """``J^-1 b`` (``J^-T b``) for one vector or a ``(size, k)`` stack,
-        conjugated by the rotation of a re-bordered system."""
+        conjugated by the rotation of an `on_factor` system."""
         if self._rotation is not None:
             layout, psi = self._rotation
             b = layout.rotate(b, -psi)
@@ -603,5 +603,5 @@ class BorderedSystem:
         if matvec is not None:
             return matvec
         if self._rotation is not None:
-            raise ValueError("a re-bordered system refines against an exact matvec")
+            raise ValueError("a rotated system refines against an exact matvec")
         return self.apply_transpose if transpose else self.apply

@@ -309,7 +309,7 @@ class ProblemDef:
         rng = np.random.default_rng(seed)
         lo, hi = self.lambda_window
         span = min(hi, -lo, 1.0)
-        err_u = err_lu = 0.0
+        err_u = err_l = err_lu = 0.0
         for _ in range(samples):
             lam = float(rng.uniform(-0.4, 0.4) * span)
             u = rng.normal(size=self.dim) * scale
@@ -326,8 +326,8 @@ class ProblemDef:
             err_lu = max(err_lu, _rel(fd, self.apply_h_lambda_u(lam, u, v), ref))
 
             fd = (self.apply_h(lam + dl, u) - self.apply_h(lam - dl, u)) / (2 * dl)
-            err_lu = max(err_lu, _rel(fd, self.apply_h_lambda(lam, u), ref))
-        return DerivativeReport(err_u, err_lu, step)
+            err_l = max(err_l, _rel(fd, self.apply_h_lambda(lam, u), ref))
+        return DerivativeReport(err_u, err_l, err_lu, step)
 
 
 def _guarded_lu(matrix):
@@ -410,24 +410,30 @@ def linearization_matrix(problem, lam):
 
 
 class DerivativeReport(NamedTuple):
-    """Outcome of `ProblemDef.check_derivatives` (max relative errors);
-    ``err_h_lambda_u`` covers both ``apply_h_lambda`` and
-    ``apply_h_lambda_u``."""
+    """Outcome of `ProblemDef.check_derivatives`: the max relative error
+    of ``apply_h_u``, ``apply_h_lambda`` and ``apply_h_lambda_u``, each in
+    its own field."""
 
     err_h_u: float
+    err_h_lambda: float
     err_h_lambda_u: float
     step: float
 
     @property
     def worst(self):
-        return max(self.err_h_u, self.err_h_lambda_u)
+        return max(self.err_h_u, self.err_h_lambda, self.err_h_lambda_u)
 
     @property
     def ok(self):
         return self.worst <= DERIVATIVE_TOLERANCE
 
     def __str__(self):
-        return (
-            f"derivative check (step {self.step:g}): "
-            f"h_u {self.err_h_u:.2e}, h_lambda_u {self.err_h_lambda_u:.2e}"
-        )
+        errors = {"h_u": self.err_h_u, "h_lambda": self.err_h_lambda,
+                  "h_lambda_u": self.err_h_lambda_u}
+        text = f"derivative check (step {self.step:g}): " + ", ".join(
+            f"{name} {err:.2e}" for name, err in errors.items())
+        wrong = [f"apply_{name}" for name, err in errors.items()
+                 if err > DERIVATIVE_TOLERANCE]
+        if wrong:
+            text += f"; wrong beyond {DERIVATIVE_TOLERANCE:g}: " + ", ".join(wrong)
+        return text

@@ -25,7 +25,21 @@ certificate all build and apply it:
   symmetry and the quadratic leading behaviour of the parameter along the
   branch.
 
-The continuation and the extended solve factor one band per Newton step.
+Every Newton solve steps through one held band factor (`_SharedFactor`), a
+chord (Shamanskii) iteration: g is autonomous, so its derivative at a time
+translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1`` with ``S_psi`` an
+O(size) rotation of the Fourier modes, and a step solves through the held
+factor rotated by the phase difference between the factor's iterate and
+its own, refined against the exact derivative (the residual and the
+tolerance stay exact).  A step factors at its iterate instead, replacing
+the held factor, when the factor is not in the step's space or the last
+chord step did not at least halve the residual; a chord step that fails
+(its residual leaves the solver's domain, or its bordered reduction is
+singular) is taken again at the same iterate through a new factor.
+`continue_branch` holds one factor for its whole sweep, the symmetry check
+starts from the factor at the branch's mid point, and `solve_extended`
+starts with none.
+
 When ``h`` is odd (`ProblemDef.odd_symmetric`, probed on the first Newton
 solve) and the iterate has no even Fourier modes, a Newton step solves on
 the odd modes only (the half-wave space, `newton.odd_modes`): the branch
@@ -34,14 +48,6 @@ modes, and the band is about a quarter of the full one.  The full
 residual, even modes included, still decides convergence; a solve whose
 even residual exceeds the tolerance finishes in the full space.  The
 hypothesis checks and the certificate stay on the full space.
-The symmetry check factors one band for all of its solves: g is autonomous,
-so its derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
-S_psi^-1`` with ``S_psi`` an O(size) rotation of the Fourier modes, and
-every Newton step of the mirrored branch and of the phase seeds solves
-through the mid point's factor rotated to the iterate's phase, refined
-against the exact derivative (a chord iteration; the residual and the
-tolerance stay exact).  A solve whose step does not at least halve the
-residual refactors at its iterate and finishes with exact Newton.
 """
 
 from __future__ import annotations
@@ -202,13 +208,13 @@ class _Linearization:
         return TrajectoryLayout(base.n_t, base.nx, base.dx,
                                 odd_modes(base.n_t) if half else None)
 
-    def bordered_system(self, layout=None, factor=None, psi=0.0):
+    def bordered_system(self, layout=None, held=None):
         """Assembled matrix form in ``layout`` (default `layout()`), core
         rows first, parameter slots last.
 
-        With a factored `BorderedSystem` ``factor`` in ``layout`` no band
-        is assembled: the core is ``factor``'s, rotated by ``psi``
-        (`BorderedSystem.rebordered`), and the parameter columns and rows
+        With a `_SharedFactor` ``held`` in ``layout`` no band is assembled:
+        the core is the held factor's, rotated from its phase to ``u``'s
+        (`BorderedSystem.on_factor`), and the parameter columns and rows
         are this one's.
         """
         layout = self.layout() if layout is None else layout
@@ -217,32 +223,75 @@ class _Linearization:
              layout.flatten_trajectory(self.col_sig)]
         )
         rows = layout.functional_rows(self.functional.weight.data)
-        if factor is not None:
-            return factor.rebordered(columns, rows, layout, psi), layout
+        if held is not None:
+            psi = held.phase - self.functional.phase_angle(self.u)
+            return BorderedSystem.on_factor(
+                held.band, held.lu, columns, rows, layout, psi), layout
         band = assemble_jacobian_band(self.problem, self.params, self.base, layout)
         return BorderedSystem(band, columns, rows), layout
 
 
 class _SharedFactor:
-    """One factored branch linearisation serving every time translate.
+    """The one band factor a run of Newton solves steps through.
 
     g is autonomous, so ``g_u(p, tau_psi u) = S_psi g_u(p, u) S_psi^-1``
-    with ``S_psi`` the layout rotation of ``time_shift(psi)``.  ``system``
-    is the factored bordered system at a branch point whose pair is
-    ``(alpha, 0)``, ``alpha > 0``; an iterate near ``tau_psi`` of that point
-    has ``phase_angle = -psi``.  ``layout`` is the system's space (the
-    half-wave one when the point is half-wave).  ``factorizations`` counts
-    this factor plus every exact Newton step taken after a solve left it.
+    with ``S_psi`` the layout rotation of ``time_shift(psi)``: a factor
+    made at an iterate of phase ``phase`` (`AmplitudeFunctional.
+    phase_angle`) serves an iterate of phase ``theta`` through ``S_psi``,
+    ``psi = phase - theta``.  Only what the solves need is kept: ``band``,
+    ``lu``, its factor ``(lub, ipiv)`` made in place (``lub`` is the band's
+    own storage), the ``layout`` of the band's space and ``phase``; no
+    border columns and no Schur complement.  ``factorizations`` counts the
+    factors made.
+    With a `_Linearization` ``lin`` the first factor is made at once, in
+    ``lin.layout()``; otherwise the first Newton step makes it.
     """
 
-    def __init__(self, lin):
-        self.system, self.layout = lin.bordered_system()
-        self.system.factorize(overwrite=True)
-        self.factorizations = 1
+    def __init__(self, lin=None):
+        self.band = self.lu = self.layout = None
+        self.phase = 0.0
+        self.factorizations = 0
+        if lin is not None:
+            self.refactor(lin, lin.layout())
+
+    def fits(self, layout):
+        """Whether a factor is held, in ``layout``'s space."""
+        return self.band is not None and self.layout.modes == layout.modes
+
+    def release(self):
+        self.band = self.lu = self.layout = None
+
+    def refactor(self, lin, layout):
+        """Replace the held factor by ``lin``'s in ``layout``.  The old one
+        goes first, so one band is alive at a time."""
+        self.release()
+        band = assemble_jacobian_band(lin.problem, lin.params, lin.base, layout)
+        self.lu = band.factorize(overwrite=True)
+        self.band, self.layout = band, layout
+        self.phase = lin.functional.phase_angle(lin.u)
+        self.factorizations += 1
+
+
+def _bordered_step(lin, layout, held, core, r_pair):
+    """The Newton step ``(du, dp)`` of ``lin`` in ``layout`` through the
+    held factor, refined against ``lin``'s exact derivative.  The bordered
+    system is local, so nothing of it outlives the step."""
+    system, _ = lin.bordered_system(layout, held)
+    (i1, v1), (i2, v2) = system.rows
+
+    def matvec(y, p):
+        _, image = lin.apply(p[0], p[1], layout.to_trajectory(y))
+        return (
+            layout.flatten_trajectory(image),
+            np.array([v1 @ y[i1], v2 @ y[i2]]),
+        )
+
+    dy, dp = system.solve(-layout.flatten_trajectory(core), -r_pair, matvec=matvec)
+    return layout.to_trajectory(dy), dp
 
 
 def _newton_square(functional, target_pair, params, u, residual_fn,
-                   linearize, newton_tol, max_iter, factor=None):
+                   linearize, newton_tol, max_iter, held):
     """Newton on {l u = target, core(params, u) = 0} over (lambda, sigma, u).
 
     ``residual_fn(params, u)`` gives the core residual trajectory and
@@ -255,24 +304,25 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     full residual, even modes included, decides convergence; once its even
     modes exceed ``newton_tol`` the rest of the solve takes the full space.
 
-    With a `_SharedFactor` the steps solve through its factor rotated to
-    the iterate's phase (a chord iteration refined against the exact
-    derivative) instead of a new band each.  A step that does not halve
-    the residual, or whose space is not the factor's, ends that: the solve
-    finishes with exact Newton, each step counted in
-    ``factor.factorizations``.
-
-    Each exact step factors its band in place and releases the system
-    before the next step assembles, so one band-sized array is alive at a
-    time (plus the shared factor's).
+    Every step solves through the `_SharedFactor` ``held``, rotated to the
+    iterate's phase and refined against the exact derivative (a chord
+    step), while the held factor is in the step's space and the last chord
+    step at least halved the residual.  Otherwise the step factors at its
+    iterate (an exact step), and that factor is held from then on, by this
+    solve and by the later ones that share ``held``.  A chord step whose
+    solve or next residual fails (`_SOLVE_ERRORS`) is dropped: the solve
+    takes an exact step at the same iterate instead, and only that one
+    counts as an iteration.  The old factor is released before a new band
+    is assembled, and each step's bordered system before the next, so one
+    band-sized array is alive at a time.
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
-    shared = factor
     full = False
+    chord = False  # whether the last step went through an older factor
+    core = residual_fn(params, u)
 
     for iteration in range(max_iter + 1):
-        core = residual_fn(params, u)
         r_pair = functional.pair(u) - target
         residual = core.norm() + abs(r_pair[0]) + abs(r_pair[1])
         trace.residuals.append(residual)
@@ -284,40 +334,29 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
                 f"iterations (residual {residual:.3e})"
             )
 
-        if shared is not None and iteration and residual > 0.5 * trace.residuals[-2]:
-            shared = None  # the last chord step did not halve the residual
+        if chord and residual > 0.5 * trace.residuals[-2]:
+            held.release()  # the last chord step did not halve the residual
         full = full or _even_part(core).norm() > newton_tol
         lin = linearize(params, u, core)
         layout = lin.layout(full)
-        if shared is not None and shared.layout.modes != layout.modes:
-            shared = None  # the factor is not in this step's space
         if layout.modes != odd_modes(layout.n_t):
             trace.full_steps += 1
-        if shared is None:
-            system, _ = lin.bordered_system(layout)
-            system.factorize(overwrite=True)
-            if factor is not None:
-                factor.factorizations += 1
-        else:
-            system, _ = lin.bordered_system(
-                layout, shared.system, -functional.phase_angle(u))
-        (i1, v1), (i2, v2) = system.rows
-
-        def matvec(y, p):
-            _, image = lin.apply(p[0], p[1], layout.to_trajectory(y))
-            return (
-                layout.flatten_trajectory(image),
-                np.array([v1 @ y[i1], v2 @ y[i2]]),
-            )
-
-        dy, dp = system.solve(
-            -layout.flatten_trajectory(core), -r_pair, matvec=matvec
-        )
-        del system  # its band and factor, before the next step assembles
-        du = layout.to_trajectory(dy)
+        while True:
+            chord = held.fits(layout)
+            if not chord:
+                held.refactor(lin, layout)
+            try:
+                du, dp = _bordered_step(lin, layout, held, core, r_pair)
+                next_params = ScaledParams(params.lam + dp[0], params.sigma + dp[1])
+                next_u = u + du
+                next_core = residual_fn(next_params, next_u)
+                break
+            except _SOLVE_ERRORS:
+                if not chord:
+                    raise
+                held.release()  # a failed chord step: step exactly from here
         trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]))
-        u = u + du
-        params = ScaledParams(params.lam + dp[0], params.sigma + dp[1])
+        params, u, core = next_params, next_u, next_core
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +431,7 @@ def solve_extended(problem, functional, initial, newton_tol=NEWTON_TOL,
         params, u, _, iters, trace = _newton_square(
             functional, (1.0, 0.0), params, u, residual_fn,
             partial(_extended_linearization, problem, functional),
-            newton_tol, max_iter,
+            newton_tol, max_iter, _SharedFactor(),
         )
     except _SOLVE_ERRORS as exc:
         raise ConvergenceError(f"extended Newton failed: {exc}") from exc
@@ -640,7 +679,8 @@ class BranchPoint:
 class BranchResult:
     """An amplitude-ordered sweep of branch points plus diagnostics.
 
-    ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep.
+    ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep,
+    ``factorizations`` the number of band factorizations it took.
     ``truncated`` is set when the sweep stopped short of its amplitude grid's
     end (a note says why).  ``newton_space`` is ``"half-wave"`` when ``h``
     is odd, ``u_star`` has no even Fourier mode and no Newton step of the
@@ -653,6 +693,7 @@ class BranchResult:
     newton_tol: float
     max_iter: int = MAX_NEWTON_ITERATIONS
     newton_space: str = "full"
+    factorizations: int = 0
     truncated: bool = False
     notes: list = field(default_factory=list)
     symmetry_report: Optional["SymmetryReport"] = None
@@ -711,11 +752,11 @@ def _branch_linearization(problem, functional, params, u, core):
 
 
 def _branch_newton(problem, functional, alpha, params, u,
-                   newton_tol, max_iter, factor=None):
+                   newton_tol, max_iter, held):
     return _newton_square(
         functional, (alpha, 0.0), params, u, problem.residual_g,
         partial(_branch_linearization, problem, functional),
-        newton_tol, max_iter, factor,
+        newton_tol, max_iter, held,
     )
 
 
@@ -729,13 +770,13 @@ def _trivial_point(u_star, origin):
 
 
 def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
-                   max_iter, notes, factor=None):
+                   max_iter, notes, held):
     """March the square system over an amplitude grid with rescaling
     predictors from the bifurcation point's parameters ``origin``; returns
     the list of converged points, truncating with a note if Newton fails
     or leaves the solver's domain, and the number of Newton steps solved
-    in the full space.  ``factor`` goes to every Newton solve (see
-    `_newton_square`)."""
+    in the full space.  Every Newton solve steps through the
+    `_SharedFactor` ``held`` (see `_newton_square`)."""
     points = []
     full_steps = 0
     params = origin
@@ -754,7 +795,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
         try:
             params, u, core, iters, trace = _branch_newton(
                 problem, functional, alpha, params, u, newton_tol, max_iter,
-                factor,
+                held,
             )
         except (ConvergenceError, *_SOLVE_ERRORS) as exc:
             notes.append(
@@ -787,10 +828,12 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     that `solve_extended` found.  Each point solves ``{l1 u = alpha,
     l2 u = 0, g((lambda, sigma), u) = 0}`` by Newton, predicted from the
     previous point by amplitude rescaling (``u`` linearly, parameters
-    ``params - params_star`` quadratically).  When Newton fails or
-    leaves the solver's domain (parameter window, trust radius, singular
-    band), the branch is truncated at the last converged point and a
-    diagnostic note is recorded -- no extrapolation.
+    ``params - params_star`` quadratically).  The Newton steps of the
+    whole sweep solve through one held band factor, refactored only when
+    a step leaves its space or stops contracting (`_newton_square`).  When
+    Newton fails or leaves the solver's domain (parameter window, trust
+    radius, singular band), the branch is truncated at the last converged
+    point and a diagnostic note is recorded -- no extrapolation.
 
     ``alpha_max = 0`` is allowed and returns only the trivial point.
 
@@ -798,15 +841,18 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     -------
     BranchResult
         Points sorted by amplitude, including the trivial point at 0, which
-        carries ``params_star``, and the space the Newton steps took.
+        carries ``params_star``, the space the Newton steps took and the
+        number of band factorizations.
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
     grid = alpha_max * np.arange(1, steps + 1) / steps if alpha_max > 0 else []
     notes = []
     origin = ScaledParams(*params_star)
+    held = _SharedFactor()
     points, full_steps = _continue_grid(
-        problem, functional, u_star, origin, grid, newton_tol, max_iter, notes
+        problem, functional, u_star, origin, grid, newton_tol, max_iter,
+        notes, held,
     )
     truncated = len(points) < len(grid)
     points.insert(0, _trivial_point(u_star, origin))
@@ -814,7 +860,7 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
         newton_space="half-wave" if half else "full",
-        truncated=truncated, notes=notes,
+        factorizations=held.factorizations, truncated=truncated, notes=notes,
     )
 
 
@@ -870,17 +916,20 @@ def check_branch_symmetry(problem, functional, result):
     the sampled uniqueness test.  All solves start from ``result.points[0]``
     and stop at ``result.newton_tol`` or ``result.max_iter`` iterations.
 
-    The whole check factorizes one band: the branch linearisation at the
-    mid point, whose pair is ``(alpha, 0)``.  g is autonomous, so the
-    derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
-    S_psi^-1``, with ``S_psi`` the O(size) rotation of each mode ``n`` by
-    ``n psi`` (``S_pi`` is the mirror).  Every Newton step of the mirrored
-    branch and of the seeds solves through that factor rotated by ``psi =
-    -phase_angle(u)`` of its iterate, refined against the exact
-    derivative; the residual and the tolerance stay exact.  A step that
-    does not at least halve the residual refactors at its iterate and
-    finishes that solve with exact Newton.  The report counts the Newton
-    iterations and every factorization.
+    The Newton solves share one held factor (`_newton_square`), starting
+    from the branch linearisation at the mid point, whose pair is
+    ``(alpha, 0)``.  g is autonomous, so the derivative at a time
+    translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
+    the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
+    mirror).  Every Newton step of the mirrored branch and of the seeds
+    solves through the held factor rotated by the phase difference between
+    the factor's iterate and its own, refined against the exact
+    derivative; the residual and the tolerance stay exact.  A step after a
+    chord step that did not at least halve the residual factors at its
+    iterate, and that factor is held from then on (a factor made on the
+    mirrored branch sits at phase ``pi``).  So a check whose mid-point
+    factor serves every solve factorizes one band.  The report counts the
+    Newton iterations and every factorization.
 
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a
@@ -895,7 +944,7 @@ def check_branch_symmetry(problem, functional, result):
     origin = result.points[0].params
     mid = plus[len(plus) // 2]
     try:
-        factor = _SharedFactor(_branch_linearization(
+        held = _SharedFactor(_branch_linearization(
             problem, functional, mid.params, mid.u,
             problem.residual_g(mid.params, mid.u)))
     except SingularBandError as exc:
@@ -907,7 +956,7 @@ def check_branch_symmetry(problem, functional, result):
     grid = np.array([-pt.alpha for pt in plus])
     minus, _ = _continue_grid(
         problem, functional, result.u_star, origin, grid, newton_tol,
-        result.max_iter, notes, factor,
+        result.max_iter, notes, held,
     )
     if len(minus) != len(plus):
         raise ConvergenceError(
@@ -934,7 +983,7 @@ def check_branch_symmetry(problem, functional, result):
         try:
             params, u, _, iters, _ = _branch_newton(
                 problem, functional, mid.alpha, origin, seed, newton_tol,
-                result.max_iter, factor,
+                result.max_iter, held,
             )
         except (ConvergenceError, *_SOLVE_ERRORS) as exc:
             raise ConvergenceError(
@@ -959,7 +1008,7 @@ def check_branch_symmetry(problem, functional, result):
         passed=bool(passed),
         per_alpha=per_alpha,
         newton_iters=newton_iters,
-        factorizations=factor.factorizations,
+        factorizations=held.factorizations,
     )
     result.symmetry_report = report
     return report

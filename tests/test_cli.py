@@ -294,6 +294,7 @@ def test_cli_branch_writes_csv_and_summary(tmp_path):
     assert summary["passed"]
     assert not summary["truncated"]
     assert summary["points"] == 7
+    assert summary["factorizations"] == 1
     assert abs(summary["fit"]["c2"] - 1.0) <= 1e-3
     assert summary["symmetry"]["passed"]
 
@@ -301,7 +302,9 @@ def test_cli_branch_writes_csv_and_summary(tmp_path):
 def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     """With standard rho the discrete bifurcation sits at lambda* != 0; the
     branch starts there and the fit measures lambda - lambda*, so the
-    branch passes.  The verbose line reports the symmetry check's cost."""
+    branch passes.  The summary and the verbose line report the band
+    factorizations of the continuation, which iterates at every point
+    through one factor, and the symmetry check's cost."""
     cfg = write_config(
         tmp_path,
         "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
@@ -317,10 +320,12 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     origin = (out / "branch.csv").read_text().splitlines()[1].split(",")
     assert float(origin[0]) == 0.0 and float(origin[1]) == lam_star
     assert summary["fit"]["ok"] and abs(summary["fit"]["c1"]) <= 1e-3
+    assert summary["factorizations"] == 1
     symmetry = summary["symmetry"]
     assert symmetry["passed"] and symmetry["factorizations"] == 1
-    assert (f"symmetry check: {symmetry['newton_iters']} Newton iterations, "
-            "1 factorizations") in capsys.readouterr().out
+    assert ("; continuation: 1 factorizations; symmetry check: "
+            f"{symmetry['newton_iters']} Newton iterations, 1 factorizations"
+            ) in capsys.readouterr().out
 
 
 def run_both_reports(tmp_path):

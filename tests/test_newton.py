@@ -625,17 +625,17 @@ def test_bordered_system_freed_without_cycle_collector():
 
 
 def test_rebordered_system_solves_the_rotated_core():
-    """A re-bordered system shares the band and its factor and solves
-    ``[[S J S^-1, C], [R^T, 0]]`` in both orientations; its refinement
-    needs an exact matvec."""
+    """A system bordered on an existing factor shares the band and the
+    factor and solves ``[[S J S^-1, C], [R^T, 0]]`` in both orientations;
+    its refinement needs an exact matvec."""
     rng = np.random.default_rng(38)
     layout = TrajectoryLayout(n_t=2, nx=3, dx=0.5)
     size, psi = layout.size, 0.9
     band = random_band(rng, size, 4, 3, dominance=20.0)
-    parent = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
-    system = parent.rebordered(
-        rng.normal(size=(size, 2)), make_rows(rng, size), layout, psi)
-    assert system.band is band and system._factor is parent._factor
+    factor = band.factorize()
+    system = BorderedSystem.on_factor(
+        band, factor, rng.normal(size=(size, 2)), make_rows(rng, size), layout, psi)
+    assert system.band is band and system._factor is factor
 
     eye = np.eye(size)
     turn = layout.rotate(eye, psi)
@@ -662,8 +662,8 @@ def test_rebordered_system_solves_the_rotated_core():
     with pytest.raises(ValueError, match="exact matvec"):
         system.solve(rhs_core, rhs_border)
     with pytest.raises(ValueError, match="layout"):
-        parent.rebordered(parent.columns, parent.rows,
-                          TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi)
+        BorderedSystem.on_factor(band, factor, system.columns, system.rows,
+                                 TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi)
 
 
 def test_band_refined_solve_keeps_the_band():

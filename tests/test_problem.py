@@ -444,18 +444,38 @@ def test_check_derivatives_zero_nonlinearity():
 
 @pytest.mark.parametrize("callable_name, wrong, field", [
     ("apply_h_u", lambda lam, w, v: lam * v, "err_h_u"),  # no cubic terms
-    ("apply_h_lambda", lambda lam, w: 2.0 * w, "err_h_lambda_u"),
+    ("apply_h_lambda", lambda lam, w: 2.0 * w, "err_h_lambda"),
     ("apply_h_lambda_u", lambda lam, w, v: np.zeros_like(v), "err_h_lambda_u"),
 ], ids=["h_u", "h_lambda", "h_lambda_u"])
 def test_check_derivatives_catches_wrong_derivative(callable_name, wrong, field):
     """Each derivative callable broken alone fails the check through its
-    own error field; the other field stays at finite-difference accuracy."""
+    own error field, and the report names it; the other fields stay at
+    finite-difference accuracy."""
     broken = dataclasses.replace(cubic_problem(), **{callable_name: wrong})
     report = broken.check_derivatives(samples=3, scale=0.1, seed=3)
     assert not report.ok
     assert getattr(report, field) > 1e-4
-    other = "err_h_lambda_u" if field == "err_h_u" else "err_h_u"
-    assert getattr(report, other) <= 1e-6
+    others = {"err_h_u", "err_h_lambda", "err_h_lambda_u"} - {field}
+    assert all(getattr(report, other) <= 1e-6 for other in others)
+    assert str(report).endswith(f"wrong beyond 1e-06: {callable_name}")
+
+
+def test_doubled_h_lambda_is_reported_under_its_own_name():
+    """A synthetic problem with ``h = lam w`` whose ``apply_h_lambda`` is
+    doubled: the error sits in ``err_h_lambda`` and the note names
+    ``apply_h_lambda``, not ``apply_h_lambda_u``."""
+    problem = synthetic_problem(rotation_block(), h="linear")
+    doubled = dataclasses.replace(
+        problem, apply_h_lambda=lambda lam, w: 2.0 * problem.apply_h_lambda(lam, w))
+    report = doubled.check_derivatives(samples=3, seed=4)
+    assert report.err_h_lambda > 0.1 and report.worst == report.err_h_lambda
+    assert report.err_h_u <= 1e-6 and report.err_h_lambda_u <= 1e-6
+    checks = run_hypothesis_checks(doubled, n_max=4)
+    assert checks.verdicts == {"derivative_consistency": False, "simple_pair": True,
+                               "transversality": True, "nonresonance": True,
+                               "resolvent_bound": True}
+    assert checks.notes["derivative_consistency"].endswith(
+        "; wrong beyond 1e-06: apply_h_lambda")
 
 
 def test_directional_derivative_second_order():

@@ -16,8 +16,8 @@ from conftest import (
     synthetic_problem,
     with_even_term,
 )
-from hopfkit.newton import odd_modes
-from hopfkit.problem import ConvergenceError, ScaledParams
+from hopfkit.newton import SingularBandError, odd_modes
+from hopfkit.problem import ConvergenceError, DomainError, ScaledParams
 from hopfkit.reaction_diffusion import (
     ExampleConfig,
     exact_branch_trajectory,
@@ -206,9 +206,28 @@ def test_solve_extended_contracts_quadratically(coarse_problem,
     assert sol.notes == []
 
 
+def far_factor(monkeypatch, problem, functional):
+    """Make every `_SharedFactor` that starts empty hold the band at
+    ``(100, 0)`` and the zero trajectory (``n_t = 8``, as the coarse
+    branch) instead: a factor so far from the branch that its first chord
+    step leaves the lambda window."""
+    shared = solver_module._SharedFactor
+
+    class FarFactor(shared):
+        def __init__(self, lin=None):
+            super().__init__(lin)
+            if lin is None:
+                zero = zero_trajectory(8, problem.dim, problem.dx)
+                far = solver_module._branch_linearization(
+                    problem, functional, ScaledParams(100.0, 0.0), zero, zero)
+                self.refactor(far, far.layout())
+
+    monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
+
+
 def test_newton_factors_each_band_in_place(monkeypatch, coarse_problem,
                                            coarse_functional, coarse_solution):
-    """Every Newton step's dgbtrf factor is its assembled band's own
+    """Every factor a Newton solve makes is its assembled band's own
     storage: one band-sized array per factorization."""
     bands, factors = [], []
     assemble = solver_module.assemble_jacobian_band
@@ -225,8 +244,9 @@ def test_newton_factors_each_band_in_place(monkeypatch, coarse_problem,
 
     monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording_assemble)
     monkeypatch.setattr(newton_module.lapack, "dgbtrf", recording_dgbtrf)
-    solve_extended(coarse_problem, coarse_functional,
-                   (ScaledParams(0.2, 0.1), 1.5 * coarse_solution.u))
+    far_factor(monkeypatch, coarse_problem, coarse_functional)
+    continue_branch(coarse_problem, coarse_functional, coarse_solution.u,
+                    alpha_max=0.5, steps=10)
     assert len(bands) == len(factors) >= 2
     for band, lub in zip(bands, factors):
         assert band.consumed and np.shares_memory(lub, band.ab)
@@ -235,7 +255,8 @@ def test_newton_factors_each_band_in_place(monkeypatch, coarse_problem,
 def test_newton_releases_each_step_before_the_next_band(
         monkeypatch, coarse_problem, coarse_functional, coarse_solution):
     """When a Newton step assembles its band, no earlier step's bordered
-    system (band plus factor) is still alive, even without a cyclic GC."""
+    system (band plus factor) is still alive, even without a cyclic GC:
+    here the refactor after a chord step that left the domain."""
     systems, dead = [], []
 
     class RecordedSystem(newton_module.BorderedSystem):
@@ -251,10 +272,11 @@ def test_newton_releases_each_step_before_the_next_band(
 
     monkeypatch.setattr(solver_module, "BorderedSystem", RecordedSystem)
     monkeypatch.setattr(solver_module, "assemble_jacobian_band", checking_assemble)
+    far_factor(monkeypatch, coarse_problem, coarse_functional)
     gc.disable()
     try:
-        solve_extended(coarse_problem, coarse_functional,
-                       (ScaledParams(0.2, 0.1), 1.5 * coarse_solution.u))
+        continue_branch(coarse_problem, coarse_functional, coarse_solution.u,
+                        alpha_max=0.5, steps=10)
     finally:
         gc.enable()
     assert len(dead) >= 2 and dead[1]
@@ -665,7 +687,7 @@ def test_branch_json_dict(coarse_branch):
 
 
 @pytest.fixture(scope="module")
-def quasi_branch(coarse_quasi_problem, coarse_quasi_cfg):
+def quasi_setup(coarse_quasi_problem, coarse_quasi_cfg):
     decomp = build_projection(
         coarse_quasi_problem, reference=reference_eigenvector(coarse_quasi_cfg)
     )
@@ -674,9 +696,18 @@ def quasi_branch(coarse_quasi_problem, coarse_quasi_cfg):
         coarse_quasi_problem, functional,
         initial_extended_state(decomp.psi, n_t=8),
     )
-    return continue_branch(
-        coarse_quasi_problem, functional, solution.u, alpha_max=0.1, steps=8
-    )
+    return functional, solution
+
+
+def quasi_sweep(problem, quasi_setup, **kwargs):
+    functional, solution = quasi_setup
+    return continue_branch(problem, functional, solution.u, alpha_max=0.1,
+                           steps=8, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def quasi_branch(coarse_quasi_problem, quasi_setup):
+    return quasi_sweep(coarse_quasi_problem, quasi_setup)
 
 
 def test_quasilinear_branch_curvature(quasi_branch):
@@ -695,6 +726,118 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
     assert all(b > a for a, b in zip(etas, etas[1:]))
     ratios = etas / alphas**2
     assert ratios.max() <= 1.5 * ratios.min()
+
+
+# ---------------------------------------------------------------------------
+# chord continuation: the Newton solves of a sweep share one held factor
+
+
+def test_quasilinear_sweep_factorizes_one_band(monkeypatch, coarse_quasi_problem,
+                                               quasi_setup):
+    """Newton iterates at every quasilinear point, and every step of the
+    sweep solves through one factored band; the chord steps reach the
+    branch that a tighter tolerance finds.  A residual of 1e-10 leaves
+    lambda 1.0e-9 off at the smallest amplitude, whose one step is exact
+    either way, hence the bound of 2e-9."""
+    tight = quasi_sweep(coarse_quasi_problem, quasi_setup, newton_tol=1e-13)
+    calls = []
+    dgbtrf = newton_module.lapack.dgbtrf
+
+    def counting_dgbtrf(*args, **kwargs):
+        calls.append(1)
+        return dgbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(newton_module.lapack, "dgbtrf", counting_dgbtrf)
+    result = quasi_sweep(coarse_quasi_problem, quasi_setup)
+    assert not result.truncated and result.notes == []
+    assert all(pt.newton_iters >= 1 for pt in result.points[1:])
+    assert len(calls) == 1 and result.factorizations == 1
+    npt.assert_allclose(result.lambdas, tight.lambdas, rtol=0.0, atol=2e-9)
+    npt.assert_allclose(result.sigmas, tight.sigmas, rtol=0.0, atol=2e-9)
+
+
+def count_live_bands(monkeypatch):
+    """Per band assembly from now on, the number of earlier bands still
+    alive when it starts."""
+    bands, alive = [], []
+    assemble = solver_module.assemble_jacobian_band
+
+    def tracking(*args):
+        alive.append(sum(ref() is not None for ref in bands))
+        band = assemble(*args)
+        bands.append(weakref.ref(band))
+        return band
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", tracking)
+    return alive
+
+
+def test_sweep_keeps_at_most_one_band_alive(monkeypatch, coarse_problem,
+                                            coarse_functional, coarse_solution):
+    """No band outlives the next band's assembly, even without a cyclic
+    GC, across a sweep that refactors and the symmetry check after it:
+    the held factor is released before a new band is assembled."""
+    alive = count_live_bands(monkeypatch)
+    far_factor(monkeypatch, coarse_problem, coarse_functional)
+    gc.disable()
+    try:
+        result = continue_branch(coarse_problem, coarse_functional,
+                                 coarse_solution.u, alpha_max=0.5, steps=10)
+        check_branch_symmetry(coarse_problem, coarse_functional, result)
+    finally:
+        gc.enable()
+    assert result.factorizations == 2 and len(alive) >= 3
+    assert not any(alive)
+
+
+def test_singular_chord_steps_are_taken_exactly(monkeypatch, coarse_quasi_problem,
+                                                quasi_setup, quasi_branch):
+    """A chord step whose bordered reduction fails is taken again at the
+    same iterate through a new factor: with every chord step failing, the
+    sweep is exact Newton, one factorization per iteration, and reaches
+    the same branch."""
+    step = solver_module._bordered_step
+    made = []  # the bands whose exact step has run
+
+    def singular_chords(lin, layout, held, core, r_pair):
+        if any(band is held.band for band in made):
+            raise SingularBandError("chord reduction failed")
+        made.append(held.band)
+        return step(lin, layout, held, core, r_pair)
+
+    monkeypatch.setattr(solver_module, "_bordered_step", singular_chords)
+    result = quasi_sweep(coarse_quasi_problem, quasi_setup)
+    assert not result.truncated and result.notes == []
+    iterations = sum(pt.newton_iters for pt in result.points)
+    assert result.factorizations == iterations == len(made) > len(result.points)
+    npt.assert_allclose(result.lambdas, quasi_branch.lambdas, rtol=0.0, atol=2e-9)
+
+
+def test_chord_step_out_of_the_window_steps_exactly(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution,
+        coarse_branch):
+    """A held factor so far off that a chord step leaves the lambda window:
+    the solve takes an exact step from the iterate before it, and the
+    sweep gives the full, untruncated branch."""
+    left = []
+    residual_g = type(coarse_problem).residual_g
+
+    def recording(self, params, u):
+        try:
+            return residual_g(self, params, u)
+        except DomainError as exc:
+            left.append(str(exc))
+            raise
+
+    monkeypatch.setattr(type(coarse_problem), "residual_g", recording)
+    far_factor(monkeypatch, coarse_problem, coarse_functional)
+    result = continue_branch(coarse_problem, coarse_functional,
+                             coarse_solution.u, alpha_max=0.5, steps=10)
+    assert left and all("outside admissible window" in note for note in left)
+    assert not result.truncated and result.notes == []
+    assert len(result.points) == len(coarse_branch.points)
+    assert result.factorizations == 2
+    npt.assert_allclose(result.lambdas, coarse_branch.lambdas, rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +939,12 @@ def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch
     npt.assert_allclose(result.lambdas, reference.lambdas, rtol=0.0, atol=1e-10)
 
 
-def test_uneven_iterate_drops_a_half_wave_factor(coarse_problem, coarse_functional,
-                                                 coarse_branch):
-    """An iterate with even modes cannot step through a half-wave shared
-    factor: the solve takes exact full-space Newton steps instead."""
+def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
+                                                 coarse_functional, coarse_branch):
+    """An iterate with even modes cannot step through a half-wave held
+    factor: its first step releases it and factors in the full space, and
+    the later steps solve through that factor."""
+    alive = count_live_bands(monkeypatch)
     mid = coarse_branch.points[5]
     factor = solver_module._SharedFactor(solver_module._branch_linearization(
         coarse_problem, coarse_functional, mid.params, mid.u,
@@ -810,8 +955,9 @@ def test_uneven_iterate_drops_a_half_wave_factor(coarse_problem, coarse_function
     params, u, _, iters, trace = solver_module._branch_newton(
         coarse_problem, coarse_functional, mid.alpha, mid.params,
         PeriodicTrajectory(coeffs, mid.u.dx), NEWTON_TOL, 25, factor)
-    assert iters >= 1 and trace.full_steps == iters
-    assert factor.factorizations == 1 + iters
+    assert iters >= 2 and trace.full_steps == iters
+    assert factor.factorizations == 2 and factor.layout.modes == range(9)
+    assert alive == [0, 0]
     assert (u - mid.u).norm() <= 1e-8 and abs(params.lam - mid.lam) <= 1e-10
 
 
@@ -882,6 +1028,45 @@ def test_symmetry_check_refactors_when_the_factor_stalls(
         coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
     assert report.passed
     assert report.factorizations > 1
+
+
+def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
+    """On the full space (h has an even term, so the mirror does not
+    commute with the derivative), a mid-point factor that stalls on the
+    mirrored branch is replaced there by a factor at phase pi.  Rotated by
+    the phase difference, it serves the later mirrored points as well as
+    the branch's own factor served their partners, and the check passes."""
+    problem, functional, solution = even_setup
+    branch = even_branch(problem, functional, solution.u, solution.params)
+    shared = solver_module._SharedFactor
+    phases, solves = [], []
+
+    class StallingFactor(shared):
+        def __init__(self, lin):  # the mid point's band, sigma off by 0.5
+            lin.params = ScaledParams(lin.params.lam, lin.params.sigma + 0.5)
+            super().__init__(lin)
+
+        def refactor(self, lin, layout):
+            super().refactor(lin, layout)
+            phases.append(self.phase)
+
+    newton = solver_module._newton_square
+
+    def recording(*args):
+        out = newton(*args)
+        solves.append((args[1][0], out[3], len(phases)))
+        return out
+
+    monkeypatch.setattr(solver_module, "_SharedFactor", StallingFactor)
+    monkeypatch.setattr(solver_module, "_newton_square", recording)
+    report = check_branch_symmetry(problem, functional, dataclasses.replace(branch))
+    assert report.passed and report.factorizations == 2
+    assert abs(phases[0]) <= 1e-12 and abs(abs(phases[1]) - np.pi) <= 1e-3
+    plus = branch.points[1:]
+    assert solves[0][0] == -plus[0].alpha and solves[0][2] == 2
+    for pt, (alpha, iters, factors) in zip(plus[1:], solves[1:len(plus)]):
+        assert alpha == -pt.alpha and factors == 2
+        assert iters <= pt.newton_iters
 
 
 def test_symmetry_check_keeps_the_branch_iteration_cap(
