@@ -13,13 +13,7 @@ from .config import (
     load_config,
     parse_config,
 )
-from .linear_periodic import (
-    ResonantForcingError,
-    ResonantScalarPath,
-    solve_periodic_full,
-    solve_periodic_nonresonant,
-    solve_resonant_ode,
-)
+from .linear_periodic import ResonantForcingError, solve_periodic_full
 from .problem import (
     ConvergenceError,
     ProblemDef,
@@ -91,7 +85,6 @@ __all__ = [
     "ProblemDef",
     "ResonanceError",
     "ResonantForcingError",
-    "ResonantScalarPath",
     "RunConfig",
     "SpectralDecomposition",
     "StateVector",
@@ -119,8 +112,6 @@ __all__ = [
     "single_harmonic",
     "solve_extended",
     "solve_periodic_full",
-    "solve_periodic_nonresonant",
-    "solve_resonant_ode",
     "trajectory_from_samples",
     "verify_jacobian_nonsingular",
     "zero_trajectory",

@@ -117,7 +117,12 @@ _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
 
 class _NewtonTrace:
     """Step/residual history plus the quadratic-contraction bookkeeping;
-    ``full_steps`` counts the steps solved in the full space."""
+    ``full_steps`` counts the steps solved in the full space.
+
+    A step that does not shrink inside the contraction region is noted
+    only between two consecutive exact steps: chord steps contract
+    linearly, and `_newton_square` already refactors after one that does
+    not halve the residual."""
 
     def __init__(self, tol):
         self.tol = tol
@@ -125,10 +130,11 @@ class _NewtonTrace:
         self.residuals = []
         self.notes = []
         self.full_steps = 0
+        self.last_exact = False
 
-    def record_step(self, step):
+    def record_step(self, step, exact):
         if (
-            self.step_norms
+            exact and self.last_exact
             and self.step_norms[-1] < 100.0 * self.tol
             and step >= self.step_norms[-1]
             and step > 1e-14
@@ -138,6 +144,7 @@ class _NewtonTrace:
                 f"({self.step_norms[-1]:.3e} -> {step:.3e})"
             )
         self.step_norms.append(step)
+        self.last_exact = exact
 
 
 def _even_part(traj):
@@ -355,7 +362,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
                 if not chord:
                     raise
                 held.release()  # a failed chord step: step exactly from here
-        trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]))
+        trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]), exact=not chord)
         params, u, core = next_params, next_u, next_core
 
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from hopfkit.problem import ProblemDef
 from hopfkit.reaction_diffusion import ExampleConfig, make_problem
+from hopfkit.trajectory import PeriodicTrajectory
 
 
 def synthetic_problem(a, h="zero", c=1.0, dx=1.0, name="synthetic",
@@ -68,6 +69,31 @@ def with_even_term(problem, eps):
         apply_h_u=lambda lam, w, v: problem.apply_h_u(lam, w, v) + 2.0 * eps * w * v,
         name=problem.name + "+even",
     )
+
+
+def psi_forcing(decomp, g, dx):
+    """The real forcing ``g(t) psi + conj(g(t) psi)`` of a two-sided scalar
+    path ``g`` (coefficients of ``n = -n_t .. n_t`` at ``n + n_t``)."""
+    n_t = len(g) // 2
+    psi = decomp.psi.data
+    coeffs = np.array([g[n_t + n] * psi + np.conj(g[n_t - n] * psi)
+                       for n in range(n_t + 1)])
+    return PeriodicTrajectory(coeffs, dx)
+
+
+def psi_path(decomp, u):
+    """The two-sided coordinate path of ``u`` along ``psi``: ``u`` is real,
+    so mode ``-n`` is the conjugate of mode ``n``'s ``conj(psi)``
+    coordinate."""
+    pairs = [decomp.coordinates(col) for col in u.coeffs]
+    negative = [np.conj(h) for _, h in pairs[:0:-1]]
+    return np.array(negative + [g for g, _ in pairs])
+
+
+def evaluate_path(path, ts):
+    """Values at times ``ts`` of a two-sided scalar path."""
+    n_t = len(path) // 2
+    return np.exp(1j * np.multiply.outer(ts, np.arange(-n_t, n_t + 1))) @ path
 
 
 def dense_of_storage(system):

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import rotation_block, synthetic_problem
-from hopfkit.cli import main as cli_main
-from hopfkit.linear_periodic import (
-    ResonantScalarPath,
-    solve_periodic_nonresonant,
-    solve_resonant_ode,
+from conftest import (
+    evaluate_path,
+    psi_forcing,
+    psi_path,
+    rotation_block,
+    synthetic_problem,
 )
+from hopfkit.cli import main as cli_main
+from hopfkit.linear_periodic import solve_periodic_full
 from hopfkit.reaction_diffusion import (
     ExampleConfig,
     make_problem,
@@ -237,6 +239,7 @@ def test_branch_reflection_symmetry(default_symmetry):
 
 def test_linear_solver_oracles(coarse_problem):
     dim, dx, n_t = coarse_problem.dim, coarse_problem.dx, 8
+    decomp = build_projection(coarse_problem)
     worst = 0.0
     for trial in range(100):
         rng = np.random.default_rng(1000 + trial)
@@ -246,34 +249,33 @@ def test_linear_solver_oracles(coarse_problem):
         )
         u0 = PeriodicTrajectory(coeffs, dx)
         v = u0.time_derivative() - u0.with_coeffs((coarse_problem.A @ u0.coeffs.T).T)
-        u = solve_periodic_nonresonant(coarse_problem, v)
+        u = solve_periodic_full(coarse_problem, decomp, v)
         worst = max(worst, (u - u0).norm() / u0.norm())
     assert worst <= 1e-8
 
-    # scalar resonant equation against its antiderivative form:
-    # c(t) = e^{it} (phi(t) - mean(phi)), phi(t) = int_0^t g(s) e^{-is} ds
+    # the coordinate along psi against the antiderivative form of
+    # c' - i c = g: c(t) = e^{it} (phi(t) - mean(phi)),
+    # phi(t) = int_0^t g(s) e^{-is} ds
     ts = np.linspace(0.0, 2.0 * np.pi, 33)
+    ns = np.arange(-n_t, n_t + 1)
     worst_ode = 0.0
     for trial in range(20):
         rng = np.random.default_rng(2000 + trial)
-        g_coeffs = rng.normal(size=2 * n_t + 1) + 1j * rng.normal(
-            size=2 * n_t + 1
-        )
-        g_coeffs[n_t + 1] = 0.0  # no secular content
-        g = ResonantScalarPath(g_coeffs)
-        c = solve_resonant_ode(g)
+        g = rng.normal(size=2 * n_t + 1) + 1j * rng.normal(size=2 * n_t + 1)
+        g[n_t + 1] = 0.0  # no secular content
+        v = psi_forcing(decomp, g, dx)
+        c = psi_path(decomp, solve_periodic_full(coarse_problem, decomp, v))
 
         phi = np.zeros_like(ts, dtype=complex)
         mean_phi = 0.0j
-        for n in range(-n_t, n_t + 1):
+        for n, gn in zip(ns, g):
             if n == 1:
                 continue
-            gn = g.coeff(n)
             phi += gn * (np.exp(1j * (n - 1) * ts) - 1.0) / (1j * (n - 1))
             mean_phi -= gn / (1j * (n - 1))
         closed_form = np.exp(1j * ts) * (phi - mean_phi)
-        gap = np.abs(c.evaluate(ts) - closed_form).max()
-        worst_ode = max(worst_ode, gap / g.norm())
+        gap = np.abs(evaluate_path(c, ts) - closed_form).max()
+        worst_ode = max(worst_ode, gap / np.linalg.norm(g))
     assert worst_ode <= 1e-10
     announce(
         6, "linear periodic solver oracles",

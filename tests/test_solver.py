@@ -206,11 +206,13 @@ def test_solve_extended_contracts_quadratically(coarse_problem,
     assert sol.notes == []
 
 
-def far_factor(monkeypatch, problem, functional):
+def far_factor(monkeypatch, problem, functional,
+               params=ScaledParams(100.0, 0.0), base=None):
     """Make every `_SharedFactor` that starts empty hold the band at
-    ``(100, 0)`` and the zero trajectory (``n_t = 8``, as the coarse
-    branch) instead: a factor so far from the branch that its first chord
-    step leaves the lambda window."""
+    ``params`` and ``base`` (default the zero trajectory, ``n_t = 8`` as
+    the coarse branch) with a zero core instead.  By default a factor so
+    far from the branch that its first chord step leaves the lambda
+    window."""
     shared = solver_module._SharedFactor
 
     class FarFactor(shared):
@@ -219,7 +221,8 @@ def far_factor(monkeypatch, problem, functional):
             if lin is None:
                 zero = zero_trajectory(8, problem.dim, problem.dx)
                 far = solver_module._branch_linearization(
-                    problem, functional, ScaledParams(100.0, 0.0), zero, zero)
+                    problem, functional, params,
+                    zero if base is None else base, zero)
                 self.refactor(far, far.layout())
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
@@ -838,6 +841,35 @@ def test_chord_step_out_of_the_window_steps_exactly(
     assert len(result.points) == len(coarse_branch.points)
     assert result.factorizations == 2
     npt.assert_allclose(result.lambdas, coarse_branch.lambdas, rtol=0.0, atol=1e-9)
+
+
+def test_chord_steps_do_not_trip_the_stall_note(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution):
+    """A first factor at 50 u* (zero core, inside the trust radius): a
+    chord step of 2.3e-10 and the larger exact step that replaces it are
+    not compared, so the sweep, which converges onto lambda = alpha**2,
+    records no stall note."""
+    far_factor(monkeypatch, coarse_problem, coarse_functional,
+               ScaledParams(0.0, 0.0), 50.0 * coarse_solution.u)
+    result = continue_branch(coarse_problem, coarse_functional,
+                             coarse_solution.u, alpha_max=0.5, steps=10)
+    assert not result.truncated and result.notes == []
+    npt.assert_allclose(result.lambdas, result.alphas ** 2, rtol=0.0, atol=1e-9)
+
+
+def test_stall_note_compares_consecutive_exact_steps():
+    """Growth inside the contraction region (below 100 tol) is noted
+    between two exact steps, not between a chord step and an exact one."""
+    exact = solver_module._NewtonTrace(1e-10)
+    exact.record_step(2e-10, exact=True)
+    exact.record_step(3e-10, exact=True)
+    assert exact.notes == [
+        "step norm stalled inside the contraction region (2.000e-10 -> 3.000e-10)"
+    ]
+    chord = solver_module._NewtonTrace(1e-10)
+    chord.record_step(2e-10, exact=False)
+    chord.record_step(3e-10, exact=True)
+    assert chord.notes == [] and chord.step_norms == [2e-10, 3e-10]
 
 
 # ---------------------------------------------------------------------------
