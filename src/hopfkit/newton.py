@@ -14,7 +14,9 @@ A layout may keep a subset of the modes.  The half-wave set `odd_modes`
 such a base an odd nonlinearity's ``h_u`` has only even modes, so the
 Jacobian maps odd modes to odd modes and its band on the odd set has a
 block of ``2 n_t`` per point (``n_t`` even) instead of ``4 n_t + 2``:
-about a quarter of the entries, with ``kl`` halved.
+about a quarter of the entries, with ``kl`` halved.  A layout may also
+keep mode 1 alone (``range(1, 2)``), the space of single harmonics: a
+block of 4 per point, whatever ``n_t``.
 
 `assemble_jacobian_band` builds the band for ``v -> v_t - (sigma+1)(A v +
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
@@ -83,8 +85,9 @@ class TrajectoryLayout:
     """Index map between trajectory coefficients and a flat real vector.
 
     The layout keeps the Fourier modes ``modes``, a ``range`` within ``0
-    .. n_t``: all of them by default, or `odd_modes` for the half-wave
-    space of trajectories with ``u(t + pi) = -u(t)``.  Per field, mode 0
+    .. n_t``: all of them by default, `odd_modes` for the half-wave
+    space of trajectories with ``u(t + pi) = -u(t)``, or ``range(1, 2)``
+    for the single harmonics.  Per field, mode 0
     (when kept) has one slot, its real part, and every other kept mode two,
     its real and imaginary parts, in mode order: ``R = 2 * len(modes) - 1``
     slots with mode 0, ``2 * len(modes)`` without.  Flat index of (grid
@@ -192,8 +195,8 @@ def band_bytes_bound(nx, n_t, h_stencil):
     `TrajectoryLayout` with all modes has ``block = 4 n_t + 2`` unknowns
     per grid point, and `assemble_jacobian_band` gives ``kl = ku <=
     (max(1, h_stencil) + 1) * block``, of which LAPACK band storage keeps
-    ``2 kl + ku + 1`` rows.  The half-wave band is smaller, so this bounds
-    every Newton band.  Computed in floats, so an infinite ``nx`` gives
+    ``2 kl + ku + 1`` rows.  The half-wave and mode-1 bands are smaller,
+    so this bounds every Newton band.  Computed in floats, so an infinite ``nx`` gives
     ``inf``.
     """
     block = 4.0 * n_t + 2.0

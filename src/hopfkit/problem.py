@@ -271,8 +271,8 @@ class ProblemDef:
 
         Then ``u(t + pi) = -u(t)`` is invariant under the flow, and at such
         a base the periodic Newton systems map odd Fourier modes to odd
-        modes.  Probed on the first call (the first Newton solve), then
-        kept.
+        modes.  Probed on the first call (the first Newton step wider than
+        mode 1), then kept.
         """
         return self._odd_symmetric
 

@@ -40,14 +40,29 @@ singular) is taken again at the same iterate through a new factor.
 starts from the factor at the branch's mid point, and `solve_extended`
 starts with none.
 
-When ``h`` is odd (`ProblemDef.odd_symmetric`, probed on the first Newton
-solve) and the iterate has no even Fourier modes, a Newton step solves on
-the odd modes only (the half-wave space, `newton.odd_modes`): the branch
-keeps ``u(t + pi) = -u(t)``, the Jacobian there maps odd modes to odd
-modes, and the band is about a quarter of the full one.  The full
-residual, even modes included, still decides convergence; a solve whose
-even residual exceeds the tolerance finishes in the full space.  The
-hypothesis checks and the certificate stay on the full space.
+A Newton step solves in the narrowest of three spaces that its iterate
+allows (`_Linearization.layout`):
+
+* mode 1 alone, when the base and the iterate have no Fourier content
+  outside mode 1 and the residual's content there is at most the
+  tolerance.  When ``A`` and ``h`` commute with rotating each grid
+  point's field pair (S^1-equivariance, as in the shipped lambda-omega
+  example), the branch is made of rotating waves, single harmonics, and
+  at such an iterate the exact Newton step lies in mode 1 too.  The band
+  has 4 unknowns per grid point, so its factor is cheap, and a mode-1
+  step never goes through a held factor: it factors at its own iterate;
+* the odd modes (the half-wave space, `newton.odd_modes`), when ``h`` is
+  odd (`ProblemDef.odd_symmetric`, probed on the first step wider than
+  mode 1) and neither has an even Fourier mode: the branch keeps ``u(t +
+  pi) = -u(t)``, the Jacobian there maps odd modes to odd modes, and the
+  band is about a quarter of the full one;
+* all modes otherwise.
+
+Within one solve the space only widens.  The full residual, every mode
+included, still decides convergence, so no result rests on a symmetry: a
+solve whose residual outside mode 1 (or whose even residual) exceeds the
+tolerance, or whose mode-1 step fails, goes on in the next wider space.
+The hypothesis checks and the certificate stay on the full space.
 """
 
 from __future__ import annotations
@@ -109,6 +124,9 @@ SYMMETRY_PHASES = (np.pi / 6, np.pi / 3, np.pi / 2)
 #: How a Newton solve fails besides running out of iterations: it leaves
 #: the solver's domain or meets a singular bordered system.
 _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
+#: The Newton spaces, narrowest first (`_Linearization.layout`).
+_SPACES = ("mode-1", "half-wave", "full")
+_MODE_ONE = range(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +135,8 @@ _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
 
 class _NewtonTrace:
     """Step/residual history plus the quadratic-contraction bookkeeping;
-    ``full_steps`` counts the steps solved in the full space.
+    ``widest`` is the index in `_SPACES` of the widest space a step
+    solved in (-1 before the first step).
 
     A step that does not shrink inside the contraction region is noted
     only between two consecutive exact steps: chord steps contract
@@ -129,7 +148,7 @@ class _NewtonTrace:
         self.step_norms = []
         self.residuals = []
         self.notes = []
-        self.full_steps = 0
+        self.widest = -1
         self.last_exact = False
 
     def record_step(self, step, exact):
@@ -147,21 +166,34 @@ class _NewtonTrace:
         self.last_exact = exact
 
 
-def _even_part(traj):
-    """Modes 0, 2, 4, ... of ``traj``: zero exactly when ``u(t + pi) =
-    -u(t)``."""
-    coeffs = np.zeros_like(traj.coeffs)
-    coeffs[0::2] = traj.coeffs[0::2]
-    return traj.with_coeffs(coeffs)
+def _norm_outside(traj, rows):
+    """Norm of ``traj`` with the Fourier modes ``rows`` (a slice) left out."""
+    coeffs = np.array(traj.coeffs)
+    coeffs[rows] = 0.0
+    return traj.with_coeffs(coeffs).norm()
 
 
-def _half_wave(problem, *trajectories):
-    """Whether Newton systems at these trajectories take the half-wave
-    space: ``h`` is odd (`ProblemDef.odd_symmetric`) and no trajectory has
-    an even mode."""
-    return (trajectories[0].n_t >= 1
-            and not any(np.any(traj.coeffs[0::2]) for traj in trajectories)
-            and problem.odd_symmetric())
+def _narrowest_space(problem, trajectories, mode_one=True):
+    """The narrowest of `_SPACES` that Newton systems at these trajectories
+    may take: ``"mode-1"`` when ``mode_one`` and no trajectory has content
+    outside mode 1, ``"half-wave"`` when ``h`` is odd
+    (`ProblemDef.odd_symmetric`) and no trajectory has an even mode,
+    ``"full"`` otherwise."""
+    coeffs = [traj.coeffs for traj in trajectories]
+    if trajectories[0].n_t < 1:
+        return "full"
+    if mode_one and not any(np.any(c[0]) or np.any(c[2:]) for c in coeffs):
+        return "mode-1"
+    if not any(np.any(c[0::2]) for c in coeffs) and problem.odd_symmetric():
+        return "half-wave"
+    return "full"
+
+
+def _space(layout):
+    """The name in `_SPACES` of a Newton layout's space."""
+    if layout.modes == _MODE_ONE:
+        return "mode-1"
+    return "half-wave" if layout.modes == odd_modes(layout.n_t) else "full"
 
 
 def _mixed_column(problem, lam, u):
@@ -201,19 +233,24 @@ class _Linearization:
         core = core + dlam * self.col_lam + dsig * self.col_sig
         return self.functional.pair(v), core
 
-    def layout(self, full=False):
-        """The space of this linearization's systems: the half-wave modes
-        (`odd_modes`) when ``h`` is odd and neither ``base`` nor ``u`` has
-        an even mode (`_half_wave`), unless ``full``; all modes otherwise.
+    def layout(self, full=False, mode_one=True):
+        """The space of this linearization's systems: all modes if
+        ``full``, otherwise the narrowest that ``base`` and ``u`` allow
+        (`_narrowest_space`), mode 1 only if ``mode_one``.
 
         On the half-wave space ``g_u(params, base)`` maps odd modes to odd
         modes (``h_u`` is even in an odd base), so the Newton step of an
-        odd residual is the full step restricted to the odd modes.
+        odd residual is the full step restricted to the odd modes.  The
+        mode-1 system is the Galerkin projection of the full one; its step
+        is the full step when that lies in mode 1, as at a rotating wave
+        of an S^1-equivariant problem, or at the zero base of the extended
+        system, where the derivative does not couple modes.
         """
         base = self.base
-        half = not full and _half_wave(self.problem, base, self.u)
-        return TrajectoryLayout(base.n_t, base.nx, base.dx,
-                                odd_modes(base.n_t) if half else None)
+        space = "full" if full else _narrowest_space(
+            self.problem, (base, self.u), mode_one)
+        modes = {"mode-1": _MODE_ONE, "half-wave": odd_modes(base.n_t)}
+        return TrajectoryLayout(base.n_t, base.nx, base.dx, modes.get(space))
 
     def bordered_system(self, layout=None, held=None):
         """Assembled matrix form in ``layout`` (default `layout()`), core
@@ -249,9 +286,15 @@ class _SharedFactor:
     ``lu``, its factor ``(lub, ipiv)`` made in place (``lub`` is the band's
     own storage), the ``layout`` of the band's space and ``phase``; no
     border columns and no Schur complement.  ``factorizations`` counts the
-    factors made.
+    factors made, one per mode-1 step among them.
+
+    Only half-wave and full steps go through the held factor.  A mode-1
+    step factors at its own iterate, replacing the held factor: a chord
+    step's error there has a counter-rotating part, which couples into
+    mode 3, outside the space.
     With a `_Linearization` ``lin`` the first factor is made at once, in
-    ``lin.layout()``; otherwise the first Newton step makes it.
+    ``lin.layout()``, unless that is mode 1; otherwise the first Newton
+    step makes it.
     """
 
     def __init__(self, lin=None):
@@ -259,11 +302,15 @@ class _SharedFactor:
         self.phase = 0.0
         self.factorizations = 0
         if lin is not None:
-            self.refactor(lin, lin.layout())
+            layout = lin.layout()
+            if layout.modes != _MODE_ONE:
+                self.refactor(lin, layout)
 
     def fits(self, layout):
-        """Whether a factor is held, in ``layout``'s space."""
-        return self.band is not None and self.layout.modes == layout.modes
+        """Whether a factor is held that a step in ``layout`` may go
+        through: one in the same space, not mode 1."""
+        return (self.band is not None and layout.modes != _MODE_ONE
+                and self.layout.modes == layout.modes)
 
     def release(self):
         self.band = self.lu = self.layout = None
@@ -307,25 +354,32 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     residual.
 
     Each step solves in its linearization's space (`_Linearization.
-    layout`): the half-wave one keeps the iterate free of even modes.  The
-    full residual, even modes included, decides convergence; once its even
-    modes exceed ``newton_tol`` the rest of the solve takes the full space.
+    layout`): the mode-1 one keeps the iterate a single harmonic, the
+    half-wave one keeps it free of even modes.  The full residual, every
+    mode included, decides convergence, and the space only widens: once
+    the residual outside mode 1 exceeds ``newton_tol``, or a mode-1 step's
+    solve or next residual fails (`_SOLVE_ERRORS`; that step is taken
+    again in the wider space), the rest of the solve leaves mode 1;
+    once the even modes of the residual exceed it, the rest takes the full
+    space.
 
-    Every step solves through the `_SharedFactor` ``held``, rotated to the
-    iterate's phase and refined against the exact derivative (a chord
-    step), while the held factor is in the step's space and the last chord
-    step at least halved the residual.  Otherwise the step factors at its
-    iterate (an exact step), and that factor is held from then on, by this
-    solve and by the later ones that share ``held``.  A chord step whose
-    solve or next residual fails (`_SOLVE_ERRORS`) is dropped: the solve
-    takes an exact step at the same iterate instead, and only that one
-    counts as an iteration.  The old factor is released before a new band
-    is assembled, and each step's bordered system before the next, so one
+    Every half-wave or full step solves through the `_SharedFactor`
+    ``held``, rotated to the iterate's phase and refined against the exact
+    derivative (a chord step), while the held factor is in the step's
+    space and the last chord step at least halved the residual.
+    Otherwise, and at every mode-1 step, the step factors at its iterate
+    (an exact step), and that factor is held from then on, by this solve
+    and by the later ones that share ``held``.  A chord step whose solve or
+    next residual fails (`_SOLVE_ERRORS`) is dropped: the solve takes an
+    exact step at the same iterate instead, and only that one counts as an
+    iteration.  The old factor is released before a new band is
+    assembled, and each step's bordered system before the next, so one
     band-sized array is alive at a time.
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
     full = False
+    mode_one = True  # whether the steps may still take the mode-1 space
     chord = False  # whether the last step went through an older factor
     core = residual_fn(params, u)
 
@@ -343,11 +397,11 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
 
         if chord and residual > 0.5 * trace.residuals[-2]:
             held.release()  # the last chord step did not halve the residual
-        full = full or _even_part(core).norm() > newton_tol
+        full = full or _norm_outside(core, slice(1, None, 2)) > newton_tol
+        mode_one = mode_one and _norm_outside(core, slice(1, 2)) <= newton_tol
         lin = linearize(params, u, core)
-        layout = lin.layout(full)
-        if layout.modes != odd_modes(layout.n_t):
-            trace.full_steps += 1
+        layout = lin.layout(full, mode_one)
+        mode_one = layout.modes == _MODE_ONE
         while True:
             chord = held.fits(layout)
             if not chord:
@@ -359,9 +413,14 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
                 next_core = residual_fn(next_params, next_u)
                 break
             except _SOLVE_ERRORS:
-                if not chord:
+                if chord:
+                    held.release()  # a failed chord step: step exactly from here
+                elif mode_one:
+                    mode_one = False  # a failed mode-1 step: widen
+                    layout = lin.layout(full, mode_one)
+                else:
                     raise
-                held.release()  # a failed chord step: step exactly from here
+        trace.widest = max(trace.widest, _SPACES.index(_space(layout)))
         trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]), exact=not chord)
         params, u, core = next_params, next_u, next_core
 
@@ -689,10 +748,12 @@ class BranchResult:
     ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep,
     ``factorizations`` the number of band factorizations it took.
     ``truncated`` is set when the sweep stopped short of its amplitude grid's
-    end (a note says why).  ``newton_space`` is ``"half-wave"`` when ``h``
-    is odd, ``u_star`` has no even Fourier mode and no Newton step of the
-    sweep left the odd modes (`_Linearization.layout`), ``"full"``
-    otherwise.
+    end (a note says why).  ``newton_space`` is the widest space the
+    sweep's Newton steps solved in (`_Linearization.layout`), and at least
+    the narrowest that ``u_star`` allows: ``"mode-1"`` when ``u_star`` is
+    a single harmonic and every step stayed on mode 1, ``"half-wave"``
+    when ``h`` is odd, ``u_star`` has no even Fourier mode and no step left
+    the odd modes, ``"full"`` otherwise.
     """
 
     points: list
@@ -781,11 +842,12 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
     """March the square system over an amplitude grid with rescaling
     predictors from the bifurcation point's parameters ``origin``; returns
     the list of converged points, truncating with a note if Newton fails
-    or leaves the solver's domain, and the number of Newton steps solved
-    in the full space.  Every Newton solve steps through the
-    `_SharedFactor` ``held`` (see `_newton_square`)."""
+    or leaves the solver's domain, and the index in `_SPACES` of the
+    widest space a Newton step solved in (-1 without steps).  Every Newton
+    solve steps through the `_SharedFactor` ``held`` (see
+    `_newton_square`)."""
     points = []
-    full_steps = 0
+    widest = -1
     params = origin
     u = None
     prev_alpha = None
@@ -810,7 +872,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
             )
             break
         notes.extend(trace.notes)
-        full_steps += trace.full_steps
+        widest = max(widest, trace.widest)
         l_val = functional.pair(u)
         eta = (1.0 / alpha) * u - u_star
         points.append(
@@ -823,7 +885,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
             )
         )
         prev_alpha = alpha
-    return points, full_steps
+    return points, widest
 
 
 def continue_branch(problem, functional, u_star, alpha_max, steps,
@@ -835,9 +897,10 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     that `solve_extended` found.  Each point solves ``{l1 u = alpha,
     l2 u = 0, g((lambda, sigma), u) = 0}`` by Newton, predicted from the
     previous point by amplitude rescaling (``u`` linearly, parameters
-    ``params - params_star`` quadratically).  The Newton steps of the
-    whole sweep solve through one held band factor, refactored only when
-    a step leaves its space or stops contracting (`_newton_square`).  When
+    ``params - params_star`` quadratically).  The half-wave and full
+    Newton steps of the whole sweep solve through one held band factor,
+    refactored only when a step leaves its space or stops contracting;
+    each mode-1 step factors at its own iterate (`_newton_square`).  When
     Newton fails or leaves the solver's domain (parameter window, trust
     radius, singular band), the branch is truncated at the last converged
     point and a diagnostic note is recorded -- no extrapolation.
@@ -849,7 +912,7 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     BranchResult
         Points sorted by amplitude, including the trivial point at 0, which
         carries ``params_star``, the space the Newton steps took and the
-        number of band factorizations.
+        number of band factorizations (one per mode-1 step among them).
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
@@ -857,16 +920,16 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     notes = []
     origin = ScaledParams(*params_star)
     held = _SharedFactor()
-    points, full_steps = _continue_grid(
+    points, widest = _continue_grid(
         problem, functional, u_star, origin, grid, newton_tol, max_iter,
         notes, held,
     )
     truncated = len(points) < len(grid)
     points.insert(0, _trivial_point(u_star, origin))
-    half = not full_steps and _half_wave(problem, u_star)
+    widest = max(widest, _SPACES.index(_narrowest_space(problem, (u_star,))))
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
-        newton_space="half-wave" if half else "full",
+        newton_space=_SPACES[widest],
         factorizations=held.factorizations, truncated=truncated, notes=notes,
     )
 
@@ -884,7 +947,8 @@ class SymmetryReport:
     ``u(-alpha) = tau_pi u(alpha)`` (equivalently, the first-order part
     flips sign while the correction translates).  ``newton_iters`` sums
     the Newton iterations of the mirrored points and the phase seeds,
-    ``factorizations`` counts the band factorizations they took.
+    ``factorizations`` counts the band factorizations they took, one per
+    mode-1 step among them.
     """
 
     parameter_deviation: float
@@ -925,18 +989,21 @@ def check_branch_symmetry(problem, functional, result):
 
     The Newton solves share one held factor (`_newton_square`), starting
     from the branch linearisation at the mid point, whose pair is
-    ``(alpha, 0)``.  g is autonomous, so the derivative at a time
-    translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
-    the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
-    mirror).  Every Newton step of the mirrored branch and of the seeds
-    solves through the held factor rotated by the phase difference between
-    the factor's iterate and its own, refined against the exact
-    derivative; the residual and the tolerance stay exact.  A step after a
-    chord step that did not at least halve the residual factors at its
-    iterate, and that factor is held from then on (a factor made on the
-    mirrored branch sits at phase ``pi``).  So a check whose mid-point
-    factor serves every solve factorizes one band.  The report counts the
-    Newton iterations and every factorization.
+    ``(alpha, 0)``, unless that is in the mode-1 space.  g is autonomous,
+    so the derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p,
+    u) S_psi^-1``, with ``S_psi`` the O(size) rotation of each mode ``n``
+    by ``n psi`` (``S_pi`` is the mirror).  Every half-wave or full Newton
+    step of the mirrored branch and of the seeds solves through the held
+    factor rotated by the phase difference between the factor's iterate
+    and its own, refined against the exact derivative; the residual and
+    the tolerance stay exact.  A step after a chord step that did not at
+    least halve the residual factors at its iterate, and that factor is
+    held from then on (a factor made on the mirrored branch sits at phase
+    ``pi``).  So on a half-wave or full branch whose mid-point factor
+    serves every solve the check factorizes one band.  On a mode-1 branch
+    (rotating waves) it makes no mid-point factor, and every Newton step
+    factors its own mode-1 band.  The report counts the Newton iterations
+    and every factorization.
 
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a

@@ -71,6 +71,34 @@ def with_even_term(problem, eps):
     )
 
 
+def with_rotation_breaking_term(problem, eps):
+    """``problem`` with ``eps * lam * (u**3, 0)`` added to h, pointwise,
+    ``u`` the first field: h stays odd, but no longer commutes with
+    rotating a grid point's field pair, so the branch is not made of
+    rotating waves.  At ``lam = 0`` the term vanishes, and ``h_u(lam, 0)``,
+    ``h_lambda_u(lam, 0)`` and with them every hypothesis check are
+    unchanged."""
+    nx = problem.dim // 2
+
+    def cubed(w, z=None):
+        """``(u**3, 0)``, or with ``z`` its derivative ``(3 u**2 z_u, 0)``."""
+        out = np.zeros(np.shape(w if z is None else z))
+        u = w[..., :nx]
+        out[..., :nx] = u * u * u if z is None else 3.0 * u * u * z[..., :nx]
+        return out
+
+    return dataclasses.replace(
+        problem,
+        apply_h=lambda lam, w: problem.apply_h(lam, w) + eps * lam * cubed(w),
+        apply_h_u=lambda lam, w, v: (problem.apply_h_u(lam, w, v)
+                                     + eps * lam * cubed(w, v)),
+        apply_h_lambda=lambda lam, w: problem.apply_h_lambda(lam, w) + eps * cubed(w),
+        apply_h_lambda_u=lambda lam, w, v: (problem.apply_h_lambda_u(lam, w, v)
+                                            + eps * cubed(w, v)),
+        name=problem.name + "+anisotropic",
+    )
+
+
 def psi_forcing(decomp, g, dx):
     """The real forcing ``g(t) psi + conj(g(t) psi)`` of a two-sided scalar
     path ``g`` (coefficients of ``n = -n_t .. n_t`` at ``n + n_t``)."""

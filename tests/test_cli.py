@@ -341,10 +341,26 @@ def run_both_reports(tmp_path):
 
 
 def test_cli_reports_the_half_wave_space(tmp_path, capsys):
-    """h is odd on the production-style config: both reports name the
-    half-wave space, and ``--verbose`` prints it on both command lines."""
-    assert run_both_reports(tmp_path) == [(0, "half-wave"), (0, "half-wave")]
-    assert capsys.readouterr().out.count("; newton space: half-wave") == 2
+    """The reports name the space of the branch's Newton steps, and
+    ``--verbose`` prints it on the command lines: on the semilinear config
+    the branch is made of rotating waves, single harmonics, so both
+    reports name mode 1; on the coarse quasilinear config the residual has
+    mode-3 content and h is odd, so the branch names the half-wave
+    space."""
+    assert run_both_reports(tmp_path) == [(0, "mode-1"), (0, "mode-1")]
+    assert capsys.readouterr().out.count("; newton space: mode-1") == 2
+    cfg = write_config(
+        tmp_path,
+        "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
+        "solver.n_t = 4\nsolver.alpha_max = 0.1\nsolver.alpha_steps = 8\n",
+        name="quasi.cfg",
+    )
+    out = tmp_path / "quasi-out"
+    code = main(["branch", "--config", cfg, "--out", str(out), "--skip-check",
+                 "--verbose"])
+    summary = json.loads((out / "branch_summary.json").read_text())
+    assert (code, summary["newton_space"]) == (0, "half-wave")
+    assert capsys.readouterr().out.count("; newton space: half-wave") == 1
 
 
 def test_cli_even_term_reports_the_full_space(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
     rotation_block,
     synthetic_problem,
     with_even_term,
+    with_rotation_breaking_term,
 )
 from hopfkit.newton import SingularBandError, odd_modes
 from hopfkit.problem import ConvergenceError, DomainError, ScaledParams
@@ -86,6 +87,25 @@ def coarse_solution(coarse_problem, coarse_functional, coarse_decomp):
 def coarse_branch(coarse_problem, coarse_functional, coarse_solution):
     return continue_branch(
         coarse_problem, coarse_functional, coarse_solution.u,
+        alpha_max=0.5, steps=10,
+    )
+
+
+def with_overtone(u, eps=1e-12):
+    """``u`` plus a mode-3 overtone, ``eps`` times its mode 1: Newton
+    systems at it, and at a branch continued from it, take the half-wave
+    space instead of mode 1."""
+    coeffs = np.array(u.coeffs)
+    coeffs[3] = eps * coeffs[1]
+    return PeriodicTrajectory(coeffs, u.dx)
+
+
+@pytest.fixture(scope="module")
+def overtone_branch(coarse_problem, coarse_functional, coarse_solution):
+    """`coarse_branch` continued from a ``u_star`` with a mode-3 overtone:
+    the same points, solved in the half-wave space."""
+    return continue_branch(
+        coarse_problem, coarse_functional, with_overtone(coarse_solution.u),
         alpha_max=0.5, steps=10,
     )
 
@@ -210,9 +230,10 @@ def far_factor(monkeypatch, problem, functional,
                params=ScaledParams(100.0, 0.0), base=None):
     """Make every `_SharedFactor` that starts empty hold the band at
     ``params`` and ``base`` (default the zero trajectory, ``n_t = 8`` as
-    the coarse branch) with a zero core instead.  By default a factor so
-    far from the branch that its first chord step leaves the lambda
-    window."""
+    the coarse branch) with a zero core instead, in the half-wave space:
+    half-wave steps chord through it, mode-1 steps replace it.  By default
+    a factor so far from the branch that its first chord step leaves the
+    lambda window."""
     shared = solver_module._SharedFactor
 
     class FarFactor(shared):
@@ -223,7 +244,7 @@ def far_factor(monkeypatch, problem, functional,
                 far = solver_module._branch_linearization(
                     problem, functional, params,
                     zero if base is None else base, zero)
-                self.refactor(far, far.layout())
+                self.refactor(far, far.layout(mode_one=False))
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
 
@@ -259,7 +280,8 @@ def test_newton_releases_each_step_before_the_next_band(
         monkeypatch, coarse_problem, coarse_functional, coarse_solution):
     """When a Newton step assembles its band, no earlier step's bordered
     system (band plus factor) is still alive, even without a cyclic GC:
-    here the refactor after a chord step that left the domain."""
+    here the refactor after a chord step that left the domain, on a
+    half-wave sweep."""
     systems, dead = [], []
 
     class RecordedSystem(newton_module.BorderedSystem):
@@ -278,8 +300,8 @@ def test_newton_releases_each_step_before_the_next_band(
     far_factor(monkeypatch, coarse_problem, coarse_functional)
     gc.disable()
     try:
-        continue_branch(coarse_problem, coarse_functional, coarse_solution.u,
-                        alpha_max=0.5, steps=10)
+        continue_branch(coarse_problem, coarse_functional,
+                        with_overtone(coarse_solution.u), alpha_max=0.5, steps=10)
     finally:
         gc.enable()
     assert len(dead) >= 2 and dead[1]
@@ -821,7 +843,7 @@ def test_chord_step_out_of_the_window_steps_exactly(
         coarse_branch):
     """A held factor so far off that a chord step leaves the lambda window:
     the solve takes an exact step from the iterate before it, and the
-    sweep gives the full, untruncated branch."""
+    half-wave sweep gives the full, untruncated branch."""
     left = []
     residual_g = type(coarse_problem).residual_g
 
@@ -835,9 +857,11 @@ def test_chord_step_out_of_the_window_steps_exactly(
     monkeypatch.setattr(type(coarse_problem), "residual_g", recording)
     far_factor(monkeypatch, coarse_problem, coarse_functional)
     result = continue_branch(coarse_problem, coarse_functional,
-                             coarse_solution.u, alpha_max=0.5, steps=10)
+                             with_overtone(coarse_solution.u), alpha_max=0.5,
+                             steps=10)
     assert left and all("outside admissible window" in note for note in left)
     assert not result.truncated and result.notes == []
+    assert result.newton_space == "half-wave"
     assert len(result.points) == len(coarse_branch.points)
     assert result.factorizations == 2
     npt.assert_allclose(result.lambdas, coarse_branch.lambdas, rtol=0.0, atol=1e-9)
@@ -847,12 +871,13 @@ def test_chord_steps_do_not_trip_the_stall_note(
         monkeypatch, coarse_problem, coarse_functional, coarse_solution):
     """A first factor at 50 u* (zero core, inside the trust radius): a
     chord step of 2.3e-10 and the larger exact step that replaces it are
-    not compared, so the sweep, which converges onto lambda = alpha**2,
-    records no stall note."""
+    not compared, so the half-wave sweep, which converges onto lambda =
+    alpha**2, records no stall note."""
     far_factor(monkeypatch, coarse_problem, coarse_functional,
                ScaledParams(0.0, 0.0), 50.0 * coarse_solution.u)
     result = continue_branch(coarse_problem, coarse_functional,
-                             coarse_solution.u, alpha_max=0.5, steps=10)
+                             with_overtone(coarse_solution.u), alpha_max=0.5,
+                             steps=10)
     assert not result.truncated and result.notes == []
     npt.assert_allclose(result.lambdas, result.alphas ** 2, rtol=0.0, atol=1e-9)
 
@@ -873,29 +898,39 @@ def test_stall_note_compares_consecutive_exact_steps():
 
 
 # ---------------------------------------------------------------------------
-# half-wave Newton: the periodic systems on the odd Fourier modes
+# Newton spaces: the periodic systems on mode 1, on the odd Fourier modes
+# (half-wave) or on all modes
 
 
-@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
-def test_half_wave_step_matches_the_full_step(grid, request):
-    """One bordered Newton step at an odd iterate: the half-wave step, with
-    zero even modes, and the full-space step both match a dense solve of
-    the full system."""
+@pytest.mark.parametrize("grid, overtone, space", [
+    pytest.param("coarse", 0.01, "half-wave", id="coarse"),
+    pytest.param("coarse_quasi", 0.01, "half-wave", id="coarse_quasi"),
+    pytest.param("coarse", 0.0, "mode-1", id="coarse-single-harmonic"),
+    pytest.param("coarse_quasi", 0.0, "half-wave", id="coarse_quasi-single-harmonic"),
+])
+def test_half_wave_step_matches_the_full_step(grid, overtone, space, request):
+    """One bordered Newton step at an odd iterate, in the space Newton
+    picks there: the half-wave step, with zero even modes, and the
+    full-space step both match a dense solve of the full system.  Without
+    the overtone the iterate is a rotating wave: on the semilinear grid
+    the residual stays in mode 1, and so does the step; the quasilinear
+    residual has mode-3 content, so that step stays half-wave."""
     cfg = request.getfixturevalue(f"{grid}_cfg")
     problem = request.getfixturevalue(f"{grid}_problem")
     decomp = build_projection(problem, reference=reference_eigenvector(cfg))
     functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
     n_t = 3
     coeffs = np.array(exact_branch_trajectory(cfg, 0.04, n_t=n_t).coeffs)
-    coeffs[3] = 0.01 * coeffs[1]  # an odd overtone off the branch
+    coeffs[3] = overtone * coeffs[1]  # an odd overtone off the branch
     u = PeriodicTrajectory(coeffs, cfg.dx)
     params = ScaledParams(0.03, -0.01)
     core = problem.residual_g(params, u)
     r_pair = functional.pair(u) - np.array([0.25, 0.0])
     lin = solver_module._branch_linearization(problem, functional, params, u, core)
-    half_system, half = lin.bordered_system()
+    mode_one = solver_module._norm_outside(core, slice(1, 2)) <= NEWTON_TOL
+    half_system, half = lin.bordered_system(lin.layout(mode_one=mode_one))
     full_system, full = lin.bordered_system(lin.layout(full=True))
-    assert half.modes == odd_modes(n_t) and full.modes == range(n_t + 1)
+    assert solver_module._space(half) == space and full.modes == range(n_t + 1)
 
     rhs = np.concatenate([-full.flatten_trajectory(core), -r_pair])
     oracle = np.linalg.solve(dense_of_storage(full_system), rhs)
@@ -923,18 +958,23 @@ def even_branch(problem, functional, u_star, params_star):
                            steps=6, params_star=params_star)
 
 
-def test_even_term_takes_the_full_space_and_converges(even_setup, coarse_branch,
+def test_even_term_takes_the_full_space_and_converges(even_setup, overtone_branch,
                                                      coarse_problem, coarse_cfg):
     problem, functional, solution = even_setup
-    assert coarse_branch.newton_space == "half-wave"
+    assert overtone_branch.newton_space == "half-wave"
     assert not problem.odd_symmetric()
-    # at the same odd iterate only the odd problem takes the half-wave space
-    u = exact_branch_trajectory(coarse_cfg, 0.01, n_t=8)
+    # at the same odd iterate with an overtone only the odd problem takes
+    # the half-wave space; without it both may take mode 1
+    single = exact_branch_trajectory(coarse_cfg, 0.01, n_t=8)
+    u = with_overtone(single, 1e-3)
     params = ScaledParams(0.01, 0.0)
     for prob, modes in ((coarse_problem, odd_modes(8)), (problem, range(9))):
         lin = solver_module._branch_linearization(
             prob, functional, params, u, prob.residual_g(params, u))
         assert lin.layout().modes == modes
+        lin = solver_module._branch_linearization(
+            prob, functional, params, single, prob.residual_g(params, single))
+        assert lin.layout().modes == range(1, 2)
     result = even_branch(problem, functional, solution.u, solution.params)
     assert result.newton_space == "full"
     assert result.notes == [] and len(result.points) == 7
@@ -971,13 +1011,78 @@ def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch
     npt.assert_allclose(result.lambdas, reference.lambdas, rtol=0.0, atol=1e-10)
 
 
+def test_residual_off_mode_one_widens_the_solve(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution):
+    """A term that breaks the rotation symmetry only away from lam = 0: the
+    first step from the predictor at lam = 0, a single harmonic with a
+    mode-1 residual, takes mode 1; at the lam it reaches the residual has
+    mode-3 content, so the solve widens to the half-wave space and the
+    sweep finds the branch that half-wave steps alone find."""
+    problem = with_rotation_breaking_term(coarse_problem, 0.5)
+    narrowest = solver_module._narrowest_space
+
+    def sweep():
+        return continue_branch(problem, coarse_functional, coarse_solution.u,
+                               alpha_max=0.3, steps=3)
+
+    monkeypatch.setattr(
+        solver_module, "_narrowest_space",
+        lambda problem, trajectories, mode_one=True: narrowest(
+            problem, trajectories, mode_one=False))
+    reference = sweep()
+    assert reference.newton_space == "half-wave"
+    monkeypatch.setattr(solver_module, "_narrowest_space", narrowest)
+    spaces = []
+    step = solver_module._bordered_step
+
+    def recording(lin, layout, held, core, r_pair):
+        spaces.append(solver_module._space(layout))
+        return step(lin, layout, held, core, r_pair)
+
+    monkeypatch.setattr(solver_module, "_bordered_step", recording)
+    result = sweep()
+    assert spaces[:2] == ["mode-1", "half-wave"]
+    assert "mode-1" not in spaces[1:]
+    assert result.newton_space == "half-wave"
+    assert not result.truncated and result.notes == []
+    assert np.abs(result.points[-1].u.coeffs[3]).max() > 1e-6
+    npt.assert_allclose(result.lambdas, reference.lambdas, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("error", [SingularBandError, np.linalg.LinAlgError,
+                                   DomainError])
+def test_failed_mode_one_step_widens(monkeypatch, error, coarse_problem,
+                                     coarse_functional, coarse_solution,
+                                     coarse_branch):
+    """A mode-1 step that fails (a singular band, or a residual outside
+    the solver's domain) is taken again at the same iterate in the
+    half-wave space: the sweep neither raises nor truncates, and finds the
+    same branch."""
+    spaces = []
+    step = solver_module._bordered_step
+
+    def singular_mode_one(lin, layout, held, core, r_pair):
+        spaces.append(solver_module._space(layout))
+        if spaces[-1] == "mode-1":
+            raise error("failed mode-1 step")
+        return step(lin, layout, held, core, r_pair)
+
+    monkeypatch.setattr(solver_module, "_bordered_step", singular_mode_one)
+    result = continue_branch(coarse_problem, coarse_functional,
+                             coarse_solution.u, alpha_max=0.5, steps=10)
+    assert spaces[:2] == ["mode-1", "half-wave"]
+    assert result.newton_space == "half-wave"
+    assert not result.truncated and result.notes == []
+    npt.assert_allclose(result.lambdas, coarse_branch.lambdas, rtol=0.0, atol=1e-9)
+
+
 def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
-                                                 coarse_functional, coarse_branch):
+                                                 coarse_functional, overtone_branch):
     """An iterate with even modes cannot step through a half-wave held
     factor: its first step releases it and factors in the full space, and
     the later steps solve through that factor."""
     alive = count_live_bands(monkeypatch)
-    mid = coarse_branch.points[5]
+    mid = overtone_branch.points[5]
     factor = solver_module._SharedFactor(solver_module._branch_linearization(
         coarse_problem, coarse_functional, mid.params, mid.u,
         coarse_problem.residual_g(mid.params, mid.u)))
@@ -987,7 +1092,7 @@ def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
     params, u, _, iters, trace = solver_module._branch_newton(
         coarse_problem, coarse_functional, mid.alpha, mid.params,
         PeriodicTrajectory(coeffs, mid.u.dx), NEWTON_TOL, 25, factor)
-    assert iters >= 2 and trace.full_steps == iters
+    assert iters >= 2 and trace.widest == solver_module._SPACES.index("full")
     assert factor.factorizations == 2 and factor.layout.modes == range(9)
     assert alive == [0, 0]
     assert (u - mid.u).norm() <= 1e-8 and abs(params.lam - mid.lam) <= 1e-10
@@ -1025,9 +1130,10 @@ def test_symmetry_json_dict(coarse_symmetry):
 
 
 def test_symmetry_check_factorizes_one_band(monkeypatch, coarse_problem,
-                                            coarse_functional, coarse_branch):
-    """The mirrored branch and the phase seeds all solve through the mid
-    point's factor, rotated: one dgbtrf for the whole check."""
+                                            coarse_functional, overtone_branch):
+    """On a half-wave branch the mirrored branch and the phase seeds all
+    solve through the mid point's factor, rotated: one dgbtrf for the
+    whole check."""
     calls = []
     dgbtrf = newton_module.lapack.dgbtrf
 
@@ -1037,27 +1143,54 @@ def test_symmetry_check_factorizes_one_band(monkeypatch, coarse_problem,
 
     monkeypatch.setattr(newton_module.lapack, "dgbtrf", counting_dgbtrf)
     report = check_branch_symmetry(
-        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+        coarse_problem, coarse_functional, dataclasses.replace(overtone_branch))
     assert report.passed
     assert len(calls) == 1 and report.factorizations == 1
     assert report.newton_iters >= 3  # every phase seed iterates
 
 
+def test_symmetry_check_on_rotating_waves_factors_each_step(
+        monkeypatch, coarse_problem, coarse_functional, coarse_branch,
+        coarse_symmetry):
+    """On the semilinear branch (rotating waves) the check makes no
+    mid-point factor: every Newton step factors its own mode-1 band,
+    ``kl = 4``, and the report counts one factorization per iteration."""
+    assert coarse_branch.newton_space == "mode-1"
+    bands = []
+    assemble = solver_module.assemble_jacobian_band
+
+    def recording(*args):
+        band = assemble(*args)
+        bands.append((args[3].modes, band.kl))
+        return band
+
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording)
+    report = check_branch_symmetry(
+        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+    assert report.passed and report.newton_iters >= 3
+    assert report.factorizations == report.newton_iters == len(bands)
+    assert set(bands) == {(range(1, 2), 4)}
+    assert report.to_json_dict() == coarse_symmetry.to_json_dict()
+
+
 def test_symmetry_check_refactors_when_the_factor_stalls(
-        monkeypatch, coarse_problem, coarse_functional, coarse_branch):
-    """A shared factor far from the branch (the band at the origin) stops
-    halving the residual; those solves refactor and finish with exact
-    Newton, and the check still passes."""
+        monkeypatch, coarse_problem, coarse_functional, overtone_branch):
+    """A shared factor far from the half-wave branch (the band at the
+    origin) stops halving the residual; those solves refactor and finish
+    with exact Newton, and the check still passes."""
     shared = solver_module._SharedFactor
 
     def poor_factor(lin):
         zero = zero_trajectory(lin.base.n_t, lin.base.dim, lin.base.dx)
-        return shared(solver_module._branch_linearization(
-            lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero))
+        origin = solver_module._branch_linearization(
+            lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero)
+        factor = shared()
+        factor.refactor(origin, origin.layout(mode_one=False))
+        return factor
 
     monkeypatch.setattr(solver_module, "_SharedFactor", poor_factor)
     report = check_branch_symmetry(
-        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+        coarse_problem, coarse_functional, dataclasses.replace(overtone_branch))
     assert report.passed
     assert report.factorizations > 1
 
