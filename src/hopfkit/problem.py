@@ -37,9 +37,6 @@ __all__ = [
 #: treated as singular.
 COND_GUARD = 1e12
 DERIVATIVE_TOLERANCE = 1e-6
-#: Seed and number of parameter values of `ProblemDef.odd_symmetric`'s probe.
-ODD_PROBE_SEED = 11
-ODD_PROBE_PARAMETERS = 2
 
 
 class DomainError(ValueError):
@@ -263,31 +260,6 @@ class ProblemDef:
         nonlinear = trajectory_from_samples(samples, v.dx)
         linear = v.with_coeffs((self.A @ v.coeffs.T).T)
         return v.time_derivative() - (sigma + 1.0) * (linear + nonlinear)
-
-    def odd_symmetric(self):
-        """Whether ``h(lam, -w) = -h(lam, w)`` and ``h_u(lam, -w) = h_u(lam,
-        w)`` hold to the bit on a few random states of sup-norm about 0.01,
-        at `ODD_PROBE_PARAMETERS` admissible parameters.
-
-        Then ``u(t + pi) = -u(t)`` is invariant under the flow, and at such
-        a base the periodic Newton systems map odd Fourier modes to odd
-        modes.  Probed on the first call (the first Newton step wider than
-        mode 1), then kept.
-        """
-        return self._odd_symmetric
-
-    @cached_property
-    def _odd_symmetric(self):
-        rng = np.random.default_rng(ODD_PROBE_SEED)
-        lo, hi = self.lambda_window
-        odd = True
-        for lam in rng.uniform(-0.4, 0.4, ODD_PROBE_PARAMETERS) * min(hi, -lo, 1.0):
-            w, v = rng.normal(size=(2, 3, self.dim)) * 0.01
-            odd = (odd
-                   and np.array_equal(self.apply_h(lam, -w), -self.apply_h(lam, w))
-                   and np.array_equal(self.apply_h_u(lam, -w, v),
-                                      self.apply_h_u(lam, w, v)))
-        return bool(odd)
 
     # -- derivative validation ------------------------------------------------------
 

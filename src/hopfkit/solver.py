@@ -40,28 +40,27 @@ singular) is taken again at the same iterate through a new factor.
 starts from the factor at the branch's mid point, and `solve_extended`
 starts with none.
 
-A Newton step solves in the narrowest of three spaces that its iterate
-allows (`_Linearization.layout`):
+A Newton step solves in the narrowest of three spaces, mode 1, the odd
+modes (the half-wave space, `newton.odd_modes`) and all modes, that holds
+its base and iterate exactly and outside which its residual is at most the
+tolerance (`_newton_space`, the one rule for all three):
 
-* mode 1 alone, when the base and the iterate have no Fourier content
-  outside mode 1 and the residual's content there is at most the
-  tolerance.  When ``A`` and ``h`` commute with rotating each grid
+* mode 1 alone: when ``A`` and ``h`` commute with rotating each grid
   point's field pair (S^1-equivariance, as in the shipped lambda-omega
-  example), the branch is made of rotating waves, single harmonics, and
-  at such an iterate the exact Newton step lies in mode 1 too.  The band
-  has 4 unknowns per grid point, so its factor is cheap, and a mode-1
-  step never goes through a held factor: it factors at its own iterate;
-* the odd modes (the half-wave space, `newton.odd_modes`), when ``h`` is
-  odd (`ProblemDef.odd_symmetric`, probed on the first step wider than
-  mode 1) and neither has an even Fourier mode: the branch keeps ``u(t +
-  pi) = -u(t)``, the Jacobian there maps odd modes to odd modes, and the
-  band is about a quarter of the full one;
+  example), the branch is made of rotating waves, single harmonics, and at
+  such an iterate the exact Newton step lies in mode 1 too.  The band has 4
+  unknowns per grid point, so its factor is cheap, and a mode-1 step never
+  goes through a held factor: it factors at its own iterate;
+* the half-wave space: when ``h`` is odd the branch keeps ``u(t + pi) =
+  -u(t)``, the Jacobian there maps odd modes to odd modes, and the band is
+  about a quarter of the full one;
 * all modes otherwise.
 
-Within one solve the space only widens.  The full residual, every mode
-included, still decides convergence, so no result rests on a symmetry: a
-solve whose residual outside mode 1 (or whose even residual) exceeds the
-tolerance, or whose mode-1 step fails, goes on in the next wider space.
+On a problem without the symmetry a narrow step is the Galerkin step of
+the full one.  Within one solve the space only widens.  The full residual,
+every mode included, still decides convergence, so no result rests on a
+symmetry: a solve whose residual outside its space exceeds the tolerance,
+or whose mode-1 step fails, goes on in the next wider space that qualifies.
 The hypothesis checks and the certificate stay on the full space.
 """
 
@@ -124,8 +123,9 @@ SYMMETRY_PHASES = (np.pi / 6, np.pi / 3, np.pi / 2)
 #: How a Newton solve fails besides running out of iterations: it leaves
 #: the solver's domain or meets a singular bordered system.
 _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
-#: The Newton spaces, narrowest first (`_Linearization.layout`).
+#: The Newton spaces, narrowest first (`_newton_space`).
 _SPACES = ("mode-1", "half-wave", "full")
+_FULL = len(_SPACES) - 1
 _MODE_ONE = range(1, 2)
 
 
@@ -166,34 +166,27 @@ class _NewtonTrace:
         self.last_exact = exact
 
 
-def _norm_outside(traj, rows):
-    """Norm of ``traj`` with the Fourier modes ``rows`` (a slice) left out."""
-    coeffs = np.array(traj.coeffs)
-    coeffs[rows] = 0.0
-    return traj.with_coeffs(coeffs).norm()
+def _space_modes(space, n_t):
+    """The Fourier modes of ``_SPACES[space]``, None for all of them."""
+    return (_MODE_ONE, odd_modes(n_t), None)[space]
 
 
-def _narrowest_space(problem, trajectories, mode_one=True):
-    """The narrowest of `_SPACES` that Newton systems at these trajectories
-    may take: ``"mode-1"`` when ``mode_one`` and no trajectory has content
-    outside mode 1, ``"half-wave"`` when ``h`` is odd
-    (`ProblemDef.odd_symmetric`) and no trajectory has an even mode,
-    ``"full"`` otherwise."""
-    coeffs = [traj.coeffs for traj in trajectories]
-    if trajectories[0].n_t < 1:
-        return "full"
-    if mode_one and not any(np.any(c[0]) or np.any(c[2:]) for c in coeffs):
-        return "mode-1"
-    if not any(np.any(c[0::2]) for c in coeffs) and problem.odd_symmetric():
-        return "half-wave"
-    return "full"
-
-
-def _space(layout):
-    """The name in `_SPACES` of a Newton layout's space."""
-    if layout.modes == _MODE_ONE:
-        return "mode-1"
-    return "half-wave" if layout.modes == odd_modes(layout.n_t) else "full"
+def _newton_space(trajectories, core, tol, narrowest=0):
+    """The index in `_SPACES` of the narrowest space, from ``narrowest`` on,
+    that a Newton step may take at ``trajectories`` (its base and iterate)
+    with residual ``core``: every trajectory has exactly zero coefficients
+    outside the space's modes, and ``core`` there has norm at most ``tol``.
+    The full space always qualifies, and is the only one at ``n_t < 1``."""
+    if core.n_t < 1:
+        return _FULL
+    for space in range(narrowest, _FULL):
+        outside = np.ones(core.n_t + 1, dtype=bool)
+        outside[_space_modes(space, core.n_t)] = False
+        rest = core.with_coeffs(np.where(outside[:, None], core.coeffs, 0.0))
+        if (rest.norm() <= tol
+                and not any(np.any(traj.coeffs[outside]) for traj in trajectories)):
+            return space
+    return _FULL
 
 
 def _mixed_column(problem, lam, u):
@@ -233,27 +226,24 @@ class _Linearization:
         core = core + dlam * self.col_lam + dsig * self.col_sig
         return self.functional.pair(v), core
 
-    def layout(self, full=False, mode_one=True):
-        """The space of this linearization's systems: all modes if
-        ``full``, otherwise the narrowest that ``base`` and ``u`` allow
-        (`_narrowest_space`), mode 1 only if ``mode_one``.
+    def layout(self, space=_FULL):
+        """The layout of this linearization's systems in ``_SPACES[space]``
+        (`_newton_space`), all modes by default.
 
-        On the half-wave space ``g_u(params, base)`` maps odd modes to odd
-        modes (``h_u`` is even in an odd base), so the Newton step of an
-        odd residual is the full step restricted to the odd modes.  The
-        mode-1 system is the Galerkin projection of the full one; its step
-        is the full step when that lies in mode 1, as at a rotating wave
-        of an S^1-equivariant problem, or at the zero base of the extended
-        system, where the derivative does not couple modes.
+        When ``h`` is odd, ``g_u(params, base)`` at an odd base maps odd
+        modes to odd modes (``h_u`` is even there), so the half-wave step
+        of an odd residual is the full step restricted to the odd modes.
+        The mode-1 system is the Galerkin projection of the full one; its
+        step is the full step when that lies in mode 1, as at a rotating
+        wave of an S^1-equivariant problem, or at the zero base of the
+        extended system, where the derivative does not couple modes.
         """
         base = self.base
-        space = "full" if full else _narrowest_space(
-            self.problem, (base, self.u), mode_one)
-        modes = {"mode-1": _MODE_ONE, "half-wave": odd_modes(base.n_t)}
-        return TrajectoryLayout(base.n_t, base.nx, base.dx, modes.get(space))
+        return TrajectoryLayout(base.n_t, base.nx, base.dx,
+                                _space_modes(space, base.n_t))
 
     def bordered_system(self, layout=None, held=None):
-        """Assembled matrix form in ``layout`` (default `layout()`), core
+        """Assembled matrix form in ``layout`` (default all modes), core
         rows first, parameter slots last.
 
         With a `_SharedFactor` ``held`` in ``layout`` no band is assembled:
@@ -292,19 +282,17 @@ class _SharedFactor:
     step factors at its own iterate, replacing the held factor: a chord
     step's error there has a counter-rotating part, which couples into
     mode 3, outside the space.
-    With a `_Linearization` ``lin`` the first factor is made at once, in
-    ``lin.layout()``, unless that is mode 1; otherwise the first Newton
-    step makes it.
+    With a `_Linearization` ``lin`` and a ``space`` wider than mode 1 (an
+    index in `_SPACES`) the first factor is made at once, in
+    ``lin.layout(space)``; otherwise the first Newton step makes it.
     """
 
-    def __init__(self, lin=None):
+    def __init__(self, lin=None, space=0):
         self.band = self.lu = self.layout = None
         self.phase = 0.0
         self.factorizations = 0
-        if lin is not None:
-            layout = lin.layout()
-            if layout.modes != _MODE_ONE:
-                self.refactor(lin, layout)
+        if space > 0:
+            self.refactor(lin, lin.layout(space))
 
     def fits(self, layout):
         """Whether a factor is held that a step in ``layout`` may go
@@ -353,15 +341,14 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     ``(params, u, core, iterations, trace)`` with ``core`` the converged
     residual.
 
-    Each step solves in its linearization's space (`_Linearization.
-    layout`): the mode-1 one keeps the iterate a single harmonic, the
-    half-wave one keeps it free of even modes.  The full residual, every
-    mode included, decides convergence, and the space only widens: once
-    the residual outside mode 1 exceeds ``newton_tol``, or a mode-1 step's
-    solve or next residual fails (`_SOLVE_ERRORS`; that step is taken
-    again in the wider space), the rest of the solve leaves mode 1;
-    once the even modes of the residual exceed it, the rest takes the full
-    space.
+    Each step solves in the space `_newton_space` picks at its base,
+    iterate and residual, never narrower than the last step's: the mode-1
+    space keeps the iterate a single harmonic, the half-wave one keeps it
+    free of even modes.  The full residual, every mode included, decides
+    convergence.  A mode-1 step whose solve or next residual fails
+    (`_SOLVE_ERRORS`) is taken again at the same iterate in the space
+    picked from the half-wave one on; a failed exact step in a wider space
+    raises.
 
     Every half-wave or full step solves through the `_SharedFactor`
     ``held``, rotated to the iterate's phase and refined against the exact
@@ -378,8 +365,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
-    full = False
-    mode_one = True  # whether the steps may still take the mode-1 space
+    space = 0  # index in `_SPACES`; it only grows
     chord = False  # whether the last step went through an older factor
     core = residual_fn(params, u)
 
@@ -397,11 +383,9 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
 
         if chord and residual > 0.5 * trace.residuals[-2]:
             held.release()  # the last chord step did not halve the residual
-        full = full or _norm_outside(core, slice(1, None, 2)) > newton_tol
-        mode_one = mode_one and _norm_outside(core, slice(1, 2)) <= newton_tol
         lin = linearize(params, u, core)
-        layout = lin.layout(full, mode_one)
-        mode_one = layout.modes == _MODE_ONE
+        space = _newton_space((lin.base, u), core, newton_tol, space)
+        layout = lin.layout(space)
         while True:
             chord = held.fits(layout)
             if not chord:
@@ -415,12 +399,12 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
             except _SOLVE_ERRORS:
                 if chord:
                     held.release()  # a failed chord step: step exactly from here
-                elif mode_one:
-                    mode_one = False  # a failed mode-1 step: widen
-                    layout = lin.layout(full, mode_one)
+                elif space == 0:  # a failed mode-1 step: widen
+                    space = _newton_space((lin.base, u), core, newton_tol, 1)
+                    layout = lin.layout(space)
                 else:
                     raise
-        trace.widest = max(trace.widest, _SPACES.index(_space(layout)))
+        trace.widest = max(trace.widest, space)
         trace.record_step(du.norm() + abs(dp[0]) + abs(dp[1]), exact=not chord)
         params, u, core = next_params, next_u, next_core
 
@@ -607,7 +591,7 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     rng = np.random.default_rng(seed)
     low = BifurcationJacobian(
         problem, functional, PeriodicTrajectory(u_star.coeffs[:2], u_star.dx))
-    system, layout = low.bordered_system(low.layout(full=True))
+    system, layout = low.bordered_system(low.layout())
     try:
         sigma, steps = inverse_power_sigma_min(
             lambda b: np.concatenate(system.solve(b[:-2], b[-2:])),
@@ -749,11 +733,11 @@ class BranchResult:
     ``factorizations`` the number of band factorizations it took.
     ``truncated`` is set when the sweep stopped short of its amplitude grid's
     end (a note says why).  ``newton_space`` is the widest space the
-    sweep's Newton steps solved in (`_Linearization.layout`), and at least
-    the narrowest that ``u_star`` allows: ``"mode-1"`` when ``u_star`` is
-    a single harmonic and every step stayed on mode 1, ``"half-wave"``
-    when ``h`` is odd, ``u_star`` has no even Fourier mode and no step left
-    the odd modes, ``"full"`` otherwise.
+    sweep's Newton steps solved in (`_newton_space`), and at least the
+    narrowest that ``u_star`` allows: ``"mode-1"`` when ``u_star`` is a
+    single harmonic and every step stayed on mode 1, ``"half-wave"`` when
+    ``u_star`` has no even Fourier mode and no step left the odd modes,
+    ``"full"`` otherwise.
     """
 
     points: list
@@ -926,7 +910,8 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     )
     truncated = len(points) < len(grid)
     points.insert(0, _trivial_point(u_star, origin))
-    widest = max(widest, _SPACES.index(_narrowest_space(problem, (u_star,))))
+    # the floor: the space at u_star with the trivial point's zero residual
+    widest = max(widest, _newton_space((u_star,), 0.0 * u_star, newton_tol))
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
         newton_space=_SPACES[widest],
@@ -989,21 +974,21 @@ def check_branch_symmetry(problem, functional, result):
 
     The Newton solves share one held factor (`_newton_square`), starting
     from the branch linearisation at the mid point, whose pair is
-    ``(alpha, 0)``, unless that is in the mode-1 space.  g is autonomous,
-    so the derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p,
-    u) S_psi^-1``, with ``S_psi`` the O(size) rotation of each mode ``n``
-    by ``n psi`` (``S_pi`` is the mirror).  Every half-wave or full Newton
-    step of the mirrored branch and of the seeds solves through the held
-    factor rotated by the phase difference between the factor's iterate
-    and its own, refined against the exact derivative; the residual and
-    the tolerance stay exact.  A step after a chord step that did not at
-    least halve the residual factors at its iterate, and that factor is
-    held from then on (a factor made on the mirrored branch sits at phase
-    ``pi``).  So on a half-wave or full branch whose mid-point factor
-    serves every solve the check factorizes one band.  On a mode-1 branch
-    (rotating waves) it makes no mid-point factor, and every Newton step
-    factors its own mode-1 band.  The report counts the Newton iterations
-    and every factorization.
+    ``(alpha, 0)``, in the space `_newton_space` picks there, unless that
+    is the mode-1 space.  g is autonomous, so the derivative at a time
+    translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
+    the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
+    mirror).  Every half-wave or full Newton step of the mirrored branch
+    and of the seeds solves through the held factor rotated by the phase
+    difference between the factor's iterate and its own, refined against
+    the exact derivative; the residual and the tolerance stay exact.  A
+    step after a chord step that did not at least halve the residual
+    factors at its iterate, and that factor is held from then on (a factor
+    made on the mirrored branch sits at phase ``pi``).  So on a half-wave
+    or full branch whose mid-point factor serves every solve the check
+    factorizes one band.  On a mode-1 branch (rotating waves) it makes no
+    mid-point factor, and every Newton step factors its own mode-1 band.
+    The report counts the Newton iterations and every factorization.
 
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a
@@ -1018,9 +1003,10 @@ def check_branch_symmetry(problem, functional, result):
     origin = result.points[0].params
     mid = plus[len(plus) // 2]
     try:
-        held = _SharedFactor(_branch_linearization(
-            problem, functional, mid.params, mid.u,
-            problem.residual_g(mid.params, mid.u)))
+        core = problem.residual_g(mid.params, mid.u)
+        held = _SharedFactor(
+            _branch_linearization(problem, functional, mid.params, mid.u, core),
+            _newton_space((mid.u,), core, newton_tol))
     except SingularBandError as exc:
         raise ConvergenceError(
             f"symmetry check: no factor at alpha = {mid.alpha:g}: {exc}"

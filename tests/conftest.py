@@ -71,20 +71,21 @@ def with_even_term(problem, eps):
     )
 
 
-def with_rotation_breaking_term(problem, eps):
+def with_rotation_breaking_term(problem, eps, cube=lambda u: u * u * u):
     """``problem`` with ``eps * lam * (u**3, 0)`` added to h, pointwise,
-    ``u`` the first field: h stays odd, but no longer commutes with
-    rotating a grid point's field pair, so the branch is not made of
-    rotating waves.  At ``lam = 0`` the term vanishes, and ``h_u(lam, 0)``,
-    ``h_lambda_u(lam, 0)`` and with them every hypothesis check are
-    unchanged."""
+    ``u`` the first field and its cube computed as ``cube(u)`` (written
+    ``u ** 3``, numpy's cube is odd only up to rounding): h stays odd, but
+    no longer commutes with rotating a grid point's field pair, so the
+    branch is not made of rotating waves.  At ``lam = 0`` the term
+    vanishes, and ``h_u(lam, 0)``, ``h_lambda_u(lam, 0)`` and with them
+    every hypothesis check are unchanged."""
     nx = problem.dim // 2
 
     def cubed(w, z=None):
         """``(u**3, 0)``, or with ``z`` its derivative ``(3 u**2 z_u, 0)``."""
         out = np.zeros(np.shape(w if z is None else z))
         u = w[..., :nx]
-        out[..., :nx] = u * u * u if z is None else 3.0 * u * u * z[..., :nx]
+        out[..., :nx] = cube(u) if z is None else 3.0 * u * u * z[..., :nx]
         return out
 
     return dataclasses.replace(

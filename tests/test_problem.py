@@ -205,20 +205,17 @@ def test_shifted_is_z_minus_the_linearisation(lam):
 
 def test_replaced_problem_has_caches_of_its_own(monkeypatch, coarse_cfg):
     """A copy made by `dataclasses.replace`, as the frozen-parameter
-    problem is, builds its own operator and odd-symmetry probe instead of
-    seeing its base's."""
+    problem is, builds its own operator instead of seeing its base's."""
     base = make_problem(coarse_cfg)
     operator = base.operator()
-    assert base.operator() is operator and base.odd_symmetric()
+    assert base.operator() is operator
     monkeypatch.setattr(config, "make_problem", lambda cfg: base)
     frozen = build_problem(RunConfig(problem=coarse_cfg, frozen_parameter=True))
     renamed = dataclasses.replace(base, name="copy")
     for copy in (frozen, renamed):
         assert "_operator_at_zero" not in vars(copy)
-        assert "_odd_symmetric" not in vars(copy)
         assert copy.operator() is not operator
         assert (copy.operator() != operator).nnz == 0
-        assert copy.odd_symmetric()
 
 
 def test_problem_holds_no_factorization(coarse_cfg):

@@ -237,14 +237,14 @@ def far_factor(monkeypatch, problem, functional,
     shared = solver_module._SharedFactor
 
     class FarFactor(shared):
-        def __init__(self, lin=None):
-            super().__init__(lin)
+        def __init__(self, lin=None, space=0):
+            super().__init__(lin, space)
             if lin is None:
                 zero = zero_trajectory(8, problem.dim, problem.dx)
                 far = solver_module._branch_linearization(
                     problem, functional, params,
                     zero if base is None else base, zero)
-                self.refactor(far, far.layout(mode_one=False))
+                self.refactor(far, far.layout(1))
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
 
@@ -437,7 +437,7 @@ def test_sigma_min_matches_dense_svd(a, shift, smallest_block):
     )
     jac = BifurcationJacobian(problem, functional, solution.u)
     # the certificate covers every mode, so compare with the full space
-    system, _ = jac.bordered_system(jac.layout(full=True))
+    system, _ = jac.bordered_system(jac.layout())
     svals = np.linalg.svd(dense_of_storage(system), compute_uv=False)
 
     cert = verify_jacobian_nonsingular(
@@ -902,6 +902,101 @@ def test_stall_note_compares_consecutive_exact_steps():
 # (half-wave) or on all modes
 
 
+def space_name(layout):
+    """The name in `_SPACES` of a Newton layout's mode set."""
+    if layout.modes == range(1, 2):
+        return "mode-1"
+    return "half-wave" if layout.modes == odd_modes(layout.n_t) else "full"
+
+
+def synthetic_trajectory(n_t, **modes):
+    """A trajectory of two fields on two grid points whose Fourier mode
+    ``n`` (keyword ``m<n>``) is the given multiple of ``(1, -2, 0.5, 1)``."""
+    coeffs = np.zeros((n_t + 1, 4), dtype=complex)
+    for name, scale in modes.items():
+        coeffs[int(name[1:])] = scale * np.array([1.0, -2.0, 0.5, 1.0])
+    return PeriodicTrajectory(coeffs, 0.5)
+
+
+@pytest.mark.parametrize("iterate, residual, expected", [
+    pytest.param({"m1": 1.0}, {"m1": 1.0}, "mode-1", id="single-harmonic"),
+    pytest.param({"m1": 1.0, "m3": 1e-20}, {"m1": 1.0}, "half-wave",
+                 id="odd-overtone"),
+    pytest.param({"m1": 1.0, "m2": 1e-20}, {"m1": 1.0}, "full", id="even-mode"),
+    pytest.param({"m0": 1e-20, "m1": 1.0}, {}, "full", id="mean"),
+    pytest.param({"m1": 1.0}, {"m3": 1.0}, "half-wave", id="odd-residual"),
+    pytest.param({"m1": 1.0}, {"m4": 1.0}, "full", id="even-residual"),
+])
+def test_newton_space_is_the_narrowest_that_holds_everything(
+        iterate, residual, expected):
+    """The space holds the base and the iterate exactly, and the residual
+    outside it is at most the tolerance; a residual of norm 1 anywhere
+    outside mode 1 fails the tolerance."""
+    n_t = 4
+    core = synthetic_trajectory(n_t, **residual)
+    space = solver_module._newton_space(
+        (synthetic_trajectory(n_t, m1=1.0), synthetic_trajectory(n_t, **iterate)),
+        core, 1e-10)
+    assert solver_module._SPACES[space] == expected
+
+
+@pytest.mark.parametrize("mode, wider", [(3, "half-wave"), (2, "full"),
+                                         (0, "full")])
+def test_newton_space_compares_the_residual_with_the_tolerance(mode, wider):
+    """Residual content outside mode 1 of norm just at the tolerance keeps
+    the solve on mode 1; just above it, the solve takes the next space
+    that holds it."""
+    n_t, tol = 4, 1e-10
+    unit = synthetic_trajectory(n_t, **{f"m{mode}": 1.0})
+    single = synthetic_trajectory(n_t, m1=1.0)
+    for factor, expected in ((1.0 - 1e-9, "mode-1"), (1.0 + 1e-9, wider)):
+        core = single + (factor * tol / unit.norm()) * unit
+        space = solver_module._newton_space((single,), core, tol)
+        assert solver_module._SPACES[space] == expected
+
+
+def test_newton_space_never_narrows_below_its_floor():
+    """From ``narrowest`` on, the pick is the wider of ``narrowest`` and
+    the free pick: the spaces are nested, so whatever qualifies for a
+    narrow space qualifies for every wider one."""
+    n_t, tol = 4, 1e-10
+    single = synthetic_trajectory(n_t, m1=1.0)
+    cases = [
+        ((single,), single),
+        ((synthetic_trajectory(n_t, m1=1.0, m3=0.1),), single),
+        ((single,), synthetic_trajectory(n_t, m2=1.0)),
+        ((zero_trajectory(n_t, 4, 0.5),), zero_trajectory(n_t, 4, 0.5)),
+    ]
+    for trajectories, core in cases:
+        free = solver_module._newton_space(trajectories, core, tol)
+        for narrowest in range(len(solver_module._SPACES)):
+            picked = solver_module._newton_space(trajectories, core, tol, narrowest)
+            assert picked == max(free, narrowest)
+
+
+@pytest.mark.parametrize("n_t", [1, 2])
+def test_newton_space_at_two_time_modes_or_fewer(n_t):
+    """At ``n_t <= 2`` the odd modes are mode 1 alone: a single harmonic
+    picks mode 1, a pick from the half-wave space on has the same modes,
+    and no held factor serves such a layout, so its steps stay exact.  At
+    ``n_t = 0`` every pick is the full space."""
+    single = synthetic_trajectory(n_t, m1=1.0)
+    assert solver_module._newton_space((single,), single, 1e-10) == 0
+    assert solver_module._newton_space((single,), single, 1e-10, 1) == 1
+    held = solver_module._SharedFactor()
+    for space in range(2):
+        layout = newton_module.TrajectoryLayout(
+            n_t, 2, 0.5, solver_module._space_modes(space, n_t))
+        assert layout.modes == range(1, 2)
+        held.band, held.layout = object(), layout  # a factor held in it
+        assert not held.fits(layout)
+    wide = newton_module.TrajectoryLayout(4, 2, 0.5, odd_modes(4))
+    held.layout = wide
+    assert held.fits(wide)
+    zero = zero_trajectory(0, 4, 0.5)
+    assert solver_module._newton_space((zero,), zero, 1e-10) == 2
+
+
 @pytest.mark.parametrize("grid, overtone, space", [
     pytest.param("coarse", 0.01, "half-wave", id="coarse"),
     pytest.param("coarse_quasi", 0.01, "half-wave", id="coarse_quasi"),
@@ -927,10 +1022,10 @@ def test_half_wave_step_matches_the_full_step(grid, overtone, space, request):
     core = problem.residual_g(params, u)
     r_pair = functional.pair(u) - np.array([0.25, 0.0])
     lin = solver_module._branch_linearization(problem, functional, params, u, core)
-    mode_one = solver_module._norm_outside(core, slice(1, 2)) <= NEWTON_TOL
-    half_system, half = lin.bordered_system(lin.layout(mode_one=mode_one))
-    full_system, full = lin.bordered_system(lin.layout(full=True))
-    assert solver_module._space(half) == space and full.modes == range(n_t + 1)
+    picked = solver_module._newton_space((u,), core, NEWTON_TOL)
+    half_system, half = lin.bordered_system(lin.layout(picked))
+    full_system, full = lin.bordered_system(lin.layout())
+    assert space_name(half) == space and full.modes == range(n_t + 1)
 
     rhs = np.concatenate([-full.flatten_trajectory(core), -r_pair])
     oracle = np.linalg.solve(dense_of_storage(full_system), rhs)
@@ -962,19 +1057,17 @@ def test_even_term_takes_the_full_space_and_converges(even_setup, overtone_branc
                                                      coarse_problem, coarse_cfg):
     problem, functional, solution = even_setup
     assert overtone_branch.newton_space == "half-wave"
-    assert not problem.odd_symmetric()
     # at the same odd iterate with an overtone only the odd problem takes
-    # the half-wave space; without it both may take mode 1
+    # the half-wave space, and at the single harmonic only it takes mode 1:
+    # the even problem's residual has even modes, so it reads full
     single = exact_branch_trajectory(coarse_cfg, 0.01, n_t=8)
     u = with_overtone(single, 1e-3)
     params = ScaledParams(0.01, 0.0)
-    for prob, modes in ((coarse_problem, odd_modes(8)), (problem, range(9))):
-        lin = solver_module._branch_linearization(
-            prob, functional, params, u, prob.residual_g(params, u))
-        assert lin.layout().modes == modes
-        lin = solver_module._branch_linearization(
-            prob, functional, params, single, prob.residual_g(params, single))
-        assert lin.layout().modes == range(1, 2)
+    for prob, spaces in ((coarse_problem, ["half-wave", "mode-1"]),
+                         (problem, ["full", "full"])):
+        assert [solver_module._SPACES[solver_module._newton_space(
+            (v,), prob.residual_g(params, v), NEWTON_TOL)] for v in (u, single)
+        ] == spaces
     result = even_branch(problem, functional, solution.u, solution.params)
     assert result.newton_space == "full"
     assert result.notes == [] and len(result.points) == 7
@@ -984,15 +1077,12 @@ def test_even_term_takes_the_full_space_and_converges(even_setup, overtone_branc
 
 
 def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch):
-    """A problem whose probe reads odd while its residual has even modes,
-    from an odd start: the even residual exceeds the tolerance, so every
-    step runs in the full space and finds the branch that the full space
-    finds."""
+    """A problem whose residual has even modes, from an odd start whose
+    iterates the half-wave space holds: the even residual exceeds the
+    tolerance, so every step runs in the full space and finds the branch
+    that the full space finds."""
     problem, functional, solution = even_setup
     reference = even_branch(problem, functional, solution.u, solution.params)
-    misread = dataclasses.replace(problem)
-    vars(misread)["_odd_symmetric"] = True  # the probe's kept answer
-    assert misread.odd_symmetric()
     coeffs = np.array(solution.u.coeffs)
     coeffs[0::2] = 0.0
     u_star = PeriodicTrajectory(coeffs, solution.u.dx)
@@ -1005,42 +1095,47 @@ def test_even_residual_moves_the_solve_to_the_full_space(even_setup, monkeypatch
         return assemble(problem, params, base, layout)
 
     monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording)
-    result = even_branch(misread, functional, u_star, solution.params)
+    result = even_branch(problem, functional, u_star, solution.params)
     assert result.newton_space == "full" and result.notes == []
     assert spaces and set(spaces) == {range(9)}
     npt.assert_allclose(result.lambdas, reference.lambdas, rtol=0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("cube", [
+    pytest.param(lambda u: u * u * u, id="product"),
+    pytest.param(lambda u: u ** 3, id="power"),
+])
 def test_residual_off_mode_one_widens_the_solve(
-        monkeypatch, coarse_problem, coarse_functional, coarse_solution):
+        monkeypatch, cube, coarse_problem, coarse_functional, coarse_solution):
     """A term that breaks the rotation symmetry only away from lam = 0: the
     first step from the predictor at lam = 0, a single harmonic with a
     mode-1 residual, takes mode 1; at the lam it reaches the residual has
     mode-3 content, so the solve widens to the half-wave space and the
-    sweep finds the branch that half-wave steps alone find."""
-    problem = with_rotation_breaking_term(coarse_problem, 0.5)
-    narrowest = solver_module._narrowest_space
-
-    def sweep():
+    sweep finds the branch that half-wave steps alone find with the cube
+    written ``u * u * u``.  Written ``u ** 3``, the cube is not
+    sign-symmetric to the bit, and the solve takes the same spaces."""
+    def sweep(cube):
+        problem = with_rotation_breaking_term(coarse_problem, 0.5, cube)
         return continue_branch(problem, coarse_functional, coarse_solution.u,
                                alpha_max=0.3, steps=3)
 
+    newton_space = solver_module._newton_space
     monkeypatch.setattr(
-        solver_module, "_narrowest_space",
-        lambda problem, trajectories, mode_one=True: narrowest(
-            problem, trajectories, mode_one=False))
-    reference = sweep()
+        solver_module, "_newton_space",
+        lambda trajectories, core, tol, narrowest=0: newton_space(
+            trajectories, core, tol, max(narrowest, 1)))
+    reference = sweep(lambda u: u * u * u)
     assert reference.newton_space == "half-wave"
-    monkeypatch.setattr(solver_module, "_narrowest_space", narrowest)
+    monkeypatch.setattr(solver_module, "_newton_space", newton_space)
     spaces = []
     step = solver_module._bordered_step
 
     def recording(lin, layout, held, core, r_pair):
-        spaces.append(solver_module._space(layout))
+        spaces.append(space_name(layout))
         return step(lin, layout, held, core, r_pair)
 
     monkeypatch.setattr(solver_module, "_bordered_step", recording)
-    result = sweep()
+    result = sweep(cube)
     assert spaces[:2] == ["mode-1", "half-wave"]
     assert "mode-1" not in spaces[1:]
     assert result.newton_space == "half-wave"
@@ -1061,13 +1156,13 @@ def test_failed_mode_one_step_widens(monkeypatch, error, coarse_problem,
     spaces = []
     step = solver_module._bordered_step
 
-    def singular_mode_one(lin, layout, held, core, r_pair):
-        spaces.append(solver_module._space(layout))
+    def failing_mode_1_step(lin, layout, held, core, r_pair):
+        spaces.append(space_name(layout))
         if spaces[-1] == "mode-1":
             raise error("failed mode-1 step")
         return step(lin, layout, held, core, r_pair)
 
-    monkeypatch.setattr(solver_module, "_bordered_step", singular_mode_one)
+    monkeypatch.setattr(solver_module, "_bordered_step", failing_mode_1_step)
     result = continue_branch(coarse_problem, coarse_functional,
                              coarse_solution.u, alpha_max=0.5, steps=10)
     assert spaces[:2] == ["mode-1", "half-wave"]
@@ -1083,9 +1178,11 @@ def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
     the later steps solve through that factor."""
     alive = count_live_bands(monkeypatch)
     mid = overtone_branch.points[5]
-    factor = solver_module._SharedFactor(solver_module._branch_linearization(
-        coarse_problem, coarse_functional, mid.params, mid.u,
-        coarse_problem.residual_g(mid.params, mid.u)))
+    core = coarse_problem.residual_g(mid.params, mid.u)
+    factor = solver_module._SharedFactor(
+        solver_module._branch_linearization(
+            coarse_problem, coarse_functional, mid.params, mid.u, core),
+        solver_module._newton_space((mid.u,), core, NEWTON_TOL))
     assert factor.layout.modes == odd_modes(mid.u.n_t)
     coeffs = np.array(mid.u.coeffs)
     coeffs[2] = 1e-3 * coeffs[1]
@@ -1180,12 +1277,12 @@ def test_symmetry_check_refactors_when_the_factor_stalls(
     with exact Newton, and the check still passes."""
     shared = solver_module._SharedFactor
 
-    def poor_factor(lin):
+    def poor_factor(lin, space):
         zero = zero_trajectory(lin.base.n_t, lin.base.dim, lin.base.dx)
         origin = solver_module._branch_linearization(
             lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero)
         factor = shared()
-        factor.refactor(origin, origin.layout(mode_one=False))
+        factor.refactor(origin, origin.layout(space))
         return factor
 
     monkeypatch.setattr(solver_module, "_SharedFactor", poor_factor)
@@ -1207,9 +1304,9 @@ def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
     phases, solves = [], []
 
     class StallingFactor(shared):
-        def __init__(self, lin):  # the mid point's band, sigma off by 0.5
+        def __init__(self, lin, space):  # the mid point's band, sigma off by 0.5
             lin.params = ScaledParams(lin.params.lam, lin.params.sigma + 0.5)
-            super().__init__(lin)
+            super().__init__(lin, space)
 
         def refactor(self, lin, layout):
             super().refactor(lin, layout)
