@@ -242,6 +242,7 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
         "notes": list(result.notes),
         "seconds": elapsed,
         "newton_space": result.newton_space,
+        "newton_max_mode": result.newton_max_mode,
         "factorizations": result.factorizations,
     }
 
@@ -275,7 +276,8 @@ def cmd_branch(run_config, problem, outdir, seed, reporter, args):
     line = (f"branch: {len(result.points)} points in {elapsed:.1f}s, "
             + ("PASS" if passed else "FAIL"))
     if reporter.verbosity >= 2:
-        line += (f"; newton space: {result.newton_space}; continuation: "
+        line += (f"; newton space: {result.newton_space} up to mode "
+                 f"{result.newton_max_mode}; continuation: "
                  f"{result.factorizations} factorizations")
         if symmetry is not None:
             line += (f"; symmetry check: {symmetry.newton_iters} Newton "
@@ -344,6 +346,7 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         "truncated": result.truncated,
         "passed": passed,
         "newton_space": result.newton_space,
+        "newton_max_mode": result.newton_max_mode,
     })
     line = (
         f"verify-exact ({mode}): max |lambda - alpha^2| = {max_lambda_err:.3e}, "
@@ -351,7 +354,8 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         + ("PASS" if passed else "FAIL")
     )
     if reporter.verbosity >= 2:
-        line += f"; newton space: {result.newton_space}"
+        line += (f"; newton space: {result.newton_space} up to mode "
+                 f"{result.newton_max_mode}")
     reporter.info(line)
     return EXIT_OK if passed else EXIT_SCIENCE
 

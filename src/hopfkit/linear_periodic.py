@@ -16,7 +16,6 @@ forcing (eigenvector direction at frequency ``+-1``), which it rejects.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .problem import SingularOperatorError, _guarded_lu
 
@@ -41,12 +40,9 @@ def _deflated_critical_solve(problem, decomp, rhs):
     border multiplier vanishes, so the core part is the unique solution
     with zero eigenvector coordinate.
     """
-    col = sp.csc_matrix(decomp.psi.data.reshape(-1, 1))
-    row = sp.csc_matrix(
-        np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
-    )
-    bordered = sp.bmat([[problem.shifted(1j), col], [row, None]], format="csc")
-    lu, cond = _guarded_lu(bordered)
+    col = decomp.psi.data.reshape(-1, 1)
+    row = np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
+    lu, cond = _guarded_lu(problem.shifted(1j), (col, row))
     if lu is None:
         raise SingularOperatorError(
             "operator ('deflated-critical', 1) is numerically singular "

@@ -40,10 +40,10 @@ singular) is taken again at the same iterate through a new factor.
 starts from the factor at the branch's mid point, and `solve_extended`
 starts with none.
 
-A Newton step solves in the narrowest of three spaces, mode 1, the odd
-modes (the half-wave space, `newton.odd_modes`) and all modes, that holds
-its base and iterate exactly and outside which its residual is at most the
-tolerance (`_newton_space`, the one rule for all three):
+A Newton step solves in the narrowest space of a ladder of nested Fourier
+spaces that holds its base and iterate exactly and outside which its
+residual is at most the tolerance (`_newton_space`, the one rule for every
+rung):
 
 * mode 1 alone: when ``A`` and ``h`` commute with rotating each grid
   point's field pair (S^1-equivariance, as in the shipped lambda-omega
@@ -51,17 +51,27 @@ tolerance (`_newton_space`, the one rule for all three):
   such an iterate the exact Newton step lies in mode 1 too.  The band has 4
   unknowns per grid point, so its factor is cheap, and a mode-1 step never
   goes through a held factor: it factors at its own iterate;
-* the half-wave space: when ``h`` is odd the branch keeps ``u(t + pi) =
-  -u(t)``, the Jacobian there maps odd modes to odd modes, and the band is
-  about a quarter of the full one;
+* the odd modes up to ``K = 3, 7, 15, ...`` (``K = 2**j - 1``, capped at
+  ``n_t``), the top odd rung holding every odd mode (the half-wave space,
+  `newton.odd_modes`): when ``h`` is odd the branch keeps ``u(t + pi) =
+  -u(t)``, the Jacobian there maps odd modes to odd modes, and near the
+  bifurcation mode ``n`` of the orbit scales like ``alpha**n``, so the
+  residual leaves the modes above some ``K`` below the tolerance.  Each
+  rung is about a quarter of the band of the next, and the rungs double
+  because climbing one costs a factorization;
 * all modes otherwise.
 
-On a problem without the symmetry a narrow step is the Galerkin step of
-the full one.  Within one solve the space only widens.  The full residual,
-every mode included, still decides convergence, so no result rests on a
-symmetry: a solve whose residual outside its space exceeds the tolerance,
-or whose mode-1 step fails, goes on in the next wider space that qualifies.
-The hypothesis checks and the certificate stay on the full space.
+On a problem without the symmetry, or with Fourier content above the rung,
+a narrow step is the Galerkin step of the full one.  Within one solve the
+space only widens, and no step narrows below the space of the held factor
+unless that factor is mode 1: it goes through the wider factor instead of
+factoring a narrower band.  The full residual, every mode included, still
+decides convergence, so no result rests on a symmetry or on the decay of
+the harmonics: a solve whose residual outside its space exceeds the
+tolerance, or whose mode-1 step fails, goes on in the next wider space that
+qualifies.  The hypothesis checks and the certificate stay on the full
+space, and the memory guard (`config`) prices the full one, which any solve
+may still reach.
 """
 
 from __future__ import annotations
@@ -123,8 +133,11 @@ SYMMETRY_PHASES = (np.pi / 6, np.pi / 3, np.pi / 2)
 #: How a Newton solve fails besides running out of iterations: it leaves
 #: the solver's domain or meets a singular bordered system.
 _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
-#: The Newton spaces, narrowest first (`_newton_space`).
-_SPACES = ("mode-1", "half-wave", "full")
+#: The ladder of Newton spaces, narrowest first (`_newton_space`), named as
+#: the reports name them: rung ``j < _FULL - 1`` keeps the odd modes up to
+#: ``2**(j+1) - 1``, capped at ``n_t`` (mode 1 alone at ``j = 0``), rung
+#: ``_FULL - 1`` every odd mode and rung `_FULL` all modes.
+_SPACES = ("mode-1",) + ("half-wave",) * 7 + ("full",)
 _FULL = len(_SPACES) - 1
 _MODE_ONE = range(1, 2)
 
@@ -135,8 +148,8 @@ _MODE_ONE = range(1, 2)
 
 class _NewtonTrace:
     """Step/residual history plus the quadratic-contraction bookkeeping;
-    ``widest`` is the index in `_SPACES` of the widest space a step
-    solved in (-1 before the first step).
+    ``widest`` is the index in `_SPACES` of the widest rung a step solved
+    in (-1 before the first step).
 
     A step that does not shrink inside the contraction region is noted
     only between two consecutive exact steps: chord steps contract
@@ -167,16 +180,22 @@ class _NewtonTrace:
 
 
 def _space_modes(space, n_t):
-    """The Fourier modes of ``_SPACES[space]``, None for all of them."""
-    return (_MODE_ONE, odd_modes(n_t), None)[space]
+    """The Fourier modes of rung ``space`` of `_SPACES` at ``n_t``."""
+    if space == _FULL:
+        return range(n_t + 1)
+    if space == _FULL - 1:
+        return odd_modes(n_t)
+    return range(1, min(2 ** (space + 1), n_t + 1), 2)
 
 
 def _newton_space(trajectories, core, tol, narrowest=0):
-    """The index in `_SPACES` of the narrowest space, from ``narrowest`` on,
+    """The index in `_SPACES` of the narrowest rung, from ``narrowest`` on,
     that a Newton step may take at ``trajectories`` (its base and iterate)
     with residual ``core``: every trajectory has exactly zero coefficients
-    outside the space's modes, and ``core`` there has norm at most ``tol``.
-    The full space always qualifies, and is the only one at ``n_t < 1``."""
+    outside the rung's modes, and ``core`` there has norm at most ``tol``.
+    The rungs are nested, so what qualifies for one qualifies for every
+    wider one.  The full space always qualifies, and is the only one at
+    ``n_t < 1``."""
     if core.n_t < 1:
         return _FULL
     for space in range(narrowest, _FULL):
@@ -233,10 +252,12 @@ class _Linearization:
         When ``h`` is odd, ``g_u(params, base)`` at an odd base maps odd
         modes to odd modes (``h_u`` is even there), so the half-wave step
         of an odd residual is the full step restricted to the odd modes.
-        The mode-1 system is the Galerkin projection of the full one; its
-        step is the full step when that lies in mode 1, as at a rotating
-        wave of an S^1-equivariant problem, or at the zero base of the
-        extended system, where the derivative does not couple modes.
+        Every narrower rung's system is the Galerkin projection of the full
+        one: the odd rung up to ``K`` is the full step restricted to it when
+        the base and the residual have no content above ``K``, and the
+        mode-1 step is the full step when that lies in mode 1, as at a
+        rotating wave of an S^1-equivariant problem, or at the zero base of
+        the extended system, where the derivative does not couple modes.
         """
         base = self.base
         return TrajectoryLayout(base.n_t, base.nx, base.dx,
@@ -274,25 +295,29 @@ class _SharedFactor:
     phase_angle`) serves an iterate of phase ``theta`` through ``S_psi``,
     ``psi = phase - theta``.  Only what the solves need is kept: ``band``,
     ``lu``, its factor ``(lub, ipiv)`` made in place (``lub`` is the band's
-    own storage), the ``layout`` of the band's space and ``phase``; no
-    border columns and no Schur complement.  ``factorizations`` counts the
-    factors made, one per mode-1 step among them.
+    own storage), the rung ``space`` of `_SPACES` it was made in, its
+    ``layout`` and ``phase``; no border columns and no Schur complement.
+    ``factorizations`` counts the factors made, one per mode-1 step and
+    one per rung climbed among them.
 
-    Only half-wave and full steps go through the held factor.  A mode-1
-    step factors at its own iterate, replacing the held factor: a chord
-    step's error there has a counter-rotating part, which couples into
-    mode 3, outside the space.
-    With a `_Linearization` ``lin`` and a ``space`` wider than mode 1 (an
-    index in `_SPACES`) the first factor is made at once, in
-    ``lin.layout(space)``; otherwise the first Newton step makes it.
+    Only steps wider than mode 1 go through the held factor, and while one
+    is held no step narrows below its space (`floor`): a step whose rung is
+    narrower solves through it, the Galerkin step of the held rung, rather
+    than factor a narrower band.  A mode-1 step factors at its own iterate,
+    replacing the held factor: a chord step's error there has a
+    counter-rotating part, which couples into mode 3, outside the space.
+    With a `_Linearization` ``lin`` and a ``space`` wider than mode 1 the
+    first factor is made at once, in ``lin.layout(space)``; otherwise the
+    first Newton step makes it.
     """
 
     def __init__(self, lin=None, space=0):
         self.band = self.lu = self.layout = None
+        self.space = 0
         self.phase = 0.0
         self.factorizations = 0
         if space > 0:
-            self.refactor(lin, lin.layout(space))
+            self.refactor(lin, space)
 
     def fits(self, layout):
         """Whether a factor is held that a step in ``layout`` may go
@@ -300,16 +325,24 @@ class _SharedFactor:
         return (self.band is not None and layout.modes != _MODE_ONE
                 and self.layout.modes == layout.modes)
 
+    def floor(self):
+        """The rung below which no step narrows: the held factor's, or
+        mode 1 (0) when none is held or the held one is mode 1."""
+        if self.band is None or self.layout.modes == _MODE_ONE:
+            return 0
+        return self.space
+
     def release(self):
         self.band = self.lu = self.layout = None
 
-    def refactor(self, lin, layout):
-        """Replace the held factor by ``lin``'s in ``layout``.  The old one
-        goes first, so one band is alive at a time."""
+    def refactor(self, lin, space):
+        """Replace the held factor by ``lin``'s in rung ``space``.  The old
+        one goes first, so one band is alive at a time."""
         self.release()
+        layout = lin.layout(space)
         band = assemble_jacobian_band(lin.problem, lin.params, lin.base, layout)
         self.lu = band.factorize(overwrite=True)
-        self.band, self.layout = band, layout
+        self.band, self.layout, self.space = band, layout, space
         self.phase = lin.functional.phase_angle(lin.u)
         self.factorizations += 1
 
@@ -341,27 +374,29 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
     ``(params, u, core, iterations, trace)`` with ``core`` the converged
     residual.
 
-    Each step solves in the space `_newton_space` picks at its base,
-    iterate and residual, never narrower than the last step's: the mode-1
-    space keeps the iterate a single harmonic, the half-wave one keeps it
-    free of even modes.  The full residual, every mode included, decides
-    convergence.  A mode-1 step whose solve or next residual fails
-    (`_SOLVE_ERRORS`) is taken again at the same iterate in the space
-    picked from the half-wave one on; a failed exact step in a wider space
-    raises.
+    Each step solves in the rung `_newton_space` picks at its base,
+    iterate and residual, never narrower than the last step's nor than the
+    held factor's (`_SharedFactor.floor`): the mode-1 space keeps the
+    iterate a single harmonic, an odd rung keeps it free of even modes and
+    of the odd modes above it.  The full residual, every mode included,
+    decides convergence.  A mode-1 step whose solve or next residual fails
+    (`_SOLVE_ERRORS`) is taken again at the same iterate in the rung
+    picked from the first odd one on; a failed exact step in a wider
+    space raises.
 
-    Every half-wave or full step solves through the `_SharedFactor`
+    Every step wider than mode 1 solves through the `_SharedFactor`
     ``held``, rotated to the iterate's phase and refined against the exact
     derivative (a chord step), while the held factor is in the step's
     space and the last chord step at least halved the residual.
     Otherwise, and at every mode-1 step, the step factors at its iterate
     (an exact step), and that factor is held from then on, by this solve
-    and by the later ones that share ``held``.  A chord step whose solve or
-    next residual fails (`_SOLVE_ERRORS`) is dropped: the solve takes an
-    exact step at the same iterate instead, and only that one counts as an
-    iteration.  The old factor is released before a new band is
-    assembled, and each step's bordered system before the next, so one
-    band-sized array is alive at a time.
+    and by the later ones that share ``held``; so a run of solves factors
+    once per rung it climbs.  A chord step whose solve or next residual
+    fails (`_SOLVE_ERRORS`) is dropped: the solve takes an exact step at
+    the same iterate instead, and only that one counts as an iteration.
+    The old factor is released before a new band is assembled, and each
+    step's bordered system before the next, so one band-sized array is
+    alive at a time.
     """
     target = np.asarray(target_pair, dtype=float)
     trace = _NewtonTrace(newton_tol)
@@ -384,12 +419,13 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
         if chord and residual > 0.5 * trace.residuals[-2]:
             held.release()  # the last chord step did not halve the residual
         lin = linearize(params, u, core)
-        space = _newton_space((lin.base, u), core, newton_tol, space)
+        space = _newton_space((lin.base, u), core, newton_tol,
+                              max(space, held.floor()))
         layout = lin.layout(space)
         while True:
             chord = held.fits(layout)
             if not chord:
-                held.refactor(lin, layout)
+                held.refactor(lin, space)
             try:
                 du, dp = _bordered_step(lin, layout, held, core, r_pair)
                 next_params = ScaledParams(params.lam + dp[0], params.sigma + dp[1])
@@ -736,8 +772,10 @@ class BranchResult:
     sweep's Newton steps solved in (`_newton_space`), and at least the
     narrowest that ``u_star`` allows: ``"mode-1"`` when ``u_star`` is a
     single harmonic and every step stayed on mode 1, ``"half-wave"`` when
-    ``u_star`` has no even Fourier mode and no step left the odd modes,
-    ``"full"`` otherwise.
+    ``u_star`` has no even Fourier mode and no step left the odd modes
+    (whichever odd rung they took), ``"full"`` otherwise.
+    ``newton_max_mode`` is the highest Fourier mode of that space; by
+    default the full space's, ``u_star.n_t``.
     """
 
     points: list
@@ -745,10 +783,15 @@ class BranchResult:
     newton_tol: float
     max_iter: int = MAX_NEWTON_ITERATIONS
     newton_space: str = "full"
+    newton_max_mode: Optional[int] = None
     factorizations: int = 0
     truncated: bool = False
     notes: list = field(default_factory=list)
     symmetry_report: Optional["SymmetryReport"] = None
+
+    def __post_init__(self):
+        if self.newton_max_mode is None:
+            self.newton_max_mode = self.u_star.n_t
 
     @property
     def alphas(self):
@@ -881,10 +924,11 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     that `solve_extended` found.  Each point solves ``{l1 u = alpha,
     l2 u = 0, g((lambda, sigma), u) = 0}`` by Newton, predicted from the
     previous point by amplitude rescaling (``u`` linearly, parameters
-    ``params - params_star`` quadratically).  The half-wave and full
-    Newton steps of the whole sweep solve through one held band factor,
-    refactored only when a step leaves its space or stops contracting;
-    each mode-1 step factors at its own iterate (`_newton_square`).  When
+    ``params - params_star`` quadratically).  The Newton steps of the
+    whole sweep wider than mode 1 solve through one held band factor,
+    refactored only when a step climbs to a wider rung or stops
+    contracting; each mode-1 step factors at its own iterate
+    (`_newton_square`).  When
     Newton fails or leaves the solver's domain (parameter window, trust
     radius, singular band), the branch is truncated at the last converged
     point and a diagnostic note is recorded -- no extrapolation.
@@ -895,8 +939,9 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     -------
     BranchResult
         Points sorted by amplitude, including the trivial point at 0, which
-        carries ``params_star``, the space the Newton steps took and the
-        number of band factorizations (one per mode-1 step among them).
+        carries ``params_star``, the widest space the Newton steps took and
+        its highest mode, and the number of band factorizations (one per
+        mode-1 step and one per rung climbed among them).
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
@@ -915,6 +960,7 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     return BranchResult(
         points=points, u_star=u_star, newton_tol=newton_tol, max_iter=max_iter,
         newton_space=_SPACES[widest],
+        newton_max_mode=_space_modes(widest, u_star.n_t)[-1],
         factorizations=held.factorizations, truncated=truncated, notes=notes,
     )
 
@@ -978,15 +1024,15 @@ def check_branch_symmetry(problem, functional, result):
     is the mode-1 space.  g is autonomous, so the derivative at a time
     translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
     the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
-    mirror).  Every half-wave or full Newton step of the mirrored branch
-    and of the seeds solves through the held factor rotated by the phase
+    mirror).  Every Newton step of the mirrored branch and of the seeds
+    wider than mode 1 solves through the held factor rotated by the phase
     difference between the factor's iterate and its own, refined against
     the exact derivative; the residual and the tolerance stay exact.  A
-    step after a chord step that did not at least halve the residual
-    factors at its iterate, and that factor is held from then on (a factor
-    made on the mirrored branch sits at phase ``pi``).  So on a half-wave
-    or full branch whose mid-point factor serves every solve the check
-    factorizes one band.  On a mode-1 branch (rotating waves) it makes no
+    step after a chord step that did not at least halve the residual, or
+    that climbs above the factor's rung, factors at its iterate, and that
+    factor is held from then on (a factor made on the mirrored branch sits
+    at phase ``pi``).  So on a half-wave or full branch whose mid-point
+    factor serves every solve the check factorizes one band.  On a mode-1 branch (rotating waves) it makes no
     mid-point factor, and every Newton step factors its own mode-1 band.
     The report counts the Newton iterations and every factorization.
 

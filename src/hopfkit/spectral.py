@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .problem import ConvergenceError, ResonanceError
+from .problem import ConvergenceError, ResonanceError, _bordered_lu
 from .trajectory import ComplexStateVector
 
 __all__ = [
@@ -212,13 +211,10 @@ def check_simplicity(problem, pair):
     value) is smaller by a factor ``1e8``.
     """
     psi = pair.psi.data / np.linalg.norm(pair.psi.data)
-    bordered = sp.bmat(
-        [[problem.shifted(pair.mu), psi[:, None]],
-         [psi[None, :].conj(), None]], format="csc"
-    )
     try:
-        margin, _ = _lu_sigma_min(
-            spla.splu(bordered), SIMPLICITY_STEPS, SIMPLICITY_SEED)
+        _, lu = _bordered_lu(problem.shifted(pair.mu), psi[:, None],
+                             psi[None, :].conj())
+        margin, _ = _lu_sigma_min(lu, SIMPLICITY_STEPS, SIMPLICITY_SEED)
     except RuntimeError:
         margin = 0.0
     if margin <= SIMPLICITY_TOLERANCE:

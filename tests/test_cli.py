@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -304,7 +305,9 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     branch starts there and the fit measures lambda - lambda*, so the
     branch passes.  The summary and the verbose line report the band
     factorizations of the continuation, which iterates at every point
-    through one factor, and the symmetry check's cost."""
+    through the held factor, factored once per rung it climbs (the odd
+    modes up to 3, then up to 7), and the symmetry check's cost: one
+    factor, at the mid point's rung."""
     cfg = write_config(
         tmp_path,
         "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
@@ -320,35 +323,38 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     origin = (out / "branch.csv").read_text().splitlines()[1].split(",")
     assert float(origin[0]) == 0.0 and float(origin[1]) == lam_star
     assert summary["fit"]["ok"] and abs(summary["fit"]["c1"]) <= 1e-3
-    assert summary["factorizations"] == 1
+    assert summary["factorizations"] == 2
+    assert (summary["newton_space"], summary["newton_max_mode"]) == ("half-wave", 7)
     symmetry = summary["symmetry"]
     assert symmetry["passed"] and symmetry["factorizations"] == 1
-    assert ("; continuation: 1 factorizations; symmetry check: "
+    assert ("; newton space: half-wave up to mode 7; continuation: "
+            "2 factorizations; symmetry check: "
             f"{symmetry['newton_iters']} Newton iterations, 1 factorizations"
             ) in capsys.readouterr().out
 
 
 def run_both_reports(tmp_path):
     """``branch`` and ``verify-exact`` with ``--verbose``: their exit codes
-    and the ``newton_space`` of their summaries."""
+    and the ``newton_space`` and ``newton_max_mode`` of their summaries."""
     results = []
     for command, report in (("branch", "branch_summary.json"),
                             ("verify-exact", "exact_summary.json")):
         code, out = run_cli(tmp_path, command, "", "--skip-check", "--verbose")
         summary = json.loads((tmp_path / "out" / report).read_text())
-        results.append((code, summary["newton_space"]))
+        results.append((code, summary["newton_space"], summary["newton_max_mode"]))
     return results
 
 
 def test_cli_reports_the_half_wave_space(tmp_path, capsys):
-    """The reports name the space of the branch's Newton steps, and
-    ``--verbose`` prints it on the command lines: on the semilinear config
-    the branch is made of rotating waves, single harmonics, so both
-    reports name mode 1; on the coarse quasilinear config the residual has
-    mode-3 content and h is odd, so the branch names the half-wave
-    space."""
-    assert run_both_reports(tmp_path) == [(0, "mode-1"), (0, "mode-1")]
-    assert capsys.readouterr().out.count("; newton space: mode-1") == 2
+    """The reports name the space of the branch's Newton steps and its
+    highest mode, and ``--verbose`` prints both on the command lines: on
+    the semilinear config the branch is made of rotating waves, single
+    harmonics, so both reports name mode 1; on the coarse quasilinear
+    config the residual has mode-3 content and h is odd, so the branch
+    names the half-wave space, up to mode 3 at ``n_t = 4``."""
+    assert run_both_reports(tmp_path) == [(0, "mode-1", 1), (0, "mode-1", 1)]
+    assert capsys.readouterr().out.count(
+        "; newton space: mode-1 up to mode 1") == 2
     cfg = write_config(
         tmp_path,
         "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
@@ -359,8 +365,10 @@ def test_cli_reports_the_half_wave_space(tmp_path, capsys):
     code = main(["branch", "--config", cfg, "--out", str(out), "--skip-check",
                  "--verbose"])
     summary = json.loads((out / "branch_summary.json").read_text())
-    assert (code, summary["newton_space"]) == (0, "half-wave")
-    assert capsys.readouterr().out.count("; newton space: half-wave") == 1
+    assert (code, summary["newton_space"], summary["newton_max_mode"]) == (
+        0, "half-wave", 3)
+    assert capsys.readouterr().out.count(
+        "; newton space: half-wave up to mode 3") == 1
 
 
 def test_cli_even_term_reports_the_full_space(tmp_path, capsys, monkeypatch):
@@ -372,7 +380,7 @@ def test_cli_even_term_reports_the_full_space(tmp_path, capsys, monkeypatch):
     build = cli.build_problem
     monkeypatch.setattr(cli, "build_problem",
                         lambda run_config: with_even_term(build(run_config), 0.5))
-    assert run_both_reports(tmp_path) == [(0, "full"), (1, "full")]
+    assert run_both_reports(tmp_path) == [(0, "full", 8), (1, "full", 8)]
     assert capsys.readouterr().out.count("; newton space: full") == 2
 
 
@@ -520,6 +528,29 @@ def test_cli_branch_phase_seed_domain_error(tmp_path, capsys, monkeypatch):
     assert "phase seed left the trust region" in summary["symmetry"]["error"]
     assert mirrored
     assert (tmp_path / "out" / "branch.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_branch_on_a_large_domain_runs_quietly(tmp_path, capsys):
+    """At L = 300, dx = 0.2 the resolvents' Green's functions underflow
+    across the box; the condition guard's estimates stay quiet, so
+    ``branch`` exits 0 with no traceback with RuntimeWarnings as errors.
+    `onenormest` draws its sign probes from numpy's global generator,
+    which the test seeds and puts back."""
+    cfg = write_config(
+        tmp_path,
+        "problem.L = 300\nproblem.dx = 0.2\nsolver.n_t = 4\n"
+        "solver.alpha_max = 0.2\nsolver.alpha_steps = 4\n",
+    )
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        np.random.set_state(state)
+    assert code == 0
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import scipy.sparse.linalg as spla
 from conftest import rotation_block, synthetic_problem
 from hopfkit import config
 from hopfkit.config import RunConfig, build_problem
+from hopfkit.linear_periodic import _deflated_critical_solve
 from hopfkit.problem import (
     DomainError,
     ProblemDef,
     ResonanceError,
     ScaledParams,
+    _guarded_lu,
 )
 from hopfkit.reaction_diffusion import (
     ExampleConfig,
@@ -26,7 +29,12 @@ from hopfkit.solver import (
     solve_extended,
     verify_jacobian_nonsingular,
 )
-from hopfkit.spectral import build_projection, run_hypothesis_checks
+from hopfkit.spectral import (
+    build_projection,
+    check_simplicity,
+    eigenpair_near,
+    run_hypothesis_checks,
+)
 from hopfkit.trajectory import (
     PeriodicTrajectory,
     StateVector,
@@ -306,6 +314,69 @@ def test_concurrent_resolvent_solves_agree():
         t.join()
     for r in results:
         assert np.allclose(r, expect, atol=1e-12)
+
+
+def underflowing_bidiagonal(n=400):
+    """Unit diagonal, subdiagonal ``-0.02 (1 + i)``: the inverse's entries
+    ``(0.02 (1 + i))**k`` fall through the subnormal range down the first
+    column."""
+    return sp.diags([np.ones(n, dtype=complex), np.full(n - 1, -0.02 * (1 + 1j))],
+                    [0, -1], format="csc")
+
+
+def test_condition_guard_is_quiet_on_underflowing_inverses():
+    """The 1-norm estimate of an inverse with subnormal entries raises no
+    RuntimeWarning (they are flushed to zero, whose sign is 1) and stays
+    within a factor 3 of the dense condition number.  `onenormest` draws
+    its sign probes from numpy's global generator, so the test runs it
+    from ten seeds and puts the generator's state back."""
+    matrix = underflowing_bidiagonal()
+    exact = np.linalg.cond(matrix.toarray(), 1)
+    state = np.random.get_state()
+    try:
+        for seed in range(10):
+            np.random.seed(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                lu, cond = _guarded_lu(matrix)
+            assert lu is not None
+            assert exact / 3.0 <= cond <= 3.0 * exact
+    finally:
+        np.random.set_state(state)
+
+
+@pytest.mark.parametrize("estimate", [np.inf, np.nan])
+def test_condition_guard_refuses_a_non_finite_estimate(monkeypatch, estimate):
+    monkeypatch.setattr(spla, "onenormest", lambda op: estimate)
+    lu, cond = _guarded_lu(underflowing_bidiagonal(8))
+    assert lu is None and not np.isfinite(cond)
+
+
+def test_bordered_factors_fill_like_the_unbordered_one(monkeypatch):
+    """At L = 60, dx = 0.05 the two factorizations of ``z - B`` bordered
+    with a dense column and row (the simplicity margin's and the deflated
+    critical solve's) keep L + U within 3 times the nonzeros of the
+    unbordered ``z - B``; scipy's default column ordering made them 58
+    times as many."""
+    cfg = ExampleConfig(L=60.0, dx=0.05)
+    problem = make_problem(cfg)
+    decomp = build_projection(problem, reference=reference_eigenvector(cfg))
+    fill = {}
+    splu = spla.splu
+
+    def recording(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        fill.setdefault(matrix.shape[0], []).append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording)
+    unbordered = recording(problem.shifted(1j))
+    assert check_simplicity(problem, eigenpair_near(problem, 1j)).simple
+    rhs = decomp.complement(np.linspace(-1.0, 1.0, problem.dim) + 0j)
+    _deflated_critical_solve(problem, decomp, rhs)
+    bordered = fill[problem.dim + 1]
+    assert len(bordered) == 2
+    assert max(bordered) <= 3 * unbordered.L.nnz + 3 * unbordered.U.nnz
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,9 @@ def far_factor(monkeypatch, problem, functional,
                params=ScaledParams(100.0, 0.0), base=None):
     """Make every `_SharedFactor` that starts empty hold the band at
     ``params`` and ``base`` (default the zero trajectory, ``n_t = 8`` as
-    the coarse branch) with a zero core instead, in the half-wave space:
-    half-wave steps chord through it, mode-1 steps replace it.  By default
+    the coarse branch) with a zero core instead, in the half-wave space
+    (the top odd rung): half-wave steps chord through it, mode-1 steps
+    replace it.  By default
     a factor so far from the branch that its first chord step leaves the
     lambda window."""
     shared = solver_module._SharedFactor
@@ -244,7 +245,7 @@ def far_factor(monkeypatch, problem, functional,
                 far = solver_module._branch_linearization(
                     problem, functional, params,
                     zero if base is None else base, zero)
-                self.refactor(far, far.layout(1))
+                self.refactor(far, solver_module._FULL - 1)
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
 
@@ -757,26 +758,37 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
 # chord continuation: the Newton solves of a sweep share one held factor
 
 
-def test_quasilinear_sweep_factorizes_one_band(monkeypatch, coarse_quasi_problem,
-                                               quasi_setup):
-    """Newton iterates at every quasilinear point, and every step of the
-    sweep solves through one factored band; the chord steps reach the
-    branch that a tighter tolerance finds.  A residual of 1e-10 leaves
-    lambda 1.0e-9 off at the smallest amplitude, whose one step is exact
-    either way, hence the bound of 2e-9."""
+def test_quasilinear_sweep_factorizes_once_per_rung(monkeypatch, coarse_quasi_problem,
+                                                    quasi_setup):
+    """Newton iterates at every quasilinear point, and the steps of the
+    sweep solve through the held band, factored once per rung they climb:
+    the odd modes up to 3 at the first point, whose residual has mode-3
+    content, then up to 7, the top odd rung at ``n_t = 8``, once the
+    iterate's mode 3 drives modes 5 and 7 above the tolerance.  The chord
+    steps reach the branch that a tighter tolerance finds.  A residual of
+    1e-10 leaves lambda 1.0e-9 off at the smallest amplitude, whose one
+    step is exact either way, hence the bound of 2e-9."""
     tight = quasi_sweep(coarse_quasi_problem, quasi_setup, newton_tol=1e-13)
-    calls = []
+    calls, modes = [], []
     dgbtrf = newton_module.lapack.dgbtrf
+    assemble = solver_module.assemble_jacobian_band
 
     def counting_dgbtrf(*args, **kwargs):
         calls.append(1)
         return dgbtrf(*args, **kwargs)
 
+    def recording(problem, params, base, layout):
+        modes.append(layout.modes)
+        return assemble(problem, params, base, layout)
+
     monkeypatch.setattr(newton_module.lapack, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(solver_module, "assemble_jacobian_band", recording)
     result = quasi_sweep(coarse_quasi_problem, quasi_setup)
     assert not result.truncated and result.notes == []
     assert all(pt.newton_iters >= 1 for pt in result.points[1:])
-    assert len(calls) == 1 and result.factorizations == 1
+    assert modes == [range(1, 4, 2), range(1, 8, 2)]
+    assert len(calls) == result.factorizations == 2
+    assert result.newton_space == "half-wave" and result.newton_max_mode == 7
     npt.assert_allclose(result.lambdas, tight.lambdas, rtol=0.0, atol=2e-9)
     npt.assert_allclose(result.sigmas, tight.sigmas, rtol=0.0, atol=2e-9)
 
@@ -903,10 +915,14 @@ def test_stall_note_compares_consecutive_exact_steps():
 
 
 def space_name(layout):
-    """The name in `_SPACES` of a Newton layout's mode set."""
+    """The name in `_SPACES` of a Newton layout's mode set: every odd rung
+    above mode 1 is ``"half-wave"``."""
     if layout.modes == range(1, 2):
         return "mode-1"
-    return "half-wave" if layout.modes == odd_modes(layout.n_t) else "full"
+    if layout.modes == range(layout.n_t + 1):
+        return "full"
+    assert layout.modes.start == 1 and layout.modes.step == 2
+    return "half-wave"
 
 
 def synthetic_trajectory(n_t, **modes):
@@ -994,7 +1010,152 @@ def test_newton_space_at_two_time_modes_or_fewer(n_t):
     held.layout = wide
     assert held.fits(wide)
     zero = zero_trajectory(0, 4, 0.5)
-    assert solver_module._newton_space((zero,), zero, 1e-10) == 2
+    assert solver_module._newton_space((zero,), zero, 1e-10) == solver_module._FULL
+
+
+@pytest.mark.parametrize("n_t, tops", [
+    (1, [1]), (4, [1, 3, 4]), (8, [1, 3, 7, 8]), (16, [1, 3, 7, 15, 16]),
+    (300, [1, 3, 7, 15, 31, 63, 127, 299, 300]),
+])
+def test_ladder_doubles_up_to_the_half_wave_set(n_t, tops):
+    """The rungs' highest modes, each mode set counted once: ``2**j - 1``
+    capped at ``n_t``, the top odd rung every odd mode (the half-wave
+    set), then all modes; every rung holds the ones below it."""
+    ladder = [solver_module._space_modes(space, n_t)
+              for space in range(solver_module._FULL + 1)]
+    assert ladder[-2] == odd_modes(n_t) and ladder[-1] == range(n_t + 1)
+    assert all(set(narrow) <= set(wide) for narrow, wide in zip(ladder, ladder[1:]))
+    assert sorted({modes[-1] for modes in ladder}) == tops
+
+
+@pytest.mark.parametrize("space, top", [(1, 3), (2, 7), (3, 15)])
+def test_newton_space_picks_each_rung(space, top):
+    """At ``n_t = 16``: an iterate whose highest mode is the rung's top
+    picks the rung, one with the next odd mode the rung above it (all
+    modes above the top odd rung, which has no next odd mode), and an even
+    mode all modes.  A residual at the top of the rung, just above the
+    tolerance, picks the rung; just below it, mode 1."""
+    n_t, tol = 16, 1e-10
+    single = synthetic_trajectory(n_t, m1=1.0)
+
+    def pick(*trajectories, core=single):
+        return solver_module._newton_space((single, *trajectories), core, tol)
+
+    assert solver_module._space_modes(space, n_t)[-1] == top
+    assert pick(synthetic_trajectory(n_t, m1=1.0, **{f"m{top}": 1e-20})) == space
+    if top + 2 <= n_t:
+        above = synthetic_trajectory(n_t, m1=1.0, **{f"m{top + 2}": 1e-20})
+        assert pick(above) == space + 1
+    assert pick(synthetic_trajectory(n_t, m1=1.0, **{f"m{top + 1}": 1e-20})
+                ) == solver_module._FULL
+    unit = synthetic_trajectory(n_t, **{f"m{top}": 1.0})
+    for factor, expected in ((1.0 - 1e-9, 0), (1.0 + 1e-9, space)):
+        assert pick(core=single + (factor * tol / unit.norm()) * unit) == expected
+
+
+@pytest.mark.parametrize("space", [0, 1, 2])
+def test_rung_step_is_the_full_step_restricted(space, coarse_quasi_problem,
+                                               quasi_setup):
+    """The extended system at an iterate with odd modes up to the rung's
+    top (the base is zero, so the derivative couples no modes): the step
+    in the rung `_newton_space` picks is the full-space step, whose modes
+    outside the rung are zero."""
+    problem = coarse_quasi_problem
+    functional, solution = quasi_setup
+    n_t = 8
+    top = solver_module._space_modes(space, n_t)[-1]
+    coeffs = np.array(solution.u.coeffs)  # a single harmonic, n_t = 8
+    for n in range(3, top + 1, 2):
+        coeffs[n] = 0.1 ** n * coeffs[1]
+    u = PeriodicTrajectory(coeffs, solution.u.dx)
+    params = ScaledParams(0.03, -0.01)
+    r_pair, core = extended_residual(problem, functional, params, u)
+    lin = solver_module._extended_linearization(problem, functional, params, u, core)
+    assert solver_module._newton_space((lin.base, u), core, NEWTON_TOL) == space
+    rung_system, rung = lin.bordered_system(lin.layout(space))
+    full_system, full = lin.bordered_system(lin.layout())
+    dy, dp = full_system.solve(-full.flatten_trajectory(core), -r_pair)
+    step = np.concatenate([dy, dp])
+    dy, dp = rung_system.solve(-rung.flatten_trajectory(core), -r_pair)
+    npt.assert_allclose(np.concatenate([full.flatten(rung.unflatten(dy)), dp]),
+                        step, rtol=0.0, atol=1e-9 * np.abs(step).max())
+
+
+@pytest.mark.parametrize("space", [1, 2])
+def test_rung_step_is_the_galerkin_step(space, coarse_quasi_problem, quasi_setup):
+    """The branch system at an odd base with modes up to the rung's top:
+    the base couples each mode into the ones two above it, so the rung's
+    step is the Galerkin step of the full system, whose exact derivative
+    leaves a residual only outside the rung.  On the top odd rung that is
+    the even modes, where it is zero: the half-wave step is the full one."""
+    problem = coarse_quasi_problem
+    functional, solution = quasi_setup
+    n_t = 8
+    modes = solver_module._space_modes(space, n_t)
+    coeffs = 0.05 * np.array(solution.u.coeffs)
+    coeffs[3:modes[-1] + 1:2] = 1e-3 * coeffs[1]
+    u = PeriodicTrajectory(coeffs, solution.u.dx)
+    params = ScaledParams(0.03, -0.01)
+    core = problem.residual_g(params, u)
+    r_pair = functional.pair(u) - np.array([0.06, 0.0])
+    lin = solver_module._branch_linearization(problem, functional, params, u, core)
+    system, layout = lin.bordered_system(lin.layout(space))
+    dy, dp = system.solve(-layout.flatten_trajectory(core), -r_pair)
+    pair, image = lin.apply(dp[0], dp[1], layout.to_trajectory(dy))
+    left = (image + core).coeffs
+    inside = np.zeros(n_t + 1, dtype=bool)
+    inside[modes] = True
+    scale = core.norm() / np.sqrt(core.dx)
+    assert np.abs(left[inside]).max() <= 1e-9 * scale
+    assert np.abs(pair + r_pair).max() <= 1e-9 * np.abs(r_pair).max()
+    outside = np.abs(left[~inside]).max()
+    if modes == odd_modes(n_t):
+        assert outside <= 1e-9 * scale
+    else:
+        assert outside > 1e-6 * scale
+
+
+def test_held_wider_factor_serves_a_narrower_rung(monkeypatch, coarse_quasi_problem,
+                                                  quasi_setup, quasi_branch):
+    """The first point of the quasilinear branch picks the odd modes up to
+    3; with the mid point's factor held (the odd modes up to 7) its steps
+    solve through that factor instead of factoring the narrower band, and
+    reach the same point."""
+    problem = coarse_quasi_problem
+    functional, solution = quasi_setup
+    mid = quasi_branch.points[len(quasi_branch.points) // 2]
+    first = quasi_branch.points[1]
+    core = problem.residual_g(mid.params, mid.u)
+    held = solver_module._SharedFactor(
+        solver_module._branch_linearization(problem, functional, mid.params,
+                                            mid.u, core),
+        solver_module._newton_space((mid.u,), core, NEWTON_TOL))
+    assert held.layout.modes == range(1, 8, 2)
+    u = first.alpha * solution.u
+    params = ScaledParams(*solution.params)
+    assert solver_module._newton_space(
+        (u,), problem.residual_g(params, u), NEWTON_TOL) == 1
+
+    spaces = []
+    step = solver_module._bordered_step
+
+    def recording(lin, layout, factor, core, r_pair):
+        spaces.append(layout.modes)
+        return step(lin, layout, factor, core, r_pair)
+
+    monkeypatch.setattr(solver_module, "_bordered_step", recording)
+    params, u, _, iters, trace = solver_module._branch_newton(
+        problem, functional, first.alpha, params, u, NEWTON_TOL, 25, held)
+    assert iters >= 1 and set(spaces) == {range(1, 8, 2)}
+    assert held.factorizations == 1 and trace.residuals[-1] <= NEWTON_TOL
+    assert abs(params.lam - first.lam) <= 2e-9 and (u - first.u).norm() <= 1e-8
+
+
+def test_newton_max_mode_is_the_widest_rung_top(coarse_branch, quasi_branch):
+    """The semilinear sweep stays on mode 1; the quasilinear one at ``n_t =
+    8`` climbs to the odd modes up to 7."""
+    assert (coarse_branch.newton_space, coarse_branch.newton_max_mode) == ("mode-1", 1)
+    assert (quasi_branch.newton_space, quasi_branch.newton_max_mode) == ("half-wave", 7)
 
 
 @pytest.mark.parametrize("grid, overtone, space", [
@@ -1174,8 +1335,10 @@ def test_failed_mode_one_step_widens(monkeypatch, error, coarse_problem,
 def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
                                                  coarse_functional, overtone_branch):
     """An iterate with even modes cannot step through a half-wave held
-    factor: its first step releases it and factors in the full space, and
-    the later steps solve through that factor."""
+    factor (the odd modes up to 3, the rung the mid point picks: its
+    overtone leaves modes 5 and 7 of the residual below the tolerance):
+    its first step releases it and factors in the full space, and the
+    later steps solve through that factor."""
     alive = count_live_bands(monkeypatch)
     mid = overtone_branch.points[5]
     core = coarse_problem.residual_g(mid.params, mid.u)
@@ -1183,7 +1346,7 @@ def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
         solver_module._branch_linearization(
             coarse_problem, coarse_functional, mid.params, mid.u, core),
         solver_module._newton_space((mid.u,), core, NEWTON_TOL))
-    assert factor.layout.modes == odd_modes(mid.u.n_t)
+    assert factor.layout.modes == range(1, 4, 2)
     coeffs = np.array(mid.u.coeffs)
     coeffs[2] = 1e-3 * coeffs[1]
     params, u, _, iters, trace = solver_module._branch_newton(
@@ -1282,7 +1445,7 @@ def test_symmetry_check_refactors_when_the_factor_stalls(
         origin = solver_module._branch_linearization(
             lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero)
         factor = shared()
-        factor.refactor(origin, origin.layout(space))
+        factor.refactor(origin, space)
         return factor
 
     monkeypatch.setattr(solver_module, "_SharedFactor", poor_factor)
@@ -1308,8 +1471,8 @@ def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
             lin.params = ScaledParams(lin.params.lam, lin.params.sigma + 0.5)
             super().__init__(lin, space)
 
-        def refactor(self, lin, layout):
-            super().refactor(lin, layout)
+        def refactor(self, lin, space):
+            super().refactor(lin, space)
             phases.append(self.phase)
 
     newton = solver_module._newton_square
