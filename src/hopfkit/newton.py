@@ -48,7 +48,7 @@ import numpy as np
 import scipy.linalg.lapack as lapack
 
 from .problem import stencil_probes
-from .trajectory import PeriodicTrajectory
+from .trajectory import _adopt
 
 __all__ = [
     "TrajectoryLayout",
@@ -165,7 +165,7 @@ class TrajectoryLayout:
         return out.reshape(y.shape)
 
     def to_trajectory(self, y):
-        return PeriodicTrajectory(self.unflatten(y), self.dx)
+        return _adopt(self.unflatten(y), self.dx)
 
     def functional_rows(self, weight):
         """The two phase-functional rows as (indices, values) pairs.

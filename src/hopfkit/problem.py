@@ -12,6 +12,7 @@ finite-difference validation of the supplied derivatives all live here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Tuple
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .trajectory import PeriodicTrajectory, StateVector, trajectory_from_samples
+from .trajectory import StateVector, _adopt, trajectory_from_samples
 
 __all__ = [
     "ProblemDef",
@@ -37,6 +38,12 @@ __all__ = [
 #: treated as singular.
 COND_GUARD = 1e12
 DERIVATIVE_TOLERANCE = 1e-6
+
+#: Seed of numpy's global generator while `_guarded_lu` estimates the norm
+#: of an inverse; the lock keeps one estimate at a time between seeding
+#: and putting the caller's state back.
+_ESTIMATE_SEED = 0
+_ESTIMATE_LOCK = threading.Lock()
 
 
 class DomainError(ValueError):
@@ -246,7 +253,14 @@ class ProblemDef:
     def _collocated(self, params, u, v, apply):
         """``v_t - (sigma+1)(A v + N)``, the kernel of `residual_g` (``v =
         u``) and `linearised_g`: ``N`` is ``apply(lam, samples of u)``
-        transformed back, after the parameter, period and trust checks."""
+        transformed back, after the parameter, period and trust checks.
+
+        The result is one C-contiguous array, adopted by the returned
+        trajectory: ``A v + N`` is formed in it and scaled and subtracted
+        from ``v_t`` in place, in the order of ``v.time_derivative() -
+        (sigma + 1.0) * (linear + nonlinear)`` on trajectories, so it is
+        that composition bit for bit.
+        """
         lam, sigma = params
         self.check_lambda(lam)
         if not sigma > -1.0:
@@ -258,8 +272,10 @@ class ProblemDef:
         # peak RSS of 7 of 15 production passes by 5-59 MiB.
         samples = apply(lam, vals)
         nonlinear = trajectory_from_samples(samples, v.dx)
-        linear = v.with_coeffs((self.A @ v.coeffs.T).T)
-        return v.time_derivative() - (sigma + 1.0) * (linear + nonlinear)
+        out = np.add((self.A @ v.coeffs.T).T, nonlinear.coeffs, order="C")
+        out *= float(sigma + 1.0)
+        np.subtract(v.time_derivative().coeffs, out, out=out)
+        return _adopt(out, v.dx)
 
     # -- derivative validation ------------------------------------------------------
 
@@ -329,23 +345,46 @@ def _flushed(y):
 
 def _guarded_lu(matrix, border=None):
     """``(lu, cond)``: the SuperLU factor of ``matrix``, or with ``border =
-    (column, row)`` of ``matrix`` bordered by them (`_bordered_lu`), and an
-    estimate of its 1-norm condition number; ``lu`` is None when the
-    factored matrix is exactly singular or worse conditioned than
-    `COND_GUARD` (a non-finite estimate included), and the caller raises
-    the error that fits its operator."""
+    (column, row)`` of ``matrix`` bordered by them (`_bordered_lu`), and
+    its 1-norm condition number; ``lu`` is None when the factored matrix is
+    exactly singular or worse conditioned than `COND_GUARD` (a non-finite
+    ``cond`` included), and the caller raises the error that fits its
+    operator.
+
+    ``cond`` is the exact 1-norm of the matrix (its largest absolute
+    column sum) times `onenormest` of the inverse, whose products are
+    block solves through ``lu``.  `onenormest` draws its sign probes from
+    numpy's global generator: they are drawn from `_ESTIMATE_SEED`, so
+    ``cond`` does not depend on the caller's generator, whose state is put
+    back afterwards.
+    """
     try:
         if border is None:
-            lu = spla.splu(sp.csc_matrix(matrix))
+            matrix = sp.csc_matrix(matrix)
+            lu = spla.splu(matrix)
         else:
             matrix, lu = _bordered_lu(matrix, *border)
     except RuntimeError:  # exactly singular
         return None, np.inf
+
+    def solve(b):
+        return _flushed(lu.solve(b))
+
+    def solve_adjoint(b):
+        return _flushed(lu.solve(b, trans="H"))
+
     inv_op = spla.LinearOperator(
-        matrix.shape, matvec=lambda b: _flushed(lu.solve(b)),
-        rmatvec=lambda b: _flushed(lu.solve(b, trans="H")), dtype=matrix.dtype,
+        matrix.shape, matvec=solve, rmatvec=solve_adjoint, matmat=solve,
+        rmatmat=solve_adjoint, dtype=matrix.dtype,
     )
-    cond = spla.onenormest(matrix) * spla.onenormest(inv_op)
+    norm = float(abs(matrix).sum(axis=0).max())
+    with _ESTIMATE_LOCK:
+        state = np.random.get_state()
+        np.random.seed(_ESTIMATE_SEED)
+        try:
+            cond = norm * spla.onenormest(inv_op)
+        finally:
+            np.random.set_state(state)
     if not np.isfinite(cond) or cond > COND_GUARD:
         return None, cond
     return lu, cond

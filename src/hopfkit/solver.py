@@ -94,6 +94,7 @@ from .problem import ConvergenceError, DomainError, ScaledParams
 from .spectral import _resolvent_sigma_min, inverse_power_sigma_min
 from .trajectory import (
     PeriodicTrajectory,
+    _adopt,
     single_harmonic,
     trajectory_from_samples,
     zero_trajectory,
@@ -241,9 +242,14 @@ class _Linearization:
 
     def apply(self, dlam, dsig, v):
         """Returns ``(pair, trajectory)`` image of ``(dlam, dsig, v)``."""
-        core = self.problem.linearised_g(self.params, self.base, v)
-        core = core + dlam * self.col_lam + dsig * self.col_sig
-        return self.functional.pair(v), core
+        # ``linearised_g``'s result is fresh and referenced only here, so
+        # the parameter columns are added into its array, in the order of
+        # ``core + dlam * col_lam + dsig * col_sig``.
+        coeffs = self.problem.linearised_g(self.params, self.base, v).coeffs
+        coeffs.flags.writeable = True
+        coeffs += self.col_lam.coeffs * float(dlam)
+        coeffs += self.col_sig.coeffs * float(dsig)
+        return self.functional.pair(v), _adopt(coeffs, v.dx)
 
     def layout(self, space=_FULL):
         """The layout of this linearization's systems in ``_SPACES[space]``

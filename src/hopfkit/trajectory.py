@@ -139,23 +139,39 @@ class PeriodicTrajectory:
     -----
     Instances are immutable; arithmetic returns new trajectories.  ``dim``
     is the full concatenated state dimension (``2 * nx`` for two fields).
+
+    The constructor (and `with_coeffs`) copies the array it is given, so
+    the caller may go on changing its own.  Results computed inside the
+    package -- arithmetic, negation, `time_derivative`, `time_shift`,
+    `trajectory_from_samples`, the collocated residuals, the Newton
+    products and `TrajectoryLayout.to_trajectory` -- instead adopt the
+    fresh array they allocated (`_adopt`).  Either way ``coeffs`` is
+    read-only, C-contiguous and shares no memory with an operand.
     """
 
     __slots__ = ("coeffs", "dx")
 
     def __init__(self, coeffs, dx):
-        arr = np.asarray(coeffs, dtype=complex).copy()
+        self._own(np.array(coeffs, dtype=complex, order="C"), dx)
+
+    def _own(self, arr, dx):
+        """Validate ``arr``, make row 0 exactly real and lock ``arr`` as
+        this trajectory's coefficients, without copying it."""
         if arr.ndim != 2:
             raise ValueError("coefficient array must have shape (n_t + 1, dim)")
         if arr.shape[1] % 2 != 0:
             raise ValueError("state dimension must be even (two fields)")
-        scale = max(1.0, float(np.abs(arr).max()))
+        # The tolerance is relative to max(1, max|coeffs|): row 0 decides
+        # alone unless it exceeds the bare tolerance, and only then is the
+        # whole array scanned for the scale.
         worst = float(np.abs(arr[0].imag).max()) if arr.size else 0.0
-        if worst > _MODE0_IMAG_TOL * scale:
-            raise ValueError(
-                f"mode-0 coefficient has imaginary part {worst:.2e}; "
-                "trajectory would not be real-valued"
-            )
+        if worst > _MODE0_IMAG_TOL:
+            scale = max(1.0, float(np.abs(arr).max()))
+            if worst > _MODE0_IMAG_TOL * scale:
+                raise ValueError(
+                    f"mode-0 coefficient has imaginary part {worst:.2e}; "
+                    "trajectory would not be real-valued"
+                )
         arr[0] = arr[0].real
         arr.flags.writeable = False
         self.coeffs = arr
@@ -223,12 +239,12 @@ class PeriodicTrajectory:
     def time_derivative(self):
         """d/dt of the trajectory (mode ``n`` multiplied by ``i*n``)."""
         factors = 1j * np.arange(self.n_t + 1)
-        return self.with_coeffs(self.coeffs * factors[:, None])
+        return _adopt(self.coeffs * factors[:, None], self.dx)
 
     def time_shift(self, theta):
         """The translated trajectory ``t -> u(t + theta, .)``."""
         phases = np.exp(1j * float(theta) * np.arange(self.n_t + 1))
-        return self.with_coeffs(self.coeffs * phases[:, None])
+        return _adopt(self.coeffs * phases[:, None], self.dx)
 
     def split_subspaces(self):
         """Split into mean, fundamental and higher-harmonic parts.
@@ -272,19 +288,19 @@ class PeriodicTrajectory:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return self.with_coeffs(self.coeffs + other.coeffs)
+        return _adopt(self.coeffs + other.coeffs, self.dx)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return self.with_coeffs(self.coeffs - other.coeffs)
+        return _adopt(self.coeffs - other.coeffs, self.dx)
 
     def __mul__(self, scalar):
-        return self.with_coeffs(self.coeffs * float(scalar))
+        return _adopt(self.coeffs * float(scalar), self.dx)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.with_coeffs(-self.coeffs)
+        return _adopt(-self.coeffs, self.dx)
 
     def _check_compatible(self, other):
         if not isinstance(other, PeriodicTrajectory):
@@ -297,6 +313,19 @@ class PeriodicTrajectory:
             f"PeriodicTrajectory(n_t={self.n_t}, nx={self.nx}, "
             f"dx={self.dx:g}, norm={self.norm():.3e})"
         )
+
+
+def _adopt(coeffs, dx):
+    """A `PeriodicTrajectory` that takes ``coeffs`` as its own, no copy.
+
+    For complex C-contiguous arrays a caller has just allocated and keeps
+    no other reference to (an array of another layout or dtype is copied
+    into one); row 0 is made exactly real in place and the array is
+    locked, so the caller must not write to it afterwards.
+    """
+    traj = PeriodicTrajectory.__new__(PeriodicTrajectory)
+    traj._own(np.require(coeffs, dtype=complex, requirements="C"), dx)
+    return traj
 
 
 def zero_trajectory(n_t, dim, dx):
@@ -319,8 +348,9 @@ def trajectory_from_samples(samples, dx):
     if arr.ndim != 2 or arr.shape[0] % 2 != 0:
         raise ValueError("samples must have shape (M, dim) with M even")
     m = arr.shape[0]
-    spec = np.fft.rfft(arr, axis=0) / m
-    return PeriodicTrajectory(spec[: m // 2], dx)
+    spec = np.fft.rfft(arr, axis=0)[: m // 2]
+    spec /= m
+    return _adopt(spec, dx)
 
 
 def single_harmonic(psi, n_t, dx=None):

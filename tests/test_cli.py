@@ -535,8 +535,9 @@ def test_cli_branch_on_a_large_domain_runs_quietly(tmp_path, capsys):
     """At L = 300, dx = 0.2 the resolvents' Green's functions underflow
     across the box; the condition guard's estimates stay quiet, so
     ``branch`` exits 0 with no traceback with RuntimeWarnings as errors.
-    `onenormest` draws its sign probes from numpy's global generator,
-    which the test seeds and puts back."""
+    The guard seeds its own sign probes; the test also fixes numpy's
+    global generator, and puts it back, so that nothing else in the run
+    depends on what ran before."""
     cfg = write_config(
         tmp_path,
         "problem.L = 300\nproblem.dx = 0.2\nsolver.n_t = 4\n"

@@ -40,6 +40,7 @@ from hopfkit.trajectory import (
     StateVector,
     build_amplitude_functional,
     single_harmonic,
+    trajectory_from_samples,
     zero_trajectory,
 )
 
@@ -327,9 +328,9 @@ def underflowing_bidiagonal(n=400):
 def test_condition_guard_is_quiet_on_underflowing_inverses():
     """The 1-norm estimate of an inverse with subnormal entries raises no
     RuntimeWarning (they are flushed to zero, whose sign is 1) and stays
-    within a factor 3 of the dense condition number.  `onenormest` draws
-    its sign probes from numpy's global generator, so the test runs it
-    from ten seeds and puts the generator's state back."""
+    within a factor 3 of the dense condition number, whatever the state of
+    numpy's global generator: the test runs it from ten global seeds and
+    puts the generator's state back."""
     matrix = underflowing_bidiagonal()
     exact = np.linalg.cond(matrix.toarray(), 1)
     state = np.random.get_state()
@@ -343,6 +344,25 @@ def test_condition_guard_is_quiet_on_underflowing_inverses():
             assert exact / 3.0 <= cond <= 3.0 * exact
     finally:
         np.random.set_state(state)
+
+
+def test_condition_guard_ignores_the_global_generator():
+    """The guard's sign probes come from its own seed: two global seeds
+    give the same ``cond``, and the caller's generator state is untouched."""
+    matrix = underflowing_bidiagonal()
+    state = np.random.get_state()
+    try:
+        conds = []
+        for seed in (1, 7):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            conds.append(_guarded_lu(matrix)[1])
+            after = np.random.get_state()
+            assert before[0] == after[0] and before[2:] == after[2:]
+            assert np.array_equal(before[1], after[1])
+    finally:
+        np.random.set_state(state)
+    assert conds[0] == conds[1]
 
 
 @pytest.mark.parametrize("estimate", [np.inf, np.nan])
@@ -444,6 +464,41 @@ def test_residual_g_linear_problem_mode_formula():
     for n in range(n_t + 1):
         expect = 1j * n * coeffs[n] - (sigma + 1) * (amat @ coeffs[n] + lam * coeffs[n])
         assert np.allclose(g.coeffs[n], expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["coarse_problem", "coarse_quasi_problem"])
+def test_collocated_kernel_is_the_trajectory_composition(fixture, request):
+    """`residual_g` and `linearised_g` build ``v_t - (sigma+1)(A v + N)``
+    in one array, bit for bit the composition of public trajectory
+    operations, and their coefficients are C-contiguous and read-only."""
+    p = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(11)
+    n_t = 4
+
+    def random_traj(scale):
+        coeffs = scale * (rng.normal(size=(n_t + 1, p.dim))
+                          + 1j * rng.normal(size=(n_t + 1, p.dim)))
+        coeffs[0] = coeffs[0].real
+        return PeriodicTrajectory(coeffs, p.dx)
+
+    u, v = random_traj(0.02), random_traj(1.0)
+    params = ScaledParams(0.03, -0.02)
+    lam, sigma = params
+
+    def composed(w, samples):
+        nonlinear = trajectory_from_samples(samples, w.dx)
+        linear = w.with_coeffs((p.A @ w.coeffs.T).T)
+        return w.time_derivative() - (sigma + 1.0) * (linear + nonlinear)
+
+    vals = u.sample_values()
+    pairs = [
+        (p.residual_g(params, u), composed(u, p.apply_h(lam, vals))),
+        (p.linearised_g(params, u, v),
+         composed(v, p.apply_h_u(lam, vals, v.sample_values()))),
+    ]
+    for got, expect in pairs:
+        assert np.array_equal(got.coeffs, expect.coeffs)
+        assert got.coeffs.flags.c_contiguous and not got.coeffs.flags.writeable
 
 
 def test_residual_g_sigma_domain():

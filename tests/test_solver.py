@@ -1115,6 +1115,28 @@ def test_rung_step_is_the_galerkin_step(space, coarse_quasi_problem, quasi_setup
         assert outside > 1e-6 * scale
 
 
+def test_linearization_apply_is_the_trajectory_sum(coarse_quasi_problem, quasi_setup):
+    """`_Linearization.apply` adds its parameter columns into the array of
+    `linearised_g`'s result: bit for bit ``core + dlam * col_lam + dsig *
+    col_sig`` on trajectories, and as read-only."""
+    problem = coarse_quasi_problem
+    functional, solution = quasi_setup
+    u = PeriodicTrajectory(0.05 * np.array(solution.u.coeffs), solution.u.dx)
+    params = ScaledParams(0.03, -0.01)
+    lin = solver_module._branch_linearization(
+        problem, functional, params, u, problem.residual_g(params, u))
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=u.coeffs.shape) + 1j * rng.normal(size=u.coeffs.shape)
+    coeffs[0] = coeffs[0].real
+    v = PeriodicTrajectory(coeffs, u.dx)
+    pair, image = lin.apply(0.4, -0.7, v)
+    expect = (problem.linearised_g(params, u, v) + 0.4 * lin.col_lam
+              + -0.7 * lin.col_sig)
+    assert np.array_equal(image.coeffs, expect.coeffs)
+    assert not image.coeffs.flags.writeable
+    assert np.array_equal(pair, functional.pair(v))
+
+
 def test_held_wider_factor_serves_a_narrower_rung(monkeypatch, coarse_quasi_problem,
                                                   quasi_setup, quasi_branch):
     """The first point of the quasilinear branch picks the odd modes up to

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopfkit.newton import TrajectoryLayout
 from hopfkit.trajectory import (
     ComplexStateVector,
     PeriodicTrajectory,
@@ -49,6 +50,77 @@ def test_mode0_reality_enforced():
     coeffs[0, 1] = 0.5j
     with pytest.raises(ValueError, match="real"):
         PeriodicTrajectory(coeffs, 0.1)
+
+
+@pytest.mark.parametrize("imag, scale, real", [
+    (0.9e-9, 1.0, True),
+    (1.1e-9, 1.0, False),
+    (2e-6, 1e4, True),
+    (2e-5, 1e4, False),
+])
+def test_mode0_check_is_relative_to_the_largest_coefficient(imag, scale, real):
+    """Row 0's imaginary part may reach 1e-9 times max(1, max|coeffs|)."""
+    coeffs = np.zeros((3, 4), dtype=complex)
+    coeffs[0, 1] = 1j * imag
+    coeffs[2, 3] = scale
+    if not real:
+        with pytest.raises(ValueError, match="real"):
+            PeriodicTrajectory(coeffs, 0.1)
+        return
+    traj = PeriodicTrajectory(coeffs, 0.1)
+    assert not np.any(traj.coeffs[0].imag)
+    assert coeffs[0, 1] == 1j * imag  # the caller's array is not touched
+
+
+def test_constructor_copies_the_callers_array():
+    coeffs = np.array(make_traj().coeffs)
+    traj = PeriodicTrajectory(coeffs, 0.3)
+    before = np.array(traj.coeffs)
+    coeffs[:] = 7.0
+    assert np.array_equal(traj.coeffs, before)
+    assert not np.shares_memory(traj.coeffs, coeffs)
+    assert not traj.coeffs.flags.writeable
+
+
+def _from_samples(u, w):
+    samples = u.sample_values()
+    return trajectory_from_samples(samples, u.dx), (samples,)
+
+
+def _layout_roundtrip(u, w):
+    layout = TrajectoryLayout(u.n_t, u.nx, u.dx)
+    y = layout.flatten_trajectory(u)
+    return layout.to_trajectory(y), (y,)
+
+
+#: name -> ``(u, w) -> (result, operand arrays besides u's and w's)``.
+RESULTS = {
+    "add": lambda u, w: (u + w, ()),
+    "sub": lambda u, w: (u - w, ()),
+    "mul": lambda u, w: (u * 2.5, ()),
+    "rmul": lambda u, w: (2.5 * u, ()),
+    "neg": lambda u, w: (-u, ()),
+    "time_derivative": lambda u, w: (u.time_derivative(), ()),
+    "time_shift": lambda u, w: (u.time_shift(0.7), ()),
+    "with_coeffs": lambda u, w: (u.with_coeffs(w.coeffs), ()),
+    "trajectory_from_samples": _from_samples,
+    "to_trajectory": _layout_roundtrip,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTS))
+def test_results_own_a_locked_array(name):
+    """Every arithmetic and transform result holds read-only C-contiguous
+    coefficients that share no memory with its operands."""
+    u, w = make_traj(seed=1), make_traj(seed=2)
+    result, others = RESULTS[name](u, w)
+    arr = result.coeffs
+    assert arr.dtype == complex and arr.flags.c_contiguous
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[1, 0] = 1.0
+    for operand in (u.coeffs, w.coeffs, *others):
+        assert not np.shares_memory(arr, operand)
 
 
 def test_fourier_coeff_negative_mode_conjugate():
