@@ -49,8 +49,7 @@ rung):
   point's field pair (S^1-equivariance, as in the shipped lambda-omega
   example), the branch is made of rotating waves, single harmonics, and at
   such an iterate the exact Newton step lies in mode 1 too.  The band has 4
-  unknowns per grid point, so its factor is cheap, and a mode-1 step never
-  goes through a held factor: it factors at its own iterate;
+  unknowns per grid point, so its factor is cheap;
 * the odd modes up to ``K = 3, 7, 15, ...`` (``K = 2**j - 1``, capped at
   ``n_t``), the top odd rung holding every odd mode (the half-wave space,
   `newton.odd_modes`): when ``h`` is odd the branch keeps ``u(t + pi) =
@@ -63,12 +62,13 @@ rung):
 
 On a problem without the symmetry, or with Fourier content above the rung,
 a narrow step is the Galerkin step of the full one.  Within one solve the
-space only widens, and no step narrows below the space of the held factor
-unless that factor is mode 1: it goes through the wider factor instead of
-factoring a narrower band.  The full residual, every mode included, still
-decides convergence, so no result rests on a symmetry or on the decay of
-the harmonics: a solve whose residual outside its space exceeds the
-tolerance, or whose mode-1 step fails, goes on in the next wider space that
+space only widens, and no step narrows below the space of the held factor:
+it goes through the wider factor instead of factoring a narrower band.
+Mode 1 is the bottom rung of the ladder, under the same chord rule as
+every other.  The full residual, every mode included, still decides
+convergence, so no result rests on a symmetry or on the decay of the
+harmonics: a solve whose residual outside its space exceeds the tolerance,
+or whose exact mode-1 step fails, goes on in the next wider space that
 qualifies.  The hypothesis checks and the certificate stay on the full
 space, and the memory guard (`config`) prices the full one, which any solve
 may still reach.
@@ -140,7 +140,6 @@ _SOLVE_ERRORS = (DomainError, SingularBandError, np.linalg.LinAlgError)
 #: ``_FULL - 1`` every odd mode and rung `_FULL` all modes.
 _SPACES = ("mode-1",) + ("half-wave",) * 7 + ("full",)
 _FULL = len(_SPACES) - 1
-_MODE_ONE = range(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +300,31 @@ class _SharedFactor:
     phase_angle`) serves an iterate of phase ``theta`` through ``S_psi``,
     ``psi = phase - theta``.  Only what the solves need is kept: ``band``,
     ``lu``, its factor ``(lub, ipiv)`` made in place (``lub`` is the band's
-    own storage), the rung ``space`` of `_SPACES` it was made in, its
-    ``layout`` and ``phase``; no border columns and no Schur complement.
-    ``factorizations`` counts the factors made, one per mode-1 step and
-    one per rung climbed among them.
+    own storage), the rung ``space`` of `_SPACES` it was made in (0, the
+    bottom rung, while none is held), its ``layout`` and ``phase``; no
+    border columns and no Schur complement.  ``factorizations`` counts the
+    factors made.
 
-    Only steps wider than mode 1 go through the held factor, and while one
-    is held no step narrows below its space (`floor`): a step whose rung is
-    narrower solves through it, the Galerkin step of the held rung, rather
-    than factor a narrower band.  A mode-1 step factors at its own iterate,
-    replacing the held factor: a chord step's error there has a
-    counter-rotating part, which couples into mode 3, outside the space.
-    With a `_Linearization` ``lin`` and a ``space`` wider than mode 1 the
-    first factor is made at once, in ``lin.layout(space)``; otherwise the
-    first Newton step makes it.
+    A step in the held factor's space goes through it, on every rung,
+    mode 1 included, and while one is held no step narrows below its
+    space: a step whose rung is narrower solves through it, the Galerkin
+    step of the held rung, rather than factor a narrower band.  A chord
+    step changes the path to convergence, not the test for it: it is
+    refined against the exact derivative, the full residual decides
+    convergence, and residual content outside mode 1 above ``newton_tol``
+    widens the solve.
+
+    With a `_Linearization` ``lin`` and a ``space`` above mode 1 the first
+    factor is made at once, in ``lin.layout(space)``; otherwise the first
+    Newton step makes it.  The symmetry check starts this way from its
+    mid point: an eager factor on mode 1 measured 2 factorizations on the
+    production branch, where the first Newton step's own factor serves the
+    whole check, and no eager factor at all measured 2 on the quasilinear
+    branch, against 1 from the mid point.
     """
 
     def __init__(self, lin=None, space=0):
-        self.band = self.lu = self.layout = None
-        self.space = 0
+        self.release()
         self.phase = 0.0
         self.factorizations = 0
         if space > 0:
@@ -327,19 +332,12 @@ class _SharedFactor:
 
     def fits(self, layout):
         """Whether a factor is held that a step in ``layout`` may go
-        through: one in the same space, not mode 1."""
-        return (self.band is not None and layout.modes != _MODE_ONE
-                and self.layout.modes == layout.modes)
-
-    def floor(self):
-        """The rung below which no step narrows: the held factor's, or
-        mode 1 (0) when none is held or the held one is mode 1."""
-        if self.band is None or self.layout.modes == _MODE_ONE:
-            return 0
-        return self.space
+        through: one in the same space."""
+        return self.band is not None and self.layout.modes == layout.modes
 
     def release(self):
         self.band = self.lu = self.layout = None
+        self.space = 0
 
     def refactor(self, lin, space):
         """Replace the held factor by ``lin``'s in rung ``space``.  The old
@@ -382,24 +380,24 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
 
     Each step solves in the rung `_newton_space` picks at its base,
     iterate and residual, never narrower than the last step's nor than the
-    held factor's (`_SharedFactor.floor`): the mode-1 space keeps the
+    held factor's (`_SharedFactor.space`): the mode-1 space keeps the
     iterate a single harmonic, an odd rung keeps it free of even modes and
     of the odd modes above it.  The full residual, every mode included,
-    decides convergence.  A mode-1 step whose solve or next residual fails
-    (`_SOLVE_ERRORS`) is taken again at the same iterate in the rung
-    picked from the first odd one on; a failed exact step in a wider
-    space raises.
+    decides convergence.  An exact mode-1 step whose solve or next
+    residual fails (`_SOLVE_ERRORS`) is taken again at the same iterate in
+    the rung picked from the first odd one on; a failed exact step in a
+    wider space raises.
 
-    Every step wider than mode 1 solves through the `_SharedFactor`
+    Every step, on every rung, solves through the `_SharedFactor`
     ``held``, rotated to the iterate's phase and refined against the exact
     derivative (a chord step), while the held factor is in the step's
     space and the last chord step at least halved the residual.
-    Otherwise, and at every mode-1 step, the step factors at its iterate
-    (an exact step), and that factor is held from then on, by this solve
-    and by the later ones that share ``held``; so a run of solves factors
-    once per rung it climbs.  A chord step whose solve or next residual
-    fails (`_SOLVE_ERRORS`) is dropped: the solve takes an exact step at
-    the same iterate instead, and only that one counts as an iteration.
+    Otherwise the step factors at its iterate (an exact step), and that
+    factor is held from then on, by this solve and by the later ones that
+    share ``held``; so a run of solves factors once per rung it climbs.  A
+    chord step whose solve or next residual fails (`_SOLVE_ERRORS`) is
+    dropped: the solve takes an exact step at the same iterate instead,
+    and only that one counts as an iteration.
     The old factor is released before a new band is assembled, and each
     step's bordered system before the next, so one band-sized array is
     alive at a time.
@@ -426,7 +424,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
             held.release()  # the last chord step did not halve the residual
         lin = linearize(params, u, core)
         space = _newton_space((lin.base, u), core, newton_tol,
-                              max(space, held.floor()))
+                              max(space, held.space))
         layout = lin.layout(space)
         while True:
             chord = held.fits(layout)
@@ -441,7 +439,7 @@ def _newton_square(functional, target_pair, params, u, residual_fn,
             except _SOLVE_ERRORS:
                 if chord:
                     held.release()  # a failed chord step: step exactly from here
-                elif space == 0:  # a failed mode-1 step: widen
+                elif space == 0:  # a failed exact mode-1 step: widen
                     space = _newton_space((lin.base, u), core, newton_tol, 1)
                     layout = lin.layout(space)
                 else:
@@ -772,7 +770,8 @@ class BranchResult:
     """An amplitude-ordered sweep of branch points plus diagnostics.
 
     ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep,
-    ``factorizations`` the number of band factorizations it took.
+    ``factorizations`` the number of band factorizations it took, on
+    whichever rungs its steps solved in.
     ``truncated`` is set when the sweep stopped short of its amplitude grid's
     end (a note says why).  ``newton_space`` is the widest space the
     sweep's Newton steps solved in (`_newton_space`), and at least the
@@ -931,11 +930,9 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
     l2 u = 0, g((lambda, sigma), u) = 0}`` by Newton, predicted from the
     previous point by amplitude rescaling (``u`` linearly, parameters
     ``params - params_star`` quadratically).  The Newton steps of the
-    whole sweep wider than mode 1 solve through one held band factor,
-    refactored only when a step climbs to a wider rung or stops
-    contracting; each mode-1 step factors at its own iterate
-    (`_newton_square`).  When
-    Newton fails or leaves the solver's domain (parameter window, trust
+    whole sweep solve through one held band factor, refactored only when a
+    step climbs to a wider rung or stops contracting (`_newton_square`).
+    When Newton fails or leaves the solver's domain (parameter window, trust
     radius, singular band), the branch is truncated at the last converged
     point and a diagnostic note is recorded -- no extrapolation.
 
@@ -947,7 +944,8 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
         Points sorted by amplitude, including the trivial point at 0, which
         carries ``params_star``, the widest space the Newton steps took and
         its highest mode, and the number of band factorizations (one per
-        mode-1 step and one per rung climbed among them).
+        rung climbed, plus one per refactor after a chord step that did not
+        halve the residual or failed).
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
@@ -984,8 +982,8 @@ class SymmetryReport:
     ``u(-alpha) = tau_pi u(alpha)`` (equivalently, the first-order part
     flips sign while the correction translates).  ``newton_iters`` sums
     the Newton iterations of the mirrored points and the phase seeds,
-    ``factorizations`` counts the band factorizations they took, one per
-    mode-1 step among them.
+    ``factorizations`` counts the band factorizations they took, a factor
+    made at the mid point before them included.
     """
 
     parameter_deviation: float
@@ -1027,19 +1025,19 @@ def check_branch_symmetry(problem, functional, result):
     The Newton solves share one held factor (`_newton_square`), starting
     from the branch linearisation at the mid point, whose pair is
     ``(alpha, 0)``, in the space `_newton_space` picks there, unless that
-    is the mode-1 space.  g is autonomous, so the derivative at a time
+    is the mode-1 space, where the first Newton step makes it
+    (`_SharedFactor`).  g is autonomous, so the derivative at a time
     translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
     the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
     mirror).  Every Newton step of the mirrored branch and of the seeds
-    wider than mode 1 solves through the held factor rotated by the phase
-    difference between the factor's iterate and its own, refined against
-    the exact derivative; the residual and the tolerance stay exact.  A
-    step after a chord step that did not at least halve the residual, or
-    that climbs above the factor's rung, factors at its iterate, and that
-    factor is held from then on (a factor made on the mirrored branch sits
-    at phase ``pi``).  So on a half-wave or full branch whose mid-point
-    factor serves every solve the check factorizes one band.  On a mode-1 branch (rotating waves) it makes no
-    mid-point factor, and every Newton step factors its own mode-1 band.
+    solves through the held factor rotated by the phase difference between
+    the factor's iterate and its own, refined against the exact
+    derivative; the residual and the tolerance stay exact.  A step after a
+    chord step that did not at least halve the residual, or that climbs
+    above the factor's rung, factors at its iterate, and that factor is
+    held from then on (a factor made on the mirrored branch sits at phase
+    ``pi``).  So on a branch whose first factor serves every solve, mode 1
+    (rotating waves), half-wave or full, the check factorizes one band.
     The report counts the Newton iterations and every factorization.
 
     The report is attached to ``result.symmetry_report`` and returned.

@@ -227,25 +227,25 @@ def test_solve_extended_contracts_quadratically(coarse_problem,
 
 
 def far_factor(monkeypatch, problem, functional,
-               params=ScaledParams(100.0, 0.0), base=None):
+               params=ScaledParams(100.0, 0.0), base=None,
+               space=solver_module._FULL - 1):
     """Make every `_SharedFactor` that starts empty hold the band at
     ``params`` and ``base`` (default the zero trajectory, ``n_t = 8`` as
-    the coarse branch) with a zero core instead, in the half-wave space
-    (the top odd rung): half-wave steps chord through it, mode-1 steps
-    replace it.  By default
-    a factor so far from the branch that its first chord step leaves the
-    lambda window."""
+    the coarse branch) with a zero core instead, in rung ``space`` (by
+    default the half-wave space, the top odd rung): the steps of a
+    narrower or equal rung chord through it.  By default a factor so far
+    from the branch that its first chord step leaves the lambda window."""
     shared = solver_module._SharedFactor
 
     class FarFactor(shared):
-        def __init__(self, lin=None, space=0):
-            super().__init__(lin, space)
+        def __init__(self, lin=None, first=0):
+            super().__init__(lin, first)
             if lin is None:
                 zero = zero_trajectory(8, problem.dim, problem.dx)
                 far = solver_module._branch_linearization(
                     problem, functional, params,
                     zero if base is None else base, zero)
-                self.refactor(far, solver_module._FULL - 1)
+                self.refactor(far, space)
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
 
@@ -894,6 +894,72 @@ def test_chord_steps_do_not_trip_the_stall_note(
     npt.assert_allclose(result.lambdas, result.alphas ** 2, rtol=0.0, atol=1e-9)
 
 
+def test_mode_one_factor_that_stops_halving_is_replaced(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution,
+        coarse_branch):
+    """A held mode-1 factor at 50 u* (zero core): the sweep's steps chord
+    through it until one does not halve the residual, and the next step
+    factors at its iterate, a factor that serves the rest of the sweep.
+    No step is dropped (one bordered step per iteration), the sweep stays
+    on mode 1, and it finds the branch that a fresh factor finds."""
+    bands = []
+    step = solver_module._bordered_step
+
+    def recording(lin, layout, held, core, r_pair):
+        bands.append(held.band)
+        return step(lin, layout, held, core, r_pair)
+
+    far_factor(monkeypatch, coarse_problem, coarse_functional,
+               ScaledParams(0.0, 0.0), 50.0 * coarse_solution.u, space=0)
+    monkeypatch.setattr(solver_module, "_bordered_step", recording)
+    result = continue_branch(coarse_problem, coarse_functional,
+                             coarse_solution.u, alpha_max=0.5, steps=10)
+    assert not result.truncated and result.notes == []
+    assert result.newton_space == "mode-1" and result.factorizations == 2
+    assert len(bands) == sum(pt.newton_iters for pt in result.points)
+    far, last = bands[0], bands[-1]
+    switch = next(k for k, band in enumerate(bands) if band is not far)
+    assert switch >= 2  # the far factor halved the residual before
+    assert all(band is last for band in bands[switch:])
+    for got, want in ((result.lambdas, coarse_branch.lambdas),
+                      (result.sigmas, coarse_branch.sigmas)):
+        npt.assert_allclose(got, want, rtol=0.0, atol=10.0 * NEWTON_TOL)
+
+
+@pytest.mark.parametrize("rotation_breaking, space", [
+    pytest.param(0.0, "mode-1", id="rotating-waves"),
+    pytest.param(0.5, "half-wave", id="rotation-breaking"),
+])
+def test_chord_sweep_matches_exact_newton(monkeypatch, rotation_breaking, space,
+                                         coarse_problem, coarse_functional,
+                                         coarse_solution):
+    """With no held factor ever fitting, every step factors at its iterate
+    (exact Newton): the oracle.  The chord sweep, whose steps go through
+    the held factor on every rung, mode 1 included, finds lambda and sigma
+    within ten times the Newton tolerance of it, in the same space; the
+    rotation-breaking term still moves the chord sweep off mode 1."""
+    problem = coarse_problem
+    if rotation_breaking:
+        problem = with_rotation_breaking_term(coarse_problem, rotation_breaking)
+
+    def sweep():
+        return continue_branch(problem, coarse_functional, coarse_solution.u,
+                               alpha_max=0.5, steps=10)
+
+    chord = sweep()
+    monkeypatch.setattr(solver_module._SharedFactor, "fits",
+                        lambda self, layout: False)
+    exact = sweep()
+    for result in (chord, exact):
+        assert not result.truncated and result.notes == []
+        assert result.newton_space == space
+    assert exact.factorizations == sum(pt.newton_iters for pt in exact.points)
+    assert chord.factorizations <= exact.factorizations
+    for got, want in ((chord.lambdas, exact.lambdas),
+                      (chord.sigmas, exact.sigmas)):
+        npt.assert_allclose(got, want, rtol=0.0, atol=10.0 * NEWTON_TOL)
+
+
 def test_stall_note_compares_consecutive_exact_steps():
     """Growth inside the contraction region (below 100 tol) is noted
     between two exact steps, not between a chord step and an exact one."""
@@ -994,7 +1060,7 @@ def test_newton_space_never_narrows_below_its_floor():
 def test_newton_space_at_two_time_modes_or_fewer(n_t):
     """At ``n_t <= 2`` the odd modes are mode 1 alone: a single harmonic
     picks mode 1, a pick from the half-wave space on has the same modes,
-    and no held factor serves such a layout, so its steps stay exact.  At
+    and a factor held in mode 1 serves a layout of either rung.  At
     ``n_t = 0`` every pick is the full space."""
     single = synthetic_trajectory(n_t, m1=1.0)
     assert solver_module._newton_space((single,), single, 1e-10) == 0
@@ -1005,7 +1071,7 @@ def test_newton_space_at_two_time_modes_or_fewer(n_t):
             n_t, 2, 0.5, solver_module._space_modes(space, n_t))
         assert layout.modes == range(1, 2)
         held.band, held.layout = object(), layout  # a factor held in it
-        assert not held.fits(layout)
+        assert held.fits(layout)
     wide = newton_module.TrajectoryLayout(4, 2, 0.5, odd_modes(4))
     held.layout = wide
     assert held.fits(wide)
@@ -1431,12 +1497,12 @@ def test_symmetry_check_factorizes_one_band(monkeypatch, coarse_problem,
     assert report.newton_iters >= 3  # every phase seed iterates
 
 
-def test_symmetry_check_on_rotating_waves_factors_each_step(
+def test_symmetry_check_on_rotating_waves_shares_one_mode_1_factor(
         monkeypatch, coarse_problem, coarse_functional, coarse_branch,
         coarse_symmetry):
     """On the semilinear branch (rotating waves) the check makes no
-    mid-point factor: every Newton step factors its own mode-1 band,
-    ``kl = 4``, and the report counts one factorization per iteration."""
+    mid-point factor: the first Newton step factors a mode-1 band,
+    ``kl = 4``, and every later step solves through it, rotated."""
     assert coarse_branch.newton_space == "mode-1"
     bands = []
     assemble = solver_module.assemble_jacobian_band
@@ -1450,8 +1516,8 @@ def test_symmetry_check_on_rotating_waves_factors_each_step(
     report = check_branch_symmetry(
         coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
     assert report.passed and report.newton_iters >= 3
-    assert report.factorizations == report.newton_iters == len(bands)
-    assert set(bands) == {(range(1, 2), 4)}
+    assert report.factorizations == len(bands) == 1
+    assert bands == [(range(1, 2), 4)]
     assert report.to_json_dict() == coarse_symmetry.to_json_dict()
 
 
