@@ -22,11 +22,12 @@ block of 4 per point, whatever ``n_t``.
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual), probing the nonlinearity with one constant-in-time
-unit comb per field and stencil colour.  Its ``kl``/``ku`` are the reach
-of the couplings actually present, not the stencil's worst case.  It makes
-the ``h_u`` coupling blocks a bounded chunk of grid points at a time and
-writes each chunk into the band as it is made, so assembly needs the band
-plus a fixed workspace, whatever the grid.
+unit comb per field and stencil colour.  Its ``kl``/``ku`` are the bound
+of the coupling families present (a block's reach about its offset), not
+the stencil's worst case.  It makes each ``h_u`` coupling block once, a
+bounded chunk of grid points at a time, and writes each chunk into the
+band as it is made, so assembly needs the band plus a fixed workspace,
+whatever the grid.
 `BandedMatrix` keeps LAPACK band storage in the Fortran order `dgbtrf`
 takes, one contiguous run per matrix column.  The Newton steps factor it in
 place, so a factorized Newton band is one band-sized array; solves that
@@ -337,15 +338,16 @@ def assemble_jacobian_band(problem, params, u, layout):
     linearisation at the origin).  The result is the exact Jacobian of the
     discrete ``residual_g`` at ``u``.
 
-    The band is only as wide as the couplings it holds: ``kl`` and ``ku``
-    are the largest ``i - j`` and ``j - i`` over the time-derivative pair
-    (+-1), the mode-diagonal offsets of ``A`` and the nonzero entries of
-    the probed ``h_u`` coupling blocks.  A coupling family (stencil offset,
-    row field and column field of one probe) keeps only its probe samples.
-    Its blocks are made a bounded chunk of owners at a time, never all at
-    once: first for the reach of the families that could widen the band,
-    then, after the band is allocated, for the write.  A chunk is written
-    one block column at a time, each a single vectorised assignment of
+    The band is only as wide as the coupling families it holds: ``kl`` and
+    ``ku`` are the largest ``i - j`` and ``j - i`` over the time-derivative
+    pair (+-1), the mode-diagonal offsets of ``A`` and the family bound
+    ``base - r + 1 .. base + r - 1`` of each live ``h_u`` coupling family
+    (stencil offset, row field and column field of one probe, at the points
+    it couples), ``base`` being its block offset.  The bound is the reach
+    of the family's blocks when they fill their corners, as at a base with
+    content in every mode.  A family keeps only its probe samples; its
+    blocks are made once, a bounded chunk of owners at a time, and written
+    one block column at a time, each a single vectorised addition to
     contiguous runs of the band's storage.
     """
     lam, sigma = params
@@ -388,27 +390,9 @@ def assemble_jacobian_band(problem, params, u, layout):
                     families.append((o * block + (f_row - f_col) * r,
                                      f_col * r, pts[live] - o, samples[:, live]))
 
-    in_block = np.subtract.outer(np.arange(r), np.arange(r))  # rr - cc
-    step = max(1, _CHUNK_BYTES // (8 * r * r))  # owners per chunk
-
-    def chunks(samples):
-        """Yield ``(part, blocks, lo, hi)`` per chunk ``samples[:, part]``
-        with a nonzero block entry; ``[lo, hi]`` spans its nonzero
-        ``rr - cc``."""
-        for start in range(0, samples.shape[1], step):
-            part = slice(start, start + step)
-            blocks = coupling_blocks(samples[:, part], n_t, layout.modes)
-            blocks *= factor
-            nonzero = in_block[np.any(blocks, axis=0)]
-            if nonzero.size:
-                yield part, blocks, nonzero.min(), nonzero.max()
-
-    # A family's entries lie at offsets base + (rr - cc), |rr - cc| < r:
-    # only a family whose interval leaves [low, high] can widen the band.
-    for base, _, _, samples in families:
-        if not low <= base - r + 1 <= base + r - 1 <= high:
-            for _, _, lo, hi in chunks(samples):
-                low, high = min(low, base + lo), max(high, base + hi)
+    # A family's entries lie at offsets base + (rr - cc), |rr - cc| < r.
+    for base, _, _, _ in families:
+        low, high = min(low, base - r + 1), max(high, base + r - 1)
 
     kl, ku = int(high), -int(low)
     band = BandedMatrix(layout.size, kl, ku)
@@ -424,15 +408,18 @@ def assemble_jacobian_band(problem, params, u, layout):
         a_cols = (jc * block + fc * r)[:, None] + np.arange(r)
         ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
     # Entry (rr, cc) of an owner's block sits in band row diag + base + rr -
-    # cc of column owner * block + first + cc, so the rows rr with rr - cc
-    # in [lo, hi] of one block column are one contiguous run.  Band entries
-    # are never -0.0, so leaving out zero entries changes no bits.
+    # cc of column owner * block + first + cc, so block column cc is one
+    # contiguous run of r rows.  Band entries are never -0.0, so adding the
+    # zero entries changes no bits.
+    step = max(1, _CHUNK_BYTES // (8 * r * r))  # owners per chunk
     for base, first, owners, samples in families:
-        for part, blocks, lo, hi in chunks(samples):
-            for cc in range(max(0, -hi), min(r, r - lo)):
-                top, bottom = max(0, cc + lo), min(r, cc + hi + 1)
-                rows = slice(diag + base - cc + top, diag + base - cc + bottom)
-                columns[owners[part], first + cc, rows] += blocks[:, top:bottom, cc]
+        for start in range(0, samples.shape[1], step):
+            part = slice(start, start + step)
+            blocks = coupling_blocks(samples[:, part], n_t, layout.modes)
+            blocks *= factor
+            for cc in range(r):
+                rows = slice(diag + base - cc, diag + base - cc + r)
+                columns[owners[part], first + cc, rows] += blocks[:, :, cc]
     return band
 
 

@@ -25,6 +25,7 @@ from hopfkit.newton import (
     SingularBandError,
     TrajectoryLayout,
     assemble_jacobian_band,
+    band_bytes_bound,
     coupling_blocks,
     odd_modes,
 )
@@ -459,10 +460,39 @@ def test_band_is_bitwise_chunk_invariant(grid, kind, request, monkeypatch):
     npt.assert_array_equal(chunked.ab.view(np.int64), whole.ab.view(np.int64))
 
 
+def test_band_makes_each_coupling_block_once(request, monkeypatch):
+    """Assembly makes the blocks of every live coupling family once, in
+    the pass that writes them: on the coarse quasilinear grid at a random
+    base, 60 batches of 2 400 blocks in all."""
+    problem, params, base, layout = band_case("coarse_quasi", "random", 4, request)
+    made = recording_coupling_blocks(monkeypatch)
+    assemble_jacobian_band(problem, params, base, layout)
+    assert (len(made), sum(shape[0] for shape in made)) == (60, 2400)
+
+
+@pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
+@pytest.mark.parametrize("kind", ["origin", "branch", "random"])
+def test_band_is_within_the_memory_guard_bound(grid, kind, request):
+    """`config._check_memory` prices every Newton band by
+    `band_bytes_bound`: the full, top odd and mode-1 bands stay within it,
+    with ``kl``, ``ku`` at most ``(max(1, h_stencil) + 1) * block``."""
+    problem, params, base, full = band_case(grid, kind, 4, request)
+    bound = band_bytes_bound(full.nx, full.n_t, problem.h_stencil)
+    for modes in (None, odd_modes(full.n_t), range(1, 2)):
+        layout = TrajectoryLayout(full.n_t, full.nx, full.dx, modes)
+        band = assemble_jacobian_band(problem, params, base, layout)
+        assert 8 * band.ab.size <= bound
+        width = (max(1, problem.h_stencil) + 1) * layout.block
+        assert max(band.kl, band.ku) <= width
+
+
 @pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
 def test_band_reach_is_that_of_the_dense_operator(grid, request):
-    """``kl``/``ku`` are the largest ``i - j`` and ``j - i`` over the
-    nonzero entries of the operator, built column by column."""
+    """``kl``/``ku`` are the family bound (each live coupling family's
+    offset plus or minus ``r - 1``); at a base with content in every mode
+    the blocks fill their corners, and the bound is the largest ``i - j``
+    and ``j - i`` over the nonzero entries of the operator, built column by
+    column."""
     problem, params, base, layout = band_case(grid, "random", 2, request)
     band = assemble_jacobian_band(problem, params, base, layout)
     dense = np.empty((layout.size, layout.size))
