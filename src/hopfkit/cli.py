@@ -42,7 +42,11 @@ from .solver import (
     solve_extended,
     verify_jacobian_nonsingular,
 )
-from .spectral import build_projection, run_hypothesis_checks
+from .spectral import (
+    DegeneratePairingError,
+    build_projection,
+    run_hypothesis_checks,
+)
 from .trajectory import build_amplitude_functional
 
 EXIT_OK = 0
@@ -105,21 +109,21 @@ def _bifurcation_point(run_config, problem, outdir, seed, reporter, report,
                        failure):
     """Projection, amplitude functional and the extended Newton solve.
 
-    Returns ``(decomp, functional, solution)``; when the solve fails, writes
-    the failure report ``report``, prints ``failure`` with the error and
-    returns ``None``.
+    Returns ``(decomp, functional, solution)``; when the eigen iteration,
+    the projection or the solve fails, writes the failure report
+    ``report``, prints ``failure`` with the error and returns ``None``.
     """
-    reference = reference_eigenvector(run_config.problem)
-    decomp = build_projection(problem, reference=reference)
-    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
     try:
+        reference = reference_eigenvector(run_config.problem)
+        decomp = build_projection(problem, reference=reference)
+        functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
         solution = solve_extended(
             problem, functional,
             initial_extended_state(decomp.psi, n_t=run_config.solver.n_t),
             newton_tol=run_config.solver.newton_tol,
             max_iter=run_config.solver.max_iter,
         )
-    except ConvergenceError as exc:
+    except (ConvergenceError, DegeneratePairingError) as exc:
         _write_json(os.path.join(outdir, report), {
             "schema": 1, "seed": seed, "converged": False, "error": str(exc),
         })
@@ -167,7 +171,7 @@ def cmd_check(run_config, problem, outdir, seed, reporter, args):
 def cmd_extended(run_config, problem, outdir, seed, reporter, args):
     point = _bifurcation_point(
         run_config, problem, outdir, seed, reporter, "extended.json",
-        "extended: Newton failed")
+        "extended: bifurcation-point solve failed")
     if point is None:
         return EXIT_SCIENCE
     decomp, functional, solution = point

@@ -42,7 +42,7 @@ def _deflated_critical_solve(problem, decomp, rhs):
     """
     col = decomp.psi.data.reshape(-1, 1)
     row = np.conj(decomp.phi_adj.data).reshape(1, -1) * problem.dx
-    lu, cond = _guarded_lu(problem.shifted(1j), (col, row))
+    lu, _, _, cond = _guarded_lu(problem.shifted(1j), (col, row))
     if lu is None:
         raise SingularOperatorError(
             "operator ('deflated-critical', 1) is numerically singular "

@@ -8,11 +8,12 @@ Residuals of the steady and period-rescaled problems, the linearisation
 shifts ``z - B`` (`ProblemDef.shifted`) with a condition-guarded
 factorization (`_guarded_lu`) that lives only as long as its caller, and a
 finite-difference validation of the supplied derivatives all live here.
+The guard and every resolvent bound read one estimate per factor: the
+smallest singular value from `inverse_power_sigma_min`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Tuple
@@ -34,16 +35,15 @@ __all__ = [
     "linearization_matrix",
 ]
 
-#: Condition-number ceiling beyond which a resolvent factorization is
-#: treated as singular.
+#: Ceiling on ``||M||_1 / sigma_min(M)``, with sigma_min the inverse-power
+#: estimate of `_guarded_lu`, beyond which a factorization is treated as
+#: singular.
 COND_GUARD = 1e12
 DERIVATIVE_TOLERANCE = 1e-6
-
-#: Seed of numpy's global generator while `_guarded_lu` estimates the norm
-#: of an inverse; the lock keeps one estimate at a time between seeding
-#: and putting the caller's state back.
-_ESTIMATE_SEED = 0
-_ESTIMATE_LOCK = threading.Lock()
+#: Default step cap and start seed of `_guarded_lu`'s estimate, also the
+#: resolvent scan's.
+RESOLVENT_PROBES = 15
+RESOLVENT_SEED = 13
 
 
 class DomainError(ValueError):
@@ -214,9 +214,10 @@ class ProblemDef:
         return eye * z - self.operator(lam)
 
     def resolvent_lu(self, z):
-        """A fresh LU of ``z - B`` (`shifted`); `ResonanceError` when it is
-        singular or worse conditioned than `COND_GUARD`."""
-        lu, cond = _guarded_lu(self.shifted(z))
+        """A fresh LU of ``z - B`` (`shifted`) through `_guarded_lu` with
+        its default estimate; `ResonanceError` when it is singular or
+        ``||z - B||_1 / sigma_min`` exceeds `COND_GUARD`."""
+        lu, _, _, cond = _guarded_lu(self.shifted(z))
         if lu is None:
             raise ResonanceError(
                 f"z - B is numerically singular at z = {z:g} "
@@ -332,31 +333,44 @@ def _bordered_lu(core, column, row):
     return matrix, spla.splu(matrix, permc_spec="MMD_AT_PLUS_A")
 
 
-def _flushed(y):
-    """``y`` with its entries below the smallest normal float set to 0.
+def inverse_power_sigma_min(solve, solve_adjoint, start, max_steps):
+    """``(sigma, steps)``: sigma_min(M) by power iteration on ``(M^H M)^-1``.
 
-    `onenormest` divides a vector by its entries' moduli, which overflows
-    on subnormal complex entries, as an inverse whose Green's function
-    decays across a large box produces; 0 reads as sign 1 there, and the
-    flush moves a 1-norm by at most ``n * 2.2e-308``."""
-    y[np.abs(y) < np.finfo(float).tiny] = 0.0
-    return y
+    ``solve`` and ``solve_adjoint`` apply ``M^-1`` and ``M^-H``.  Stops once
+    the estimate changes by at most 1e-6 (relative) after more than three
+    steps, or after ``max_steps``; a non-finite or zero step reads as
+    ``sigma = 0`` (numerically singular ``M``).
+    """
+    z = start / np.linalg.norm(start)
+    estimate = steps = 0
+    while steps < max_steps:
+        steps += 1
+        w = solve_adjoint(solve(z))
+        new = float(np.linalg.norm(w))
+        if not np.isfinite(new) or new == 0.0:
+            return 0.0, steps
+        z = w / new
+        estimate, previous = new, estimate
+        if steps > 3 and abs(estimate - previous) <= 1e-6 * estimate:
+            break
+    return (float(1.0 / np.sqrt(estimate)) if estimate else 0.0), steps
 
 
-def _guarded_lu(matrix, border=None):
-    """``(lu, cond)``: the SuperLU factor of ``matrix``, or with ``border =
-    (column, row)`` of ``matrix`` bordered by them (`_bordered_lu`), and
-    its 1-norm condition number; ``lu`` is None when the factored matrix is
-    exactly singular or worse conditioned than `COND_GUARD` (a non-finite
-    ``cond`` included), and the caller raises the error that fits its
-    operator.
+def _guarded_lu(matrix, border=None, steps=RESOLVENT_PROBES,
+                seed=RESOLVENT_SEED):
+    """``(lu, sigma, steps, cond)``: the SuperLU factor of ``matrix``, or
+    with ``border = (column, row)`` of ``matrix`` bordered by them
+    (`_bordered_lu`), its smallest singular value ``sigma`` by
+    `inverse_power_sigma_min` in at most ``steps`` steps from a complex
+    start drawn with ``seed`` (or generator), the steps taken, and ``cond
+    = ||M||_1 / sigma`` with ``||M||_1`` the factored matrix's largest
+    absolute column sum.
 
-    ``cond`` is the exact 1-norm of the matrix (its largest absolute
-    column sum) times `onenormest` of the inverse, whose products are
-    block solves through ``lu``.  `onenormest` draws its sign probes from
-    numpy's global generator: they are drawn from `_ESTIMATE_SEED`, so
-    ``cond`` does not depend on the caller's generator, whose state is put
-    back afterwards.
+    ``lu`` is None, and ``sigma`` reads as 0, when the factored matrix is
+    exactly singular or ``cond`` is not finite or exceeds `COND_GUARD`;
+    the caller raises the error that fits its operator.  Capped inverse
+    power overestimates ``sigma``, so ``cond`` errs low, as a lower bound
+    on ``||M^-1||`` would.
     """
     try:
         if border is None:
@@ -365,29 +379,16 @@ def _guarded_lu(matrix, border=None):
         else:
             matrix, lu = _bordered_lu(matrix, *border)
     except RuntimeError:  # exactly singular
-        return None, np.inf
-
-    def solve(b):
-        return _flushed(lu.solve(b))
-
-    def solve_adjoint(b):
-        return _flushed(lu.solve(b, trans="H"))
-
-    inv_op = spla.LinearOperator(
-        matrix.shape, matvec=solve, rmatvec=solve_adjoint, matmat=solve,
-        rmatmat=solve_adjoint, dtype=matrix.dtype,
-    )
+        return None, 0.0, 0, np.inf
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=lu.shape[0]) + 1j * rng.normal(size=lu.shape[0])
+    sigma, taken = inverse_power_sigma_min(
+        lu.solve, lambda b: lu.solve(b, trans="H"), start, steps)
     norm = float(abs(matrix).sum(axis=0).max())
-    with _ESTIMATE_LOCK:
-        state = np.random.get_state()
-        np.random.seed(_ESTIMATE_SEED)
-        try:
-            cond = norm * spla.onenormest(inv_op)
-        finally:
-            np.random.set_state(state)
+    cond = norm / sigma if sigma > 0.0 else np.inf
     if not np.isfinite(cond) or cond > COND_GUARD:
-        return None, cond
-    return lu, cond
+        return None, 0.0, taken, cond
+    return lu, sigma, taken, cond
 
 
 def _rel(approx, exact, ref):

@@ -90,8 +90,13 @@ from .newton import (
     assemble_jacobian_band,
     odd_modes,
 )
-from .problem import ConvergenceError, DomainError, ScaledParams
-from .spectral import _resolvent_sigma_min, inverse_power_sigma_min
+from .problem import (
+    ConvergenceError,
+    DomainError,
+    ScaledParams,
+    inverse_power_sigma_min,
+)
+from .spectral import _resolvent_sigma_min
 from .trajectory import (
     PeriodicTrajectory,
     _adopt,
@@ -623,10 +628,11 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     ``"0-1"`` is the bordered system of ``u_star`` cut to modes 0 and 1,
     in the full space whatever space the Newton solves took, block ``"n"``
     the resolvent ``i n - B`` with ``B = A + h_u(0,0)``, estimated as in
-    the resolvent scan (`spectral._resolvent_sigma_min`);
-    a failed condition guard there reads as 0.  The leakage check on the
-    full Jacobian justifies the split.  The verdict is ``leakage <= 1e-10``
-    and ``smallest_singular_value > BIJECTIVITY_TOLERANCE``.
+    the resolvent scan (`spectral._resolvent_sigma_min`) by the condition
+    guard of its one LU; a failed condition guard there reads as 0.  The
+    leakage check on the full Jacobian justifies the split.  The verdict
+    is ``leakage <= 1e-10`` and ``smallest_singular_value >
+    BIJECTIVITY_TOLERANCE``.
     """
     rng = np.random.default_rng(seed)
     low = BifurcationJacobian(

@@ -27,7 +27,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .problem import ConvergenceError, ResonanceError, _bordered_lu
+from .problem import ConvergenceError, _guarded_lu, inverse_power_sigma_min
 from .trajectory import ComplexStateVector
 
 __all__ = [
@@ -56,8 +56,6 @@ EIG_ITERATION_TOLERANCE = 1e-10
 EIG_START_SEED = 7
 #: Relative agreement required between the two crossing-speed computations.
 CROSSING_AGREEMENT = 1e-4
-RESOLVENT_PROBES = 15
-RESOLVENT_SEED = 13
 PLATEAU_FACTOR = 1.05
 DERIVATIVE_SAMPLES = 4
 
@@ -162,39 +160,6 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, adjoint=False):
     )
 
 
-def inverse_power_sigma_min(solve, solve_adjoint, start, max_steps):
-    """``(sigma, steps)``: sigma_min(M) by power iteration on ``(M^H M)^-1``.
-
-    ``solve`` and ``solve_adjoint`` apply ``M^-1`` and ``M^-H``.  Stops once
-    the estimate changes by at most 1e-6 (relative) after more than three
-    steps, or after ``max_steps``; a non-finite or zero step reads as
-    ``sigma = 0`` (numerically singular ``M``).
-    """
-    z = start / np.linalg.norm(start)
-    estimate = steps = 0
-    while steps < max_steps:
-        steps += 1
-        w = solve_adjoint(solve(z))
-        new = float(np.linalg.norm(w))
-        if not np.isfinite(new) or new == 0.0:
-            return 0.0, steps
-        z = w / new
-        estimate, previous = new, estimate
-        if steps > 3 and abs(estimate - previous) <= 1e-6 * estimate:
-            break
-    return (float(1.0 / np.sqrt(estimate)) if estimate else 0.0), steps
-
-
-def _lu_sigma_min(lu, max_steps, seed):
-    """`inverse_power_sigma_min` on a SuperLU factor, from a complex start
-    drawn with ``seed`` (or generator)."""
-    rng = np.random.default_rng(seed)
-    start = rng.normal(size=lu.shape[0]) + 1j * rng.normal(size=lu.shape[0])
-    return inverse_power_sigma_min(
-        lu.solve, lambda b: lu.solve(b, trans="H"), start, max_steps
-    )
-
-
 def check_simplicity(problem, pair):
     """Decide whether an eigenpair is simple (1-D kernel, margin below).
 
@@ -204,19 +169,17 @@ def check_simplicity(problem, pair):
 
         [[mu - B, psi], [psi^H, 0]]
 
-    which deflates the known kernel direction (a singular LU reads as 0),
-    by `_lu_sigma_min` in `SIMPLICITY_STEPS` steps from `SIMPLICITY_SEED`.
-    The pair counts as simple when the margin clears `SIMPLICITY_TOLERANCE`
-    while the eigen-residual (an upper bound for the smallest singular
-    value) is smaller by a factor ``1e8``.
+    which deflates the known kernel direction: the condition guard's
+    estimate (`problem._guarded_lu`) in `SIMPLICITY_STEPS` steps from
+    `SIMPLICITY_SEED`, a failed guard read as 0.  The pair counts as
+    simple when the margin clears `SIMPLICITY_TOLERANCE` while the
+    eigen-residual (an upper bound for the smallest singular value) is
+    smaller by a factor ``1e8``.
     """
     psi = pair.psi.data / np.linalg.norm(pair.psi.data)
-    try:
-        _, lu = _bordered_lu(problem.shifted(pair.mu), psi[:, None],
-                             psi[None, :].conj())
-        margin, _ = _lu_sigma_min(lu, SIMPLICITY_STEPS, SIMPLICITY_SEED)
-    except RuntimeError:
-        margin = 0.0
+    _, margin, _, _ = _guarded_lu(
+        problem.shifted(pair.mu), (psi[:, None], psi[None, :].conj()),
+        SIMPLICITY_STEPS, SIMPLICITY_SEED)
     if margin <= SIMPLICITY_TOLERANCE:
         return SimplicityCheck(
             margin, False, f"margin {margin:.2e} <= {SIMPLICITY_TOLERANCE:g}")
@@ -287,24 +250,24 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def _resolvent_sigma_min(problem, z, max_steps, seed):
-    """``(sigma, steps)``: sigma_min(z - B) by `_lu_sigma_min` on one
-    condition-guarded LU (`ProblemDef.resolvent_lu`, the factorization
-    `ProblemDef.solve_resolvent` uses), freed on return; a failed guard, as
-    at an eigenvalue of ``B``, reads as ``(0.0, 0)``."""
-    try:
-        lu = problem.resolvent_lu(z)
-    except ResonanceError:
-        return 0.0, 0
-    return _lu_sigma_min(lu, max_steps, seed)
+    """``(sigma, steps)``: sigma_min(z - B) as the condition guard of one
+    LU estimates it (`problem._guarded_lu`, the factorization
+    `ProblemDef.solve_resolvent` takes), in at most ``max_steps`` steps
+    from ``seed`` (or generator); the LU is freed on return, and a failed
+    guard, as at an eigenvalue of ``B``, reads as ``sigma = 0``."""
+    _, sigma, steps, _ = _guarded_lu(problem.shifted(z), steps=max_steps,
+                                     seed=seed)
+    return sigma, steps
 
 
 def resolvent_norm(problem, z):
     """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
 
-    `_resolvent_sigma_min` in `RESOLVENT_PROBES` steps from `RESOLVENT_SEED`,
-    as the certificate's blocks; a failed condition guard reads as ``inf``.
+    The condition guard's estimate with its defaults
+    (`problem.RESOLVENT_PROBES` steps from `problem.RESOLVENT_SEED`), the
+    one `ProblemDef.resolvent_lu` reads; a failed guard reads as ``inf``.
     """
-    sigma, _ = _resolvent_sigma_min(problem, z, RESOLVENT_PROBES, RESOLVENT_SEED)
+    _, sigma, _, _ = _guarded_lu(problem.shifted(z))
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 

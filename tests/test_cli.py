@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import with_even_term
+from hopfkit import spectral
 from hopfkit.cli import main
 from hopfkit.config import (
     ConfigError,
@@ -19,6 +20,7 @@ from hopfkit.config import (
     load_config,
     parse_config,
 )
+from hopfkit.problem import ConvergenceError
 
 # ---------------------------------------------------------------------------
 # config file parsing
@@ -534,23 +536,15 @@ def test_cli_branch_phase_seed_domain_error(tmp_path, capsys, monkeypatch):
 def test_cli_branch_on_a_large_domain_runs_quietly(tmp_path, capsys):
     """At L = 300, dx = 0.2 the resolvents' Green's functions underflow
     across the box; the condition guard's estimates stay quiet, so
-    ``branch`` exits 0 with no traceback with RuntimeWarnings as errors.
-    The guard seeds its own sign probes; the test also fixes numpy's
-    global generator, and puts it back, so that nothing else in the run
-    depends on what ran before."""
+    ``branch`` exits 0 with no traceback with RuntimeWarnings as errors."""
     cfg = write_config(
         tmp_path,
         "problem.L = 300\nproblem.dx = 0.2\nsolver.n_t = 4\n"
         "solver.alpha_max = 0.2\nsolver.alpha_steps = 4\n",
     )
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])
-    finally:
-        np.random.set_state(state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["branch", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
 
@@ -574,6 +568,44 @@ def test_cli_extended_failure_writes_report(tmp_path, capsys):
         assert failure["converged"] is False
         assert failure["error"].startswith("extended Newton failed")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_eigen_failure_writes_report(tmp_path, capsys, monkeypatch):
+    """A stalled eigen iteration while the critical pair is located ends
+    in the failure report and exit 1 for every command that solves for
+    the bifurcation point, not in a traceback."""
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("eigen iteration stalled near 1j")
+
+    monkeypatch.setattr(spectral, "eigenpair_near", stalled)
+    cfg = write_config(tmp_path, COARSE)
+    for command, report in (("extended", "extended.json"),
+                            ("verify-exact", "exact_summary.json"),
+                            ("branch", "branch_summary.json")):
+        out = tmp_path / command
+        code = main([command, "--config", cfg, "--out", str(out),
+                     "--skip-check"])
+        assert code == 1, command
+        failure = json.loads((out / report).read_text())
+        assert failure["converged"] is False
+        assert failure["error"] == "eigen iteration stalled near 1j"
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_never_touches_the_global_generator(tmp_path, monkeypatch):
+    """Every estimate draws from its own generator: with numpy's global
+    seeding, state and draw functions made to raise, ``check`` and
+    ``extended`` still exit 0."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's global generator was used")
+
+    for name in ("seed", "get_state", "set_state", "randint"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    cfg = write_config(
+        tmp_path, "problem.L = 20\nproblem.dx = 0.2\nsolver.n_t = 4\n")
+    for command in ("check", "extended"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 0, command
 
 
 @pytest.mark.parametrize(

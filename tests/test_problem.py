@@ -326,11 +326,12 @@ def underflowing_bidiagonal(n=400):
 
 
 def test_condition_guard_is_quiet_on_underflowing_inverses():
-    """The 1-norm estimate of an inverse with subnormal entries raises no
-    RuntimeWarning (they are flushed to zero, whose sign is 1) and stays
-    within a factor 3 of the dense condition number, whatever the state of
-    numpy's global generator: the test runs it from ten global seeds and
-    puts the generator's state back."""
+    """The inverse-power estimate behind the guard divides only by a norm,
+    so an inverse with subnormal entries raises no RuntimeWarning, and
+    ``||M||_1 / sigma_min`` stays within a factor 3 of the dense 1-norm
+    condition number, whatever the state of numpy's global generator: the
+    test runs it from ten global seeds and puts the generator's state
+    back."""
     matrix = underflowing_bidiagonal()
     exact = np.linalg.cond(matrix.toarray(), 1)
     state = np.random.get_state()
@@ -339,15 +340,16 @@ def test_condition_guard_is_quiet_on_underflowing_inverses():
             np.random.seed(seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                lu, cond = _guarded_lu(matrix)
-            assert lu is not None
+                lu, sigma, steps, cond = _guarded_lu(matrix)
+            assert lu is not None and 0 < steps <= 15
+            assert cond == float(abs(matrix).sum(axis=0).max()) / sigma
             assert exact / 3.0 <= cond <= 3.0 * exact
     finally:
         np.random.set_state(state)
 
 
 def test_condition_guard_ignores_the_global_generator():
-    """The guard's sign probes come from its own seed: two global seeds
+    """The guard's start vector comes from its own seed: two global seeds
     give the same ``cond``, and the caller's generator state is untouched."""
     matrix = underflowing_bidiagonal()
     state = np.random.get_state()
@@ -356,7 +358,7 @@ def test_condition_guard_ignores_the_global_generator():
         for seed in (1, 7):
             np.random.seed(seed)
             before = np.random.get_state()
-            conds.append(_guarded_lu(matrix)[1])
+            conds.append(_guarded_lu(matrix)[3])
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             assert np.array_equal(before[1], after[1])
@@ -365,11 +367,36 @@ def test_condition_guard_ignores_the_global_generator():
     assert conds[0] == conds[1]
 
 
-@pytest.mark.parametrize("estimate", [np.inf, np.nan])
-def test_condition_guard_refuses_a_non_finite_estimate(monkeypatch, estimate):
-    monkeypatch.setattr(spla, "onenormest", lambda op: estimate)
-    lu, cond = _guarded_lu(underflowing_bidiagonal(8))
-    assert lu is None and not np.isfinite(cond)
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_condition_guard_refuses_a_non_finite_estimate(monkeypatch, value):
+    """A factor whose solves return inf or nan reads as sigma 0 and is
+    refused with a non-finite ``cond``."""
+    class Poisoned:
+        def __init__(self, lu):
+            self.shape = lu.shape
+
+        def solve(self, b, trans="N"):
+            return np.full_like(b, value)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda m, **kw: Poisoned(splu(m, **kw)))
+    lu, sigma, _, cond = _guarded_lu(underflowing_bidiagonal(8))
+    assert lu is None and sigma == 0.0 and not np.isfinite(cond)
+
+
+def test_condition_guard_refuses_a_factor_that_exists():
+    """Near the resonance ``z - B`` factors, and the guard decides: at
+    ``z = i (1 + 1e-10)`` (cond ~ 3e10) the resolvent solves, at ``z = i (1
+    + 1e-13)`` (cond ~ 3e13) it is refused although `splu` succeeds."""
+    p = rotation_block_problem()
+    rhs = np.ones(4, dtype=complex)
+    z = 1j * (1 + 1e-10)
+    sol = p.resolvent_lu(z).solve(rhs)
+    assert np.linalg.norm(p.shifted(z) @ sol - rhs) <= 1e-12
+    z = 1j * (1 + 1e-13)
+    spla.splu(p.shifted(z))
+    with pytest.raises(ResonanceError, match=r"cond ~ 3\.\de\+13"):
+        p.resolvent_lu(z)
 
 
 def test_bordered_factors_fill_like_the_unbordered_one(monkeypatch):
