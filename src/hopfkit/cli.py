@@ -193,6 +193,7 @@ def cmd_extended(run_config, problem, outdir, seed, reporter, args):
             "leakage": certificate.leakage,
             "tolerance": certificate.tolerance,
             "sigma_min_by_mode": certificate.sigma_min_by_mode,
+            "skew_bound": certificate.skew_bound,
         },
     }
     try:

@@ -4,8 +4,9 @@ A `ProblemDef` bundles the sparse linear operator ``A`` with closed-form
 callables for the nonlinearity ``h`` and its derivatives, together with the
 admissible parameter window and the trust radius on which ``h`` is defined.
 Residuals of the steady and period-rescaled problems, the linearisation
-``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), its
-shifts ``z - B`` (`ProblemDef.shifted`) with a condition-guarded
+``B = A + h_u(0, 0)`` at the equilibrium (`ProblemDef.operator`), a
+bound on its skew part (`ProblemDef.skew_bound`), its shifts ``z - B``
+(`ProblemDef.shifted`) with a condition-guarded
 factorization (`_guarded_lu`) that lives only as long as its caller, and a
 finite-difference validation of the supplied derivatives all live here.
 The guard and every resolvent bound read one estimate per factor: the
@@ -198,6 +199,27 @@ class ProblemDef:
     @cached_property
     def _operator_at_zero(self):
         return (self.A + linearization_matrix(self, 0.0)).tocsc()
+
+    @cached_property
+    def skew_bound(self):
+        """``beta >= ||(B - B^H)/2||_2`` for ``B = operator()``.
+
+        The skew part is normal, so its 2-norm is at most its largest
+        absolute row sum.  That sum is rounded up by ``(k+1) 2^-53``
+        relative, ``k`` the nonzero count of the longest row (one rounding
+        of the difference and ``k - 1`` of the sum, to first order), and
+        one float up for the rounding of that product.  The numerical range
+        of ``B`` then lies in the strip ``|Im z| <= beta``, so
+        ``sigma_min(z - B) >= |Im z| - beta`` (`spectral._resolvent_sigma_min`).
+        """
+        b = self.operator()
+        skew = abs(sp.csr_matrix(b - b.conj().T)) * 0.5
+        total = float(np.asarray(skew.sum(axis=1)).max())
+        if total == 0.0:  # every difference is exact when it is zero
+            return 0.0
+        longest = int(np.diff(skew.indptr).max())
+        grown = total + total * ((longest + 1) * 2.0**-53)
+        return float(np.nextafter(grown, np.inf))
 
     def solve_resolvent(self, n, rhs):
         """Solve ``(i*n - B) w = rhs`` for integer temporal mode ``n``.

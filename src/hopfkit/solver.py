@@ -557,8 +557,10 @@ class JacobianCertificate:
     """Invertibility evidence for the frozen bifurcation Jacobian.
 
     ``sigma_min_by_mode`` maps each Fourier block (``"0-1"``, ``"2"``, ...,
-    ``"n_t"``) to its smallest singular value; ``power_iterations`` counts
-    the inverse-power steps of all blocks.
+    ``"n_t"``) to its smallest singular value: for the blocks ``n >
+    skew_bound`` a proved lower bound, for the others an estimate.
+    ``power_iterations`` counts the inverse-power steps of the factored
+    blocks only.
     """
 
     smallest_singular_value: float
@@ -567,6 +569,7 @@ class JacobianCertificate:
     tolerance: float
     power_iterations: int
     sigma_min_by_mode: dict
+    skew_bound: float
 
     def __bool__(self):
         return self.nonsingular
@@ -623,14 +626,16 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     """Certify invertibility of the frozen bifurcation Jacobian.
 
     At the base state 0 the Jacobian is block-diagonal over Fourier modes:
-    its smallest singular value is the least over the blocks, each from
-    `inverse_power_sigma_min` in at most ``power_iterations`` steps.  Block
+    its smallest singular value is the least over the blocks.  Block
     ``"0-1"`` is the bordered system of ``u_star`` cut to modes 0 and 1,
-    in the full space whatever space the Newton solves took, block ``"n"``
-    the resolvent ``i n - B`` with ``B = A + h_u(0,0)``, estimated as in
-    the resolvent scan (`spectral._resolvent_sigma_min`) by the condition
-    guard of its one LU; a failed condition guard there reads as 0.  The
-    leakage check on the full Jacobian justifies the split.  The verdict
+    in the full space whatever space the Newton solves took, estimated by
+    `inverse_power_sigma_min` in at most ``power_iterations`` steps.  Block
+    ``"n"`` is the resolvent ``i n - B`` with ``B = A + h_u(0,0)``, read
+    as in the resolvent scan (`spectral._resolvent_sigma_min`): for ``n >
+    problem.skew_bound`` the proved bound ``n - skew_bound`` with no
+    factor and no random draw, else the estimate of the condition guard of
+    its one LU, a failed guard read as 0.  The leakage check on the full
+    Jacobian justifies the split.  The verdict
     is ``leakage <= 1e-10`` and ``smallest_singular_value >
     BIJECTIVITY_TOLERANCE``.
     """
@@ -662,6 +667,7 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
         tolerance=float(BIJECTIVITY_TOLERANCE),
         power_iterations=steps,
         sigma_min_by_mode=by_mode,
+        skew_bound=problem.skew_bound,
     )
 
 

@@ -27,7 +27,13 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .problem import ConvergenceError, _guarded_lu, inverse_power_sigma_min
+from .problem import (
+    RESOLVENT_PROBES,
+    RESOLVENT_SEED,
+    ConvergenceError,
+    _guarded_lu,
+    inverse_power_sigma_min,
+)
 from .trajectory import ComplexStateVector
 
 __all__ = [
@@ -250,24 +256,34 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
 
 
 def _resolvent_sigma_min(problem, z, max_steps, seed):
-    """``(sigma, steps)``: sigma_min(z - B) as the condition guard of one
-    LU estimates it (`problem._guarded_lu`, the factorization
-    `ProblemDef.solve_resolvent` takes), in at most ``max_steps`` steps
-    from ``seed`` (or generator); the LU is freed on return, and a failed
-    guard, as at an eigenvalue of ``B``, reads as ``sigma = 0``."""
+    """``(sigma, steps)``: sigma_min(z - B), proved or estimated.
+
+    For ``|Im z| > beta = problem.skew_bound`` it is the proved lower bound
+    ``|Im z| - beta`` in 0 steps, with no factor: for a unit ``x``,
+    ``||(z - B) x|| >= |x^H (z - B) x| >= |Im z| - beta``.  Otherwise it
+    is the estimate of the condition guard of one LU
+    (`problem._guarded_lu`, the factorization `ProblemDef.solve_resolvent`
+    takes), in at most ``max_steps`` steps from ``seed`` (or generator);
+    the LU is freed on return, and a failed guard, as at an eigenvalue of
+    ``B``, reads as ``sigma = 0``."""
+    margin = abs(complex(z).imag) - problem.skew_bound
+    if margin > 0.0:
+        return margin, 0
     _, sigma, steps, _ = _guarded_lu(problem.shifted(z), steps=max_steps,
                                      seed=seed)
     return sigma, steps
 
 
 def resolvent_norm(problem, z):
-    """Estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
+    """Proved bound or estimate of ``||(z - B)^{-1}||_2 = 1 / sigma_min(z - B)``.
 
-    The condition guard's estimate with its defaults
-    (`problem.RESOLVENT_PROBES` steps from `problem.RESOLVENT_SEED`), the
-    one `ProblemDef.resolvent_lu` reads; a failed guard reads as ``inf``.
+    `_resolvent_sigma_min` with the condition guard's defaults
+    (`problem.RESOLVENT_PROBES` steps from `problem.RESOLVENT_SEED`): a
+    proved upper bound for ``|Im z| > problem.skew_bound``, else the
+    estimate `ProblemDef.resolvent_lu` reads; a failed guard reads as
+    ``inf``.
     """
-    _, sigma, _, _ = _guarded_lu(problem.shifted(z))
+    sigma, _ = _resolvent_sigma_min(problem, z, RESOLVENT_PROBES, RESOLVENT_SEED)
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
@@ -280,11 +296,13 @@ class ResolventRow(NamedTuple):
 def resolvent_scan(problem, n_max=16):
     """Check invertibility of ``i*n - B`` over integer modes and bound it.
 
-    For ``n = 0, 2, 3, ..., n_max`` the resolvent norm is estimated by
-    `resolvent_norm`, one guarded factorization per mode; modes ``+-1`` are
-    excluded (they carry the critical eigenvalues).  Returns ``(table,
-    failures)`` where ``failures`` lists the modes whose estimate is not
-    finite: ``i*n - B`` (numerically) singular.
+    For ``n = 0, 2, 3, ..., n_max`` the resolvent norm comes from
+    `resolvent_norm`: a proved bound with no factorization for the tail
+    modes ``n > problem.skew_bound``, and one guarded factorization per
+    head mode; modes ``+-1`` are excluded (they carry the critical
+    eigenvalues).  Returns ``(table, failures)`` where ``failures`` lists
+    the modes whose value is not finite: ``i*n - B`` (numerically)
+    singular.
 
     The quantity that must stay bounded in ``n`` is
     ``weighted = n * norm``; see `HypothesisReport` for the plateau
@@ -309,7 +327,10 @@ def _resolvent_verdicts(table, failures, n_max):
     The bound verdict asks that ``n * norm`` has stopped growing: its
     maximum over the tail ``n > n_max/2`` must not exceed the maximum over
     the first half by more than `PLATEAU_FACTOR`.  A finite scan cannot
-    prove the infinite statement; this is the recorded heuristic.
+    prove the infinite statement; this is the recorded heuristic.  The
+    rows with ``n > skew_bound`` are proved bounds that over-state the
+    norm, so on a non-normal operator they can only turn a pass into a
+    fail.
     """
     nonresonant = not failures
     weighted = [(row.n, row.weighted) for row in table if row.n >= 2]
@@ -425,6 +446,9 @@ class HypothesisReport:
       ``n != +-1``;
     * ``resolvent_bound`` -- ``n * ||(i*n - B)^{-1}||`` has plateaued by
       the end of the scan.
+
+    ``skew_bound`` is the problem's ``beta``: the resolvent rows with
+    ``n > beta`` are proved bounds, the others estimates.
     """
 
     problem_name: str
@@ -434,6 +458,7 @@ class HypothesisReport:
     resolvent_table: List[ResolventRow]
     resolvent_failures: List[int]
     bound_constant: float
+    skew_bound: float
     verdicts: dict
     notes: dict = field(default_factory=dict)
 
@@ -456,6 +481,7 @@ class HypothesisReport:
                 self.crossing.finite_difference if self.crossing else None
             ),
             "bound_constant": self.bound_constant,
+            "skew_bound": self.skew_bound,
             "resolvent_table": [
                 {"n": row.n, "norm_estimate": row.norm_estimate,
                  "weighted": row.weighted}
@@ -478,7 +504,8 @@ class HypothesisReport:
             lines.append(f"  eigenvalue            {self.eig_plus.mu:.8f}")
         if self.crossing is not None:
             lines.append(f"  crossing speed        {self.crossing.formula:.6f}")
-        lines.append(f"  resolvent bound M     {self.bound_constant:.4f}")
+        lines.append(f"  resolvent bound M     {self.bound_constant:.4f}  "
+                     f"(proved for n > beta = {self.skew_bound:.6g})")
         return lines
 
 
@@ -547,6 +574,7 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
         resolvent_table=table,
         resolvent_failures=failures,
         bound_constant=m_const,
+        skew_bound=problem.skew_bound,
         verdicts=verdicts,
         notes=notes,
     )

@@ -158,6 +158,15 @@ def rotation_block(freq=1.0, decay=(-2.0, -3.0)):
     )
 
 
+def skewed_rotation_block():
+    """`rotation_block` with a non-normal decay block: its skew part has
+    absolute row sums 1, 1, 2.5, 2.5, so the skew bound is 2.5 and the
+    modes n = 0, 2 are head modes, n >= 3 tail modes."""
+    a = rotation_block()
+    a[2, 3] = 5.0
+    return a
+
+
 @pytest.fixture(scope="session")
 def coarse_cfg():
     return ExampleConfig(L=20.0, dx=0.2)

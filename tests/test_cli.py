@@ -277,6 +277,30 @@ def test_cli_extended(tmp_path):
     assert abs(report["crossing"]["q"]) <= 1e-8
 
 
+def test_cli_reports_say_which_rows_are_proofs(tmp_path, capsys):
+    # beta = 1 on the coarse operator: every resolvent row n >= 2 and every
+    # certificate block n >= 2 is the proved bound n - beta, attained.
+    code, out = run_cli(tmp_path, "check", "", "--verbose")
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
+    beta = report["skew_bound"]
+    assert 1.0 <= beta <= 1.0 + 1e-14
+    assert f"(proved for n > beta = {beta:.6g})" in capsys.readouterr().out
+    for row in report["resolvent_table"]:
+        if row["n"] >= 2:
+            assert row["norm_estimate"] == 1.0 / (row["n"] - beta)
+    lines = (tmp_path / "out" / "resolvent.csv").read_text().splitlines()
+    assert lines[0] == "n,norm_estimate,weighted"
+
+    code, out = run_cli(tmp_path, "extended")
+    assert code == 0
+    jacobian = json.loads((tmp_path / "out" / "extended.json").read_text())["jacobian"]
+    assert jacobian["skew_bound"] == beta
+    for key, sigma in jacobian["sigma_min_by_mode"].items():
+        if key != "0-1":
+            assert sigma == int(key) - beta
+
+
 def test_cli_branch_writes_csv_and_summary(tmp_path):
     code, out = run_cli(tmp_path, "branch")
     assert code == 0

@@ -13,6 +13,7 @@ import hopfkit.solver as solver_module
 from conftest import (
     dense_of_storage,
     rotation_block,
+    skewed_rotation_block,
     synthetic_problem,
     with_even_term,
     with_rotation_breaking_term,
@@ -471,29 +472,36 @@ def test_checks_analyse_the_linearisation_not_bare_A():
     assert abs(got.simplicity.margin - expect.simplicity.margin) <= 1e-12
 
 
-def test_certificate_factors_each_resolvent_block_once(monkeypatch):
-    # The certificate's blocks 2..n_t each take one guarded LU of i n - B
-    # of their own; the hypothesis checks before them leave none behind.
+def test_certificate_factors_each_head_block_once(monkeypatch):
+    # The certificate's head blocks n <= skew_bound each take one guarded
+    # LU of i n - B of their own, the tail blocks none and no inverse-power
+    # step; the hypothesis checks before them leave no factor behind.
     import hopfkit.problem as problem_module
 
-    problem = synthetic_problem(rotation_block(), h="linear", c=0.8)
+    problem = synthetic_problem(skewed_rotation_block(), h="linear", c=0.8)
     run_hypothesis_checks(problem, n_max=8)
     decomp = build_projection(problem)
     functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
     solution = solve_extended(
         problem, functional, initial_extended_state(decomp.psi, n_t=4)
     )
-    calls = []
+    shifts = []
     splu = problem_module.spla.splu
 
     def counting_splu(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
+        shifts.append(complex(matrix[0, 0]))  # i n - B[0, 0], and B[0, 0] = 0
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(problem_module.spla, "splu", counting_splu)
     cert = verify_jacobian_nonsingular(problem, functional, solution.u)
     assert list(cert.sigma_min_by_mode) == ["0-1", "2", "3", "4"]
-    assert calls == [(4, 4)] * 3
+    assert shifts == [2j]
+    beta = cert.skew_bound
+    assert beta == problem.skew_bound and 2.5 <= beta <= 2.5 * (1 + 1e-15)
+    assert cert.sigma_min_by_mode["3"] == 3 - beta
+    assert cert.sigma_min_by_mode["4"] == 4 - beta
+    # Only the factored blocks "0-1" and "2" step, each within the cap.
+    assert 2 <= cert.power_iterations <= 2 * 30
 
 
 def test_jacobian_certificate_on_example(coarse_problem, coarse_functional,

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rotation_block, synthetic_problem
-from hopfkit.problem import ConvergenceError
+from conftest import rotation_block, skewed_rotation_block, synthetic_problem
+from hopfkit.problem import RESOLVENT_PROBES, RESOLVENT_SEED, ConvergenceError
 from hopfkit.reaction_diffusion import (
     ExampleConfig,
     make_problem,
@@ -13,6 +16,7 @@ from hopfkit.reaction_diffusion import (
 )
 from hopfkit.spectral import (
     DegeneratePairingError,
+    _resolvent_sigma_min,
     EigenPair,
     InconsistencyError,
     build_projection,
@@ -197,12 +201,14 @@ def test_resolvent_scan_reaction_diffusion(coarse_problem):
     assert ns == [0] + list(range(2, 17))
     # Dense oracle: A is normal here, so the norm is 1/dist(i n, spec A),
     # which is 1/(n - 1) for the scanned modes.
+    # The rows n >= 2 lie above the skew bound beta = 1 (up to rounding),
+    # so they are the proved bound 1/(n - beta), which attains it.
     for row in table:
         if row.n >= 2:
-            assert abs(row.norm_estimate - 1.0 / (row.n - 1)) <= 2e-2 / (row.n - 1)
+            assert abs(row.norm_estimate - 1.0 / (row.n - 1)) <= 1e-12 / (row.n - 1)
     weighted = [row.weighted for row in table if row.n >= 2]
     assert max(weighted) == weighted[0]  # peak at n = 2, then decay
-    assert abs(max(weighted) - 2.0) <= 0.1
+    assert abs(max(weighted) - 2.0) <= 1e-12
 
 
 def test_resolvent_diagnostic_blows_up_at_critical_mode(coarse_problem):
@@ -217,22 +223,95 @@ def test_resolvent_scan_detects_resonance_at_two():
     assert all(row.n != 2 for row in table)
 
 
-def test_resolvent_scan_factorises_each_mode_once(monkeypatch):
+def test_resolvent_scan_factorises_each_head_mode_once(monkeypatch):
     import hopfkit.problem as problem_module
 
-    calls = []
+    shifts = []
     splu = problem_module.spla.splu
 
     def counting_splu(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
+        shifts.append(complex(matrix[0, 0]))  # z - B[0, 0], and B[0, 0] = 0
         return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(problem_module.spla, "splu", counting_splu)
-    p = synthetic_problem(rotation_block())
+    p = synthetic_problem(skewed_rotation_block())
+    beta = p.skew_bound
+    assert 2.5 <= beta <= 2.5 * (1 + 1e-15)
     table, failures = resolvent_scan(p, n_max=8)
     assert failures == []
     assert [row.n for row in table] == [0, 2, 3, 4, 5, 6, 7, 8]
-    assert len(calls) == 8  # one guarded LU per scanned mode, none repeated
+    # One guarded LU per head mode, none repeated, none for the tail.
+    assert shifts == [0j, 2j]
+    for row in table[2:]:
+        assert row.norm_estimate == 1.0 / (row.n - beta)
+
+
+def _advection_operator(m, speed, rng):
+    """Centred advection-diffusion on ``m`` points per field, fields coupled
+    by a random diagonal: the skew part is the advection stencil."""
+    lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m))
+    adv = sp.diags([-speed, speed], [-1, 1], shape=(m, m))
+    coupling = sp.diags(rng.normal(size=m))
+    return sp.bmat([[lap + adv, coupling], [-coupling, lap - adv]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 8),
+    advection=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.one_of(st.integers(1, 8), st.just(0)),
+    gap=st.floats(0.0, 6.0),
+    re_z=st.floats(-3.0, 3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_skew_bound_is_a_lower_bound_for_sigma_min(m, advection, seed, ulps,
+                                                   gap, re_z, sign):
+    # Random sparse non-normal B, or an advection-like skew stencil, at a
+    # z above the strip |Im z| <= beta: from a few ulps of beta (ulps > 0)
+    # to several units (ulps = 0) away.
+    rng = np.random.default_rng(seed)
+    if advection:
+        b = _advection_operator(m, rng.uniform(0.1, 5.0), rng)
+    else:
+        b = sp.random(2 * m, 2 * m, density=0.4, random_state=rng,
+                      data_rvs=lambda k: rng.normal(scale=3.0, size=k))
+    p = synthetic_problem(b.toarray())
+    beta = p.skew_bound
+    dense = p.operator().toarray()
+    skew = (dense - dense.T) / 2.0
+    assert np.linalg.norm(skew, 2) <= beta
+    im_z = beta * (1.0 + ulps * np.finfo(float).eps) if ulps else beta + gap
+    if not im_z > beta:
+        im_z = np.nextafter(beta, np.inf)
+    z = complex(re_z, sign * im_z)
+    sigma, steps = _resolvent_sigma_min(p, z, RESOLVENT_PROBES, RESOLVENT_SEED)
+    assert steps == 0
+    assert sigma == abs(z.imag) - beta
+    shifted = z * np.eye(p.dim) - dense
+    exact = np.linalg.svd(shifted, compute_uv=False)
+    assert exact[-1] >= sigma - 10 * np.finfo(float).eps * exact[0]
+
+
+@pytest.mark.parametrize("fixture", [
+    "coarse_problem", "coarse_quasi_problem", "coarse_standard_problem"])
+def test_skew_bound_on_the_shipped_operators(request, fixture):
+    # The skew part is the field coupling (0 -1; 1 0): beta = 1.  On the
+    # consistent operators the bound n - beta is attained; with the
+    # standard rho it lies below the dense sigma_min by the gap between
+    # i n and the operator's nearest spectrum, a few 1e-9.
+    p = request.getfixturevalue(fixture)
+    assert abs(p.skew_bound - 1.0) <= 1e-14
+    dense = p.operator().toarray()
+    attained = fixture != "coarse_standard_problem"
+    for n in (2, 3, 8):
+        sigma, steps = _resolvent_sigma_min(p, 1j * n, RESOLVENT_PROBES,
+                                            RESOLVENT_SEED)
+        assert steps == 0
+        exact = np.linalg.svd(1j * n * np.eye(p.dim) - dense,
+                              compute_uv=False)[-1]
+        assert sigma <= exact + 1e-12
+        assert exact - sigma <= (1e-12 if attained else 1e-8)
 
 
 def test_resolvent_scan_validates_n_max(coarse_problem):
