@@ -632,6 +632,21 @@ def test_cli_never_touches_the_global_generator(tmp_path, monkeypatch):
                      "--out", str(tmp_path / command)]) == 0, command
 
 
+def test_cli_time_transforms_need_no_fft(tmp_path, monkeypatch):
+    """Collocation samples and spectra are matrix products: with numpy's
+    real FFTs made to raise, the coarse ``branch`` and ``verify-exact``
+    still exit 0."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy's real FFT was used")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    cfg = write_config(tmp_path, COARSE)
+    for command in ("branch", "verify-exact"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 0, command
+
+
 @pytest.mark.parametrize(
     "line", ["problem.L = 1e9", "solver.n_t = 100000", "problem.L = inf"]
 )

@@ -528,6 +528,48 @@ def test_collocated_kernel_is_the_trajectory_composition(fixture, request):
         assert got.coeffs.flags.c_contiguous and not got.coeffs.flags.writeable
 
 
+@pytest.mark.parametrize("fixture", ["coarse_problem", "coarse_quasi_problem"])
+def test_collocated_kernel_matches_an_fft_composition(fixture, request):
+    """`residual_g` and `linearised_g` agree to rounding with
+    ``v_t - (sigma+1)(A v + N)`` composed on coefficient arrays, with
+    numpy's real FFTs for the samples and the spectrum of ``N``."""
+    p = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(12)
+    n_t = 4
+    m = 2 * n_t + 2
+
+    def random_coeffs(scale):
+        coeffs = scale * (rng.normal(size=(n_t + 1, p.dim))
+                          + 1j * rng.normal(size=(n_t + 1, p.dim)))
+        coeffs[0] = coeffs[0].real
+        return coeffs
+
+    def samples(coeffs):
+        spec = np.zeros((m // 2 + 1, p.dim), dtype=complex)
+        spec[: n_t + 1] = coeffs * m
+        return np.fft.irfft(spec, n=m, axis=0)
+
+    def composed(coeffs, nonlinear_samples):
+        nonlinear = np.fft.rfft(nonlinear_samples, axis=0)[: m // 2] / m
+        linear = (p.A @ coeffs.T).T
+        return 1j * np.arange(n_t + 1)[:, None] * coeffs - (sigma + 1.0) * (
+            linear + nonlinear)
+
+    cu, cv = random_coeffs(0.02), random_coeffs(1.0)
+    u, v = PeriodicTrajectory(cu, p.dx), PeriodicTrajectory(cv, p.dx)
+    params = ScaledParams(0.03, -0.02)
+    lam, sigma = params
+    vals = samples(cu)
+    pairs = [
+        (p.residual_g(params, u), composed(cu, p.apply_h(lam, vals))),
+        (p.linearised_g(params, u, v),
+         composed(cv, p.apply_h_u(lam, vals, samples(cv)))),
+    ]
+    for got, expect in pairs:
+        assert np.abs(got.coeffs - expect).max() <= (
+            1e-13 * np.abs(expect).max())
+
+
 def test_residual_g_sigma_domain():
     p = cubic_problem()
     z = zero_trajectory(3, p.dim, p.dx)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hopfkit.newton import TrajectoryLayout
 from hopfkit.trajectory import (
+    _dft_matrices,
     ComplexStateVector,
     PeriodicTrajectory,
     StateVector,
@@ -221,6 +224,114 @@ def test_grid_mismatch_raises():
     w = make_traj(n_t=4, nx=2, dx=0.1)
     with pytest.raises(ValueError):
         _ = u - w
+
+
+# ---------------------------------------------------------------------------
+# the real DFT products against numpy's FFT
+
+
+def _live_prefix_traj(n_t, dim, live, seed):
+    """A trajectory whose nonzero rows are ``live``: "none", "mode-0",
+    "mode-1" (a single harmonic) or "all"."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((n_t + 1, dim), dtype=complex)
+    rows = {"none": [], "mode-0": [0], "mode-1": [1],
+            "all": range(n_t + 1)}[live]
+    for n in rows:
+        coeffs[n] = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    coeffs[0] = coeffs[0].real
+    return PeriodicTrajectory(coeffs, 0.3)
+
+
+def _fft_samples(u):
+    m = u.n_samples
+    spec = np.zeros((m // 2 + 1, u.dim), dtype=complex)
+    spec[: u.n_t + 1] = u.coeffs * m
+    return np.fft.irfft(spec, n=m, axis=0)
+
+
+def _fft_coeffs(samples):
+    m = samples.shape[0]
+    return np.fft.rfft(np.asarray(samples, dtype=float), axis=0)[: m // 2] / m
+
+
+def _assert_close(got, expect, rel=1e-14):
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() <= rel * np.abs(expect).max()
+
+
+def _transform_cases(test):
+    """Run ``test`` over ``n_t`` 0-40, ``dim`` 2-50 and the live modes."""
+    cases = given(n_t=st.integers(0, 40), half_dim=st.integers(1, 25),
+                  live=st.sampled_from(["none", "mode-0", "mode-1", "all"]),
+                  seed=st.integers(0, 2**32 - 1))
+    return settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)(cases(test))
+
+
+@_transform_cases
+def test_sample_values_match_the_inverse_fft(n_t, half_dim, live, seed):
+    assume(n_t >= 1 or live != "mode-1")
+    u = _live_prefix_traj(n_t, 2 * half_dim, live, seed)
+    samples = u.sample_values()
+    _assert_close(samples, _fft_samples(u))
+    assert samples.dtype == float and samples.flags.writeable
+    assert not np.shares_memory(samples, u.coeffs)
+    assert not np.shares_memory(samples, _dft_matrices(n_t)[0])
+
+
+@_transform_cases
+def test_truncated_synthesis_is_the_full_product(n_t, half_dim, live, seed):
+    """Multiplying only the live modes gives the product with the whole
+    synthesis matrix up to rounding: the dropped rows are zeros, though
+    BLAS may sum a short product in another order than a long one."""
+    assume(n_t >= 1 or live != "mode-1")
+    u = _live_prefix_traj(n_t, 2 * half_dim, live, seed)
+    stacked = np.stack((u.coeffs.real, u.coeffs.imag), axis=1)
+    full = _dft_matrices(n_t)[0] @ stacked.reshape(-1, u.dim)
+    assert np.abs(u.sample_values() - full).max() <= 1e-15 * np.abs(full).max()
+
+
+@_transform_cases
+def test_trajectory_from_samples_matches_the_forward_fft(n_t, half_dim, live,
+                                                          seed):
+    """C-ordered, Fortran-ordered, sliced and integer samples alike; the
+    round trip restores the coefficients and row 0 is exactly real."""
+    assume(n_t >= 1 or live != "mode-1")
+    dim = 2 * half_dim
+    u = _live_prefix_traj(n_t, dim, live, seed)
+    rng = np.random.default_rng(seed)
+    m = u.n_samples
+    samples = rng.normal(size=(m, dim))
+    inputs = [samples, np.asfortranarray(samples),
+              rng.normal(size=(2 * m, dim + 3))[::2, 1:dim + 1],
+              rng.integers(-5, 6, size=(m, dim))]
+    for arr in inputs:
+        _assert_close(trajectory_from_samples(arr, u.dx).coeffs,
+                      _fft_coeffs(arr))
+    back = trajectory_from_samples(u.sample_values(), u.dx)
+    assert np.abs(back.coeffs - u.coeffs).max() <= (
+        1e-14 * max(1.0, np.abs(u.coeffs).max()))
+    assert not np.any(back.coeffs[0].imag)
+
+
+@pytest.mark.parametrize("n_t", [0, 1, 16])
+def test_dft_matrices_are_cached_and_locked(n_t):
+    synthesis, analysis = _dft_matrices(n_t)
+    m = 2 * n_t + 2
+    assert synthesis.shape == (m, 2 * (n_t + 1))
+    assert analysis.shape == (2 * (n_t + 1), m)
+    assert _dft_matrices(n_t)[0] is synthesis
+    for matrix in (synthesis, analysis):
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (0, 4), (4,)])
+def test_samples_must_be_even_and_nonempty(shape):
+    with pytest.raises(ValueError, match="M even"):
+        trajectory_from_samples(np.zeros(shape), 0.1)
 
 
 # ---------------------------------------------------------------------------
