@@ -318,7 +318,7 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         err = abs(pt.lam - lam_exact)
         max_lambda_err = max(max_lambda_err, err)
         exact = exact_branch_trajectory(
-            run_config.problem, lam_exact, n_t=pt.u.n_t
+            run_config.problem, lam_exact, n_t=result.u_star.n_t
         )
         state_err = float(
             np.abs((pt.u - exact).sample_values()).max()

@@ -757,20 +757,50 @@ BRANCH_CSV_COLUMNS = (
 )
 
 
+class _LiveModes:
+    """The ``u`` field of `BranchPoint`: set from a trajectory, it stores
+    a copy of its live coefficient rows (`PeriodicTrajectory._live_rows`)
+    in ``rows``, with ``n_t`` and ``dx``; each read rebuilds a fresh,
+    read-only trajectory of the full shape ``(n_t + 1, dim)``, equal to
+    the one set (a dropped row comes back as +0 whatever the signs of its
+    zeros)."""
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            raise AttributeError("u")  # no class default: a required field
+        coeffs = np.zeros((point.n_t + 1, point.rows.shape[1]), dtype=complex)
+        coeffs[: len(point.rows)] = point.rows
+        return _adopt(coeffs, point.dx)
+
+    def __set__(self, point, u):
+        point.rows = u.coeffs[: u._live_rows()].copy()
+        point.n_t, point.dx = u.n_t, u.dx
+
+
 @dataclass
 class BranchPoint:
-    """One converged point of the amplitude-parameterised branch."""
+    """One converged point of the amplitude-parameterised branch.
+
+    The state ``u`` keeps only its live Fourier modes: ``rows`` holds the
+    coefficient rows up to the last nonzero one (two on a mode-1 branch,
+    none at the trivial point), and each read of ``u`` builds a new
+    full-shaped trajectory from them (`_LiveModes`), so bind it once
+    where it is used more than once.
+    """
 
     alpha: float
     lam: float
     sigma: float
-    u: PeriodicTrajectory
+    u: PeriodicTrajectory = _LiveModes()
     residual: float
     newton_iters: int
     l_check: np.ndarray          # the actual (l1, l2) value at convergence
     eta_norm: float              # ||u/alpha - u_star||, 0 at the origin
     sup_residual: float
     step_norms: list
+    rows: np.ndarray = field(init=False, repr=False)  # set with ``u``
+    n_t: int = field(init=False)
+    dx: float = field(init=False)
 
     @property
     def params(self):
@@ -781,6 +811,8 @@ class BranchPoint:
 class BranchResult:
     """An amplitude-ordered sweep of branch points plus diagnostics.
 
+    Each `BranchPoint` keeps only the live Fourier modes of its state, and
+    ``u_star`` is the one full-shaped trajectory the result holds.
     ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep,
     ``factorizations`` the number of band factorizations it took, on
     whichever rungs its steps solved in.
@@ -957,7 +989,10 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
         carries ``params_star``, the widest space the Newton steps took and
         its highest mode, and the number of band factorizations (one per
         rung climbed, plus one per refactor after a chord step that did not
-        halve the residual or failed).
+        halve the residual or failed).  Each point stores the coefficient
+        rows of its converged iterate up to the last nonzero one (two on a
+        mode-1 branch, none at the trivial point); its ``u`` rebuilds the
+        full-shaped iterate on each read.
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
@@ -1052,6 +1087,10 @@ def check_branch_symmetry(problem, functional, result):
     (rotating waves), half-wave or full, the check factorizes one band.
     The report counts the Newton iterations and every factorization.
 
+    The mirrored points, like the branch's, keep only their live Fourier
+    modes; each point's state is rebuilt once for its comparison, and the
+    mid point's once for the whole check.
+
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a
     phase-seed solve fails, leaves the solver's domain or meets a singular
@@ -1064,11 +1103,12 @@ def check_branch_symmetry(problem, functional, result):
         raise ValueError("branch has no nontrivial points to mirror")
     origin = result.points[0].params
     mid = plus[len(plus) // 2]
+    mid_u = mid.u
     try:
-        core = problem.residual_g(mid.params, mid.u)
+        core = problem.residual_g(mid.params, mid_u)
         held = _SharedFactor(
-            _branch_linearization(problem, functional, mid.params, mid.u, core),
-            _newton_space((mid.u,), core, newton_tol))
+            _branch_linearization(problem, functional, mid.params, mid_u, core),
+            _newton_space((mid_u,), core, newton_tol))
     except SingularBandError as exc:
         raise ConvergenceError(
             f"symmetry check: no factor at alpha = {mid.alpha:g}: {exc}"
@@ -1112,7 +1152,7 @@ def check_branch_symmetry(problem, functional, result):
                 f"phase-seed Newton failed at theta = {theta:g}: {exc}"
             ) from exc
         newton_iters += iters
-        dev = (u - mid.u).norm() + max(
+        dev = (u - mid_u).norm() + max(
             abs(params.lam - mid.lam), abs(params.sigma - mid.sigma)
         )
         phase_deviations[float(theta)] = float(dev)

@@ -210,6 +210,13 @@ class PeriodicTrajectory:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _live_rows(self):
+        """The number of coefficient rows up to the last nonzero one: the
+        live modes ``0 .. L-1``, which `sample_values` multiplies and a
+        branch point keeps."""
+        live = np.flatnonzero(self.coeffs.any(axis=1))
+        return int(live[-1]) + 1 if live.size else 0
+
     def fourier_coeff(self, n):
         """Coefficient of ``exp(i*n*t)`` for ``-n_t <= n <= n_t``."""
         if abs(n) > self.n_t:
@@ -228,10 +235,10 @@ class PeriodicTrajectory:
         the order of the synthesis matrix's columns, so they meet its
         first ``2L`` columns.
         """
-        live = np.flatnonzero(self.coeffs.any(axis=1))
-        if not live.size:
+        n_live = self._live_rows()
+        if not n_live:
             return np.zeros((self.n_samples, self.dim))
-        kept = self.coeffs[: live[-1] + 1]
+        kept = self.coeffs[:n_live]
         stacked = np.stack((kept.real, kept.imag), axis=1).reshape(-1, self.dim)
         synthesis = _dft_matrices(self.n_t)[0]
         return synthesis[:, : stacked.shape[0]] @ stacked

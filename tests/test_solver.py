@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -760,6 +761,107 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
     assert all(b > a for a, b in zip(etas, etas[1:]))
     ratios = etas / alphas**2
     assert ratios.max() <= 1.5 * ratios.min()
+
+
+# ---------------------------------------------------------------------------
+# branch points keep only their live Fourier modes
+
+
+def recorded_sweep(monkeypatch, problem, functional, u_star, **kwargs):
+    """`continue_branch` plus the converged Newton iterate of each point
+    after the trivial one, in order."""
+    iterates = []
+    branch_newton = solver_module._branch_newton
+
+    def recording(*args):
+        out = branch_newton(*args)
+        iterates.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "_branch_newton", recording)
+    result = continue_branch(problem, functional, u_star, **kwargs)
+    return result, iterates
+
+
+def assert_points_give_back(result, iterates, live_rows):
+    """Each nontrivial point keeps ``live_rows`` coefficient rows, and
+    every read of its state is a fresh full-shaped, read-only copy of the
+    converged iterate; the trivial point keeps no row."""
+    assert not result.truncated and len(iterates) == len(result.points) - 1
+    origin = result.points[0]
+    assert origin.rows.shape == (0, result.u_star.dim)
+    assert not origin.u.coeffs.any()
+    for pt, iterate in zip(result.points[1:], iterates):
+        assert pt.rows.shape == (live_rows, iterate.dim)
+        u = pt.u
+        assert np.array_equal(u.coeffs, iterate.coeffs)
+        assert u.dx == iterate.dx
+        assert not u.coeffs.flags.writeable and u.coeffs.flags.c_contiguous
+        assert not np.shares_memory(pt.u.coeffs, pt.u.coeffs)
+        assert not np.shares_memory(u.coeffs, pt.rows)
+
+
+def test_semilinear_points_keep_modes_0_and_1(monkeypatch, coarse_problem,
+                                              coarse_functional,
+                                              coarse_solution):
+    result, iterates = recorded_sweep(
+        monkeypatch, coarse_problem, coarse_functional, coarse_solution.u,
+        alpha_max=0.5, steps=10)
+    assert result.newton_space == "mode-1"
+    assert_points_give_back(result, iterates, live_rows=2)
+
+
+def test_quasilinear_points_keep_modes_up_to_3(monkeypatch,
+                                               coarse_quasi_problem,
+                                               quasi_setup):
+    """At ``n_t = 4`` the half-wave branch reaches mode 3: four of the
+    five rows are kept, mode 0 and mode 2 zero among them."""
+    functional, solution = quasi_setup
+    seed = PeriodicTrajectory(solution.u.coeffs[:5], solution.u.dx)
+    star = solve_extended(coarse_quasi_problem, functional,
+                          (solution.params, seed))
+    result, iterates = recorded_sweep(
+        monkeypatch, coarse_quasi_problem, functional, star.u,
+        alpha_max=0.1, steps=8, params_star=star.params)
+    assert (result.newton_space, result.newton_max_mode) == ("half-wave", 3)
+    assert_points_give_back(result, iterates, live_rows=4)
+    assert not any(pt.rows[0::2].any() for pt in result.points)
+
+
+def test_point_with_every_mode_live_keeps_every_row():
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    coeffs[0] = coeffs[0].real
+    u = PeriodicTrajectory(coeffs, 0.5)
+    pt = BranchPoint(
+        alpha=0.1, lam=0.01, sigma=0.0, u=u, residual=0.0, newton_iters=0,
+        l_check=np.zeros(2), eta_norm=0.0, sup_residual=0.0, step_norms=[],
+    )
+    assert pt.rows.shape == (5, 6) and not np.shares_memory(pt.rows, coeffs)
+    assert np.array_equal(pt.u.coeffs, u.coeffs) and pt.u.dx == 0.5
+
+
+def test_sweep_holds_a_fraction_of_its_full_states(coarse_problem,
+                                                   coarse_functional,
+                                                   coarse_solution):
+    """At ``n_t = 16`` a mode-1 point keeps 2 of its 17 rows, so what a
+    sweep leaves allocated is well below a quarter of its full-shaped
+    states; points that kept their states whole would leave more than
+    all of them."""
+    coeffs = np.zeros((17, coarse_solution.u.dim), dtype=complex)
+    coeffs[:9] = coarse_solution.u.coeffs
+    u_star = PeriodicTrajectory(coeffs, coarse_solution.u.dx)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = continue_branch(coarse_problem, coarse_functional, u_star,
+                                 alpha_max=0.5, steps=10)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(result.points) == 11 and result.newton_space == "mode-1"
+    assert held < len(result.points) * 17 * u_star.dim * 16 / 4
 
 
 # ---------------------------------------------------------------------------
