@@ -22,9 +22,11 @@ block of 4 per point, whatever ``n_t``.
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual), probing the nonlinearity with one constant-in-time
-unit comb per field and stencil colour.  Its ``kl``/``ku`` are the bound
-of the coupling families present (a block's reach about its offset), not
-the stencil's worst case.  It makes each ``h_u`` coupling block once, a
+unit comb per field and stencil colour.  Its coupling blocks
+(`coupling_blocks`) are built from the collocated product's own DFT
+matrices, the cached real pair the residual's time transforms use.  Its
+``kl``/``ku`` are the bound of the coupling families present (a block's
+reach about its offset), not the stencil's worst case.  It makes each ``h_u`` coupling block once, a
 bounded chunk of grid points at a time, and writes each chunk into the
 band as it is made, so assembly needs the band plus a fixed workspace,
 whatever the grid.
@@ -49,7 +51,7 @@ import numpy as np
 import scipy.linalg.lapack as lapack
 
 from .problem import stencil_probes
-from .trajectory import _adopt
+from .trajectory import _adopt, _dft_matrices
 
 __all__ = [
     "TrajectoryLayout",
@@ -223,41 +225,28 @@ def coupling_blocks(samples, n_t, modes=None):
     -------
     array, shape (batch, R, R)
         Real matrices acting on the per-component slot vector of the mode
-        set; exact for the pseudo-spectral (sampled) product including its
-        aliasing.  A subset's blocks are bitwise the matching sub-blocks of
-        the full ones.
+        set: block ``b`` is ``analysis @ diag(samples[:, b]) @ synthesis``
+        with the real DFT pair of `trajectory._dft_matrices` cut to the
+        kept slots, the matrix of the pseudo-spectral product that
+        `ProblemDef.residual_g` evaluates, aliasing included.  Each entry
+        is summed over the samples alone, so a block does not depend on
+        the rest of the batch, and a subset's blocks are bitwise the
+        matching sub-blocks of the full ones.
     """
     samples = np.asarray(samples, dtype=float)
-    m_samp = samples.shape[0]
-    if m_samp != 2 * n_t + 2:
+    if samples.shape[0] != 2 * n_t + 2:
         raise ValueError("expected 2*n_t + 2 collocation samples")
     layout = TrajectoryLayout(n_t, 1, 1.0, modes)
-    m, keep, waves = layout.mean_slots, _rows(layout.modes), _rows(layout.waves)
-    spec = (np.fft.fft(samples, axis=0) / m_samp).T  # (batch, M)
-    # Output mode n takes spec[n-m] c_m + spec[n+m] conj(c_m) from mode m.
-    # Both index patterns are strided views: Toeplitz through a wrapped
-    # copy of the spectrum, Hankel directly (n + m < M never wraps); the
-    # mode set picks a strided view of each.
-    window = np.lib.stride_tricks.sliding_window_view
-    wrapped = np.concatenate([spec[:, m_samp - n_t:], spec[:, : n_t + 1]], axis=1)
-    toe = window(wrapped, n_t + 1, axis=1)[:, :, ::-1][:, keep, keep]  # spec[n - m]
-    hank = window(spec, n_t + 1, axis=1)[:, : n_t + 1][:, keep, keep]  # spec[n + m]
-    p_t, q_t, p_h, q_h = toe.real, toe.imag, hank.real, hank.imag
-    # Slot 0 is Re c_0 (when mode 0 is kept); then Re c_n, Im c_n pairs.
-    r = layout.r_per_field
-    out = np.empty((spec.shape[0], r, r))
-    if m:
-        out[:, 0, 0] = spec[:, 0].real
-        out[:, 1::2, 0] = spec[:, waves].real
-        out[:, 2::2, 0] = spec[:, waves].imag
-        np.add(p_t[:, 0, 1:], p_h[:, 0, 1:], out=out[:, 0, 1::2])
-        np.subtract(q_h[:, 0, 1:], q_t[:, 0, 1:], out=out[:, 0, 2::2])
-    w = slice(m, None)  # the waves among the kept modes
-    np.add(p_t[:, w, w], p_h[:, w, w], out=out[:, m::2, m::2])
-    np.add(q_t[:, w, w], q_h[:, w, w], out=out[:, m + 1::2, m::2])
-    np.subtract(q_h[:, w, w], q_t[:, w, w], out=out[:, m::2, m + 1::2])
-    np.subtract(p_t[:, w, w], p_h[:, w, w], out=out[:, m + 1::2, m + 1::2])
-    return out
+    # Slot 0 is Re c_0 (when mode 0 is kept); then Re c_n, Im c_n pairs:
+    # synthesis columns 2n, 2n+1 and analysis rows n, n_t+1+n.
+    cols = [c for n in layout.modes for c in ((2 * n, 2 * n + 1) if n else (0,))]
+    rows = [k for n in layout.modes for k in ((n, n_t + 1 + n) if n else (0,))]
+    synthesis, analysis = _dft_matrices(n_t)
+    terms = analysis[rows].T[:, :, None] * synthesis[:, cols][:, None, :]
+    # With the samples contiguous in j, each entry is one reduction over j
+    # in a fixed order, whatever the batch, its layout or the mode set (a
+    # BLAS product over the batch sums in an order set by the batch size).
+    return np.einsum("bj,jrs->brs", np.ascontiguousarray(samples.T), terms)
 
 
 class BandedMatrix:

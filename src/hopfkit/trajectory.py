@@ -14,6 +14,8 @@ rounding.  A product over ``L`` modes costs ``2 * M * 2L * dim`` flops; at
 these lengths BLAS runs it faster than an FFT runs ``dim`` strided
 transforms.  Synthesis multiplies only the modes up to the last nonzero
 one, so a single harmonic costs a 2-mode product whatever ``n_t`` is.
+`newton.coupling_blocks` builds the Newton band's blocks from the same
+pair.
 """
 
 from __future__ import annotations
@@ -277,14 +279,14 @@ class PeriodicTrajectory:
             Modes ``+-1`` only.
         overtones : PeriodicTrajectory
             Everything with ``|n| >= 2``.
+
+        At ``n_t = 0`` the fundamental and overtone parts are zero.
         """
         mean = StateVector(self.coeffs[0].real, self.dx)
         fund = np.zeros_like(self.coeffs)
-        fund[1] = self.coeffs[1] if self.n_t >= 1 else 0.0
+        fund[1:2] = self.coeffs[1:2]
         rest = np.array(self.coeffs)
-        rest[0] = 0.0
-        if self.n_t >= 1:
-            rest[1] = 0.0
+        rest[:2] = 0.0
         return mean, self.with_coeffs(fund), self.with_coeffs(rest)
 
     # -- norms ---------------------------------------------------------------

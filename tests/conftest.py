@@ -71,6 +71,24 @@ def with_even_term(problem, eps):
     )
 
 
+def with_sampled_wobble(problem, eps):
+    """``problem`` whose ``h_u`` gains ``eps * cos(t_j) * z`` when it is
+    given collocation samples (``z`` of shape ``(M, dim)``, ``t_j = 2 pi j
+    / M``), and only then.  On single states, which the derivative check
+    and ``B`` read, ``h_u`` is unchanged, and so is ``h``; the Jacobian of
+    the periodic problem couples mode ``n`` to ``n +- 1`` by ``eps``, even
+    at the zero base."""
+    def h_u(lam, w, z):
+        out = problem.apply_h_u(lam, w, z)
+        if np.ndim(z) == 2:
+            t = 2.0 * np.pi * np.arange(len(z)) / len(z)
+            out = out + eps * np.cos(t)[:, None] * z
+        return out
+
+    return dataclasses.replace(problem, apply_h_u=h_u,
+                               name=problem.name + "+wobble")
+
+
 def with_rotation_breaking_term(problem, eps, cube=lambda u: u * u * u):
     """``problem`` with ``eps * lam * (u**3, 0)`` added to h, pointwise,
     ``u`` the first field and its cube computed as ``cube(u)`` (written

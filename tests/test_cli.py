@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import with_even_term
+from conftest import with_even_term, with_sampled_wobble
 from hopfkit import spectral
 from hopfkit.cli import main
 from hopfkit.config import (
@@ -410,6 +410,21 @@ def test_cli_even_term_reports_the_full_space(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.count("; newton space: full") == 2
 
 
+def test_cli_extended_fails_on_leakage(tmp_path, monkeypatch):
+    """A certificate whose leakage exceeds its tolerance fails ``extended``
+    with exit 1, and the report is still written with the verdict."""
+    from hopfkit import cli
+
+    build = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem", lambda run_config:
+                        with_sampled_wobble(build(run_config), 1e-7))
+    code, _ = run_cli(tmp_path, "extended", "")
+    assert code == 1
+    jacobian = json.loads((tmp_path / "out" / "extended.json").read_text())["jacobian"]
+    assert jacobian["leakage"] > 1e-10
+    assert jacobian["nonsingular"] is False
+
+
 def test_cli_branch_skip_check(tmp_path):
     code, out = run_cli(tmp_path, "branch", "", "--skip-check")
     assert code == 0
@@ -633,16 +648,17 @@ def test_cli_never_touches_the_global_generator(tmp_path, monkeypatch):
 
 
 def test_cli_time_transforms_need_no_fft(tmp_path, monkeypatch):
-    """Collocation samples and spectra are matrix products: with numpy's
-    real FFTs made to raise, the coarse ``branch`` and ``verify-exact``
-    still exit 0."""
+    """Collocation samples, spectra and the Newton band's coupling blocks
+    are products with one real DFT pair: with numpy's FFTs made to raise,
+    the coarse ``extended`` (whose certificate assembles the 0-1 band),
+    ``branch`` and ``verify-exact`` still exit 0."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("numpy's real FFT was used")
+        raise AssertionError("numpy's FFT was used")
 
-    for name in ("rfft", "irfft"):
+    for name in ("fft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, forbidden)
     cfg = write_config(tmp_path, COARSE)
-    for command in ("branch", "verify-exact"):
+    for command in ("extended", "branch", "verify-exact"):
         assert main([command, "--config", cfg,
                      "--out", str(tmp_path / command)]) == 0, command
 

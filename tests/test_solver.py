@@ -18,6 +18,7 @@ from conftest import (
     synthetic_problem,
     with_even_term,
     with_rotation_breaking_term,
+    with_sampled_wobble,
 )
 from hopfkit.newton import SingularBandError, odd_modes
 from hopfkit.problem import ConvergenceError, DomainError, ScaledParams
@@ -514,6 +515,20 @@ def test_jacobian_certificate_on_example(coarse_problem, coarse_functional,
     assert 0.1 <= cert.smallest_singular_value <= 0.5
     assert cert.leakage <= 1e-10
     assert "nonsingular" in cert.summary()
+
+
+@pytest.mark.parametrize("eps, nonsingular", [(1e-8, True), (1e-7, False)])
+def test_certificate_verdict_reads_the_leakage(
+        coarse_problem, coarse_functional, coarse_solution, eps, nonsingular):
+    """A mode coupling of size eps in the sampled h_u leaks about 7e-3 eps
+    of a low image into the overtones: the verdict holds just below the
+    1e-10 leakage tolerance and fails just above it, whatever sigma_min."""
+    cert = verify_jacobian_nonsingular(
+        with_sampled_wobble(coarse_problem, eps), coarse_functional,
+        coarse_solution.u)
+    assert 5e-3 * eps <= cert.leakage <= 1e-2 * eps
+    assert cert.smallest_singular_value > 0.1
+    assert cert.nonsingular is nonsingular
 
 
 def test_certificate_flags_degenerate_crossing():

@@ -204,6 +204,16 @@ def test_split_subspaces_partition():
     assert np.allclose(recombined.coeffs, u.coeffs, atol=1e-14)
 
 
+def test_split_subspaces_of_a_mean_only_trajectory():
+    # At n_t = 0 there is no mode 1 to index: the trajectory is its mean.
+    u = PeriodicTrajectory(np.array([[1.5, -2.0, 0.25, 3.0]]), 0.1)
+    mean, fund, rest = u.split_subspaces()
+    assert np.array_equal(mean.data, [1.5, -2.0, 0.25, 3.0])
+    for part in (fund, rest):
+        assert part.n_t == 0 and part.dx == 0.1
+        assert not part.coeffs.any()
+
+
 def test_single_harmonic_layout():
     psi = ComplexStateVector([1 + 2j, 3 - 1j, 0.5j, -2.0], 0.7)
     u = single_harmonic(psi, n_t=3)
