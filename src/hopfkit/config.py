@@ -161,14 +161,16 @@ def _validate_solver(settings):
 
 
 def _check_memory(problem, solver):
-    """Reject grids whose Newton bands cannot fit in physical memory.
+    """Reject grids whose Newton bands, and counts whose first arrays,
+    cannot fit in physical memory.
 
     Upper bound of two band-sized arrays (`newton.band_bytes_bound`).  The
     Newton solves hold one band at a time, factored in place, and release
     it before the next is assembled; the second band's worth is a margin
     for what lives beside it (iterates, border solves, and the fixed chunk
     of coupling blocks that assembly adds).  Computed in floats so an
-    infinite grid is rejected too.
+    infinite grid is rejected too.  The branch's amplitude grid and the
+    resolvent scan's mode list take 8 bytes per amplitude and per mode.
     """
     nx = 2.0 * problem.L / problem.dx + 1.0
     need = 2 * band_bytes_bound(nx, solver.n_t, problem.h_stencil)
@@ -179,6 +181,14 @@ def _check_memory(problem, solver):
             f"(nx ~ {nx:.3g}, n_t = {solver.n_t}), physical memory is "
             f"{available / 2**30:.3g} GiB"
         )
+    for key in ("alpha_steps", "n_max_resolvent"):
+        count = getattr(solver, key)
+        if not 8.0 * count <= available:
+            raise ConfigError(
+                f"solver.{key} = {count} too large: its array needs "
+                f"{8.0 * count / 2**30:.3g} GiB, physical memory is "
+                f"{available / 2**30:.3g} GiB"
+            )
 
 
 def parse_config(text):

@@ -21,15 +21,17 @@ block of 4 per point, whatever ``n_t``.
 `assemble_jacobian_band` builds the band for ``v -> v_t - (sigma+1)(A v +
 h_u(lam, u) v)`` exactly (including the collocation aliasing of the
 pseudo-spectral product, so Newton gets the true derivative of the
-discrete residual), probing the nonlinearity with one constant-in-time
-unit comb per field and stencil colour.  Its coupling blocks
-(`coupling_blocks`) are built from the collocated product's own DFT
-matrices, the cached real pair the residual's time transforms use.  Its
-``kl``/``ku`` are the bound of the coupling families present (a block's
-reach about its offset), not the stencil's worst case.  It makes each ``h_u`` coupling block once, a
-bounded chunk of grid points at a time, and writes each chunk into the
-band as it is made, so assembly needs the band plus a fixed workspace,
-whatever the grid.
+discrete residual).  It reads the ``h_u`` entries from
+`problem.stencil_couplings`, the one colour-probe decoder, which also
+gives ``h_u(lam, 0)`` its sparse matrix; here the probes are one
+constant-in-time unit comb per field and stencil colour.  Each entry
+becomes one coupling block (`coupling_blocks`) built from the collocated
+product's own DFT matrices, the cached real pair the residual's time
+transforms use, at the block offset `TrajectoryLayout.first_slot` gives.
+``kl``/``ku`` are the reach of the block offsets present, not the
+stencil's worst case.  The blocks of one offset are made once, a bounded
+chunk at a time, and written into the band as they are made, so assembly
+needs the band plus a fixed workspace, whatever the grid.
 `BandedMatrix` keeps LAPACK band storage in the Fortran order `dgbtrf`
 takes, one contiguous run per matrix column.  The Newton steps factor it in
 place, so a factorized Newton band is one band-sized array; solves that
@@ -50,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg.lapack as lapack
 
-from .problem import stencil_probes
+from .problem import stencil_couplings
 from .trajectory import _adopt, _dft_matrices
 
 __all__ = [
@@ -97,7 +99,7 @@ class TrajectoryLayout:
     point ``j``, field ``f``, slot ``s``) is ``j * block + f * R + s`` with
     ``block = 2 * R``; with all modes, ``R = 2*n_t + 1``.  Modes left out
     read as zero.  Every slot computation (`flatten`, `unflatten`,
-    `rotate`, `functional_rows`, and the band's through `coupling_blocks`)
+    `rotate`, `first_slot`, and through it `functional_rows` and the band)
     reads the mode set from here.
     """
 
@@ -116,6 +118,12 @@ class TrajectoryLayout:
         self.r_per_field = 2 * len(self.modes) - self.mean_slots
         self.block = 2 * self.r_per_field
         self.size = self.nx * self.block
+
+    def first_slot(self, state_index):
+        """Flat index of slot 0 of state component ``state_index = f * nx
+        + j`` (field ``f`` at grid point ``j``): ``j * block + f * R``."""
+        fld, point = np.divmod(state_index, self.nx)
+        return point * self.block + fld * self.r_per_field
 
     def flatten(self, coeffs):
         """Coefficients ``(n_t+1, 2*nx)`` (complex) to the flat real vector."""
@@ -179,17 +187,13 @@ class TrajectoryLayout:
         """
         if 1 not in self.waves:
             raise ValueError("layout has no first harmonic")
-        nx, r, block = self.nx, self.r_per_field, self.block
         w = np.asarray(weight, dtype=float)
-        if w.size != 2 * nx:
+        if w.size != 2 * self.nx:
             raise ValueError("weight length does not match the grid")
         slot = self.mean_slots + 2 * self.waves.index(1)  # Re u_hat(1)
-        points = np.arange(nx)
-        idx_re = np.concatenate([points * block + f * r + slot for f in range(2)])
-        idx_im = idx_re + 1
-        vals = np.concatenate([w[f * nx : (f + 1) * nx] for f in range(2)])
-        vals = 2.0 * vals * self.dx
-        return (idx_re, vals), (idx_im, -vals)
+        idx_re = self.first_slot(np.arange(2 * self.nx)) + slot
+        vals = 2.0 * w * self.dx
+        return (idx_re, vals), (idx_re + 1, -vals)
 
 
 def band_bytes_bound(nx, n_t, h_stencil):
@@ -268,10 +272,6 @@ class BandedMatrix:
         self.ab = np.zeros((size, 2 * kl + ku + 1)).T
         self.consumed = False
 
-    def add_at(self, row_offset, cols, values):
-        """Add ``values`` at entries ``(cols + row_offset, cols)``."""
-        self.ab[self.kl + self.ku + row_offset, cols] += values
-
     def factorize(self, overwrite=False):
         """LU factor ``(lub, ipiv)`` of the band by `dgbtrf`.
 
@@ -327,88 +327,72 @@ def assemble_jacobian_band(problem, params, u, layout):
     linearisation at the origin).  The result is the exact Jacobian of the
     discrete ``residual_g`` at ``u``.
 
-    The band is only as wide as the coupling families it holds: ``kl`` and
-    ``ku`` are the largest ``i - j`` and ``j - i`` over the time-derivative
-    pair (+-1), the mode-diagonal offsets of ``A`` and the family bound
-    ``base - r + 1 .. base + r - 1`` of each live ``h_u`` coupling family
-    (stencil offset, row field and column field of one probe, at the points
-    it couples), ``base`` being its block offset.  The bound is the reach
-    of the family's blocks when they fill their corners, as at a base with
-    content in every mode.  A family keeps only its probe samples; its
-    blocks are made once, a bounded chunk of owners at a time, and written
-    one block column at a time, each a single vectorised addition to
-    contiguous runs of the band's storage.
+    The ``h_u`` couplings are the entries `problem.stencil_couplings` reads
+    with constant-in-time unit combs: the response samples of entry (state
+    row, state column) are the time samples of the coefficient tying them,
+    and its ``R x R`` block sits at block offset ``first_slot(row) -
+    first_slot(col)``.  ``kl`` and ``ku`` are the largest ``i - j`` and
+    ``j - i`` over the time-derivative pair (+-1), the mode-diagonal
+    offsets of ``A`` and each block offset plus or minus ``R - 1`` (the
+    reach of a block that fills its corners, as at a base with content in
+    every mode).  The blocks of one offset are made once, a bounded chunk
+    at a time, and written one block column at a time, each a single
+    vectorised addition to contiguous runs of the band's storage.
     """
     lam, sigma = params
     factor = -(sigma + 1.0)
-    n_t, nx, r, block = layout.n_t, layout.nx, layout.r_per_field, layout.block
+    n_t, nx, r = layout.n_t, layout.nx, layout.r_per_field
     if u.n_t != n_t or u.nx != nx:
         raise ValueError("trajectory does not match the layout")
-    low, high = (-1, 1) if layout.waves else (0, 0)  # reach i - j of the couplings
 
     # Linear operator A: mode-diagonal, entry A[c, c'] couples the same
     # mode part of components c and c'.
     acoo = problem.A.tocoo()
     acoo.sum_duplicates()
     acoo.eliminate_zeros()
-    fr, jr = np.divmod(acoo.row, nx)
-    fc, jc = np.divmod(acoo.col, nx)
-    if acoo.nnz:
-        if np.abs(jr - jc).max() > max(1, problem.h_stencil):
-            raise ValueError(
-                "spatial stencil of A exceeds the bandwidth implied by h_stencil"
-            )
-        a_offsets = (jr - jc) * block + (fr - fc) * r
-        low, high = min(low, a_offsets.min()), max(high, a_offsets.max())
+    a_first = layout.first_slot(acoo.col)
+    a_offsets = layout.first_slot(acoo.row) - a_first
+    if np.any(np.abs(acoo.row % nx - acoo.col % nx) > max(1, problem.h_stencil)):
+        raise ValueError(
+            "spatial stencil of A exceeds the bandwidth implied by h_stencil"
+        )
 
-    # Nonlinear coupling: probe h_u with constant-in-time unit combs; the
-    # response samples at each output component are the time-samples of
-    # the coefficient function tying it to the probed column.
     u_samples = u.sample_values()
-    positions = np.arange(nx)
-    families = []  # (block-pair offset, first column, owners, live samples)
-    probes = stencil_probes(problem, lambda comb: problem.apply_h_u(
-        lam, u_samples, np.broadcast_to(comb, (u.n_samples, 2 * nx))))
-    for f_col, owner, valid, resp in probes:
-        for o in range(-problem.h_stencil, problem.h_stencil + 1):
-            pts = positions[valid & (positions - owner == o)]
-            for f_row in range(2):
-                samples = resp[:, f_row * nx + pts]
-                live = np.any(samples, axis=0)  # points h_u couples at all
-                if live.any():
-                    families.append((o * block + (f_row - f_col) * r,
-                                     f_col * r, pts[live] - o, samples[:, live]))
+    rows, cols, samples = stencil_couplings(
+        problem, lambda comb: problem.apply_h_u(
+            lam, u_samples, np.broadcast_to(comb, (u.n_samples, 2 * nx))))
+    first = layout.first_slot(cols)
+    offsets = layout.first_slot(rows) - first
+    # Entry (rr, cc) of a block lies at offset + rr - cc, |rr - cc| < r.
+    spans = np.concatenate([[-1, 1] if layout.waves else [0], a_offsets,
+                            offsets - (r - 1), offsets + (r - 1)])
+    kl, ku = int(spans.max()), -int(spans.min())
 
-    # A family's entries lie at offsets base + (rr - cc), |rr - cc| < r.
-    for base, _, _, _ in families:
-        low, high = min(low, base - r + 1), max(high, base + r - 1)
-
-    kl, ku = int(high), -int(low)
     band = BandedMatrix(layout.size, kl, ku)
     ab, diag = band.ab, kl + ku
-    columns = ab.T.reshape(nx, block, 2 * kl + ku + 1)  # [point, slot, band row]
+    columns = ab.T  # [matrix column, band row], C-contiguous
     if layout.waves:
         # Per component, d/dt (x + iy) e^{int} = (-n y + i n x) e^{int}.
         m, modes = layout.mean_slots, np.array(layout.waves, dtype=float)
         by_field = columns.reshape(2 * nx, r, -1)
         by_field[:, m::2, diag + 1] = modes  # row Im_n, col Re_n
         by_field[:, m + 1::2, diag - 1] = -modes  # row Re_n, col Im_n
-    if acoo.nnz:
-        a_cols = (jc * block + fc * r)[:, None] + np.arange(r)
-        ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
-    # Entry (rr, cc) of an owner's block sits in band row diag + base + rr -
-    # cc of column owner * block + first + cc, so block column cc is one
-    # contiguous run of r rows.  Band entries are never -0.0, so adding the
-    # zero entries changes no bits.
-    step = max(1, _CHUNK_BYTES // (8 * r * r))  # owners per chunk
-    for base, first, owners, samples in families:
-        for start in range(0, samples.shape[1], step):
-            part = slice(start, start + step)
+    a_cols = a_first[:, None] + np.arange(r)
+    ab[diag + a_offsets[:, None], a_cols] += (factor * acoo.data)[:, None]
+    # Entry (rr, cc) of the block at column ``first`` and offset ``offset``
+    # sits in band row diag + offset + rr - cc of column first + cc, so
+    # block column cc is one contiguous run of r rows.  Band entries are
+    # never -0.0, so adding the zero entries changes no bits.
+    step = max(1, _CHUNK_BYTES // (8 * r * r))  # blocks per chunk
+    for offset in np.unique(offsets):
+        group = np.flatnonzero(offsets == offset)
+        for start in range(0, group.size, step):
+            part = group[start : start + step]
             blocks = coupling_blocks(samples[:, part], n_t, layout.modes)
             blocks *= factor
             for cc in range(r):
-                rows = slice(diag + base - cc, diag + base - cc + r)
-                columns[owners[part], first + cc, rows] += blocks[:, :, cc]
+                run = slice(diag + offset - cc, diag + offset - cc + r)
+                columns[first[part] + cc, run] += blocks[:, :, cc]
     return band
 
 

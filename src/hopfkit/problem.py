@@ -11,6 +11,9 @@ factorization (`_guarded_lu`) that lives only as long as its caller, and a
 finite-difference validation of the supplied derivatives all live here.
 The guard and every resolvent bound read one estimate per factor: the
 smallest singular value from `inverse_power_sigma_min`.
+Every assembled matrix of ``h_u`` is read from the black-box
+``apply_h_u`` by one colour-probe decoder, `stencil_couplings`: the sparse
+``h_u(lam, 0)`` (`linearization_matrix`) and the Newton band's couplings.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ class ProblemDef:
     h_stencil : int
         Spatial locality of ``h``: the derivative at grid point ``j``
         depends on points within ``|j' - j| <= h_stencil``.  0 for
-        pointwise nonlinearities; used to probe Jacobians efficiently.
-        A non-negative integer.
+        pointwise nonlinearities; `stencil_couplings` reads every
+        Jacobian with ``2 * (2*h_stencil + 1)`` probes.  A non-negative
+        integer.
     name : str
         Human-readable tag used in reports.
     """
@@ -417,60 +421,56 @@ def _rel(approx, exact, ref):
     return float(np.abs(approx - exact).max() / ref)
 
 
-def stencil_probes(problem, apply):
-    """Colour-probe a linear map with ``problem.h_stencil`` spatial locality.
+def stencil_couplings(problem, apply):
+    """``(rows, cols, values)``: the entries of a linear map with
+    ``problem.h_stencil`` spatial locality, read by colour probing.
 
-    Unit combs with one tooth every ``2*h_stencil + 1`` grid points within
-    one field share no stencil support, so every response entry belongs to
-    exactly one tooth.  Yields ``(field, owner, valid, response)`` for each
-    field and colour: ``response = apply(comb)`` for the flat comb vector,
-    and ``owner[j]`` the tooth whose stencil covers grid point ``j``,
-    meaningful where ``valid[j]``.
+    ``apply`` maps a flat unit comb to its response, one state or a stack
+    of them (one per collocation sample).  Combs with one tooth every
+    ``2*h_stencil + 1`` grid points within one field share no stencil
+    support (Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974), so
+    ``2 * (2*h_stencil + 1)`` probes reach each entry (state row ``rows[k]``,
+    state column ``cols[k]``) once.  ``values[:, k]`` is that entry's
+    response at every sample, shape ``(samples, entries)``, a single row
+    for a single response; entries that respond with zero everywhere are
+    left out.
     """
-    nx = problem.nx
+    nx, dim = problem.nx, problem.dim
     width = problem.h_stencil
     stride = 2 * width + 1
     positions = np.arange(nx)
+    rows, cols, values = [], [], []
     for fld in range(2):
         for colour in range(min(stride, nx)):
             probed = np.arange(colour, nx, stride)
-            comb = np.zeros(problem.dim)
+            comb = np.zeros(dim)
             comb[fld * nx + probed] = 1.0
             owner = probed[np.clip(
                 np.round((positions - colour) / stride).astype(int),
                 0, probed.size - 1,
             )]
-            yield fld, owner, np.abs(positions - owner) <= width, apply(comb)
+            response = np.reshape(apply(comb), (-1, dim))
+            hit = np.tile(np.abs(positions - owner) <= width, 2)
+            hit &= np.any(response, axis=0)
+            reached = np.flatnonzero(hit)
+            rows.append(reached)
+            cols.append(fld * nx + owner[reached % nx])
+            values.append(response[:, reached])
+    return np.concatenate(rows), np.concatenate(cols), np.hstack(values)
 
 
 def linearization_matrix(problem, lam):
-    """The sparse matrix of ``v -> h_u(lam, 0, v)``, at the equilibrium only.
-
-    Recovers the matrix from the black-box directional derivative with
-    the ``2 * (2*h_stencil + 1)`` probes of `stencil_probes`.
+    """The sparse matrix of ``v -> h_u(lam, 0, v)``, at the equilibrium only,
+    read from the black-box directional derivative by `stencil_couplings`.
 
     Returns
     -------
     scipy.sparse.csr_matrix, shape (dim, dim)
     """
-    nx = problem.nx
-    dim = problem.dim
-    zero = np.zeros(dim)
-    rows, cols, vals = [], [], []
-    positions = np.arange(nx)
-    probes = stencil_probes(
-        problem, lambda comb: np.asarray(problem.apply_h_u(lam, zero, comb)))
-    for fld, owner, valid, response in probes:
-        for rf in range(2):
-            block = response[rf * nx : (rf + 1) * nx]
-            hit = valid & (block != 0.0)
-            rows.append(rf * nx + positions[hit])
-            cols.append(fld * nx + owner[hit])
-            vals.append(block[hit])
-    rows = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-    cols = np.concatenate(cols) if cols else np.empty(0, dtype=int)
-    vals = np.concatenate(vals) if vals else np.empty(0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    zero = np.zeros(problem.dim)
+    rows, cols, values = stencil_couplings(
+        problem, lambda comb: problem.apply_h_u(lam, zero, comb))
+    return sp.csr_matrix((values[0], (rows, cols)), shape=(problem.dim,) * 2)
 
 
 class DerivativeReport(NamedTuple):

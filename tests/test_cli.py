@@ -767,7 +767,9 @@ _REGRESSIONS = [
     for key, value in [("solver.alpha_max", "nan"),
                        ("solver.newton_tol", "inf"),
                        ("solver.alpha_max", "inf"),
-                       ("solver.alpha_max", "2e-309")]
+                       ("solver.alpha_max", "2e-309"),
+                       ("solver.alpha_steps", "1000000000000"),
+                       ("solver.n_max_resolvent", "100000000000000")]
 ]
 
 
@@ -797,6 +799,8 @@ def _branch_points(outdir):
 @example(config=_REGRESSIONS[1], skip_check=False)
 @example(config=_REGRESSIONS[2], skip_check=False)
 @example(config=_REGRESSIONS[3], skip_check=False)
+@example(config=_REGRESSIONS[4], skip_check=False)
+@example(config=_REGRESSIONS[5], skip_check=False)
 def test_cli_fuzz_config_schema(command, config, skip_check):
     """Every drawn config ends in exit 0, 1 or 2 without an exception (a
     NumPy RuntimeWarning counts as one); on 0 and 1 the command's report

@@ -7,6 +7,7 @@ random trajectories.  The bordered solver is checked against dense
 solves, including the deliberately singular-core case it exists for.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -29,7 +30,7 @@ from hopfkit.newton import (
     coupling_blocks,
     odd_modes,
 )
-from hopfkit.problem import ScaledParams
+from hopfkit.problem import ScaledParams, linearization_matrix
 from hopfkit.reaction_diffusion import exact_branch_trajectory
 from hopfkit.trajectory import (
     AmplitudeFunctional,
@@ -461,13 +462,13 @@ def test_band_is_bitwise_chunk_invariant(grid, kind, request, monkeypatch):
 
 
 def test_band_makes_each_coupling_block_once(request, monkeypatch):
-    """Assembly makes the blocks of every live coupling family once, in
-    the pass that writes them: on the coarse quasilinear grid at a random
-    base, 60 batches of 2 400 blocks in all."""
+    """Assembly makes the block of every live coupling once, in the pass
+    that writes it: on the coarse quasilinear grid at a random base, 2 400
+    blocks in 7 batches, one per block offset."""
     problem, params, base, layout = band_case("coarse_quasi", "random", 4, request)
     made = recording_coupling_blocks(monkeypatch)
     assemble_jacobian_band(problem, params, base, layout)
-    assert (len(made), sum(shape[0] for shape in made)) == (60, 2400)
+    assert (len(made), sum(shape[0] for shape in made)) == (7, 2400)
 
 
 @pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
@@ -488,7 +489,7 @@ def test_band_is_within_the_memory_guard_bound(grid, kind, request):
 
 @pytest.mark.parametrize("grid", ["coarse", "coarse_quasi"])
 def test_band_reach_is_that_of_the_dense_operator(grid, request):
-    """``kl``/``ku`` are the family bound (each live coupling family's
+    """``kl``/``ku`` are the block bound (each live coupling's block
     offset plus or minus ``r - 1``); at a base with content in every mode
     the blocks fill their corners, and the bound is the largest ``i - j``
     and ``j - i`` over the nonzero entries of the operator, built column by
@@ -504,6 +505,75 @@ def test_band_reach_is_that_of_the_dense_operator(grid, request):
         unit[k] = 0.0
     rows, cols = np.nonzero(dense)
     assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
+
+
+def stencil_problem(rng, nx, width):
+    """A problem whose ``h_u`` reaches ``width`` grid points: at base ``w``,
+    field ``g`` at point ``j + o`` couples into field ``f`` at point ``j``
+    by ``kernel[f, g, o] * (1 + w_f(j)**2)``.  Random couplings ``(f, g,
+    o)`` vanish at every point, the others at random points, and ``A``
+    couples random pairs of points up to ``max(1, width)`` apart."""
+    shape = (2, 2, 2 * width + 1, nx)
+    kernel = (rng.normal(size=shape) * (rng.random(shape[:3] + (1,)) < 0.7)
+              * (rng.random(shape) < 0.7))
+
+    def h_u(lam, w, z):
+        w, z = np.asarray(w, dtype=float), np.asarray(z, dtype=float)
+        out = np.zeros(np.broadcast_shapes(w.shape, z.shape))
+        for f in range(2):
+            scale = 1.0 + w[..., f * nx : (f + 1) * nx] ** 2
+            for g in range(2):
+                for o in range(-width, width + 1):
+                    lo, hi = max(0, -o), min(nx, nx - o)
+                    if lo < hi:
+                        out[..., f * nx + lo : f * nx + hi] += (
+                            kernel[f, g, o + width, lo:hi] * scale[..., lo:hi]
+                            * z[..., g * nx + lo + o : g * nx + hi + o])
+        return out
+
+    points = np.arange(2 * nx) % nx
+    near = np.abs(points[:, None] - points[None, :]) <= max(1, width)
+    a = rng.normal(size=near.shape) * near * (rng.random(near.shape) < 0.5)
+    return dataclasses.replace(synthetic_problem(a), apply_h_u=h_u,
+                               h_stencil=width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=st.integers(1, 9), width=st.integers(0, 3), n_t=st.integers(1, 3),
+       zero_base=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stencil_couplings_give_every_jacobian_property(nx, width, n_t,
+                                                        zero_base, seed):
+    """`stencil_couplings` decodes both Jacobians of a base-dependent
+    ``h_u`` whose couplings vanish at some points, ``nx`` below ``2 *
+    width + 1`` included: the band matches `linearised_g` column by column
+    on the full, half-wave and mode-1 layouts, with ``kl``/``ku`` the reach
+    of the dense operator at a base with content in every mode, and
+    `linearization_matrix` is the unit-vector matrix of ``h_u(lam, 0, .)``
+    exactly."""
+    rng = np.random.default_rng(seed)
+    problem = stencil_problem(rng, nx, width)
+    lam, sigma = rng.uniform(-0.5, 0.5, size=2)
+    params = ScaledParams(float(lam), float(sigma))
+    if zero_base:
+        base = zero_trajectory(n_t, 2 * nx, 1.0)
+    else:
+        base = random_trajectory(rng, n_t, nx, 1.0, scale=0.5)
+    for modes in (None, odd_modes(n_t), range(1, 2)):
+        layout = TrajectoryLayout(n_t, nx, 1.0, modes)
+        band = assemble_jacobian_band(problem, params, base, layout)
+        units = np.eye(layout.size)
+        got = np.column_stack([band.matvec(e) for e in units])
+        want = np.column_stack([layout.flatten_trajectory(problem.linearised_g(
+            params, base, layout.to_trajectory(e))) for e in units])
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        if not zero_base:
+            rows, cols = np.nonzero(want)
+            assert (band.kl, band.ku) == ((rows - cols).max(), (cols - rows).max())
+    zero = np.zeros(problem.dim)
+    dense = np.column_stack([problem.apply_h_u(float(lam), zero, e)
+                             for e in np.eye(problem.dim)])
+    npt.assert_array_equal(linearization_matrix(problem, float(lam)).toarray(),
+                           dense)
 
 
 def test_band_assembly_holds_one_chunk_of_blocks(monkeypatch, request):
@@ -573,13 +643,19 @@ def test_band_rejects_mismatched_trajectory(coarse_problem, coarse_cfg):
 # bordered solves
 
 
+def add_diagonal(band, d, values):
+    """Add ``values`` along diagonal ``i - j = d`` of the band, through its
+    LAPACK storage (``ab[kl + ku + i - j, j]`` is entry ``(i, j)``)."""
+    cols = np.arange(max(0, -d), band.size - max(0, d))
+    band.ab[band.kl + band.ku + d, cols] += values
+
+
 def random_band(rng, size, kl, ku, dominance=0.0):
     band = BandedMatrix(size, kl, ku)
     for d in range(-ku, kl + 1):
-        js = np.arange(max(0, -d), size - max(0, d))
-        band.add_at(d, js, rng.normal(size=js.size))
+        add_diagonal(band, d, rng.normal(size=size - abs(d)))
     if dominance:
-        band.add_at(0, np.arange(size), np.full(size, dominance))
+        add_diagonal(band, 0, dominance)
     return band
 
 
@@ -803,7 +879,7 @@ def test_bordered_transpose_with_singular_core():
     diag = np.arange(1.0, size + 1.0)
     diag[3] = 0.0
     band = BandedMatrix(size, 0, 0)
-    band.add_at(0, np.arange(size), diag)
+    add_diagonal(band, 0, diag)
     columns = np.zeros((size, 2))
     columns[3, 0] = 1.0
     columns[7, 1] = 1.0
@@ -842,7 +918,7 @@ def test_bordered_with_exactly_singular_core():
     diag = np.arange(1.0, size + 1.0)
     diag[5] = 0.0
     band = BandedMatrix(size, 0, 0)
-    band.add_at(0, np.arange(size), diag)
+    add_diagonal(band, 0, diag)
     columns = np.zeros((size, 2))
     columns[5, 0] = 1.0
     columns[8, 1] = 1.0
@@ -864,7 +940,7 @@ def test_bordered_refinement_tightens_residual():
     diag = np.linspace(1.0, 3.0, size)
     diag[7] = 1e-11  # nearly singular pivot: direct Schur loses digits
     band = BandedMatrix(size, 0, 0)
-    band.add_at(0, np.arange(size), diag)
+    add_diagonal(band, 0, diag)
     columns = np.zeros((size, 2))
     columns[7, 0] = 1.0
     columns[11, 1] = 1.0
@@ -885,7 +961,7 @@ def test_bordered_refinement_tightens_residual():
 
 def test_bordered_validates_column_shape():
     band = BandedMatrix(6, 1, 1)
-    band.add_at(0, np.arange(6), np.ones(6))
+    add_diagonal(band, 0, 1.0)
     with pytest.raises(ValueError):
         BorderedSystem(
             band,
@@ -899,7 +975,7 @@ def test_bordered_reports_unfixable_singularity():
     # it actually can (jitter uses scale 1 fallback), so instead check a
     # NaN band fails loudly.
     band = BandedMatrix(4, 0, 0)
-    band.add_at(0, np.arange(4), np.full(4, np.nan))
+    add_diagonal(band, 0, np.nan)
     system = BorderedSystem(
         band,
         np.zeros((4, 2)),
