@@ -33,18 +33,20 @@ stencil's worst case.  The blocks of one offset are made once, a bounded
 chunk at a time, and written into the band as they are made, so assembly
 needs the band plus a fixed workspace, whatever the grid.
 `BandedMatrix` keeps LAPACK band storage in the Fortran order `dgbtrf`
-takes, one contiguous run per matrix column.  The Newton steps factor it in
-place, so a factorized Newton band is one band-sized array; solves that
-refine against the band factor a copy instead.
+takes, one contiguous run per matrix column.  A band holds its own LU
+(``BandedMatrix.lu``), made once by `BandedMatrix.factorize`.  The Newton
+steps factor it in place, so a factorized Newton band is one band-sized
+array; solves that refine against the band factor a copy instead.
 
 `BorderedSystem` solves the band plus two extra columns (parameter
 derivatives) and two extra rows (the phase functionals) by a 2x2 Schur
 complement, with optional matrix-free iterative refinement -- needed
 because the core band is *exactly singular* at a solved branch point (time
 translation) while the bordered system is not.
-`BorderedSystem.on_factor` puts new borders on an existing factor, with
-the core conjugated by `TrajectoryLayout.rotate` (the flat form of a time
-shift), so one factor serves every time translate of its base trajectory.
+Given a ``rotation``, `BorderedSystem` puts new borders on a band factored
+once, with the core conjugated by `TrajectoryLayout.rotate` (the flat form
+of a time shift), so one factor serves every time translate of its base
+trajectory.
 """
 
 from __future__ import annotations
@@ -260,8 +262,9 @@ class BandedMatrix:
     kl``; rows ``0 .. kl - 1`` of ``ab`` are fill-in workspace for
     `dgbtrf`.  ``ab`` is the transpose of a C-contiguous ``(size, 2*kl +
     ku + 1)`` array: the Fortran-ordered ``AB`` of LAPACK, with every
-    matrix column one contiguous run.  `factorize` copies it, or factors
-    it in place; then the band is *consumed* (``ab`` holds LU data) and the
+    matrix column one contiguous run.  The band holds its own LU: ``lu``
+    is ``None`` until `factorize` makes it, from a copy of ``ab`` or in
+    place; in place, the band is *consumed* (``ab`` holds LU data) and the
     products refuse to run.
     """
 
@@ -271,9 +274,11 @@ class BandedMatrix:
         self.ku = ku
         self.ab = np.zeros((size, 2 * kl + ku + 1)).T
         self.consumed = False
+        self.lu = None
 
     def factorize(self, overwrite=False):
-        """LU factor ``(lub, ipiv)`` of the band by `dgbtrf`.
+        """LU factor ``(lub, ipiv)`` of the band by `dgbtrf`, made on the
+        first call and kept as ``lu``; later calls return it.
 
         ``overwrite`` factors ``ab`` in place, which consumes the band;
         otherwise the factor is a copy.  An exactly zero pivot is set to
@@ -282,16 +287,19 @@ class BandedMatrix:
         with that one diagonal entry perturbed, and refinement against the
         exact operator absorbs the perturbation.
         """
-        kl, ku = self.kl, self.ku
-        scale = np.abs(self._entries()[kl + ku]).max() or 1.0
-        lub, ipiv, info = lapack.dgbtrf(self.ab, kl, ku, overwrite_ab=int(overwrite))
-        self.consumed = bool(overwrite)
-        if info < 0:
-            raise SingularBandError(f"dgbtrf: illegal argument {-info}")
-        if info > 0:
-            pivots = lub[kl + ku]
-            pivots[pivots == 0.0] = 1e-13 * scale
-        return lub, ipiv
+        if self.lu is None:
+            kl, ku = self.kl, self.ku
+            scale = np.abs(self.ab[kl + ku]).max() or 1.0
+            lub, ipiv, info = lapack.dgbtrf(self.ab, kl, ku,
+                                            overwrite_ab=int(overwrite))
+            self.consumed = bool(overwrite)
+            if info < 0:
+                raise SingularBandError(f"dgbtrf: illegal argument {-info}")
+            if info > 0:
+                pivots = lub[kl + ku]
+                pivots[pivots == 0.0] = 1e-13 * scale
+            self.lu = lub, ipiv
+        return self.lu
 
     def _entries(self):
         if self.consumed:
@@ -404,12 +412,15 @@ class BorderedSystem:
 
     ``J`` is the banded core, ``C`` the (size, 2) parameter columns,
     ``B`` the two functional rows.  Solved by LU of the band plus the 2x2
-    Schur complement ``-B^T J^-1 C``.  The core may be numerically
-    singular (time-translation symmetry at a converged branch point); the
-    bordered system is still regular, and `solve` repairs the lost
-    accuracy with matrix-free refinement when an exact ``matvec`` of the
-    full system is supplied.  Refinement against the band's own `apply`
-    needs the band, so it works only when `factorize` kept it.
+    Schur complement ``-B^T J^-1 C``.  The LU is the band's own
+    (`BandedMatrix.factorize`): a band factored already, in place or not,
+    is solved through its factor, otherwise the first solve factors a
+    copy.  The core may be numerically singular (time-translation symmetry
+    at a converged branch point); the bordered system is still regular,
+    and `solve` repairs the lost accuracy with matrix-free refinement when
+    an exact ``matvec`` of the full system is supplied.  Refinement against
+    the band's own `apply` needs the band, so it works only when the band
+    was not factored in place.
 
     `solve` and `solve_transpose` share one band factorization and one
     routine: the transposed system is bordered the same way with the roles
@@ -417,59 +428,34 @@ class BorderedSystem:
     ``J^T`` through its ``trans`` flag.  The border solves and the Schur
     complement are cached per orientation.
 
-    `on_factor` borders an already factored core anew: the new system
-    shares the band and its factor, with the core taken as ``S J S^-1``
-    for a rotation ``S`` of the layout (see `on_factor`).
+    With ``rotation = (layout, psi)`` the core is ``S J S^-1`` for ``S =
+    layout.rotate(., psi)``: new borders on a band factored once serve
+    every time translate of its base trajectory, and only the Schur
+    complement of the borders is computed.  ``S`` is orthogonal, so the
+    transpose solves ``S J^-T S^-1`` the same way.  The band product is not
+    rotated: `solve` on a rotated system needs an exact ``matvec``.
     """
 
-    def __init__(self, band, columns, rows):
+    def __init__(self, band, columns, rows, rotation=None):
         self.band = band
         self.columns = np.asarray(columns, dtype=float)
         if self.columns.shape != (band.size, 2):
             raise ValueError("expected two border columns of core size")
-        self.rows = rows  # pair of (indices, values)
-        self._factor = None
-        self._rotation = None  # (layout, psi) of a rotated system (`on_factor`)
-        self._schur = {}  # transpose -> (border solves, Schur complement)
-
-    @classmethod
-    def on_factor(cls, band, factor, columns, rows, layout, psi):
-        """The system ``[[S J S^-1, columns], [rows^T, 0]]`` on ``factor``,
-        the LU ``(lub, ipiv)`` of ``band``'s core ``J``.
-
-        ``S = layout.rotate(., psi)``.  Nothing is assembled or factorized
-        again; only the Schur complement of the new borders is computed.
-        ``S`` is orthogonal, so the transpose solves ``S J^-T S^-1`` the
-        same way.  The band product is not rotated: `solve` on a rotated
-        system needs an exact ``matvec``.
-        """
-        if layout.size != band.size:
+        if rotation is not None and rotation[0].size != band.size:
             raise ValueError("layout does not match the band")
-        system = cls(band, columns, rows)
-        system._factor = factor
-        system._rotation = (layout, float(psi))
-        return system
+        self.rows = rows  # pair of (indices, values)
+        self._rotation = rotation
+        self._schur = {}  # transpose -> (border solves, Schur complement)
 
     # -- low-level pieces ---------------------------------------------------
 
-    def factorize(self, overwrite=False):
-        """LU-factorize the band core once (later calls do nothing).
-
-        ``overwrite`` factors the band in place (`BandedMatrix.factorize`):
-        one band-sized array instead of two, after which only solves
-        refined against an exact ``matvec`` can run.  Otherwise the band
-        stays intact for products and refinement.
-        """
-        if self._factor is None:
-            self._factor = self.band.factorize(overwrite)
-
     def _core_solve(self, b, transpose):
         """``J^-1 b`` (``J^-T b``) for one vector or a ``(size, k)`` stack,
-        conjugated by the rotation of an `on_factor` system."""
+        conjugated by the rotation of a rotated system."""
         if self._rotation is not None:
             layout, psi = self._rotation
             b = layout.rotate(b, -psi)
-        lub, ipiv = self._factor
+        lub, ipiv = self.band.factorize()
         x, info = lapack.dgbtrs(
             lub, self.band.kl, self.band.ku, b, ipiv, trans=1 if transpose else 0
         )
@@ -503,7 +489,6 @@ class BorderedSystem:
 
     def _solve(self, rhs_core, rhs_border, matvec, refine, transpose):
         """Solve the bordered system, or its transpose (see the class)."""
-        self.factorize()
         # Not cached: a bound method stored on self would make a reference
         # cycle, keeping the band and its factor alive until a cyclic GC.
         rows = (lambda y: self.columns.T @ y) if transpose else self._row_dot

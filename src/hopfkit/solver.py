@@ -206,8 +206,7 @@ def _newton_space(trajectories, core, tol, narrowest=0):
     for space in range(narrowest, _FULL):
         outside = np.ones(core.n_t + 1, dtype=bool)
         outside[_space_modes(space, core.n_t)] = False
-        rest = core.with_coeffs(np.where(outside[:, None], core.coeffs, 0.0))
-        if (rest.norm() <= tol
+        if (core.norm(np.flatnonzero(outside)) <= tol
                 and not any(np.any(traj.coeffs[outside]) for traj in trajectories)):
             return space
     return _FULL
@@ -278,9 +277,8 @@ class _Linearization:
         rows first, parameter slots last.
 
         With a `_SharedFactor` ``held`` in ``layout`` no band is assembled:
-        the core is the held factor's, rotated from its phase to ``u``'s
-        (`BorderedSystem.on_factor`), and the parameter columns and rows
-        are this one's.
+        the core is the held band's, rotated from its phase to ``u``'s,
+        and the parameter columns and rows are this one's.
         """
         layout = self.layout() if layout is None else layout
         columns = np.column_stack(
@@ -288,12 +286,13 @@ class _Linearization:
              layout.flatten_trajectory(self.col_sig)]
         )
         rows = layout.functional_rows(self.functional.weight.data)
-        if held is not None:
-            psi = held.phase - self.functional.phase_angle(self.u)
-            return BorderedSystem.on_factor(
-                held.band, held.lu, columns, rows, layout, psi), layout
-        band = assemble_jacobian_band(self.problem, self.params, self.base, layout)
-        return BorderedSystem(band, columns, rows), layout
+        if held is None:
+            band = assemble_jacobian_band(self.problem, self.params, self.base, layout)
+            rotation = None
+        else:
+            band = held.band
+            rotation = (layout, held.phase - self.functional.phase_angle(self.u))
+        return BorderedSystem(band, columns, rows, rotation), layout
 
 
 class _SharedFactor:
@@ -304,11 +303,10 @@ class _SharedFactor:
     made at an iterate of phase ``phase`` (`AmplitudeFunctional.
     phase_angle`) serves an iterate of phase ``theta`` through ``S_psi``,
     ``psi = phase - theta``.  Only what the solves need is kept: ``band``,
-    ``lu``, its factor ``(lub, ipiv)`` made in place (``lub`` is the band's
-    own storage), the rung ``space`` of `_SPACES` it was made in (0, the
-    bottom rung, while none is held), its ``layout`` and ``phase``; no
-    border columns and no Schur complement.  ``factorizations`` counts the
-    factors made.
+    factored in place and holding its own LU (`BandedMatrix.lu`), the rung
+    ``space`` of `_SPACES` it was made in (0, the bottom rung, while none
+    is held), its ``layout`` and ``phase``; no border columns and no Schur
+    complement.  ``factorizations`` counts the factors made.
 
     A step in the held factor's space goes through it, on every rung,
     mode 1 included, and while one is held no step narrows below its
@@ -341,7 +339,8 @@ class _SharedFactor:
         return self.band is not None and self.layout.modes == layout.modes
 
     def release(self):
-        self.band = self.lu = self.layout = None
+        """Drop the held band, and with it its LU."""
+        self.band = self.layout = None
         self.space = 0
 
     def refactor(self, lin, space):
@@ -350,7 +349,7 @@ class _SharedFactor:
         self.release()
         layout = lin.layout(space)
         band = assemble_jacobian_band(lin.problem, lin.params, lin.base, layout)
-        self.lu = band.factorize(overwrite=True)
+        band.factorize(overwrite=True)
         self.band, self.layout, self.space = band, layout, space
         self.phase = lin.functional.phase_angle(lin.u)
         self.factorizations += 1
@@ -361,14 +360,10 @@ def _bordered_step(lin, layout, held, core, r_pair):
     held factor, refined against ``lin``'s exact derivative.  The bordered
     system is local, so nothing of it outlives the step."""
     system, _ = lin.bordered_system(layout, held)
-    (i1, v1), (i2, v2) = system.rows
 
     def matvec(y, p):
         _, image = lin.apply(p[0], p[1], layout.to_trajectory(y))
-        return (
-            layout.flatten_trajectory(image),
-            np.array([v1 @ y[i1], v2 @ y[i2]]),
-        )
+        return layout.flatten_trajectory(image), system._row_dot(y)
 
     dy, dp = system.solve(-layout.flatten_trajectory(core), -r_pair, matvec=matvec)
     return layout.to_trajectory(dy), dp
@@ -608,15 +603,12 @@ def _subspace_leakage(jac, rng):
     # low block (parameters and modes 0, 1) -> low block
     v = random_traj(lowpass=True)
     pair, image = jac.apply(0.7, -0.4, v)
-    _, _, overtones = image.split_subspaces()
-    worst = max(worst, overtones.norm() / max(1.0, image.norm()))
+    worst = max(worst, image.norm(range(2, n_t + 1)) / max(1.0, image.norm()))
 
     # high block (modes >= 2) -> high block, invisible to the functionals
     v = random_traj(lowpass=False)
     pair, image = jac.apply(0.0, 0.0, v)
-    mean, fundamental, _ = image.split_subspaces()
-    low = np.sqrt(mean.norm() ** 2 + fundamental.norm() ** 2)
-    worst = max(worst, low / max(1.0, image.norm()))
+    worst = max(worst, image.norm(range(2)) / max(1.0, image.norm()))
     worst = max(worst, float(np.abs(pair).max()) / max(1.0, v.norm()))
     return worst
 

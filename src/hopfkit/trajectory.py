@@ -268,37 +268,22 @@ class PeriodicTrajectory:
         phases = np.exp(1j * float(theta) * np.arange(self.n_t + 1))
         return _adopt(self.coeffs * phases[:, None], self.dx)
 
-    def split_subspaces(self):
-        """Split into mean, fundamental and higher-harmonic parts.
-
-        Returns
-        -------
-        mean : StateVector
-            The time average (mode 0).
-        fundamental : PeriodicTrajectory
-            Modes ``+-1`` only.
-        overtones : PeriodicTrajectory
-            Everything with ``|n| >= 2``.
-
-        At ``n_t = 0`` the fundamental and overtone parts are zero.
-        """
-        mean = StateVector(self.coeffs[0].real, self.dx)
-        fund = np.zeros_like(self.coeffs)
-        fund[1:2] = self.coeffs[1:2]
-        rest = np.array(self.coeffs)
-        rest[:2] = 0.0
-        return mean, self.with_coeffs(fund), self.with_coeffs(rest)
-
     # -- norms ---------------------------------------------------------------
 
-    def norm(self):
+    def norm(self, modes=None):
         """Space-time L2 norm over one period, normalised in time.
 
         Parseval: ``|u|^2 = sum_n |u_hat(n)|^2`` with weight 2 on ``n >= 1``,
-        times ``dx`` for the spatial measure.
+        times ``dx`` for the spatial measure.  ``modes``, a set of mode
+        numbers ``n >= 0``, restricts the sum to them by giving every other
+        mode weight 0 (modes above ``n_t`` are not there to count): for
+        finite coefficients, bitwise the norm of a copy with the other rows
+        zeroed.
         """
         w = np.full(self.n_t + 1, 2.0)
         w[0] = 1.0
+        if modes is not None:
+            w[~np.isin(np.arange(self.n_t + 1), list(modes))] = 0.0
         power = np.einsum("n,nd->", w, (self.coeffs * np.conj(self.coeffs)).real)
         return float(np.sqrt(power * self.dx))
 

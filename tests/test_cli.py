@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -15,6 +16,7 @@ from conftest import with_even_term, with_sampled_wobble
 from hopfkit import spectral
 from hopfkit.cli import main
 from hopfkit.config import (
+    _SCHEMA,
     ConfigError,
     build_problem,
     load_config,
@@ -39,6 +41,18 @@ def test_empty_config_is_all_defaults():
     assert cfg.solver.alpha_steps == 10
     assert cfg.output.format == "csv"
     assert cfg.output.path == "out"
+
+
+def test_readme_config_block_is_the_schema():
+    """The README's ``ini`` block names every key the parser knows, and
+    the parser accepts it as written."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+            if line.split("#", 1)[0].strip()}
+    assert keys == set(_SCHEMA)
+    parse_config(block)
 
 
 def test_config_comments_and_blank_lines():
@@ -483,6 +497,34 @@ def test_cli_verify_exact_consistent(tmp_path):
     assert summary["passed"]
     assert summary["max_lambda_error"] <= 1e-8
     assert summary["max_state_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("delta, code", [(1e-7, 1), (1e-9, 0)])
+def test_cli_verify_exact_reads_the_lambda_error(tmp_path, monkeypatch,
+                                                 delta, code):
+    """Every alpha > 0 point of the branch moved off lambda = alpha^2 by
+    delta: the consistent mode's 1e-8 tolerance fails the run a factor 10
+    above it and passes it a factor 10 below."""
+    import dataclasses
+
+    from hopfkit import cli
+
+    branch = cli.continue_branch
+
+    def shifted_branch(*args, **kwargs):
+        result = branch(*args, **kwargs)
+        result.points = [
+            dataclasses.replace(pt, lam=pt.lam + delta) if pt.alpha > 0 else pt
+            for pt in result.points
+        ]
+        return result
+
+    monkeypatch.setattr(cli, "continue_branch", shifted_branch)
+    assert run_cli(tmp_path, "verify-exact")[0] == code
+    summary = json.loads((tmp_path / "out" / "exact_summary.json").read_text())
+    assert summary["mode"] == "consistent"
+    assert summary["passed"] is (code == 0)
+    assert summary["max_lambda_error"] == pytest.approx(delta, rel=0.1)
 
 
 def test_cli_verify_exact_standard_mode(tmp_path):

@@ -731,17 +731,18 @@ def test_bordered_system_freed_without_cycle_collector():
 
 
 def test_rebordered_system_solves_the_rotated_core():
-    """A system bordered on an existing factor shares the band and the
-    factor and solves ``[[S J S^-1, C], [R^T, 0]]`` in both orientations;
-    its refinement needs an exact matvec."""
+    """A system with a rotation, bordered on a band factored already,
+    solves ``[[S J S^-1, C], [R^T, 0]]`` in both orientations through the
+    band's own LU, with no new factor; its refinement needs an exact
+    matvec."""
     rng = np.random.default_rng(38)
     layout = TrajectoryLayout(n_t=2, nx=3, dx=0.5)
     size, psi = layout.size, 0.9
     band = random_band(rng, size, 4, 3, dominance=20.0)
     factor = band.factorize()
-    system = BorderedSystem.on_factor(
-        band, factor, rng.normal(size=(size, 2)), make_rows(rng, size), layout, psi)
-    assert system.band is band and system._factor is factor
+    system = BorderedSystem(band, rng.normal(size=(size, 2)),
+                            make_rows(rng, size), rotation=(layout, psi))
+    assert system.band is band and band.lu is factor
 
     eye = np.eye(size)
     turn = layout.rotate(eye, psi)
@@ -767,9 +768,10 @@ def test_rebordered_system_solves_the_rotated_core():
                                 rtol=1e-10, atol=1e-12)
     with pytest.raises(ValueError, match="exact matvec"):
         system.solve(rhs_core, rhs_border)
+    assert band.factorize() is factor  # the solves made no new factor
     with pytest.raises(ValueError, match="layout"):
-        BorderedSystem.on_factor(band, factor, system.columns, system.rows,
-                                 TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi)
+        BorderedSystem(band, system.columns, system.rows,
+                       rotation=(TrajectoryLayout(n_t=1, nx=3, dx=0.5), psi))
 
 
 def test_band_refined_solve_keeps_the_band():
@@ -782,7 +784,7 @@ def test_band_refined_solve_keeps_the_band():
     system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
     system.solve(rng.normal(size=size), rng.normal(size=2))
     assert not band.consumed
-    assert not np.shares_memory(system._factor[0], band.ab)
+    assert not np.shares_memory(band.lu[0], band.ab)
     npt.assert_array_equal(band.ab, before)
 
 
@@ -811,9 +813,9 @@ def test_in_place_factor_with_zero_pivot_matches_dense(monkeypatch):
         return out
 
     monkeypatch.setattr(newton_module.lapack, "dgbtrf", recording_dgbtrf)
-    system.factorize(overwrite=True)
+    band.factorize(overwrite=True)
     assert infos == [j + 1]  # LAPACK counts columns from 1
-    assert band.consumed and np.shares_memory(system._factor[0], band.ab)
+    assert band.consumed and np.shares_memory(band.lu[0], band.ab)
 
     def exact(y, p):
         out = dense @ np.concatenate([y, p])
@@ -823,6 +825,7 @@ def test_in_place_factor_with_zero_pivot_matches_dense(monkeypatch):
     y, p = system.solve(rhs[:size], rhs[size:], matvec=exact, refine=3)
     npt.assert_allclose(np.concatenate([y, p]), np.linalg.solve(dense, rhs),
                         rtol=1e-8, atol=1e-10)
+    assert infos == [j + 1]  # the solve went through the band's own LU
 
 
 def test_consumed_band_refuses_products():
@@ -833,7 +836,7 @@ def test_consumed_band_refuses_products():
     size = 12
     band = random_band(rng, size, 2, 1, dominance=8.0)
     system = BorderedSystem(band, rng.normal(size=(size, 2)), make_rows(rng, size))
-    system.factorize(overwrite=True)
+    band.factorize(overwrite=True)
     y, p = rng.normal(size=size), rng.normal(size=2)
     for product in (band.matvec, band.rmatvec):
         with pytest.raises(ValueError, match="LU data"):

@@ -29,6 +29,7 @@ from hopfkit.reaction_diffusion import (
     reference_eigenvector,
 )
 from hopfkit.solver import (
+    FIT_TOLERANCE,
     NEWTON_TOL,
     BRANCH_CSV_COLUMNS,
     BifurcationJacobian,
@@ -528,6 +529,23 @@ def test_certificate_verdict_reads_the_leakage(
         coarse_solution.u)
     assert 5e-3 * eps <= cert.leakage <= 1e-2 * eps
     assert cert.smallest_singular_value > 0.1
+    assert cert.nonsingular is nonsingular
+
+
+@pytest.mark.parametrize("c, nonsingular", [(2e-7, False), (2e-5, True)])
+def test_certificate_verdict_reads_sigma_min(c, nonsingular):
+    """The "0-1" block of a linear crossing at speed c has sigma_min c/2:
+    the verdict fails at 1e-7, a factor 10 below the 1e-6 tolerance, and
+    holds at 1e-5, a factor 10 above it, with no leakage either way."""
+    problem = synthetic_problem(rotation_block(), h="linear", c=c)
+    decomp = build_projection(problem)
+    functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
+    solution = solve_extended(
+        problem, functional, initial_extended_state(decomp.psi, n_t=4)
+    )
+    cert = verify_jacobian_nonsingular(problem, functional, solution.u)
+    assert cert.sigma_min_by_mode["0-1"] == pytest.approx(c / 2, rel=1e-6)
+    assert cert.leakage <= 1e-10
     assert cert.nonsingular is nonsingular
 
 
@@ -1766,12 +1784,18 @@ def test_fit_on_exact_branch(coarse_branch):
     assert fit.max_fit_residual <= 1e-8
 
 
-def test_fit_flags_linear_contamination():
+@pytest.mark.parametrize("param", ["c1", "s1"])
+@pytest.mark.parametrize("scale, ok", [(10.0, False), (0.1, True)])
+def test_fit_flags_linear_contamination(param, scale, ok):
+    """A linear term in lambda (c1) or in sigma (s1) fails the fit at 10x
+    `FIT_TOLERANCE` and passes it at 0.1x."""
     alphas = np.linspace(0.0, 0.5, 6)
-    result = fake_branch(alphas, 0.3 * alphas + alphas**2, 0.0 * alphas)
-    fit = fit_branch_curvature(result)
-    assert not fit.ok
-    assert fit.c1 == pytest.approx(0.3, abs=1e-10)
+    slope = scale * FIT_TOLERANCE
+    lams = alphas**2 + (slope * alphas if param == "c1" else 0.0)
+    sigmas = slope * alphas if param == "s1" else 0.0 * alphas
+    fit = fit_branch_curvature(fake_branch(alphas, lams, sigmas))
+    assert fit.ok is ok
+    assert getattr(fit, param) == pytest.approx(slope, rel=1e-8)
     assert fit.c2 == pytest.approx(1.0, abs=1e-10)
 
 

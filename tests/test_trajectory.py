@@ -193,25 +193,38 @@ def test_norm_parseval_against_quadrature():
 
 
 def test_split_subspaces_partition():
+    # The mean, fundamental and overtone subspaces, read as mode-set norms,
+    # partition the squared norm, and each part is the norm of its own rows.
     u = make_traj(n_t=5, nx=3)
-    mean, fund, rest = u.split_subspaces()
-    assert np.allclose(mean.data, u.coeffs[0].real)
-    assert np.allclose(fund.coeffs[1], u.coeffs[1])
-    assert np.count_nonzero(fund.coeffs) == np.count_nonzero(u.coeffs[1])
-    recombined = fund + rest
-    recombined = recombined.with_coeffs(recombined.coeffs + np.vstack(
-        [mean.data[None, :], np.zeros((u.n_t, u.dim))]))
-    assert np.allclose(recombined.coeffs, u.coeffs, atol=1e-14)
+    mean, fund, rest = u.norm({0}), u.norm({1}), u.norm(range(2, u.n_t + 1))
+    assert np.isclose(mean**2 + fund**2 + rest**2, u.norm() ** 2, rtol=1e-14)
+    assert np.isclose(mean, np.sqrt(np.sum(u.coeffs[0].real ** 2) * u.dx), rtol=1e-14)
+    assert np.isclose(fund, np.sqrt(2.0 * np.sum(np.abs(u.coeffs[1]) ** 2) * u.dx),
+                      rtol=1e-14)
 
 
 def test_split_subspaces_of_a_mean_only_trajectory():
-    # At n_t = 0 there is no mode 1 to index: the trajectory is its mean.
+    # At n_t = 0 there is no mode 1: the trajectory is its mean, and the
+    # fundamental and overtone parts have zero norm.
     u = PeriodicTrajectory(np.array([[1.5, -2.0, 0.25, 3.0]]), 0.1)
-    mean, fund, rest = u.split_subspaces()
-    assert np.array_equal(mean.data, [1.5, -2.0, 0.25, 3.0])
-    for part in (fund, rest):
-        assert part.n_t == 0 and part.dx == 0.1
-        assert not part.coeffs.any()
+    assert u.norm({0}) == u.norm()
+    assert u.norm({1}) == 0.0
+    assert u.norm(range(2, 5)) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(0, 6), nx=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       modes=st.sets(st.integers(0, 8)))
+def test_mode_set_norm_is_the_norm_of_the_zeroed_copy(n_t, nx, seed, modes):
+    """The norm over a mode set is bitwise the norm of the copy whose other
+    coefficient rows are zero, ``n_t = 0`` and modes past ``n_t``
+    included; the full set gives the whole norm."""
+    u = make_traj(n_t=n_t, nx=nx, seed=seed)
+    kept = np.zeros_like(u.coeffs)
+    rows = [n for n in modes if n <= n_t]
+    kept[rows] = u.coeffs[rows]
+    assert u.norm(modes) == u.with_coeffs(kept).norm()
+    assert u.norm(range(n_t + 1)) == u.norm()
 
 
 def test_single_harmonic_layout():
