@@ -147,9 +147,10 @@ def _validate_solver(settings):
         raise ConfigError("solver.alpha_max must be nonnegative and finite")
     if settings.alpha_steps < 2:
         raise ConfigError("solver.alpha_steps must be at least 2")
-    # The branch divides by its first amplitude; below the smallest normal
-    # float the quotient overflows.
-    if 0 < settings.alpha_max / settings.alpha_steps < np.finfo(float).tiny:
+    # The branch divides by its first amplitude alpha_max / alpha_steps,
+    # which must be a normal float; a subnormal alpha_max underflows it to 0.
+    step = settings.alpha_max / settings.alpha_steps
+    if settings.alpha_max > 0 and step < np.finfo(float).tiny:
         raise ConfigError(
             "solver.alpha_max must be 0 or at least alpha_steps times the "
             "smallest normal float"

@@ -36,9 +36,9 @@ the held factor, when the factor is not in the step's space or the last
 chord step did not at least halve the residual; a chord step that fails
 (its residual leaves the solver's domain, or its bordered reduction is
 singular) is taken again at the same iterate through a new factor.
-`continue_branch` holds one factor for its whole sweep, the symmetry check
-starts from the factor at the branch's mid point, and `solve_extended`
-starts with none.
+Every Newton run (`solve_extended`, `continue_branch`, the symmetry check)
+starts with no factor, and its first step makes one; `continue_branch` and
+the symmetry check hold theirs across the whole sweep.
 
 A Newton step solves in the narrowest space of a ladder of nested Fourier
 spaces that holds its base and iterate exactly and outside which its
@@ -317,21 +317,14 @@ class _SharedFactor:
     convergence, and residual content outside mode 1 above ``newton_tol``
     widens the solve.
 
-    With a `_Linearization` ``lin`` and a ``space`` above mode 1 the first
-    factor is made at once, in ``lin.layout(space)``; otherwise the first
-    Newton step makes it.  The symmetry check starts this way from its
-    mid point: an eager factor on mode 1 measured 2 factorizations on the
-    production branch, where the first Newton step's own factor serves the
-    whole check, and no eager factor at all measured 2 on the quasilinear
-    branch, against 1 from the mid point.
+    Every run starts with no factor: only a Newton step makes one
+    (`refactor`, from `_newton_square`).
     """
 
-    def __init__(self, lin=None, space=0):
+    def __init__(self):
         self.release()
         self.phase = 0.0
         self.factorizations = 0
-        if space > 0:
-            self.refactor(lin, space)
 
     def fits(self, layout):
         """Whether a factor is held that a step in ``layout`` may go
@@ -1021,8 +1014,8 @@ class SymmetryReport:
     ``u(-alpha) = tau_pi u(alpha)`` (equivalently, the first-order part
     flips sign while the correction translates).  ``newton_iters`` sums
     the Newton iterations of the mirrored points and the phase seeds,
-    ``factorizations`` counts the band factorizations they took, a factor
-    made at the mid point before them included.
+    ``factorizations`` counts the band factorizations their Newton steps
+    made; the check starts with none.
     """
 
     parameter_deviation: float
@@ -1061,22 +1054,22 @@ def check_branch_symmetry(problem, functional, result):
     the sampled uniqueness test.  All solves start from ``result.points[0]``
     and stop at ``result.newton_tol`` or ``result.max_iter`` iterations.
 
-    The Newton solves share one held factor (`_newton_square`), starting
-    from the branch linearisation at the mid point, whose pair is
-    ``(alpha, 0)``, in the space `_newton_space` picks there, unless that
-    is the mode-1 space, where the first Newton step makes it
-    (`_SharedFactor`).  g is autonomous, so the derivative at a time
-    translate ``tau_psi u`` is ``S_psi g_u(p, u) S_psi^-1``, with ``S_psi``
-    the O(size) rotation of each mode ``n`` by ``n psi`` (``S_pi`` is the
-    mirror).  Every Newton step of the mirrored branch and of the seeds
-    solves through the held factor rotated by the phase difference between
-    the factor's iterate and its own, refined against the exact
-    derivative; the residual and the tolerance stay exact.  A step after a
-    chord step that did not at least halve the residual, or that climbs
-    above the factor's rung, factors at its iterate, and that factor is
-    held from then on (a factor made on the mirrored branch sits at phase
-    ``pi``).  So on a branch whose first factor serves every solve, mode 1
-    (rotating waves), half-wave or full, the check factorizes one band.
+    The Newton solves share one held factor (`_newton_square`).  Like
+    `continue_branch`, the check starts with none, and the mirrored
+    branch's first Newton step makes it (`_SharedFactor`), so the mirrored
+    sweep factors as the sweep it mirrors.  g is autonomous, so the
+    derivative at a time translate ``tau_psi u`` is ``S_psi g_u(p, u)
+    S_psi^-1``, with ``S_psi`` the O(size) rotation of each mode ``n`` by
+    ``n psi`` (``S_pi`` is the mirror).  Every Newton step of the mirrored
+    branch and of the seeds solves through the held factor rotated by the
+    phase difference between the factor's iterate and its own, refined
+    against the exact derivative; the residual and the tolerance stay
+    exact.  A step after a chord step that did not at least halve the
+    residual, or that climbs above the factor's rung, factors at its
+    iterate, and that factor is held from then on (a factor made on the
+    mirrored branch sits at phase ``pi``).  So on a branch whose first
+    factor serves every solve, mode 1 (rotating waves), half-wave or full,
+    the check factorizes one band.
     The report counts the Newton iterations and every factorization.
 
     The mirrored points, like the branch's, keep only their live Fourier
@@ -1095,17 +1088,7 @@ def check_branch_symmetry(problem, functional, result):
         raise ValueError("branch has no nontrivial points to mirror")
     origin = result.points[0].params
     mid = plus[len(plus) // 2]
-    mid_u = mid.u
-    try:
-        core = problem.residual_g(mid.params, mid_u)
-        held = _SharedFactor(
-            _branch_linearization(problem, functional, mid.params, mid_u, core),
-            _newton_space((mid_u,), core, newton_tol))
-    except SingularBandError as exc:
-        raise ConvergenceError(
-            f"symmetry check: no factor at alpha = {mid.alpha:g}: {exc}"
-        ) from exc
-
+    held = _SharedFactor()
     notes = []
     grid = np.array([-pt.alpha for pt in plus])
     minus, _ = _continue_grid(
@@ -1130,6 +1113,7 @@ def check_branch_symmetry(problem, functional, result):
 
     # sampled uniqueness: translated seeds must converge back to the
     # phase-fixed representative
+    mid_u = mid.u
     newton_iters = sum(mt.newton_iters for mt in minus)
     phase_deviations = {}
     for theta in SYMMETRY_PHASES:

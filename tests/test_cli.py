@@ -346,8 +346,8 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     branch passes.  The summary and the verbose line report the band
     factorizations of the continuation, which iterates at every point
     through the held factor, factored once per rung it climbs (the odd
-    modes up to 3, then up to 7), and the symmetry check's cost: one
-    factor, at the mid point's rung."""
+    modes up to 3, then up to 7), and the symmetry check's cost, which
+    starts with no factor and so climbs the same two rungs."""
     cfg = write_config(
         tmp_path,
         "problem.variant = quasilinear\nproblem.L = 20\nproblem.dx = 0.2\n"
@@ -366,10 +366,10 @@ def test_cli_branch_anchors_at_the_solved_point(tmp_path, capsys):
     assert summary["factorizations"] == 2
     assert (summary["newton_space"], summary["newton_max_mode"]) == ("half-wave", 7)
     symmetry = summary["symmetry"]
-    assert symmetry["passed"] and symmetry["factorizations"] == 1
+    assert symmetry["passed"] and symmetry["factorizations"] == 2
     assert ("; newton space: half-wave up to mode 7; continuation: "
             "2 factorizations; symmetry check: "
-            f"{symmetry['newton_iters']} Newton iterations, 1 factorizations"
+            f"{symmetry['newton_iters']} Newton iterations, 2 factorizations"
             ) in capsys.readouterr().out
 
 
@@ -525,6 +525,38 @@ def test_cli_verify_exact_reads_the_lambda_error(tmp_path, monkeypatch,
     assert summary["mode"] == "consistent"
     assert summary["passed"] is (code == 0)
     assert summary["max_lambda_error"] == pytest.approx(delta, rel=0.1)
+
+
+@pytest.mark.parametrize("deviation, code", [(1e-7, 1), (1e-9, 0)])
+def test_cli_branch_reads_the_phase_seed_deviation(tmp_path, monkeypatch,
+                                                   deviation, code):
+    """Inside the symmetry check the phase seeds are the only Newton solves
+    at alpha > 0.  Each seed's state is shifted in time so that its phase
+    deviation is about ``deviation``: the 1.1e-8 tolerance fails the check
+    and the run a factor 10 above it and passes them a factor 10 below."""
+    from hopfkit import cli, solver
+
+    newton, check = solver._branch_newton, cli.check_branch_symmetry
+
+    def shifted_newton(problem, functional, alpha, *args):
+        params, u, *rest = newton(problem, functional, alpha, *args)
+        if alpha > 0:  # |tau_eps u - u| = eps |u_t| to first order
+            u = u.time_shift(deviation / u.time_derivative().norm())
+        return (params, u, *rest)
+
+    def shifted_check(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_branch_newton", shifted_newton)
+            return check(*args)
+
+    monkeypatch.setattr(cli, "check_branch_symmetry", shifted_check)
+    assert run_cli(tmp_path, "branch", "", "--skip-check")[0] == code
+    summary = json.loads((tmp_path / "out" / "branch_summary.json").read_text())
+    symmetry = summary["symmetry"]
+    assert symmetry["passed"] is (code == 0)
+    assert summary["fit"]["ok"] and symmetry["parameter_deviation"] <= 1e-14
+    for value in symmetry["phase_deviations"].values():
+        assert value == pytest.approx(deviation, rel=0.05)
 
 
 def test_cli_verify_exact_standard_mode(tmp_path):
@@ -811,7 +843,8 @@ _REGRESSIONS = [
                        ("solver.alpha_max", "inf"),
                        ("solver.alpha_max", "2e-309"),
                        ("solver.alpha_steps", "1000000000000"),
-                       ("solver.n_max_resolvent", "100000000000000")]
+                       ("solver.n_max_resolvent", "100000000000000"),
+                       ("solver.alpha_max", "5e-324")]
 ]
 
 
@@ -843,6 +876,7 @@ def _branch_points(outdir):
 @example(config=_REGRESSIONS[3], skip_check=False)
 @example(config=_REGRESSIONS[4], skip_check=False)
 @example(config=_REGRESSIONS[5], skip_check=False)
+@example(config=_REGRESSIONS[6], skip_check=False)
 def test_cli_fuzz_config_schema(command, config, skip_check):
     """Every drawn config ends in exit 0, 1 or 2 without an exception (a
     NumPy RuntimeWarning counts as one); on 0 and 1 the command's report

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import tracemalloc
@@ -233,23 +234,21 @@ def test_solve_extended_contracts_quadratically(coarse_problem,
 def far_factor(monkeypatch, problem, functional,
                params=ScaledParams(100.0, 0.0), base=None,
                space=solver_module._FULL - 1):
-    """Make every `_SharedFactor` that starts empty hold the band at
+    """Make every `_SharedFactor`, which starts empty, hold the band at
     ``params`` and ``base`` (default the zero trajectory, ``n_t = 8`` as
     the coarse branch) with a zero core instead, in rung ``space`` (by
     default the half-wave space, the top odd rung): the steps of a
     narrower or equal rung chord through it.  By default a factor so far
     from the branch that its first chord step leaves the lambda window."""
-    shared = solver_module._SharedFactor
 
-    class FarFactor(shared):
-        def __init__(self, lin=None, first=0):
-            super().__init__(lin, first)
-            if lin is None:
-                zero = zero_trajectory(8, problem.dim, problem.dx)
-                far = solver_module._branch_linearization(
-                    problem, functional, params,
-                    zero if base is None else base, zero)
-                self.refactor(far, space)
+    class FarFactor(solver_module._SharedFactor):
+        def __init__(self):
+            super().__init__()
+            zero = zero_trajectory(8, problem.dim, problem.dx)
+            far = solver_module._branch_linearization(
+                problem, functional, params,
+                zero if base is None else base, zero)
+            self.refactor(far, space)
 
     monkeypatch.setattr(solver_module, "_SharedFactor", FarFactor)
 
@@ -1357,7 +1356,8 @@ def test_held_wider_factor_serves_a_narrower_rung(monkeypatch, coarse_quasi_prob
     mid = quasi_branch.points[len(quasi_branch.points) // 2]
     first = quasi_branch.points[1]
     core = problem.residual_g(mid.params, mid.u)
-    held = solver_module._SharedFactor(
+    held = solver_module._SharedFactor()
+    held.refactor(
         solver_module._branch_linearization(problem, functional, mid.params,
                                             mid.u, core),
         solver_module._newton_space((mid.u,), core, NEWTON_TOL))
@@ -1573,7 +1573,8 @@ def test_uneven_iterate_drops_a_half_wave_factor(monkeypatch, coarse_problem,
     alive = count_live_bands(monkeypatch)
     mid = overtone_branch.points[5]
     core = coarse_problem.residual_g(mid.params, mid.u)
-    factor = solver_module._SharedFactor(
+    factor = solver_module._SharedFactor()
+    factor.refactor(
         solver_module._branch_linearization(
             coarse_problem, coarse_functional, mid.params, mid.u, core),
         solver_module._newton_space((mid.u,), core, NEWTON_TOL))
@@ -1666,20 +1667,20 @@ def test_symmetry_check_on_rotating_waves_shares_one_mode_1_factor(
 
 def test_symmetry_check_refactors_when_the_factor_stalls(
         monkeypatch, coarse_problem, coarse_functional, overtone_branch):
-    """A shared factor far from the half-wave branch (the band at the
+    """A first factor far from the half-wave branch (the band at the
     origin) stops halving the residual; those solves refactor and finish
     with exact Newton, and the check still passes."""
-    shared = solver_module._SharedFactor
 
-    def poor_factor(lin, space):
-        zero = zero_trajectory(lin.base.n_t, lin.base.dim, lin.base.dx)
-        origin = solver_module._branch_linearization(
-            lin.problem, lin.functional, ScaledParams(0.0, 0.0), zero, zero)
-        factor = shared()
-        factor.refactor(origin, space)
-        return factor
+    class PoorFactor(solver_module._SharedFactor):
+        def refactor(self, lin, space):
+            if not self.factorizations:
+                zero = zero_trajectory(lin.base.n_t, lin.base.dim, lin.base.dx)
+                lin = solver_module._branch_linearization(
+                    lin.problem, lin.functional, ScaledParams(0.0, 0.0),
+                    zero, zero)
+            super().refactor(lin, space)
 
-    monkeypatch.setattr(solver_module, "_SharedFactor", poor_factor)
+    monkeypatch.setattr(solver_module, "_SharedFactor", PoorFactor)
     report = check_branch_symmetry(
         coarse_problem, coarse_functional, dataclasses.replace(overtone_branch))
     assert report.passed
@@ -1688,21 +1689,19 @@ def test_symmetry_check_refactors_when_the_factor_stalls(
 
 def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
     """On the full space (h has an even term, so the mirror does not
-    commute with the derivative), a mid-point factor that stalls on the
-    mirrored branch is replaced there by a factor at phase pi.  Rotated by
+    commute with the derivative), a first factor that stalls on the
+    mirrored branch is replaced there by another at phase pi.  Rotated by
     the phase difference, it serves the later mirrored points as well as
     the branch's own factor served their partners, and the check passes."""
     problem, functional, solution = even_setup
     branch = even_branch(problem, functional, solution.u, solution.params)
-    shared = solver_module._SharedFactor
     phases, solves = [], []
 
-    class StallingFactor(shared):
-        def __init__(self, lin, space):  # the mid point's band, sigma off by 0.5
-            lin.params = ScaledParams(lin.params.lam, lin.params.sigma + 0.5)
-            super().__init__(lin, space)
-
+    class StallingFactor(solver_module._SharedFactor):
         def refactor(self, lin, space):
+            if not self.factorizations:  # the first band, sigma off by 0.5
+                lin = copy.copy(lin)
+                lin.params = ScaledParams(lin.params.lam, lin.params.sigma + 0.5)
             super().refactor(lin, space)
             phases.append(self.phase)
 
@@ -1717,12 +1716,35 @@ def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
     monkeypatch.setattr(solver_module, "_newton_square", recording)
     report = check_branch_symmetry(problem, functional, dataclasses.replace(branch))
     assert report.passed and report.factorizations == 2
-    assert abs(phases[0]) <= 1e-12 and abs(abs(phases[1]) - np.pi) <= 1e-3
+    assert all(abs(abs(phase) - np.pi) <= 1e-3 for phase in phases)
     plus = branch.points[1:]
     assert solves[0][0] == -plus[0].alpha and solves[0][2] == 2
     for pt, (alpha, iters, factors) in zip(plus[1:], solves[1:len(plus)]):
         assert alpha == -pt.alpha and factors == 2
         assert iters <= pt.newton_iters
+
+
+@pytest.mark.parametrize("delta, passed", [(1e-7, False), (2e-9, True)])
+def test_symmetry_check_reads_the_mirrored_parameters(
+        monkeypatch, coarse_problem, coarse_functional, coarse_branch,
+        delta, passed):
+    """Every mirrored point's lambda moved by ``delta``: the check's
+    tolerance, ``1e-8 + 10 newton_tol = 1.1e-8``, fails it about a factor
+    10 above and passes it about a factor 5 below."""
+    newton = solver_module._branch_newton
+
+    def shifted(problem, functional, alpha, *args):
+        params, *rest = newton(problem, functional, alpha, *args)
+        if alpha < 0:
+            params = ScaledParams(params.lam + delta, params.sigma)
+        return (params, *rest)
+
+    monkeypatch.setattr(solver_module, "_branch_newton", shifted)
+    report = check_branch_symmetry(
+        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+    assert report.passed is passed
+    assert report.parameter_deviation == pytest.approx(delta, rel=0.01)
+    assert report.state_deviation <= 1e-12
 
 
 def test_symmetry_check_keeps_the_branch_iteration_cap(
