@@ -1013,9 +1013,10 @@ class SymmetryReport:
     translate of its partner: parameters even in ``alpha``, state obeying
     ``u(-alpha) = tau_pi u(alpha)`` (equivalently, the first-order part
     flips sign while the correction translates).  ``newton_iters`` sums
-    the Newton iterations of the mirrored points and the phase seeds,
-    ``factorizations`` counts the band factorizations their Newton steps
-    made; the check starts with none.
+    the Newton iterations of the mirrored points and the phase seeds (the
+    seeds start at the mid point's parameters, so they correct only the
+    phase), ``factorizations`` counts the band factorizations their Newton
+    steps made; the check starts with none.
     """
 
     parameter_deviation: float
@@ -1051,8 +1052,12 @@ def check_branch_symmetry(problem, functional, result):
     norm.  Additionally, Newton started from time-translated seeds
     ``tau_theta(alpha u_star)``, ``theta`` in `SYMMETRY_PHASES`, must fall
     back to the same phase-fixed representative (the phase row selects it):
-    the sampled uniqueness test.  All solves start from ``result.points[0]``
-    and stop at ``result.newton_tol`` or ``result.max_iter`` iterations.
+    the sampled uniqueness test.  The mirrored branch starts from
+    ``result.points[0]``, as the branch it mirrors did; the phase seeds
+    start at the mid point ``alpha`` of the plus branch, from its
+    parameters, as a continuation predictor would, so a seed differs from
+    the representative only along the orbit.  Every solve stops at
+    ``result.newton_tol`` or ``result.max_iter`` iterations.
 
     The Newton solves share one held factor (`_newton_square`).  Like
     `continue_branch`, the check starts with none, and the mirrored
@@ -1120,7 +1125,7 @@ def check_branch_symmetry(problem, functional, result):
         seed = (mid.alpha * result.u_star).time_shift(theta)
         try:
             params, u, _, iters, _ = _branch_newton(
-                problem, functional, mid.alpha, origin, seed, newton_tol,
+                problem, functional, mid.alpha, mid.params, seed, newton_tol,
                 result.max_iter, held,
             )
         except (ConvergenceError, *_SOLVE_ERRORS) as exc:

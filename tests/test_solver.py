@@ -1724,6 +1724,40 @@ def test_mirrored_branch_adopts_a_factor_at_phase_pi(monkeypatch, even_setup):
         assert iters <= pt.newton_iters
 
 
+def test_symmetry_check_seeds_the_phases_at_the_mid_point(
+        monkeypatch, coarse_problem, coarse_functional, coarse_branch):
+    """Each phase seed starts at the plus branch's mid point: its
+    parameters and the translate ``tau_theta(alpha_mid u*)``.  The seed
+    then differs from the phase-fixed point only along the orbit, and the
+    check takes 8 iterations (a seed from the origin's parameters must
+    also correct lambda, and takes 5 alone), each seed landing within a
+    tenth of the tolerance.  The mirrored sweep starts at the origin's
+    parameters."""
+    plus = [pt for pt in coarse_branch.points if pt.alpha > 0.0]
+    mid = plus[len(plus) // 2]
+    calls = []
+    newton = solver_module._branch_newton
+
+    def recording(problem, functional, alpha, params, u, *args):
+        calls.append((alpha, params, u))
+        return newton(problem, functional, alpha, params, u, *args)
+
+    monkeypatch.setattr(solver_module, "_branch_newton", recording)
+    report = check_branch_symmetry(
+        coarse_problem, coarse_functional, dataclasses.replace(coarse_branch))
+    seeds = [(alpha, params, u) for alpha, params, u in calls if alpha > 0]
+    assert len(seeds) == len(solver_module.SYMMETRY_PHASES)
+    for theta, (alpha, params, u) in zip(solver_module.SYMMETRY_PHASES, seeds):
+        assert alpha == mid.alpha and params == mid.params
+        npt.assert_array_equal(
+            u.coeffs, (mid.alpha * coarse_branch.u_star).time_shift(theta).coeffs)
+    mirrored = [params for alpha, params, _ in calls if alpha < 0]
+    assert mirrored[0] == coarse_branch.points[0].params
+    assert report.passed and report.newton_iters == 8
+    assert all(v <= report.tolerance / 10
+               for v in report.phase_deviations.values())
+
+
 @pytest.mark.parametrize("delta, passed", [(1e-7, False), (2e-9, True)])
 def test_symmetry_check_reads_the_mirrored_parameters(
         monkeypatch, coarse_problem, coarse_functional, coarse_branch,
@@ -1750,8 +1784,10 @@ def test_symmetry_check_reads_the_mirrored_parameters(
 def test_symmetry_check_keeps_the_branch_iteration_cap(
         monkeypatch, coarse_problem, coarse_functional, coarse_solution):
     """The mirrored and phase-seed solves stop at the ``max_iter`` the
-    branch was continued with (2 here), not at `MAX_NEWTON_ITERATIONS`:
-    a phase seed needs more than 2 iterations, so the check fails."""
+    branch was continued with (2 here), not at `MAX_NEWTON_ITERATIONS`.
+    From the mid point's parameters the seeds at theta = pi/6 and pi/3
+    converge within 2 iterations and the one at pi/2 needs 3, so the
+    check fails there, after 10 mirrored and 3 phase-seed solves."""
     result = continue_branch(coarse_problem, coarse_functional,
                              coarse_solution.u, alpha_max=0.5, steps=10,
                              max_iter=2, params_star=coarse_solution.params)
@@ -1767,7 +1803,7 @@ def test_symmetry_check_keeps_the_branch_iteration_cap(
     with pytest.raises(ConvergenceError,
                        match="phase-seed Newton failed .* within 2 iterations"):
         check_branch_symmetry(coarse_problem, coarse_functional, result)
-    assert len(caps) == 11 and set(caps) == {2}  # 10 mirrored, 1 phase seed
+    assert len(caps) == 13 and set(caps) == {2}  # 10 mirrored, 3 phase seeds
 
 
 def test_symmetry_requires_nontrivial_points(coarse_problem,

@@ -15,10 +15,13 @@ from hopfkit.reaction_diffusion import (
     reference_eigenvector,
 )
 from hopfkit.spectral import (
+    CROSSING_AGREEMENT,
     DegeneratePairingError,
     _resolvent_sigma_min,
+    _resolvent_verdicts,
     EigenPair,
     InconsistencyError,
+    ResolventRow,
     build_projection,
     check_simplicity,
     crossing_speed,
@@ -177,6 +180,20 @@ def test_crossing_speed_identity_shift():
     assert cs.transversal
 
 
+@pytest.mark.parametrize("c, transversal", [(1e-5, True), (1e-7, False)])
+def test_crossing_speed_reads_the_transversality_tolerance(c, transversal):
+    """A linear crossing at speed ``c``: the 1e-6 tolerance passes it a
+    factor 10 above and fails it a factor 10 below, and at both speeds the
+    finite difference agrees with the formula within
+    `CROSSING_AGREEMENT`, so only the speed decides."""
+    p = synthetic_problem(rotation_block(), h="linear", c=c)
+    cs = crossing_speed(p, dlam=1e-3)
+    assert cs.formula.real == pytest.approx(c, rel=1e-12)
+    assert cs.transversal is transversal
+    assert abs(cs.finite_difference - cs.formula) <= (
+        CROSSING_AGREEMENT * abs(cs.formula))
+
+
 def test_crossing_speed_inconsistency_detected():
     # Lie about the mixed derivative: the finite-difference track will
     # disagree and the cross-check must flag it.
@@ -209,6 +226,21 @@ def test_resolvent_scan_reaction_diffusion(coarse_problem):
     weighted = [row.weighted for row in table if row.n >= 2]
     assert max(weighted) == weighted[0]  # peak at n = 2, then decay
     assert abs(max(weighted) - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tail_max, bounded", [(1.5, False), (1.01, True)])
+def test_resolvent_verdict_reads_the_plateau_factor(tail_max, bounded):
+    """A scan to ``n_max = 8`` whose head (n <= 4) peaks at ``n * norm =
+    1``: `PLATEAU_FACTOR` = 1.05 lets the tail peak exceed that by 0.05.
+    A tail peak of 1.5, ten times that excess, fails the bound; 1.01, a
+    fifth of it, passes."""
+    weighted = {2: 1.0, 3: 0.9, 4: 0.8, 5: 0.7, 6: 0.7, 7: 0.8, 8: tail_max}
+    table = [ResolventRow(0, 0.5, 0.0)] + [
+        ResolventRow(n, w / n, w) for n, w in weighted.items()
+    ]
+    nonresonant, verdict, m_const = _resolvent_verdicts(table, [], n_max=8)
+    assert nonresonant and verdict is bounded
+    assert m_const == max(1.0, tail_max)
 
 
 def test_resolvent_diagnostic_blows_up_at_critical_mode(coarse_problem):
