@@ -10,8 +10,8 @@ Usage::
 
 Exit codes form a stable contract: 0 on success, 1 when the science fails
 (a hypothesis verdict is false, a tolerance is breached, Newton gives up),
-2 on usage or configuration errors.  Reports are still written on exit 1
-so the failure can be inspected.
+2 on usage or configuration errors, and when a report cannot be written.
+Reports are still written on exit 1 so the failure can be inspected.
 
 All outputs are deterministic for a fixed config and ``--seed`` (the seed
 feeds the randomized norm estimates and is echoed in every JSON report).
@@ -63,10 +63,15 @@ CONSISTENT_MODE_TOLERANCE = 1e-8
 # output plumbing
 
 
+class _ReportWriteError(OSError):
+    """A report could not be written; `main` exits 2 with its message."""
+
+
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-hopfkit-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-hopfkit-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; a report gets the mode open() would.
@@ -74,9 +79,11 @@ def _write_atomic(path, text):
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _ReportWriteError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -438,9 +445,13 @@ def main(argv=None):
         print(f"hopfkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    return _COMMANDS[args.command](
-        run_config, problem, outdir, args.seed, reporter, args
-    )
+    try:
+        return _COMMANDS[args.command](
+            run_config, problem, outdir, args.seed, reporter, args
+        )
+    except _ReportWriteError as exc:
+        print(f"hopfkit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

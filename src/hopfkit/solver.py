@@ -770,7 +770,8 @@ class BranchPoint:
     coefficient rows up to the last nonzero one (two on a mode-1 branch,
     none at the trivial point), and each read of ``u`` builds a new
     full-shaped trajectory from them (`_LiveModes`), so bind it once
-    where it is used more than once.
+    where it is used more than once.  Every field reaches a report or
+    ``verify-exact``; a solve's step norms stay in its `_NewtonTrace`.
     """
 
     alpha: float
@@ -781,8 +782,6 @@ class BranchPoint:
     newton_iters: int
     l_check: np.ndarray          # the actual (l1, l2) value at convergence
     eta_norm: float              # ||u/alpha - u_star||, 0 at the origin
-    sup_residual: float
-    step_norms: list
     rows: np.ndarray = field(init=False, repr=False)  # set with ``u``
     n_t: int = field(init=False)
     dx: float = field(init=False)
@@ -890,11 +889,10 @@ def _branch_newton(problem, functional, alpha, params, u,
 
 
 def _trivial_point(u_star, origin):
-    zero = zero_trajectory(u_star.n_t, u_star.dim, u_star.dx)
     return BranchPoint(
-        alpha=0.0, lam=origin.lam, sigma=origin.sigma, u=zero, residual=0.0,
+        alpha=0.0, lam=origin.lam, sigma=origin.sigma,
+        u=zero_trajectory(u_star.n_t, u_star.dim, u_star.dx), residual=0.0,
         newton_iters=0, l_check=np.zeros(2), eta_norm=0.0,
-        sup_residual=0.0, step_norms=[],
     )
 
 
@@ -906,7 +904,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
     or leaves the solver's domain, and the index in `_SPACES` of the
     widest space a Newton step solved in (-1 without steps).  Every Newton
     solve steps through the `_SharedFactor` ``held`` (see
-    `_newton_square`)."""
+    `_newton_square`); a point keeps only its residual norm."""
     points = []
     widest = -1
     params = origin
@@ -923,7 +921,7 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
                 origin.sigma + ratio**2 * (params.sigma - origin.sigma),
             )
         try:
-            params, u, core, iters, trace = _branch_newton(
+            params, u, _, iters, trace = _branch_newton(
                 problem, functional, alpha, params, u, newton_tol, max_iter,
                 held,
             )
@@ -934,17 +932,12 @@ def _continue_grid(problem, functional, u_star, origin, grid, newton_tol,
             break
         notes.extend(trace.notes)
         widest = max(widest, trace.widest)
-        l_val = functional.pair(u)
-        eta = (1.0 / alpha) * u - u_star
-        points.append(
-            BranchPoint(
-                alpha=float(alpha), lam=params.lam, sigma=params.sigma,
-                u=u, residual=trace.residuals[-1], newton_iters=iters,
-                l_check=l_val, eta_norm=eta.norm(),
-                sup_residual=core.sup_norm(),
-                step_norms=trace.step_norms,
-            )
-        )
+        points.append(BranchPoint(
+            alpha=float(alpha), lam=params.lam, sigma=params.sigma, u=u,
+            residual=trace.residuals[-1], newton_iters=iters,
+            l_check=functional.pair(u),
+            eta_norm=((1.0 / alpha) * u - u_star).norm(),
+        ))
         prev_alpha = alpha
     return points, widest
 
@@ -1016,7 +1009,8 @@ class SymmetryReport:
     the Newton iterations of the mirrored points and the phase seeds (the
     seeds start at the mid point's parameters, so they correct only the
     phase), ``factorizations`` counts the band factorizations their Newton
-    steps made; the check starts with none.
+    steps made; the check starts with none.  The two deviations are
+    maxima over the mirrored pairs.
     """
 
     parameter_deviation: float
@@ -1024,7 +1018,6 @@ class SymmetryReport:
     phase_deviations: dict
     tolerance: float
     passed: bool
-    per_alpha: list = field(default_factory=list)
     newton_iters: int = 0
     factorizations: int = 0
 
@@ -1106,15 +1099,10 @@ def check_branch_symmetry(problem, functional, result):
             + "; ".join(notes)
         )
 
-    per_alpha = []
-    param_dev = 0.0
-    state_dev = 0.0
+    param_dev = state_dev = 0.0
     for pt, mt in zip(plus, minus):
-        dp = max(abs(mt.lam - pt.lam), abs(mt.sigma - pt.sigma))
-        ds = (mt.u - pt.u.time_shift(np.pi)).norm()
-        per_alpha.append((pt.alpha, dp, ds))
-        param_dev = max(param_dev, dp)
-        state_dev = max(state_dev, ds)
+        param_dev = max(param_dev, abs(mt.lam - pt.lam), abs(mt.sigma - pt.sigma))
+        state_dev = max(state_dev, (mt.u - pt.u.time_shift(np.pi)).norm())
 
     # sampled uniqueness: translated seeds must converge back to the
     # phase-fixed representative
@@ -1138,23 +1126,18 @@ def check_branch_symmetry(problem, functional, result):
         )
         phase_deviations[float(theta)] = float(dev)
 
-    passed = (
-        param_dev <= tol
-        and state_dev <= tol
-        and all(v <= tol for v in phase_deviations.values())
-    )
-    report = SymmetryReport(
+    passed = all(v <= tol for v in (param_dev, state_dev,
+                                     *phase_deviations.values()))
+    result.symmetry_report = SymmetryReport(
         parameter_deviation=float(param_dev),
         state_deviation=float(state_dev),
         phase_deviations=phase_deviations,
         tolerance=float(tol),
         passed=bool(passed),
-        per_alpha=per_alpha,
         newton_iters=newton_iters,
         factorizations=held.factorizations,
     )
-    result.symmetry_report = report
-    return report
+    return result.symmetry_report
 
 
 @dataclass
@@ -1162,7 +1145,8 @@ class CurvatureFit:
     """Least-squares model ``param - param_star ~ c1 * alpha + c2 * alpha**2``.
 
     ``(c1, s1)`` estimate the branch-parameter derivatives at the origin
-    (zero at a genuine bifurcation), ``(c2, s2)`` the curvatures.
+    (zero at a genuine bifurcation), ``(c2, s2)`` the curvatures; ``ok``:
+    both derivatives are within the module constant `FIT_TOLERANCE`.
     """
 
     c1: float
@@ -1171,7 +1155,6 @@ class CurvatureFit:
     s2: float
     max_fit_residual: float
     ok: bool
-    tolerance: float
 
 
 def fit_branch_curvature(result):
@@ -1190,15 +1173,13 @@ def fit_branch_curvature(result):
     origin = result.points[0]
     lambdas = result.lambdas - origin.lam
     sigmas = result.sigmas - origin.sigma
-    coeff_l, res_l, *_ = np.linalg.lstsq(design, lambdas, rcond=None)
-    coeff_s, res_s, *_ = np.linalg.lstsq(design, sigmas, rcond=None)
+    coeff_l = np.linalg.lstsq(design, lambdas, rcond=None)[0]
+    coeff_s = np.linalg.lstsq(design, sigmas, rcond=None)[0]
     fit_l = design @ coeff_l - lambdas
     fit_s = design @ coeff_s - sigmas
     worst = float(max(np.abs(fit_l).max(), np.abs(fit_s).max()))
     c1, c2 = map(float, coeff_l)
     s1, s2 = map(float, coeff_s)
     ok = abs(c1) <= FIT_TOLERANCE and abs(s1) <= FIT_TOLERANCE
-    return CurvatureFit(
-        c1=c1, c2=c2, s1=s1, s2=s2, max_fit_residual=worst,
-        ok=bool(ok), tolerance=float(FIT_TOLERANCE),
-    )
+    return CurvatureFit(c1=c1, c2=c2, s1=s1, s2=s2, max_fit_residual=worst,
+                        ok=bool(ok))

@@ -287,10 +287,6 @@ class PeriodicTrajectory:
         power = np.einsum("n,nd->", w, (self.coeffs * np.conj(self.coeffs)).real)
         return float(np.sqrt(power * self.dx))
 
-    def sup_norm(self):
-        """Max absolute value over collocation samples (crude sup estimate)."""
-        return float(np.abs(self.sample_values()).max())
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

@@ -263,6 +263,40 @@ def test_cli_uncreatable_output_directory_is_usage_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, report", [
+    ("check", "hypotheses.json"), ("branch", "branch_summary.json"),
+])
+def test_cli_unwritable_report_is_usage_error(tmp_path, capsys, command,
+                                              report):
+    """A report path that is a directory cannot be replaced: the command
+    exits 2 with one line naming the report, not a traceback, and leaves
+    no temporary file behind."""
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)
+    code, _ = run_cli(tmp_path, command, "", "--skip-check")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"hopfkit: cannot write {out / report}: " in err
+    assert "Traceback" not in err
+    assert not [p for p in os.listdir(out) if p.startswith(".tmp-hopfkit-")]
+
+
+def test_cli_uncreatable_temporary_report_is_usage_error(tmp_path, capsys,
+                                                         monkeypatch):
+    """A report whose temporary file cannot be made (a read-only output
+    directory) exits 2 the same way."""
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    code, out = run_cli(tmp_path, "check")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot write" in err and "Permission denied" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
+
+
 @pytest.mark.parametrize("command", ["check", "verify-exact"])
 def test_cli_rejects_negative_seed(tmp_path, capsys, command):
     cfg = write_config(tmp_path, COARSE)

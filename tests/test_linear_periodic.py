@@ -291,6 +291,32 @@ def test_full_solve_rejects_secular_forcing(coarse_problem, coarse_decomp):
         solve_periodic_full(coarse_problem, coarse_decomp, v)
 
 
+@pytest.mark.parametrize("eps, accurate", [(1e-7, False), (1e-9, True)])
+def test_full_solve_reads_the_split_residual_tolerance(eps, accurate):
+    """A projection whose psi is moved by ``eps`` off the eigenvector
+    leaves a relative defect of about ``eps``: the 1e-8 tolerance fails the
+    solve a factor 10 above and passes it a factor 10 below.  The forcing
+    has no ``n = 1`` coordinate along the moved psi, so it is not
+    secular."""
+    p = synthetic_problem(rotation_block())
+    true = build_projection(p)
+    psi = true.psi.data + eps * np.eye(p.dim)[2]
+    moved = SpectralDecomposition(
+        ComplexStateVector(psi, p.dx), true.phi_adj, true.mu)
+    rng = np.random.default_rng(0)
+    coeffs = rng.normal(size=(4, p.dim)) + 1j * rng.normal(size=(4, p.dim))
+    coeffs[0] = coeffs[0].real
+    coeffs[1] -= moved.coordinates(coeffs[1])[0] * psi
+    v = PeriodicTrajectory(coeffs, p.dx)
+    if not accurate:
+        with pytest.raises(RuntimeError, match="splitting solve left residual"):
+            solve_periodic_full(p, moved, v)
+        return
+    u = solve_periodic_full(p, moved, v)
+    linear = u.with_coeffs((p.operator() @ u.coeffs.T).T)
+    assert (u.time_derivative() - linear - v).norm() <= 1e-8 * v.norm()
+
+
 def test_harmonic_embedding_intertwines_operator(coarse_problem):
     # (d/dt - A) applied to the first-harmonic embedding of w equals the
     # embedding of (i - A) w: the embedding turns the periodic operator

@@ -657,7 +657,7 @@ def test_crossing_rejects_degenerate_span():
 # branch continuation
 
 
-def test_branch_reproduces_exact_solution(coarse_branch):
+def test_branch_reproduces_exact_solution(coarse_branch, coarse_problem):
     assert len(coarse_branch.points) == 11
     assert coarse_branch.notes == [] and not coarse_branch.truncated
     for pt in coarse_branch.points[1:]:
@@ -666,7 +666,8 @@ def test_branch_reproduces_exact_solution(coarse_branch):
         assert pt.eta_norm <= 1e-8
         assert pt.residual <= NEWTON_TOL
         assert np.allclose(pt.l_check, [pt.alpha, 0.0], atol=1e-9)
-        assert pt.sup_residual <= 10.0 * NEWTON_TOL
+        core = coarse_problem.residual_g(pt.params, pt.u)
+        assert np.abs(core.sample_values()).max() <= 10.0 * NEWTON_TOL
 
 
 def test_branch_matches_closed_form_trajectory(coarse_branch, coarse_cfg):
@@ -867,7 +868,7 @@ def test_point_with_every_mode_live_keeps_every_row():
     u = PeriodicTrajectory(coeffs, 0.5)
     pt = BranchPoint(
         alpha=0.1, lam=0.01, sigma=0.0, u=u, residual=0.0, newton_iters=0,
-        l_check=np.zeros(2), eta_norm=0.0, sup_residual=0.0, step_norms=[],
+        l_check=np.zeros(2), eta_norm=0.0,
     )
     assert pt.rows.shape == (5, 6) and not np.shares_memory(pt.rows, coeffs)
     assert np.array_equal(pt.u.coeffs, u.coeffs) and pt.u.dx == 0.5
@@ -1609,7 +1610,6 @@ def test_symmetry_report_passes(coarse_branch, coarse_symmetry):
     assert len(report.phase_deviations) == 3
     assert all(v <= report.tolerance for v in report.phase_deviations.values())
     assert coarse_branch.symmetry_report is report
-    assert len(report.per_alpha) == len(coarse_branch.points) - 1
 
 
 def test_symmetry_json_dict(coarse_symmetry):
@@ -1826,7 +1826,7 @@ def fake_branch(alphas, lams, sigmas):
         BranchPoint(
             alpha=float(a), lam=float(l), sigma=float(s), u=zero,
             residual=0.0, newton_iters=0, l_check=np.array([a, 0.0]),
-            eta_norm=0.0, sup_residual=0.0, step_norms=[],
+            eta_norm=0.0,
         )
         for a, l, s in zip(alphas, lams, sigmas)
     ]

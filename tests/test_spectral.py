@@ -194,6 +194,24 @@ def test_crossing_speed_reads_the_transversality_tolerance(c, transversal):
         CROSSING_AGREEMENT * abs(cs.formula))
 
 
+@pytest.mark.parametrize("lie, consistent", [(1e-3, False), (1e-5, True)])
+def test_crossing_speed_reads_the_agreement_tolerance(lie, consistent):
+    """A mixed derivative that overstates the unit crossing speed by
+    ``lie`` (relative): the 1e-4 agreement fails it a factor 10 above and
+    passes it a factor 10 below.  At this speed the relative clause
+    decides, not the absolute 1e-8 floor."""
+    p = synthetic_problem(rotation_block(), h="linear", c=1.0)
+    object.__setattr__(p, "apply_h_lambda_u",
+                       lambda lam, w, v: (1.0 + lie) * np.asarray(v, dtype=float))
+    if not consistent:
+        with pytest.raises(InconsistencyError, match="crossing-speed mismatch"):
+            crossing_speed(p, dlam=1e-3)
+        return
+    cs = crossing_speed(p, dlam=1e-3)
+    gap = abs(cs.formula - cs.finite_difference)
+    assert gap == pytest.approx(lie * abs(cs.formula), rel=1e-3)
+
+
 def test_crossing_speed_inconsistency_detected():
     # Lie about the mixed derivative: the finite-difference track will
     # disagree and the cross-check must flag it.
