@@ -44,6 +44,7 @@ from .solver import (
 )
 from .spectral import (
     DegeneratePairingError,
+    _projection_from_pair,
     build_projection,
     run_hypothesis_checks,
 )
@@ -113,16 +114,19 @@ class _Reporter:
 
 
 def _bifurcation_point(run_config, problem, outdir, seed, reporter, report,
-                       failure):
+                       failure, located=None):
     """Projection, amplitude functional and the extended Newton solve.
 
+    ``located``: the critical pair and its adjoint, if the checks found them.
     Returns ``(decomp, functional, solution)``; when the eigen iteration,
     the projection or the solve fails, writes the failure report
     ``report``, prints ``failure`` with the error and returns ``None``.
     """
     try:
         reference = reference_eigenvector(run_config.problem)
-        decomp = build_projection(problem, reference=reference)
+        decomp = (build_projection(problem, reference=reference)
+                  if located is None else
+                  _projection_from_pair(problem, *located, reference))
         functional = build_amplitude_functional(decomp.psi, decomp.phi_adj)
         solution = solve_extended(
             problem, functional,
@@ -154,7 +158,8 @@ def _configured_branch(run_config, problem, functional, solution):
 # subcommands
 
 
-def cmd_check(run_config, problem, outdir, seed, reporter, args):
+def _check(run_config, problem, outdir, seed, reporter):
+    """`check`'s reports and verdict line; returns the `HypothesisReport`."""
     report = run_hypothesis_checks(
         problem, n_max=run_config.solver.n_max_resolvent, seed=seed
     )
@@ -172,6 +177,11 @@ def cmd_check(run_config, problem, outdir, seed, reporter, args):
         reporter.detail(line)
     verdict = "pass" if report.all_passed else "FAIL"
     reporter.info(f"check: {verdict} ({os.path.join(outdir, 'hypotheses.json')})")
+    return report
+
+
+def cmd_check(run_config, problem, outdir, seed, reporter, args):
+    report = _check(run_config, problem, outdir, seed, reporter)
     return EXIT_OK if report.all_passed else EXIT_SCIENCE
 
 
@@ -223,15 +233,17 @@ def cmd_extended(run_config, problem, outdir, seed, reporter, args):
 
 
 def cmd_branch(run_config, problem, outdir, seed, reporter, args):
+    located = None
     if not args.skip_check:
-        code = cmd_check(run_config, problem, outdir, seed, reporter, args)
-        if code != EXIT_OK:
+        report = _check(run_config, problem, outdir, seed, reporter)
+        if not report.all_passed:
             reporter.info("branch: aborted, hypothesis checks failed")
-            return code
+            return EXIT_SCIENCE
+        located = (report.eig_plus, report.eig_adjoint)
 
     point = _bifurcation_point(
         run_config, problem, outdir, seed, reporter, "branch_summary.json",
-        "branch: bifurcation-point solve failed")
+        "branch: bifurcation-point solve failed", located)
     if point is None:
         return EXIT_SCIENCE
     _, functional, solution = point
@@ -327,14 +339,9 @@ def cmd_verify_exact(run_config, problem, outdir, seed, reporter, args):
         exact = exact_branch_trajectory(
             run_config.problem, lam_exact, n_t=result.u_star.n_t
         )
-        state_err = float(
-            np.abs((pt.u - exact).sample_values()).max()
-        )
+        state_err = float(np.abs((pt.u - exact).sample_values()).max())
         max_state_err = max(max_state_err, state_err)
-        rows.append([
-            repr(float(pt.alpha)), repr(float(pt.lam)),
-            repr(float(lam_exact)), repr(float(err)),
-        ])
+        rows.append([repr(float(v)) for v in (pt.alpha, pt.lam, lam_exact, err)])
     _write_csv(os.path.join(outdir, "exact_comparison.csv"), rows)
 
     dx = run_config.problem.dx

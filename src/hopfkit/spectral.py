@@ -32,7 +32,6 @@ from .problem import (
     RESOLVENT_SEED,
     ConvergenceError,
     _guarded_lu,
-    inverse_power_sigma_min,
 )
 from .trajectory import ComplexStateVector
 
@@ -47,7 +46,6 @@ __all__ = [
     "crossing_speed",
     "resolvent_scan",
     "resolvent_norm",
-    "inverse_power_sigma_min",
     "build_projection",
     "run_hypothesis_checks",
 ]
@@ -75,11 +73,16 @@ class DegeneratePairingError(RuntimeError):
 
 
 class EigenPair(NamedTuple):
-    """An eigenvalue with its normalized eigenvector and defect."""
+    """An eigenvalue with its normalized eigenvector and defect.
+
+    ``lu`` is the factor that located a right pair, for its adjoint; a
+    stored pair drops it, as it holds SuperLU's whole work pool.
+    """
 
     mu: complex
     psi: ComplexStateVector
     residual: float
+    lu: Optional[spla.SuperLU] = None
 
 
 class SimplicityCheck(NamedTuple):
@@ -94,11 +97,10 @@ def _normalize_phase(vec, dx):
     """Unit discrete norm and a deterministic phase (largest entry real > 0)."""
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])
-    out = vec / (phase * np.linalg.norm(vec) * np.sqrt(dx))
-    return out
+    return vec / (phase * np.linalg.norm(vec) * np.sqrt(dx))
 
 
-def eigenpair_near(problem, target, lam=0.0, max_iter=60, adjoint=False):
+def eigenpair_near(problem, target, lam=0.0, max_iter=60, adjoint_of=None):
     """Find the eigenvalue of ``A + h_u(lam, 0)`` closest to ``target``.
 
     Shifted inverse iteration with Rayleigh-quotient readout from a random
@@ -113,50 +115,48 @@ def eigenpair_near(problem, target, lam=0.0, max_iter=60, adjoint=False):
         Where to look.
     lam : float
         Parameter of the linearisation (0 = ``B``, the equilibrium's).
-    adjoint : bool
-        Solve for the transpose operator instead; use
-        ``target = conj(mu)`` to get the adjoint vector of ``mu``.
+    adjoint_of : EigenPair, optional
+        A right pair that still holds its factor ``lu``: find its adjoint
+        near ``target = conj(mu)`` by solving with ``trans='H'`` on ``lu``.
 
     Returns
     -------
     EigenPair
-        ``residual <= EIG_ITERATION_TOLERANCE * max(1, |mu|)`` guaranteed.
+        ``residual <= EIG_ITERATION_TOLERANCE * max(1, |mu|)`` guaranteed;
+        only a right pair carries its factor ``lu``.
 
     Raises
     ------
     ConvergenceError
         If the residual tolerance is not reached.
     """
-    mat = problem.operator(lam)
-    if adjoint:
-        mat = mat.T.tocsc()
+    adjoint = adjoint_of is not None
+    mat = problem.operator(lam).T if adjoint else problem.operator(lam)
 
     def factor(z):
-        shifted = problem.shifted(z, lam)
-        return spla.splu(shifted.T.tocsc() if adjoint else shifted)
+        # B is real, so through "H" the factor of conj(z) - B solves z - B^T.
+        return spla.splu(problem.shifted(np.conj(z) if adjoint else z, lam))
 
     rng = np.random.default_rng(EIG_START_SEED)
     x = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
     x /= np.linalg.norm(x)
 
     offset = 1e-4 * (1.0 + 1.0j) / np.sqrt(2.0)
-    lu = factor(complex(target) + offset)
+    lu = adjoint_of.lu if adjoint else factor(complex(target) + offset)
 
-    mu = complex(target)
-    residual = np.inf
-    refactored = False
+    mu, residual = complex(target), np.inf
     for it in range(max_iter):
-        y = lu.solve(x)
+        y = lu.solve(x, "H" if adjoint else "N")
         x = y / np.linalg.norm(y)
         ax = mat @ x
         mu = complex(np.vdot(x, ax))
         residual = float(np.linalg.norm(ax - mu * x))
         if residual <= EIG_ITERATION_TOLERANCE * max(1.0, abs(mu)):
             vec = _normalize_phase(x, problem.dx)
-            return EigenPair(mu, ComplexStateVector(vec, problem.dx), residual)
-        if not refactored and it >= 12:
-            # Stalled: re-centre the shift on the Rayleigh quotient.
-            refactored = True
+            return EigenPair(mu, ComplexStateVector(vec, problem.dx), residual,
+                             None if adjoint else lu)
+        if it == 12:
+            # Stalled: re-centre the shift on the Rayleigh quotient, once.
             try:
                 lu = factor(mu + offset * 1e-3)
             except RuntimeError:
@@ -242,9 +242,9 @@ def crossing_speed(problem, dlam=1e-4, target=1j, decomp=None):
     )
     formula = complex(np.sum(mixed * np.conj(phi.data)) * problem.dx)
 
-    plus = eigenpair_near(problem, target, lam=+dlam)
-    minus = eigenpair_near(problem, target, lam=-dlam)
-    fdiff = (plus.mu - minus.mu) / (2.0 * dlam)
+    plus = eigenpair_near(problem, target, lam=+dlam).mu
+    minus = eigenpair_near(problem, target, lam=-dlam).mu
+    fdiff = (plus - minus) / (2.0 * dlam)
 
     gap = abs(formula - fdiff)
     if gap > CROSSING_AGREEMENT * max(abs(formula), abs(fdiff)) + 1e-8:
@@ -396,12 +396,13 @@ def build_projection(problem, target=1j, reference=None):
         no rank-two projection exists.
     """
     pair = eigenpair_near(problem, target)
-    return _projection_from_pair(problem, pair, target, reference)
+    adj = eigenpair_near(problem, np.conj(target), adjoint_of=pair)
+    return _projection_from_pair(problem, pair, adj, reference)
 
 
-def _projection_from_pair(problem, pair, target, reference=None):
-    """`build_projection` around an already located critical ``pair``."""
-    adj = eigenpair_near(problem, np.conj(complex(target)), adjoint=True)
+def _projection_from_pair(problem, pair, adj, reference=None):
+    """`build_projection` from a located critical ``pair`` and its adjoint
+    ``adj``, with no eigen-iteration; `DegeneratePairingError` as there."""
     psi_vec = pair.psi.data
     if reference is not None:
         scale = complex(
@@ -448,11 +449,13 @@ class HypothesisReport:
       the end of the scan.
 
     ``skew_bound`` is the problem's ``beta``: the resolvent rows with
-    ``n > beta`` are proved bounds, the others estimates.
+    ``n > beta`` are proved bounds, the others estimates.  ``eig_adjoint``
+    (not serialised) is the adjoint of ``eig_plus``; neither holds a factor.
     """
 
     problem_name: str
     eig_plus: Optional[EigenPair]
+    eig_adjoint: Optional[EigenPair]
     simplicity: Optional[SimplicityCheck]
     crossing: Optional[CrossingSpeed]
     resolvent_table: List[ResolventRow]
@@ -515,9 +518,10 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
     Each check runs in isolation: an exception inside one records a
     ``False`` verdict and a note for that key only, so a deliberately
     broken condition does not hide the state of the others; the crossing
-    speed reuses the ``simple_pair`` eigenpair when there is one.  Raises
-    `ValueError` for ``n_max < 4``, where the bound verdict has no head.
-    The derivatives are checked at `DERIVATIVE_SAMPLES` states from ``seed``.
+    speed reuses the ``simple_pair`` eigenpair, and its factor for the
+    adjoint, when there is one.  Raises `ValueError` for ``n_max < 4``,
+    where the bound verdict has no head.  The derivatives are checked at
+    `DERIVATIVE_SAMPLES` states from ``seed``.
     """
     if n_max < 4:
         raise ValueError("n_max must be at least 4")
@@ -529,8 +533,7 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
     if not verdicts["derivative_consistency"]:
         notes["derivative_consistency"] = str(report)
 
-    eig = None
-    simplicity = None
+    eig = simplicity = None
     try:
         eig = eigenpair_near(problem, target)
         simplicity = check_simplicity(problem, eig)
@@ -542,10 +545,14 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
         verdicts["simple_pair"] = False
         notes["simple_pair"] = str(exc)
 
-    crossing = None
+    adj = crossing = decomp = None
     try:
-        decomp = None if eig is None else _projection_from_pair(
-            problem, eig, target)
+        if eig is not None:
+            try:
+                adj = eigenpair_near(problem, np.conj(target), adjoint_of=eig)
+            finally:
+                eig = eig._replace(lu=None)
+            decomp = _projection_from_pair(problem, eig, adj)
         crossing = crossing_speed(problem, target=target, decomp=decomp)
         verdicts["transversality"] = crossing.transversal
         if not crossing.transversal:
@@ -569,6 +576,7 @@ def run_hypothesis_checks(problem, target=1j, n_max=16, seed=0):
     return HypothesisReport(
         problem_name=problem.name,
         eig_plus=eig,
+        eig_adjoint=adj,
         simplicity=simplicity,
         crossing=crossing,
         resolvent_table=table,

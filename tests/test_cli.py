@@ -480,6 +480,38 @@ def test_cli_branch_skip_check(tmp_path):
     assert (tmp_path / "out" / "branch.csv").exists()
 
 
+def test_cli_branch_locates_the_pair_once(tmp_path, monkeypatch):
+    """`branch` projects onto the pair its hypothesis checks located: one
+    eigen-iteration at lambda = 0 and target i, not a second one."""
+    locate = spectral.eigenpair_near
+    calls = []
+
+    def counting(problem, target, **kwargs):
+        if (kwargs.get("lam", 0.0), kwargs.get("adjoint_of")) == (0.0, None):
+            calls.append(target)
+        return locate(problem, target, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigenpair_near", counting)
+    code, _ = run_cli(tmp_path, "branch")
+    assert code == 0
+    assert calls == [1j]
+
+
+def test_cli_branch_reuse_matches_skip_check(tmp_path):
+    """The pair `branch` reuses from its checks is the pair
+    `build_projection` locates: the reports match those of ``--skip-check``
+    apart from the timing."""
+    cfg = write_config(tmp_path, COARSE + "output.format = json\n")
+    reports = []
+    for name, flags in (("checked", []), ("skipped", ["--skip-check"])):
+        out = tmp_path / name
+        assert main(["branch", "--config", cfg, "--out", str(out), *flags]) == 0
+        summary = json.loads((out / "branch_summary.json").read_text())
+        summary.pop("seconds")
+        reports.append(((out / "branch.json").read_bytes(), summary))
+    assert reports[0] == reports[1]
+
+
 def test_cli_branch_gated_by_failing_check(tmp_path):
     code, out = run_cli(
         tmp_path, "branch", "problem.frozen_parameter = on\n"

@@ -115,6 +115,35 @@ def test_eigenpair_recentres_a_stalled_shift(monkeypatch, target,
     assert len(calls) == factorizations
 
 
+@pytest.mark.parametrize("target, factorizations", [(1.08j, 1), (1.02j, 0)])
+def test_adjoint_recentres_a_stalled_shift(monkeypatch, target,
+                                           factorizations):
+    # The adjoint solves with the conjugate transpose of its right pair's
+    # factor, here one taken at the target: from 1.08i it stalls as the
+    # right iteration does and re-centres once, with a factor of its own;
+    # from 1.02i it converges on the right pair's factor alone.
+    import hopfkit.spectral as spectral_module
+
+    p = synthetic_problem(sla.block_diag(
+        rotation_block()[:2, :2], rotation_block(freq=1.2)[:2, :2]))
+    splu = spectral_module.spla.splu
+    right = EigenPair(1j, None, 0.0, splu(p.shifted(target)))
+    calls = []
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_module.spla, "splu", counting_splu)
+    adj = eigenpair_near(p, np.conj(target), adjoint_of=right)
+    assert abs(adj.mu + 1j) <= 1e-10
+    assert adj.residual <= 1e-10 and adj.lu is None
+    phi = adj.psi.data
+    bt = p.operator().T.toarray()
+    assert np.linalg.norm(bt @ phi + 1j * phi) <= 1e-9 * np.linalg.norm(phi)
+    assert len(calls) == factorizations
+
+
 # ---------------------------------------------------------------------------
 # simplicity
 
@@ -422,6 +451,23 @@ def test_projection_reference_rescaling(coarse_cfg, coarse_problem):
     assert abs(pairing - 1.0) <= 1e-10
 
 
+def test_adjoint_matches_dense_left_eigenvector(coarse_problem):
+    # phi is the eigenvector of B^T at conj(mu): up to phase and scale the
+    # left eigenvector of the dense B nearest i, paired to 1 against psi.
+    decomp = build_projection(coarse_problem)
+    b = coarse_problem.operator().toarray()
+    phi, psi = decomp.phi_adj.data, decomp.psi.data
+    defect = b.T @ phi - np.conj(decomp.mu) * phi
+    assert np.linalg.norm(defect) <= 1e-10 * np.linalg.norm(phi)
+    evals, left = sla.eig(b, left=True, right=False)
+    k = np.argmin(np.abs(evals - 1j))
+    oracle = left[:, k]
+    scale = np.vdot(oracle, phi) / np.vdot(oracle, oracle)
+    assert np.linalg.norm(scale * oracle - phi) <= 1e-8 * np.linalg.norm(phi)
+    pairing = np.sum(psi * np.conj(phi)) * coarse_problem.dx
+    assert abs(pairing - 1.0) <= 1e-12
+
+
 def test_defective_pair_rejected():
     # Real Jordan structure: double eigenvalue at i, one eigenvector only.
     j = rotation_block()[:2, :2]
@@ -490,18 +536,59 @@ def test_hypothesis_verdicts_are_independent():
 def test_hypothesis_checks_locate_the_pair_once(monkeypatch):
     # The pair found for simple_pair feeds the crossing speed's projection:
     # the pair, its adjoint and the pair at lam = +-dlam, nothing twice.
+    # The adjoint iterates on the pair's own factor, so the two take one
+    # factor between them, and the report keeps no factor.
     import hopfkit.spectral as spectral_module
 
     calls = []
+    located = []
+    factors = []
     locate = spectral_module.eigenpair_near
+    splu = spectral_module.spla.splu
 
     def counting(problem, target, **kwargs):
-        calls.append((target, kwargs.get("lam", 0.0), kwargs.get("adjoint", False)))
-        return locate(problem, target, **kwargs)
+        adjoint_of = kwargs.get("adjoint_of")
+        if adjoint_of is not None:
+            assert adjoint_of is located[0]
+        before = len(factors)
+        pair = locate(problem, target, **kwargs)
+        located.append(pair)
+        calls.append((target, kwargs.get("lam", 0.0), adjoint_of is not None,
+                      len(factors) - before))
+        return pair
+
+    def counting_splu(matrix, *args, **kwargs):
+        factors.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
 
     monkeypatch.setattr(spectral_module, "eigenpair_near", counting)
+    monkeypatch.setattr(spectral_module.spla, "splu", counting_splu)
     p = synthetic_problem(rotation_block(), h="linear", c=0.8)
     report = run_hypothesis_checks(p, n_max=8)
     assert report.verdicts["simple_pair"] and report.verdicts["transversality"]
-    assert calls == [(1j, 0.0, False), (-1j, 0.0, True),
-                     (1j, 1e-4, False), (1j, -1e-4, False)]
+    assert calls == [(1j, 0.0, False, 1), (-1j, 0.0, True, 0),
+                     (1j, 1e-4, False, 1), (1j, -1e-4, False, 1)]
+    assert report.eig_plus.lu is None and report.eig_adjoint.lu is None
+    assert report.eig_plus.psi is located[0].psi
+    assert report.eig_adjoint is located[1]
+
+
+def test_hypothesis_checks_drop_the_factor_when_the_adjoint_fails(monkeypatch):
+    # A stalled adjoint fails transversality alone, and the stored pair
+    # still gives up its factor.
+    import hopfkit.spectral as spectral_module
+
+    locate = spectral_module.eigenpair_near
+
+    def stalled_adjoint(problem, target, **kwargs):
+        if kwargs.get("adjoint_of") is not None:
+            raise ConvergenceError("adjoint stalled")
+        return locate(problem, target, **kwargs)
+
+    monkeypatch.setattr(spectral_module, "eigenpair_near", stalled_adjoint)
+    p = synthetic_problem(rotation_block(), h="linear", c=0.8)
+    report = run_hypothesis_checks(p, n_max=8)
+    assert report.verdicts["simple_pair"]
+    assert not report.verdicts["transversality"]
+    assert report.notes["transversality"] == "adjoint stalled"
+    assert report.eig_plus.lu is None and report.eig_adjoint is None
