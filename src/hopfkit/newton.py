@@ -222,7 +222,7 @@ def coupling_blocks(samples, n_t, modes=None):
         Collocation samples (``M = 2*n_t + 2``) of one real coefficient
         function per batch column.
     n_t : int
-        Temporal truncation.
+        Truncation of the samples, at least the top mode of ``modes``.
     modes : range, optional
         The mode set of the slots (`TrajectoryLayout.modes`), all modes
         ``0 .. n_t`` by default.
@@ -234,7 +234,7 @@ def coupling_blocks(samples, n_t, modes=None):
         set: block ``b`` is ``analysis @ diag(samples[:, b]) @ synthesis``
         with the real DFT pair of `trajectory._dft_matrices` cut to the
         kept slots, the matrix of the pseudo-spectral product that
-        `ProblemDef.residual_g` evaluates, aliasing included.  Each entry
+        `ProblemDef.residual_g` evaluates at ``M`` samples.  Each entry
         is summed over the samples alone, so a block does not depend on
         the rest of the batch, and a subset's blocks are bitwise the
         matching sub-blocks of the full ones.
@@ -365,10 +365,12 @@ def assemble_jacobian_band(problem, params, u, layout):
             "spatial stencil of A exceeds the bandwidth implied by h_stencil"
         )
 
-    u_samples = u.sample_values()
+    # Probes are constant in time, and blocks map the layout's modes to themselves.
+    n = problem.collocation_n_t(n_t, u.top_mode(), layout.modes[-1], layout.modes[-1])
+    u_samples = u.sample_values(n)
     rows, cols, samples = stencil_couplings(
         problem, lambda comb: problem.apply_h_u(
-            lam, u_samples, np.broadcast_to(comb, (u.n_samples, 2 * nx))))
+            lam, u_samples, np.broadcast_to(comb, u_samples.shape)))
     first = layout.first_slot(cols)
     offsets = layout.first_slot(rows) - first
     # Entry (rr, cc) of a block lies at offset + rr - cc, |rr - cc| < r.
@@ -396,7 +398,7 @@ def assemble_jacobian_band(problem, params, u, layout):
         group = np.flatnonzero(offsets == offset)
         for start in range(0, group.size, step):
             part = group[start : start + step]
-            blocks = coupling_blocks(samples[:, part], n_t, layout.modes)
+            blocks = coupling_blocks(samples[:, part], n, layout.modes)
             blocks *= factor
             for cc in range(r):
                 run = slice(diag + offset - cc, diag + offset - cc + r)

@@ -26,7 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .trajectory import StateVector, _adopt, trajectory_from_samples
+from .trajectory import (PeriodicTrajectory, StateVector, _adopt, _spectrum,
+                         trajectory_from_samples)
 
 __all__ = [
     "ProblemDef",
@@ -48,6 +49,9 @@ DERIVATIVE_TOLERANCE = 1e-6
 #: resolvent scan's.
 RESOLVENT_PROBES = 15
 RESOLVENT_SEED = 13
+#: The degree of ``h`` that reduced collocation is exact for (any lower
+#: degree is too), and the relative agreement and seed of its check.
+H_DEGREE, DEGREE_TOLERANCE, DEGREE_SEED = 3, 1e-12, 3
 
 
 class DomainError(ValueError):
@@ -266,43 +270,81 @@ class ProblemDef:
         """Period-rescaled residual ``g = u_t - (sigma+1) f(lam, u)``.
 
         ``u`` is a `PeriodicTrajectory`; the nonlinearity is evaluated at
-        the collocation samples and transformed back, so products alias
-        into the guard mode but retained modes are those of the sampled
-        composition.
+        `collocation_n_t`'s ``2n + 2`` samples and transformed back.  At ``n =
+        n_t`` products alias into the guard mode but retained modes are
+        those of the sampled composition; a smaller ``n`` is exact.
         """
-        return self._collocated(params, u, u, self.apply_h)
+        return self._collocated(params, self.apply_h, u)
 
     def linearised_g(self, params, u, v):
         """Directional derivative ``g_u(params, u) v`` for trajectories."""
-        return self._collocated(params, u, v, lambda lam, vals: self.apply_h_u(
-            lam, vals, v.sample_values()))
+        return self._collocated(params, self.apply_h_u, u, v)
 
-    def _collocated(self, params, u, v, apply):
-        """``v_t - (sigma+1)(A v + N)``, the kernel of `residual_g` (``v =
-        u``) and `linearised_g`: ``N`` is ``apply(lam, samples of u)``
-        transformed back, after the parameter, period and trust checks.
+    def _collocated(self, params, apply, *inputs):
+        """``v_t - (sigma+1)(A v + N)`` for ``inputs`` ``(u,)`` (`residual_g`,
+        ``v = u``) or ``(u, v)`` (`linearised_g`): ``N`` is ``apply(lam,
+        samples of the inputs)`` at `collocation_n_t`'s times transformed
+        back after the parameter, period and trust checks, and ``A`` and
+        ``d/dt`` act on the rows that ``v`` or ``N`` can hold.
 
         The result is one C-contiguous array, adopted by the returned
         trajectory: ``A v + N`` is formed in it and scaled and subtracted
         from ``v_t`` in place, in the order of ``v.time_derivative() -
-        (sigma + 1.0) * (linear + nonlinear)`` on trajectories, so it is
-        that composition bit for bit.
+        (sigma + 1.0) * (linear + nonlinear)`` on trajectories, so at ``n =
+        n_t`` it is that composition bit for bit.
         """
         lam, sigma = params
         self.check_lambda(lam)
         if not sigma > -1.0:
             raise DomainError(f"sigma = {sigma:g} must exceed -1")
-        vals = u.sample_values()
-        self.check_trust(vals)
+        u, v = inputs[0], inputs[-1]
+        moduli = np.abs(u.coeffs[: u.top_mode() + 1])  # |u| <= |c_0| + 2 sum |c_n|
+        bound = (moduli[0] + 2.0 * moduli[1:].sum(axis=0)).max() * (1.0 + 1e-12)
+        if not bound < self.trust_radius:  # widened for rounding; samples decide
+            self.check_trust(u.sample_values())
+        n = self.collocation_n_t(u.n_t, u.top_mode(), v.top_mode())
         # ``samples`` lives until the return: freeing it before the products
         # below are allocated changed glibc's heap placement and raised the
         # peak RSS of 7 of 15 production passes by 5-59 MiB.
-        samples = apply(lam, vals)
+        samples = apply(lam, *(t.sample_values(n) for t in inputs))
         nonlinear = trajectory_from_samples(samples, v.dx)
-        out = np.add((self.A @ v.coeffs.T).T, nonlinear.coeffs, order="C")
+        rows = n + 1  # n >= v.top_mode(): the rows past n stay zero
+        out = np.zeros(v.coeffs.shape, dtype=complex)
+        out[:rows] = (self.A @ v.coeffs[:rows].T).T
+        out[:rows] += nonlinear.coeffs
         out *= float(sigma + 1.0)
-        np.subtract(v.time_derivative().coeffs, out, out=out)
+        rate = v.coeffs[:rows] * (1j * np.arange(rows))[:, None]  # d/dt there
+        np.subtract(rate, out[:rows], out=out[:rows])
         return _adopt(out, v.dx)
+
+    def collocation_n_t(self, n_t, k_u, k_v, k_out=None):
+        """`_exact_n_t` where `_degree_holds`, else ``n_t``."""
+        return _exact_n_t(n_t, k_u, k_v, k_out) if self._degree_holds else n_t
+
+    @cached_property
+    def _degree_holds(self):
+        """Whether ``h`` is of degree `H_DEGREE` at most, as far as
+        collocation can tell: each collocated callable, at random mode-1
+        trajectories and the zero base, agrees in every row at `_exact_n_t`'s
+        samples and at all of ``n_t = 2 H_DEGREE + 2`` within `DEGREE_TOLERANCE`,
+        relative.  Where it does not, products keep the full ``M``."""
+        rng = np.random.default_rng(DEGREE_SEED)
+        n_t, lo, hi = 2 * H_DEGREE + 2, *self.lambda_window
+        lam = float(rng.uniform(-0.4, 0.4) * min(hi, -lo, 1.0))
+        coeffs = np.zeros((3, n_t + 1, self.dim), dtype=complex)
+        coeffs[:2, :2] = 0.1 * rng.normal(size=(2, 2, self.dim, 2)) @ [1.0, 1j]
+        coeffs[:, 0].imag = 0.0
+        u, v, zero = (PeriodicTrajectory(c, self.dx) for c in coeffs)
+        for apply, *inputs in ((self.apply_h, u), (self.apply_h_lambda, u),
+                               (self.apply_h_u, u, v), (self.apply_h_u, zero, v),
+                               (self.apply_h_lambda_u, zero, v)):
+            n = _exact_n_t(n_t, inputs[0].top_mode(), inputs[-1].top_mode())
+            reduced, full = (
+                _spectrum(apply(lam, *(t._samples(m) for t in inputs)), n_t)
+                for m in (n, n_t))
+            if not abs(reduced - full).max() <= DEGREE_TOLERANCE * abs(full).max():
+                return False
+        return True
 
     # -- derivative validation ------------------------------------------------------
 
@@ -415,6 +457,16 @@ def _guarded_lu(matrix, border=None, steps=RESOLVENT_PROBES,
     if not np.isfinite(cond) or cond > COND_GUARD:
         return None, 0.0, taken, cond
     return lu, sigma, taken, cond
+
+
+def _exact_n_t(n_t, k_u, k_v, k_out=None):
+    """The smallest ``n <= n_t`` whose ``2n + 2 > P + k_out`` samples hold
+    the inputs of a product of ``h``'s callables (live modes up to ``k_u``,
+    ``k_v``) and read its modes up to ``k_out = min(P, n_t)``, ``P = (d-1)
+    k_u + k_v`` for ``d`` = `H_DEGREE`, exactly (Orszag's 3/2 rule, 1971)."""
+    p = (H_DEGREE - 1) * k_u + k_v
+    k_out = min(p, n_t) if k_out is None else k_out
+    return min(n_t, max((p + k_out) // 2, k_u, k_v))
 
 
 def _rel(approx, exact, ref):

@@ -7,7 +7,8 @@ coefficient is a vector over the spatial grid (all fields concatenated), so
 the coefficient array has shape ``(n_t + 1, dim)``.
 
 Collocation in time uses ``M = 2*n_t + 2`` equispaced samples, which leaves
-one guard mode (index ``n_t + 1``) that is discarded on analysis.  Each
+one guard mode (index ``n_t + 1``) that is discarded on analysis; a
+product with few modes is exact at fewer (`ProblemDef.collocation_n_t`).  Each
 transform is one real matrix product with a cached real DFT matrix
 (`_dft_matrices`), and the two are inverse on the retained modes up to
 rounding.  A product over ``L`` modes costs ``2 * M * 2L * dim`` flops; at
@@ -227,22 +228,31 @@ class PeriodicTrajectory:
             return self.coeffs[n].copy()
         return np.conj(self.coeffs[-n])
 
-    def sample_values(self):
+    def top_mode(self):
+        """The last live mode (`_live_rows`), 0 for the zero trajectory."""
+        return max(self._live_rows() - 1, 0)
+
+    def sample_values(self, n_t=None):
         """Values at the ``M = 2*n_t + 2`` collocation times, shape (M, dim).
 
-        The samples are real, in a fresh writable array;
+        ``n_t``, the trajectory's own by default, may be any from `top_mode`
+        on.  The samples are real, in a fresh writable array;
         ``trajectory_from_samples`` inverts this up to rounding.  Only the
         live modes ``0 .. L-1``, up to the last nonzero coefficient row,
         enter the product: their real and imaginary rows are stacked in
         the order of the synthesis matrix's columns, so they meet its
         first ``2L`` columns.
         """
+        return self._samples(self.n_t if n_t is None else n_t)
+
+    def _samples(self, n_t):
+        """`sample_values` at ``2*n_t + 2`` times."""
         n_live = self._live_rows()
         if not n_live:
-            return np.zeros((self.n_samples, self.dim))
+            return np.zeros((2 * n_t + 2, self.dim))
         kept = self.coeffs[:n_live]
         stacked = np.stack((kept.real, kept.imag), axis=1).reshape(-1, self.dim)
-        synthesis = _dft_matrices(self.n_t)[0]
+        synthesis = _dft_matrices(n_t)[0]
         return synthesis[:, : stacked.shape[0]] @ stacked
 
     def sample_times(self):
@@ -361,7 +371,7 @@ def _dft_matrices(n_t):
     return synthesis, analysis
 
 
-def trajectory_from_samples(samples, dx):
+def trajectory_from_samples(samples, dx, n_t=None):
     """Build a trajectory from values at the standard collocation times.
 
     Parameters
@@ -372,6 +382,9 @@ def trajectory_from_samples(samples, dx):
         ``M/2`` is dropped).
     dx : float
         Spatial grid spacing.
+    n_t : int, optional
+        The result's truncation, ``M/2 - 1`` by default and at least that;
+        modes above ``M/2 - 1`` are zero.
 
     Notes
     -----
@@ -382,12 +395,19 @@ def trajectory_from_samples(samples, dx):
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[0] % 2 != 0 or not arr.shape[0]:
         raise ValueError("samples must have shape (M, dim) with M even")
-    n_modes = arr.shape[0] // 2
-    halves = _dft_matrices(n_modes - 1)[1] @ arr
-    spec = np.empty((n_modes, arr.shape[1]), dtype=complex)
-    spec.real = halves[:n_modes]
-    spec.imag = halves[n_modes:]
-    return _adopt(spec, dx)
+    if n_t is not None and not n_t >= arr.shape[0] // 2 - 1:
+        raise ValueError(f"n_t = {n_t} is below M/2 - 1 = {arr.shape[0] // 2 - 1}")
+    return _adopt(_spectrum(arr, n_t), dx)
+
+
+def _spectrum(samples, n_t=None):
+    """`trajectory_from_samples`'s fresh coefficient array for a checked one."""
+    n_modes = samples.shape[0] // 2
+    halves = _dft_matrices(n_modes - 1)[1] @ samples
+    spec = np.zeros((n_modes if n_t is None else n_t + 1, samples.shape[1]), complex)
+    spec.real[:n_modes] = halves[:n_modes]
+    spec.imag[:n_modes] = halves[n_modes:]
+    return spec
 
 
 def single_harmonic(psi, n_t, dx=None):

@@ -23,7 +23,10 @@ from hopfkit.reaction_diffusion import (
     make_problem,
     reference_eigenvector,
 )
+from hopfkit.newton import TrajectoryLayout, assemble_jacobian_band
 from hopfkit.solver import (
+    _branch_linearization,
+    _mixed_column,
     extended_residual,
     initial_extended_state,
     solve_extended,
@@ -36,6 +39,7 @@ from hopfkit.spectral import (
     run_hypothesis_checks,
 )
 from hopfkit.trajectory import (
+    AmplitudeFunctional,
     PeriodicTrajectory,
     StateVector,
     build_amplitude_functional,
@@ -706,3 +710,103 @@ def test_scaled_params_fields():
     assert params.lam == 0.25 and params.sigma == 0.0
     lam, sigma = ScaledParams(0.1, -0.5)
     assert lam == 0.1 and sigma == -0.5
+
+
+def _full_sampling(problem):
+    """A copy of ``problem`` whose degree check counts as failed, so that
+    every product samples at the full ``M``."""
+    full = dataclasses.replace(problem)
+    full.__dict__["_degree_holds"] = False
+    return full
+
+
+def _collocated_products(problem, top, n_t=16, seed=5):
+    """Every collocated product of ``problem`` on random trajectories with
+    live modes ``0 .. top``: ``residual_g``, ``linearised_g``, the branch
+    linearization's ``f_lambda`` column, ``_mixed_column`` and the Newton
+    band's storage in the layout of the odd modes up to ``top``."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        coeffs = np.zeros((n_t + 1, problem.dim), dtype=complex)
+        coeffs[: top + 1] = 0.1 * (rng.normal(size=(top + 1, problem.dim))
+                                   + 1j * rng.normal(size=(top + 1, problem.dim)))
+        coeffs[0] = coeffs[0].real
+        return PeriodicTrajectory(coeffs, problem.dx)
+
+    u, v = draw(), draw()
+    params = ScaledParams(0.2, 0.1)
+    core = problem.residual_g(params, u)
+    functional = AmplitudeFunctional(StateVector(np.ones(problem.dim), problem.dx))
+    layout = TrajectoryLayout(n_t, problem.nx, problem.dx, range(1, top + 1, 2))
+    return [
+        core.coeffs,
+        problem.linearised_g(params, u, v).coeffs,
+        _branch_linearization(problem, functional, params, u, core).col_lam.coeffs,
+        _mixed_column(problem, params.lam, v).coeffs,
+        assemble_jacobian_band(problem, params, u, layout).ab,
+    ]
+
+
+@pytest.mark.parametrize("top", [1, 3])
+@pytest.mark.parametrize("fixture", ["coarse_problem", "coarse_quasi_problem"])
+def test_degree_aware_products_match_full_sampling(fixture, top, request):
+    """Both variants' ``h`` is cubic, so a product on mode-``top``
+    trajectories at ``n_t = 16`` samples far fewer than ``M = 34`` times;
+    each agrees with the full sampling to 1e-15 of its largest entry, the
+    overtones above the product's modes included."""
+    problem = request.getfixturevalue(fixture)
+    assert problem.collocation_n_t(16, top, top) < 16
+    full = _full_sampling(problem)
+    assert full.collocation_n_t(16, top, top) == 16
+    for got, expect in zip(_collocated_products(problem, top),
+                           _collocated_products(full, top)):
+        assert got.shape == expect.shape
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+
+def test_a_non_cubic_h_falls_back_to_full_sampling(coarse_problem):
+    """``h = sin(u)`` is not cubic: its degree check fails, so every
+    product samples at the full ``M``, bit for bit.  The wobble of
+    `test_certificate_verdict_reads_the_leakage` is caught the same way,
+    on the zero base."""
+    sine = dataclasses.replace(
+        coarse_problem, apply_h=lambda lam, w: np.sin(w),
+        apply_h_u=lambda lam, w, z: np.cos(w) * z)
+    assert not sine._degree_holds and sine.collocation_n_t(16, 1, 1) == 16
+    full = _full_sampling(sine)
+    for top in (1, 3):
+        for got, expect in zip(_collocated_products(sine, top),
+                               _collocated_products(full, top)):
+            assert np.array_equal(got, expect)
+    assert coarse_problem.collocation_n_t(16, 1, 1) == 3
+
+
+@pytest.mark.parametrize("amplitude, raises", [(2.6, False), (3.0, True)])
+def test_trust_check_reads_the_samples_past_its_bound(
+        coarse_problem, amplitude, raises):
+    """``u = 2a (cos t + sin 2t)`` at every point has the bound ``|c_0| +
+    2 sum |c_n| = 4a`` but reads ``3.52a`` at the ``M = 10`` samples of
+    ``n_t = 4``.  At ``a = 2.6`` the bound, 10.4, is past the radius 10 and
+    the samples, 9.15, are not: the check passes, as on the samples.  At
+    ``a = 3`` the samples read 10.56 and raise the samples' message."""
+    coeffs = np.zeros((5, coarse_problem.dim), dtype=complex)
+    coeffs[1], coeffs[2] = amplitude, -1j * amplitude
+    u = PeriodicTrajectory(coeffs, coarse_problem.dx)
+    params = ScaledParams(0.1, 0.0)
+    if raises:
+        message = r"sup\|u\| = 10\.56\d* exceeds trust radius 10"
+        with pytest.raises(DomainError, match=message):
+            coarse_problem.residual_g(params, u)
+    else:
+        assert np.all(np.isfinite(coarse_problem.residual_g(params, u).coeffs))
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_trust_check_refuses_non_finite_coefficients(coarse_problem, value, mode):
+    coeffs = np.zeros((5, coarse_problem.dim), dtype=complex)
+    coeffs[mode, 3] = value
+    u = PeriodicTrajectory(coeffs, coarse_problem.dx)
+    with pytest.raises(DomainError, match="non-finite"):
+        coarse_problem.residual_g(ScaledParams(0.1, 0.0), u)

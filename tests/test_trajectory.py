@@ -357,6 +357,15 @@ def test_samples_must_be_even_and_nonempty(shape):
         trajectory_from_samples(np.zeros(shape), 0.1)
 
 
+def test_samples_pad_to_a_truncation_no_lower_than_theirs():
+    samples = np.ones((6, 4))
+    padded = trajectory_from_samples(samples, 0.1, n_t=4).coeffs
+    assert padded.shape == (5, 4) and not padded[3:].any()
+    assert np.array_equal(padded[:3], trajectory_from_samples(samples, 0.1).coeffs)
+    with pytest.raises(ValueError, match="below M/2 - 1 = 2"):
+        trajectory_from_samples(samples, 0.1, n_t=1)
+
+
 # ---------------------------------------------------------------------------
 # amplitude / phase functionals
 
