@@ -24,7 +24,8 @@ pseudo-spectral product, so Newton gets the true derivative of the
 discrete residual).  It reads the ``h_u`` entries from
 `problem.stencil_couplings`, the one colour-probe decoder, which also
 gives ``h_u(lam, 0)`` its sparse matrix; here the probes are one
-constant-in-time unit comb per field and stencil colour.  Each entry
+constant-in-time unit comb per field and stencil colour, at the base's
+samples from `ProblemDef.band_samples`, whose count the band reads.  Each entry
 becomes one coupling block (`coupling_blocks`) built from the collocated
 product's own DFT matrices, the cached real pair the residual's time
 transforms use, at the block offset `TrajectoryLayout.first_slot` gives.
@@ -365,12 +366,9 @@ def assemble_jacobian_band(problem, params, u, layout):
             "spatial stencil of A exceeds the bandwidth implied by h_stencil"
         )
 
-    # Probes are constant in time, and blocks map the layout's modes to themselves.
-    n = problem.collocation_n_t(n_t, u.top_mode(), layout.modes[-1], layout.modes[-1])
-    u_samples = u.sample_values(n)
     rows, cols, samples = stencil_couplings(
-        problem, lambda comb: problem.apply_h_u(
-            lam, u_samples, np.broadcast_to(comb, u_samples.shape)))
+        problem, lam, problem.band_samples(u, layout.modes[-1]))
+    n = samples.shape[0] // 2 - 1
     first = layout.first_slot(cols)
     offsets = layout.first_slot(rows) - first
     # Entry (rr, cc) of a block lies at offset + rr - cc, |rr - cc| < r.

@@ -11,9 +11,12 @@ factorization (`_guarded_lu`) that lives only as long as its caller, and a
 finite-difference validation of the supplied derivatives all live here.
 The guard and every resolvent bound read one estimate per factor: the
 smallest singular value from `inverse_power_sigma_min`.
-Every assembled matrix of ``h_u`` is read from the black-box
-``apply_h_u`` by one colour-probe decoder, `stencil_couplings`: the sparse
-``h_u(lam, 0)`` (`linearization_matrix`) and the Newton band's couplings.
+Only `ProblemDef` samples ``h`` and picks how often (`collocation_n_t`):
+`ProblemDef.collocate` for the residuals, ``f_lambda`` and the mixed
+column, `ProblemDef.band_samples` for a Newton band's base.  Every
+assembled matrix of ``h_u`` is read from the black-box ``apply_h_u`` by
+one colour-probe decoder, `stencil_couplings`: the sparse ``h_u(lam, 0)``
+(`linearization_matrix`) and the Newton band's couplings.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .trajectory import (PeriodicTrajectory, StateVector, _adopt, _spectrum,
+from .trajectory import (PeriodicTrajectory, StateVector, _adopt,
                          trajectory_from_samples)
 
 __all__ = [
@@ -270,7 +273,7 @@ class ProblemDef:
         """Period-rescaled residual ``g = u_t - (sigma+1) f(lam, u)``.
 
         ``u`` is a `PeriodicTrajectory`; the nonlinearity is evaluated at
-        `collocation_n_t`'s ``2n + 2`` samples and transformed back.  At ``n =
+        `collocation_n_t`'s ``2n + 2`` samples (`collocate`).  At ``n =
         n_t`` products alias into the guard mode but retained modes are
         those of the sampled composition; a smaller ``n`` is exact.
         """
@@ -282,10 +285,9 @@ class ProblemDef:
 
     def _collocated(self, params, apply, *inputs):
         """``v_t - (sigma+1)(A v + N)`` for ``inputs`` ``(u,)`` (`residual_g`,
-        ``v = u``) or ``(u, v)`` (`linearised_g`): ``N`` is ``apply(lam,
-        samples of the inputs)`` at `collocation_n_t`'s times transformed
-        back after the parameter, period and trust checks, and ``A`` and
-        ``d/dt`` act on the rows that ``v`` or ``N`` can hold.
+        ``v = u``) or ``(u, v)`` (`linearised_g`): ``N`` is ``apply`` at the
+        inputs, `collocate`d after the parameter, period and trust checks,
+        and ``A`` and ``d/dt`` act on the rows that ``v`` or ``N`` can hold.
 
         The result is one C-contiguous array, adopted by the returned
         trajectory: ``A v + N`` is formed in it and scaled and subtracted
@@ -302,13 +304,8 @@ class ProblemDef:
         bound = (moduli[0] + 2.0 * moduli[1:].sum(axis=0)).max() * (1.0 + 1e-12)
         if not bound < self.trust_radius:  # widened for rounding; samples decide
             self.check_trust(u.sample_values())
-        n = self.collocation_n_t(u.n_t, u.top_mode(), v.top_mode())
-        # ``samples`` lives until the return: freeing it before the products
-        # below are allocated changed glibc's heap placement and raised the
-        # peak RSS of 7 of 15 production passes by 5-59 MiB.
-        samples = apply(lam, *(t.sample_values(n) for t in inputs))
-        nonlinear = trajectory_from_samples(samples, v.dx)
-        rows = n + 1  # n >= v.top_mode(): the rows past n stay zero
+        nonlinear = self.collocate(apply, lam, *inputs)
+        rows = nonlinear.n_t + 1  # >= v.top_mode() + 1: the rows past stay zero
         out = np.zeros(v.coeffs.shape, dtype=complex)
         out[:rows] = (self.A @ v.coeffs[:rows].T).T
         out[:rows] += nonlinear.coeffs
@@ -316,6 +313,22 @@ class ProblemDef:
         rate = v.coeffs[:rows] * (1j * np.arange(rows))[:, None]  # d/dt there
         np.subtract(rate, out[:rows], out=out[:rows])
         return _adopt(out, v.dx)
+
+    def collocate(self, apply, lam, *inputs, n_t=None):
+        """``apply(lam, *samples)`` transformed back, ``samples`` those of
+        ``inputs`` (a base, then a direction for ``apply_h_u`` and
+        ``apply_h_lambda_u``) at `collocation_n_t`'s ``2n + 2`` times: the
+        ``n + 1`` rows that hold the product, or zero-padded to ``n_t``."""
+        u, v = inputs[0], inputs[-1]
+        n = self.collocation_n_t(v.n_t, u.top_mode(), v.top_mode())
+        samples = apply(lam, *(t.sample_values(n) for t in inputs))
+        return trajectory_from_samples(samples, v.dx, n_t)
+
+    def band_samples(self, u, top):
+        """``u``'s samples for a Newton band whose layout keeps modes up to
+        ``top``: its probes are constant in time, and its blocks map those
+        modes to themselves."""
+        return u.sample_values(self.collocation_n_t(u.n_t, u.top_mode(), top, top))
 
     def collocation_n_t(self, n_t, k_u, k_v, k_out=None):
         """`_exact_n_t` where `_degree_holds`, else ``n_t``."""
@@ -339,9 +352,9 @@ class ProblemDef:
                                (self.apply_h_u, u, v), (self.apply_h_u, zero, v),
                                (self.apply_h_lambda_u, zero, v)):
             n = _exact_n_t(n_t, inputs[0].top_mode(), inputs[-1].top_mode())
-            reduced, full = (
-                _spectrum(apply(lam, *(t._samples(m) for t in inputs)), n_t)
-                for m in (n, n_t))
+            reduced, full = (trajectory_from_samples(
+                apply(lam, *(t.sample_values(m) for t in inputs)), self.dx, n_t
+            ).coeffs for m in (n, n_t))
             if not abs(reduced - full).max() <= DEGREE_TOLERANCE * abs(full).max():
                 return False
         return True
@@ -473,19 +486,18 @@ def _rel(approx, exact, ref):
     return float(np.abs(approx - exact).max() / ref)
 
 
-def stencil_couplings(problem, apply):
-    """``(rows, cols, values)``: the entries of a linear map with
+def stencil_couplings(problem, lam, base):
+    """``(rows, cols, values)``: the entries of ``v -> h_u(lam, base) v``,
+    ``base`` one state or a stack of them (one per collocation sample), with
     ``problem.h_stencil`` spatial locality, read by colour probing.
 
-    ``apply`` maps a flat unit comb to its response, one state or a stack
-    of them (one per collocation sample).  Combs with one tooth every
-    ``2*h_stencil + 1`` grid points within one field share no stencil
-    support (Curtis, Powell and Reid, J. Inst. Math. Appl. 13, 1974), so
-    ``2 * (2*h_stencil + 1)`` probes reach each entry (state row ``rows[k]``,
-    state column ``cols[k]``) once.  ``values[:, k]`` is that entry's
-    response at every sample, shape ``(samples, entries)``, a single row
-    for a single response; entries that respond with zero everywhere are
-    left out.
+    Combs with one tooth every ``2*h_stencil + 1`` grid points within one
+    field, the same at every sample, share no stencil support (Curtis,
+    Powell and Reid, J. Inst. Math. Appl. 13, 1974), so ``2 * (2*h_stencil
+    + 1)`` probes reach each entry (state row ``rows[k]``, state column
+    ``cols[k]``) once.  ``values[:, k]`` is that entry's response at every
+    sample, shape ``(samples, entries)``, a single row for a single state;
+    entries that respond with zero everywhere are left out.
     """
     nx, dim = problem.nx, problem.dim
     width = problem.h_stencil
@@ -501,7 +513,8 @@ def stencil_couplings(problem, apply):
                 np.round((positions - colour) / stride).astype(int),
                 0, probed.size - 1,
             )]
-            response = np.reshape(apply(comb), (-1, dim))
+            response = np.reshape(problem.apply_h_u(
+                lam, base, np.broadcast_to(comb, base.shape)), (-1, dim))
             hit = np.tile(np.abs(positions - owner) <= width, 2)
             hit &= np.any(response, axis=0)
             reached = np.flatnonzero(hit)
@@ -519,9 +532,7 @@ def linearization_matrix(problem, lam):
     -------
     scipy.sparse.csr_matrix, shape (dim, dim)
     """
-    zero = np.zeros(problem.dim)
-    rows, cols, values = stencil_couplings(
-        problem, lambda comb: problem.apply_h_u(lam, zero, comb))
+    rows, cols, values = stencil_couplings(problem, lam, np.zeros(problem.dim))
     return sp.csr_matrix((values[0], (rows, cols)), shape=(problem.dim,) * 2)
 
 

@@ -101,7 +101,6 @@ from .trajectory import (
     PeriodicTrajectory,
     _adopt,
     single_harmonic,
-    trajectory_from_samples,
     zero_trajectory,
 )
 
@@ -213,12 +212,9 @@ def _newton_space(trajectories, core, tol, narrowest=0):
 
 
 def _mixed_column(problem, lam, u):
-    """``h_lambda_u(lam, 0) u`` as a trajectory, at `collocation_n_t`'s samples."""
-    n = problem.collocation_n_t(u.n_t, 0, u.top_mode())
-    zeros = np.zeros((2 * n + 2, u.dim))
-    return trajectory_from_samples(
-        problem.apply_h_lambda_u(lam, zeros, u.sample_values(n)), u.dx, u.n_t
-    )
+    """``h_lambda_u(lam, 0) u`` as a trajectory, at a one-row zero base."""
+    return problem.collocate(problem.apply_h_lambda_u, lam,
+                             zero_trajectory(0, u.dim, u.dx), u, n_t=u.n_t)
 
 
 class _Linearization:
@@ -874,10 +870,7 @@ class BranchResult:
 
 def _branch_linearization(problem, functional, params, u, core):
     """The branch map's `_Linearization` at ``(params, u)``."""
-    n = problem.collocation_n_t(u.n_t, u.top_mode(), u.top_mode())
-    f_lambda = trajectory_from_samples(
-        problem.apply_h_lambda(params.lam, u.sample_values(n)), u.dx, u.n_t
-    )
+    f_lambda = problem.collocate(problem.apply_h_lambda, params.lam, u, n_t=u.n_t)
     return _Linearization(problem, functional, params, u, u, core, f_lambda)
 
 

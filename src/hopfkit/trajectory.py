@@ -7,14 +7,15 @@ coefficient is a vector over the spatial grid (all fields concatenated), so
 the coefficient array has shape ``(n_t + 1, dim)``.
 
 Collocation in time uses ``M = 2*n_t + 2`` equispaced samples, which leaves
-one guard mode (index ``n_t + 1``) that is discarded on analysis; a
-product with few modes is exact at fewer (`ProblemDef.collocation_n_t`).  Each
-transform is one real matrix product with a cached real DFT matrix
-(`_dft_matrices`), and the two are inverse on the retained modes up to
-rounding.  A product over ``L`` modes costs ``2 * M * 2L * dim`` flops; at
-these lengths BLAS runs it faster than an FFT runs ``dim`` strided
-transforms.  Synthesis multiplies only the modes up to the last nonzero
-one, so a single harmonic costs a 2-mode product whatever ``n_t`` is.
+one guard mode (index ``n_t + 1``) that is discarded on analysis; a product
+with few modes is exact at fewer, and `ProblemDef` alone picks how many
+(`ProblemDef.collocation_n_t`).  Each transform is one real matrix product
+with a cached real DFT matrix (`_dft_matrices`), and the two are inverse on
+the retained modes up to rounding.  A product over ``L`` modes costs ``2 *
+M * 2L * dim`` flops; at these lengths BLAS runs it faster than an FFT runs
+``dim`` strided transforms.  Synthesis multiplies only the modes up to the
+last nonzero one, so a single harmonic costs a 2-mode product whatever
+``n_t`` is; a trajectory finds those live modes once and keeps their count.
 `newton.coupling_blocks` builds the Newton band's blocks from the same
 pair.
 """
@@ -158,7 +159,7 @@ class PeriodicTrajectory:
     read-only, C-contiguous and shares no memory with an operand.
     """
 
-    __slots__ = ("coeffs", "dx")
+    __slots__ = ("coeffs", "dx", "_live")
 
     def __init__(self, coeffs, dx):
         self._own(np.array(coeffs, dtype=complex, order="C"), dx)
@@ -185,6 +186,7 @@ class PeriodicTrajectory:
         arr.flags.writeable = False
         self.coeffs = arr
         self.dx = float(dx)
+        self._live = None
 
     # -- basic shape info -------------------------------------------------
 
@@ -216,9 +218,11 @@ class PeriodicTrajectory:
     def _live_rows(self):
         """The number of coefficient rows up to the last nonzero one: the
         live modes ``0 .. L-1``, which `sample_values` multiplies and a
-        branch point keeps."""
-        live = np.flatnonzero(self.coeffs.any(axis=1))
-        return int(live[-1]) + 1 if live.size else 0
+        branch point keeps; scanned once and kept, as ``coeffs`` is read-only."""
+        if self._live is None:
+            live = np.flatnonzero(self.coeffs.any(axis=1))
+            self._live = int(live[-1]) + 1 if live.size else 0
+        return self._live
 
     def fourier_coeff(self, n):
         """Coefficient of ``exp(i*n*t)`` for ``-n_t <= n <= n_t``."""
@@ -243,17 +247,13 @@ class PeriodicTrajectory:
         the order of the synthesis matrix's columns, so they meet its
         first ``2L`` columns.
         """
-        return self._samples(self.n_t if n_t is None else n_t)
-
-    def _samples(self, n_t):
-        """`sample_values` at ``2*n_t + 2`` times."""
+        n_t = self.n_t if n_t is None else n_t
         n_live = self._live_rows()
-        if not n_live:
-            return np.zeros((2 * n_t + 2, self.dim))
+        if n_t < n_live - 1:
+            raise ValueError(f"n_t = {n_t} is below the top mode {n_live - 1}")
         kept = self.coeffs[:n_live]
         stacked = np.stack((kept.real, kept.imag), axis=1).reshape(-1, self.dim)
-        synthesis = _dft_matrices(n_t)[0]
-        return synthesis[:, : stacked.shape[0]] @ stacked
+        return _dft_matrices(n_t)[0][:, : 2 * n_live] @ stacked
 
     def sample_times(self):
         m = self.n_samples
@@ -397,17 +397,12 @@ def trajectory_from_samples(samples, dx, n_t=None):
         raise ValueError("samples must have shape (M, dim) with M even")
     if n_t is not None and not n_t >= arr.shape[0] // 2 - 1:
         raise ValueError(f"n_t = {n_t} is below M/2 - 1 = {arr.shape[0] // 2 - 1}")
-    return _adopt(_spectrum(arr, n_t), dx)
-
-
-def _spectrum(samples, n_t=None):
-    """`trajectory_from_samples`'s fresh coefficient array for a checked one."""
-    n_modes = samples.shape[0] // 2
-    halves = _dft_matrices(n_modes - 1)[1] @ samples
-    spec = np.zeros((n_modes if n_t is None else n_t + 1, samples.shape[1]), complex)
+    n_modes = arr.shape[0] // 2
+    halves = _dft_matrices(n_modes - 1)[1] @ arr
+    spec = np.zeros((n_modes if n_t is None else n_t + 1, arr.shape[1]), complex)
     spec.real[:n_modes] = halves[:n_modes]
     spec.imag[:n_modes] = halves[n_modes:]
-    return spec
+    return _adopt(spec, dx)
 
 
 def single_harmonic(psi, n_t, dx=None):

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import rotation_block, synthetic_problem
+import hopfkit.trajectory as trajectory_module
 from hopfkit import config
 from hopfkit.config import RunConfig, build_problem
 from hopfkit.linear_periodic import _deflated_critical_solve
@@ -810,3 +811,39 @@ def test_trust_check_refuses_non_finite_coefficients(coarse_problem, value, mode
     u = PeriodicTrajectory(coeffs, coarse_problem.dx)
     with pytest.raises(DomainError, match="non-finite"):
         coarse_problem.residual_g(ScaledParams(0.1, 0.0), u)
+
+
+class _ScanCounter:
+    """``numpy`` as `hopfkit.trajectory` sees it, counting the calls of
+    ``flatnonzero``: the live-row scans of a `PeriodicTrajectory`."""
+
+    def __init__(self):
+        self.scans = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        self.scans += 1
+        return np.flatnonzero(a)
+
+
+@pytest.mark.parametrize("product", ["residual_g", "linearised_g"])
+def test_a_product_scans_each_input_once(coarse_problem, monkeypatch, product):
+    """A collocated product finds each input's live modes at most once,
+    and a second product on the same trajectories finds them kept."""
+    rng = np.random.default_rng(4)
+    inputs = []
+    for top in (1, 3)[: 1 if product == "residual_g" else 2]:
+        coeffs = np.zeros((17, coarse_problem.dim), dtype=complex)
+        coeffs[1 : top + 1] = 0.1 * rng.normal(size=(top, coarse_problem.dim))
+        inputs.append(PeriodicTrajectory(coeffs, coarse_problem.dx))
+    params = ScaledParams(0.1, 0.0)
+    assert coarse_problem._degree_holds  # its own trajectories scanned here
+    counter = _ScanCounter()
+    monkeypatch.setattr(trajectory_module, "np", counter)
+    getattr(coarse_problem, product)(params, *inputs)
+    assert counter.scans <= len(inputs)
+    first = counter.scans
+    getattr(coarse_problem, product)(params, *inputs)
+    assert counter.scans == first

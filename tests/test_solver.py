@@ -1346,6 +1346,29 @@ def test_linearization_apply_is_the_trajectory_sum(coarse_quasi_problem, quasi_s
     assert np.array_equal(pair, functional.pair(v))
 
 
+def test_linearization_apply_reads_its_columns_live_modes(coarse_problem,
+                                                          coarse_decomp,
+                                                          coarse_functional):
+    """`_Linearization.apply` writes its parameter columns into
+    `linearised_g`'s fresh array and adopts it again, the one write into a
+    trajectory's array after it is made: the result's `top_mode` is that
+    of a fresh scan, which reads ``col_lam``'s mode 5 above the mode-1
+    direction and product."""
+    problem, n_t = coarse_problem, 8
+    params = ScaledParams(0.02, 0.0)
+    zero = zero_trajectory(n_t, problem.dim, problem.dx)
+    v = single_harmonic(coarse_decomp.psi, n_t)
+    assert problem.linearised_g(params, zero, v).top_mode() == 1
+    coeffs = np.zeros((n_t + 1, problem.dim), dtype=complex)
+    coeffs[5] = 1e-3
+    f_lambda = PeriodicTrajectory(coeffs, problem.dx)
+    lin = solver_module._Linearization(problem, coarse_functional, params, zero,
+                                       v, problem.residual_g(params, v), f_lambda)
+    _, image = lin.apply(0.5, 0.0, v)
+    assert image.top_mode() == 5
+    assert PeriodicTrajectory(image.coeffs, image.dx).top_mode() == 5
+
+
 def test_held_wider_factor_serves_a_narrower_rung(monkeypatch, coarse_quasi_problem,
                                                   quasi_setup, quasi_branch):
     """The first point of the quasilinear branch picks the odd modes up to

@@ -366,6 +366,18 @@ def test_samples_pad_to_a_truncation_no_lower_than_theirs():
         trajectory_from_samples(samples, 0.1, n_t=1)
 
 
+@pytest.mark.parametrize("n_t", [1, 2])
+def test_samples_below_the_top_mode_are_refused(n_t):
+    """A mode-3 trajectory cannot be sampled at ``2 n_t + 2`` times for
+    ``n_t`` below 3: the error names both numbers."""
+    coeffs = np.zeros((5, 4), dtype=complex)
+    coeffs[3] = 1.0
+    u = PeriodicTrajectory(coeffs, 0.1)
+    with pytest.raises(ValueError, match=f"n_t = {n_t} is below the top mode 3"):
+        u.sample_values(n_t)
+    assert u.sample_values(3).shape == (8, 4)
+
+
 # ---------------------------------------------------------------------------
 # amplitude / phase functionals
 
