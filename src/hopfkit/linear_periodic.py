@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .problem import SingularOperatorError, _guarded_lu
+from .trajectory import _adopt
 
 __all__ = ["ResonantForcingError", "solve_periodic_full"]
 
@@ -55,7 +56,7 @@ def _deflated_critical_solve(problem, decomp, rhs):
 def solve_periodic_full(problem, decomp, v):
     """Solve ``u_t - B u = v`` through the spectral splitting.
 
-    Each mode ``v_hat(n)``, ``n = 0 .. n_t``, has coordinates ``(g, h)``
+    Each mode ``v_hat(n)`` that ``v`` stores has coordinates ``(g, h)``
     along ``(psi, conj(psi))`` (`SpectralDecomposition.coordinates`); the
     solution's are ``g / (i (n - 1))`` and ``h / (i (n + 1))``.  Along
     ``psi`` this is the periodic solution of the scalar ODE ``c' - i c =
@@ -72,24 +73,25 @@ def solve_periodic_full(problem, decomp, v):
     returned solution is normalised to zero kernel coordinates (no
     eigenvector component in its fundamental mode).
     """
-    n_t = v.n_t
-    g, h = np.array([decomp.coordinates(col) for col in v.coeffs]).T
+    rows = v.rows  # the modes above them are zero, and so are u's
+    g, h = np.array([decomp.coordinates(col) for col in rows],
+                    dtype=complex).reshape(-1, 2).T
     scale = max(v.norm(), 1e-300)
-    if n_t >= 1 and abs(g[1]) > RESONANT_FORCING_TOL * scale:
+    if len(rows) > 1 and abs(g[1]) > RESONANT_FORCING_TOL * scale:
         raise ResonantForcingError(
             f"forcing has secular content {abs(g[1]):.2e} at the resonant "
             "frequency n = 1; the periodic problem is unsolvable"
         )
-    ns = np.arange(n_t + 1)
-    c = np.zeros(n_t + 1, dtype=complex)
+    ns = np.arange(len(rows))
+    c = np.zeros(len(rows), dtype=complex)
     mask = ns != 1
     c[mask] = g[mask] / (1j * (ns[mask] - 1))
     d = h / (1j * (ns + 1))
     psi = decomp.psi.data
     out = c[:, None] * psi + d[:, None] * np.conj(psi)
 
-    for n in range(0, n_t + 1):
-        rest = decomp.complement(v.coeffs[n])
+    for n, row in enumerate(rows):
+        rest = decomp.complement(row)
         if not np.any(rest != 0.0):
             continue
         if n == 1:
@@ -97,8 +99,8 @@ def solve_periodic_full(problem, decomp, v):
         else:
             out[n] += problem.solve_resolvent(n, rest)
 
-    u = v.with_coeffs(out)
-    linear = u.with_coeffs((problem.operator() @ u.coeffs.T).T)
+    u = _adopt(out, v.n_t, v.dx)
+    linear = u.apply_spatial(problem.operator())
     defect = (u.time_derivative() - linear - v).norm()
     if defect > SPLIT_RESIDUAL_TOL * scale:
         raise RuntimeError(

@@ -129,8 +129,15 @@ class TrajectoryLayout:
         return point * self.block + fld * self.r_per_field
 
     def flatten(self, coeffs):
-        """Coefficients ``(n_t+1, 2*nx)`` (complex) to the flat real vector."""
+        """Coefficient rows from mode 0 on, shape ``(rows, 2*nx)`` (complex),
+        to the flat real vector; kept modes past the last row read as zero,
+        and rows past the top kept mode are not read."""
         coeffs = np.asarray(coeffs)
+        height = self.modes[-1] + 1
+        if coeffs.shape[0] < height:
+            padded = np.zeros((height, coeffs.shape[1]), dtype=complex)
+            padded[: coeffs.shape[0]] = coeffs
+            coeffs = padded
         nx, m, rows = self.nx, self.mean_slots, _rows(self.waves)
         out = np.empty((nx, 2, self.r_per_field))
         # per field f: columns of coeffs are [f*nx : (f+1)*nx]
@@ -143,10 +150,12 @@ class TrajectoryLayout:
         return out.reshape(self.size)
 
     def unflatten(self, y):
-        """Inverse of `flatten`; modes left out are zero."""
+        """Inverse of `flatten`: the coefficient rows of modes ``0`` up to
+        the top kept mode, ``(modes[-1] + 1, 2*nx)``; modes left out are
+        zero."""
         nx, m, rows = self.nx, self.mean_slots, _rows(self.waves)
         arr = np.asarray(y).reshape(nx, 2, self.r_per_field)
-        coeffs = np.zeros((self.n_t + 1, 2 * nx), dtype=complex)
+        coeffs = np.zeros((self.modes[-1] + 1, 2 * nx), dtype=complex)
         for f in range(2):
             if m:
                 coeffs[0, f * nx : (f + 1) * nx] = arr[:, f, 0]
@@ -156,7 +165,7 @@ class TrajectoryLayout:
         return coeffs
 
     def flatten_trajectory(self, traj):
-        return self.flatten(traj.coeffs)
+        return self.flatten(traj.rows)
 
     def rotate(self, y, psi):
         """The flat form of ``time_shift(psi)``: the ``(Re, Im)`` pair of
@@ -179,7 +188,9 @@ class TrajectoryLayout:
         return out.reshape(y.shape)
 
     def to_trajectory(self, y):
-        return _adopt(self.unflatten(y), self.dx)
+        """The trajectory of truncation ``n_t`` that `unflatten` gives,
+        storing the rows up to the top kept mode."""
+        return _adopt(self.unflatten(y), self.n_t, self.dx)
 
     def functional_rows(self, weight):
         """The two phase-functional rows as (indices, values) pairs.

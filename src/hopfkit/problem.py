@@ -289,36 +289,39 @@ class ProblemDef:
         inputs, `collocate`d after the parameter, period and trust checks,
         and ``A`` and ``d/dt`` act on the rows that ``v`` or ``N`` can hold.
 
-        The result is one C-contiguous array, adopted by the returned
-        trajectory: ``A v + N`` is formed in it and scaled and subtracted
-        from ``v_t`` in place, in the order of ``v.time_derivative() -
-        (sigma + 1.0) * (linear + nonlinear)`` on trajectories, so at ``n =
-        n_t`` it is that composition bit for bit.
+        The result is one C-contiguous array of the ``n + 1`` rows that
+        ``N`` holds, adopted by the returned trajectory: ``A v + N`` is
+        formed in it and scaled and subtracted from ``v_t`` in place, in the
+        order of ``v.time_derivative() - (sigma + 1.0) * (linear +
+        nonlinear)`` on trajectories, so at ``n = n_t`` it is that
+        composition bit for bit.
         """
         lam, sigma = params
         self.check_lambda(lam)
         if not sigma > -1.0:
             raise DomainError(f"sigma = {sigma:g} must exceed -1")
         u, v = inputs[0], inputs[-1]
-        moduli = np.abs(u.coeffs[: u.top_mode() + 1])  # |u| <= |c_0| + 2 sum |c_n|
-        bound = (moduli[0] + 2.0 * moduli[1:].sum(axis=0)).max() * (1.0 + 1e-12)
+        moduli = np.abs(u.rows[: u.top_mode() + 1])  # |u| <= |c_0| + 2 sum |c_n|
+        bound = ((moduli[0] + 2.0 * moduli[1:].sum(axis=0)).max() * (1.0 + 1e-12)
+                 if moduli.size else 0.0)
         if not bound < self.trust_radius:  # widened for rounding; samples decide
             self.check_trust(u.sample_values())
-        nonlinear = self.collocate(apply, lam, *inputs)
-        rows = nonlinear.n_t + 1  # >= v.top_mode() + 1: the rows past stay zero
-        out = np.zeros(v.coeffs.shape, dtype=complex)
-        out[:rows] = (self.A @ v.coeffs[:rows].T).T
-        out[:rows] += nonlinear.coeffs
+        out = self.collocate(apply, lam, *inputs).rows  # n + 1 >= v.top_mode() + 1
+        out.flags.writeable = True  # a fresh array that only this call holds
+        kept = v.rows[: out.shape[0]]  # v's rows past these are zero
+        out[: kept.shape[0]] += (self.A @ kept.T).T
         out *= float(sigma + 1.0)
-        rate = v.coeffs[:rows] * (1j * np.arange(rows))[:, None]  # d/dt there
-        np.subtract(rate, out[:rows], out=out[:rows])
-        return _adopt(out, v.dx)
+        rate = kept * (1j * np.arange(kept.shape[0]))[:, None]  # d/dt there
+        np.subtract(rate, out[: kept.shape[0]], out=out[: kept.shape[0]])
+        np.subtract(0.0, out[kept.shape[0]:], out=out[kept.shape[0]:])
+        return _adopt(out, v.n_t, v.dx)
 
     def collocate(self, apply, lam, *inputs, n_t=None):
         """``apply(lam, *samples)`` transformed back, ``samples`` those of
         ``inputs`` (a base, then a direction for ``apply_h_u`` and
         ``apply_h_lambda_u``) at `collocation_n_t`'s ``2n + 2`` times: the
-        ``n + 1`` rows that hold the product, or zero-padded to ``n_t``."""
+        ``n + 1`` rows that hold the product, of truncation ``n`` or
+        ``n_t``."""
         u, v = inputs[0], inputs[-1]
         n = self.collocation_n_t(v.n_t, u.top_mode(), v.top_mode())
         samples = apply(lam, *(t.sample_values(n) for t in inputs))
@@ -354,8 +357,9 @@ class ProblemDef:
             n = _exact_n_t(n_t, inputs[0].top_mode(), inputs[-1].top_mode())
             reduced, full = (trajectory_from_samples(
                 apply(lam, *(t.sample_values(m) for t in inputs)), self.dx, n_t
-            ).coeffs for m in (n, n_t))
-            if not abs(reduced - full).max() <= DEGREE_TOLERANCE * abs(full).max():
+            ) for m in (n, n_t))
+            gap = abs((reduced - full).rows).max()
+            if not gap <= DEGREE_TOLERANCE * abs(full.rows).max():
                 return False
         return True
 

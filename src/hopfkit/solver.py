@@ -203,18 +203,19 @@ def _newton_space(trajectories, core, tol, narrowest=0):
     if core.n_t < 1:
         return _FULL
     for space in range(narrowest, _FULL):
+        modes = _space_modes(space, core.n_t)
         outside = np.ones(core.n_t + 1, dtype=bool)
-        outside[_space_modes(space, core.n_t)] = False
+        outside[modes] = False
         if (core.norm(np.flatnonzero(outside)) <= tol
-                and not any(np.any(traj.coeffs[outside]) for traj in trajectories)):
+                and all(traj.vanishes_outside(modes) for traj in trajectories)):
             return space
     return _FULL
 
 
 def _mixed_column(problem, lam, u):
-    """``h_lambda_u(lam, 0) u`` as a trajectory, at a one-row zero base."""
+    """``h_lambda_u(lam, 0) u`` as a trajectory."""
     return problem.collocate(problem.apply_h_lambda_u, lam,
-                             zero_trajectory(0, u.dim, u.dx), u, n_t=u.n_t)
+                             zero_trajectory(u.n_t, u.dim, u.dx), u, n_t=u.n_t)
 
 
 class _Linearization:
@@ -242,14 +243,9 @@ class _Linearization:
 
     def apply(self, dlam, dsig, v):
         """Returns ``(pair, trajectory)`` image of ``(dlam, dsig, v)``."""
-        # ``linearised_g``'s result is fresh and referenced only here, so
-        # the parameter columns are added into its array, in the order of
-        # ``core + dlam * col_lam + dsig * col_sig``.
-        coeffs = self.problem.linearised_g(self.params, self.base, v).coeffs
-        coeffs.flags.writeable = True
-        coeffs += self.col_lam.coeffs * float(dlam)
-        coeffs += self.col_sig.coeffs * float(dsig)
-        return self.functional.pair(v), _adopt(coeffs, v.dx)
+        image = (self.problem.linearised_g(self.params, self.base, v)
+                 + float(dlam) * self.col_lam + float(dsig) * self.col_sig)
+        return self.functional.pair(v), image
 
     def layout(self, space=_FULL):
         """The layout of this linearization's systems in ``_SPACES[space]``
@@ -623,7 +619,7 @@ def verify_jacobian_nonsingular(problem, functional, u_star,
     """
     rng = np.random.default_rng(seed)
     low = BifurcationJacobian(
-        problem, functional, PeriodicTrajectory(u_star.coeffs[:2], u_star.dx))
+        problem, functional, _adopt(u_star.rows[:2].copy(), 1, u_star.dx))
     system, layout = low.bordered_system(low.layout())
     try:
         sigma, steps = inverse_power_sigma_min(
@@ -718,10 +714,8 @@ def decompose_crossing_term(problem, decomp, n_t=8):
         u_sharp = solve_periodic_full(problem, decomp, remainder)
 
     # reconstruction: p u* + q Bu* + (d/dt - B) u_sharp should equal forcing
-    lifted = u_sharp.time_derivative() - u_sharp.with_coeffs(
-        (operator @ u_sharp.coeffs.T).T
-    )
-    a_u_star = u_star.with_coeffs((operator @ u_star.coeffs.T).T)
+    lifted = u_sharp.time_derivative() - u_sharp.apply_spatial(operator)
+    a_u_star = u_star.apply_spatial(operator)
     recon = p * u_star + q * a_u_star + lifted
     residual = (recon - forcing).norm() / max(1.0, forcing.norm())
     return CrossingDecomposition(
@@ -739,49 +733,24 @@ BRANCH_CSV_COLUMNS = (
 )
 
 
-class _LiveModes:
-    """The ``u`` field of `BranchPoint`: set from a trajectory, it stores
-    a copy of its live coefficient rows (`PeriodicTrajectory._live_rows`)
-    in ``rows``, with ``n_t`` and ``dx``; each read rebuilds a fresh,
-    read-only trajectory of the full shape ``(n_t + 1, dim)``, equal to
-    the one set (a dropped row comes back as +0 whatever the signs of its
-    zeros)."""
-
-    def __get__(self, point, owner=None):
-        if point is None:
-            raise AttributeError("u")  # no class default: a required field
-        coeffs = np.zeros((point.n_t + 1, point.rows.shape[1]), dtype=complex)
-        coeffs[: len(point.rows)] = point.rows
-        return _adopt(coeffs, point.dx)
-
-    def __set__(self, point, u):
-        point.rows = u.coeffs[: u._live_rows()].copy()
-        point.n_t, point.dx = u.n_t, u.dx
-
-
 @dataclass
 class BranchPoint:
     """One converged point of the amplitude-parameterised branch.
 
-    The state ``u`` keeps only its live Fourier modes: ``rows`` holds the
-    coefficient rows up to the last nonzero one (two on a mode-1 branch,
-    none at the trivial point), and each read of ``u`` builds a new
-    full-shaped trajectory from them (`_LiveModes`), so bind it once
-    where it is used more than once.  Every field reaches a report or
-    ``verify-exact``; a solve's step norms stay in its `_NewtonTrace`.
+    The state ``u`` is the converged Newton iterate, which stores only its
+    live Fourier rows (two on a mode-1 branch, none at the trivial point).
+    Every field reaches a report or ``verify-exact``; a solve's step norms
+    stay in its `_NewtonTrace`.
     """
 
     alpha: float
     lam: float
     sigma: float
-    u: PeriodicTrajectory = _LiveModes()
+    u: PeriodicTrajectory
     residual: float
     newton_iters: int
     l_check: np.ndarray          # the actual (l1, l2) value at convergence
     eta_norm: float              # ||u/alpha - u_star||, 0 at the origin
-    rows: np.ndarray = field(init=False, repr=False)  # set with ``u``
-    n_t: int = field(init=False)
-    dx: float = field(init=False)
 
     @property
     def params(self):
@@ -792,8 +761,6 @@ class BranchPoint:
 class BranchResult:
     """An amplitude-ordered sweep of branch points plus diagnostics.
 
-    Each `BranchPoint` keeps only the live Fourier modes of its state, and
-    ``u_star`` is the one full-shaped trajectory the result holds.
     ``newton_tol`` and ``max_iter`` are the Newton settings of the sweep,
     ``factorizations`` the number of band factorizations it took, on
     whichever rungs its steps solved in.
@@ -962,10 +929,10 @@ def continue_branch(problem, functional, u_star, alpha_max, steps,
         carries ``params_star``, the widest space the Newton steps took and
         its highest mode, and the number of band factorizations (one per
         rung climbed, plus one per refactor after a chord step that did not
-        halve the residual or failed).  Each point stores the coefficient
-        rows of its converged iterate up to the last nonzero one (two on a
-        mode-1 branch, none at the trivial point); its ``u`` rebuilds the
-        full-shaped iterate on each read.
+        halve the residual or failed).  Each point holds its converged
+        iterate, which stores its coefficient rows up to the top mode of
+        its last Newton step's space (two on a mode-1 branch, none at the
+        trivial point).
     """
     if alpha_max < 0 or steps < 1:
         raise ValueError("need alpha_max >= 0 and at least one step")
@@ -1065,10 +1032,6 @@ def check_branch_symmetry(problem, functional, result):
     the check factorizes one band.
     The report counts the Newton iterations and every factorization.
 
-    The mirrored points, like the branch's, keep only their live Fourier
-    modes; each point's state is rebuilt once for its comparison, and the
-    mid point's once for the whole check.
-
     The report is attached to ``result.symmetry_report`` and returned.
     Raises `ConvergenceError` when the mirrored branch truncates or a
     phase-seed solve fails, leaves the solver's domain or meets a singular
@@ -1101,7 +1064,6 @@ def check_branch_symmetry(problem, functional, result):
 
     # sampled uniqueness: translated seeds must converge back to the
     # phase-fixed representative
-    mid_u = mid.u
     newton_iters = sum(mt.newton_iters for mt in minus)
     phase_deviations = {}
     for theta in SYMMETRY_PHASES:
@@ -1116,7 +1078,7 @@ def check_branch_symmetry(problem, functional, result):
                 f"phase-seed Newton failed at theta = {theta:g}: {exc}"
             ) from exc
         newton_iters += iters
-        dev = (u - mid_u).norm() + max(
+        dev = (u - mid.u).norm() + max(
             abs(params.lam - mid.lam), abs(params.sigma - mid.sigma)
         )
         phase_deviations[float(theta)] = float(dev)

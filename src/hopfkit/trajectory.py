@@ -4,7 +4,11 @@ A trajectory ``u(t, x)`` with period ``2*pi`` is represented by its complex
 Fourier coefficients ``u_hat(n)`` for ``n = 0 .. n_t``; negative modes are
 implied by the reality condition ``u_hat(-n) = conj(u_hat(n))``.  Each
 coefficient is a vector over the spatial grid (all fields concatenated), so
-the coefficient array has shape ``(n_t + 1, dim)``.
+the coefficients form an array of shape ``(n_t + 1, dim)``.  A trajectory
+stores only its rows ``0 .. L-1`` (``PeriodicTrajectory.rows``), the rows
+above being zero, and every operation allocates and computes on stored
+rows: on a mode-1 branch that is 2 to 4 rows whatever ``n_t`` is.  The
+full array (``coeffs``) is built only when read.
 
 Collocation in time uses ``M = 2*n_t + 2`` equispaced samples, which leaves
 one guard mode (index ``n_t + 1``) that is discarded on analysis; a product
@@ -16,6 +20,8 @@ M * 2L * dim`` flops; at these lengths BLAS runs it faster than an FFT runs
 ``dim`` strided transforms.  Synthesis multiplies only the modes up to the
 last nonzero one, so a single harmonic costs a 2-mode product whatever
 ``n_t`` is; a trajectory finds those live modes once and keeps their count.
+Analysis stores the ``M/2`` modes the samples hold, whatever the result's
+``n_t``.
 `newton.coupling_blocks` builds the Newton band's blocks from the same
 pair.
 """
@@ -150,53 +156,79 @@ class PeriodicTrajectory:
     Instances are immutable; arithmetic returns new trajectories.  ``dim``
     is the full concatenated state dimension (``2 * nx`` for two fields).
 
-    The constructor (and `with_coeffs`) copies the array it is given, so
-    the caller may go on changing its own.  Results computed inside the
-    package -- arithmetic, negation, `time_derivative`, `time_shift`,
-    `trajectory_from_samples`, the collocated residuals, the Newton
-    products and `TrajectoryLayout.to_trajectory` -- instead adopt the
-    fresh array they allocated (`_adopt`).  Either way ``coeffs`` is
-    read-only, C-contiguous and shares no memory with an operand.
+    A trajectory stores its coefficient rows ``0 .. L-1`` alone, as
+    ``rows`` of shape ``(L, dim)`` with ``L <= n_t + 1``, and ``n_t`` as its
+    own field; the rows above ``L`` are zero by definition.  The
+    constructor keeps a copy of the rows of ``coeffs`` up to the last
+    nonzero one, so the caller may go on changing its own array.  Every
+    operation computes on stored rows only: arithmetic on the taller
+    operand's, as on the full arrays (a row one operand lacks meets the
+    other's as a zero row), the others on their own.  Results computed
+    inside the package -- arithmetic, negation, `time_derivative`,
+    `time_shift`, `trajectory_from_samples`, the collocated residuals and
+    `TrajectoryLayout.to_trajectory` -- adopt the fresh array they
+    allocated (`_adopt`), whose height is what they computed, zero rows
+    included.  Either way ``rows`` is read-only, C-contiguous and shares
+    no memory with an operand.
+
+    ``coeffs`` reads as the full ``(n_t + 1, dim)`` array, but it is
+    built on each read: a fresh, read-only array, zero above the stored
+    rows, that allocates all ``n_t + 1`` rows.  The package reads
+    ``rows``.
     """
 
-    __slots__ = ("coeffs", "dx", "_live")
+    __slots__ = ("rows", "n_t", "dx", "_live")
 
     def __init__(self, coeffs, dx):
-        self._own(np.array(coeffs, dtype=complex, order="C"), dx)
-
-    def _own(self, arr, dx):
-        """Validate ``arr``, make row 0 exactly real and lock ``arr`` as
-        this trajectory's coefficients, without copying it."""
-        if arr.ndim != 2:
+        arr = np.array(coeffs, dtype=complex, order="C")
+        if arr.ndim != 2 or not arr.shape[0]:
             raise ValueError("coefficient array must have shape (n_t + 1, dim)")
-        if arr.shape[1] % 2 != 0:
+        self._own(arr, arr.shape[0] - 1, dx)
+        if self._live_rows() < arr.shape[0]:  # keep the live rows alone
+            self.rows = arr[: self._live].copy()
+            self.rows.flags.writeable = False
+
+    def _own(self, rows, n_t, dx):
+        """Validate ``rows``, the coefficient rows from mode 0 on, make
+        row 0 exactly real and lock ``rows`` as this trajectory's, without
+        copying it."""
+        if rows.ndim != 2 or rows.shape[0] > n_t + 1:
+            raise ValueError(f"expected at most n_t + 1 = {n_t + 1} coefficient rows")
+        if rows.shape[1] % 2 != 0:
             raise ValueError("state dimension must be even (two fields)")
         # The tolerance is relative to max(1, max|coeffs|): row 0 decides
         # alone unless it exceeds the bare tolerance, and only then is the
         # whole array scanned for the scale.
-        worst = float(np.abs(arr[0].imag).max()) if arr.size else 0.0
+        worst = float(np.abs(rows[0].imag).max()) if rows.size else 0.0
         if worst > _MODE0_IMAG_TOL:
-            scale = max(1.0, float(np.abs(arr).max()))
+            scale = max(1.0, float(np.abs(rows).max()))
             if worst > _MODE0_IMAG_TOL * scale:
                 raise ValueError(
                     f"mode-0 coefficient has imaginary part {worst:.2e}; "
                     "trajectory would not be real-valued"
                 )
-        arr[0] = arr[0].real
-        arr.flags.writeable = False
-        self.coeffs = arr
+        if rows.shape[0]:
+            rows[0] = rows[0].real
+        rows.flags.writeable = False
+        self.rows = rows
+        self.n_t = int(n_t)
         self.dx = float(dx)
-        self._live = None
+        self._live = None if rows.shape[0] else 0  # no rows need no scan
 
     # -- basic shape info -------------------------------------------------
 
     @property
-    def n_t(self):
-        return self.coeffs.shape[0] - 1
+    def coeffs(self):
+        """The coefficients of modes ``0 .. n_t``, shape ``(n_t + 1, dim)``:
+        a fresh, read-only array on each read, zero above the stored rows."""
+        full = np.zeros((self.n_t + 1, self.dim), dtype=complex)
+        full[: self.rows.shape[0]] = self.rows
+        full.flags.writeable = False
+        return full
 
     @property
     def dim(self):
-        return self.coeffs.shape[1]
+        return self.rows.shape[1]
 
     @property
     def nx(self):
@@ -213,14 +245,19 @@ class PeriodicTrajectory:
         """A trajectory on the same grid with different coefficients."""
         return PeriodicTrajectory(coeffs, self.dx)
 
+    def apply_spatial(self, matrix):
+        """``matrix @ u_hat(n)`` at every mode: a real linear map of the
+        state space (``A``, ``B``) applied at every time."""
+        return _adopt((matrix @ self.rows.T).T, self.n_t, self.dx)
+
     # -- evaluation ---------------------------------------------------------
 
     def _live_rows(self):
-        """The number of coefficient rows up to the last nonzero one: the
-        live modes ``0 .. L-1``, which `sample_values` multiplies and a
-        branch point keeps; scanned once and kept, as ``coeffs`` is read-only."""
+        """The number of stored rows up to the last nonzero one: the live
+        modes ``0 .. L-1``, which `sample_values` multiplies; scanned once
+        and kept, as ``rows`` is read-only."""
         if self._live is None:
-            live = np.flatnonzero(self.coeffs.any(axis=1))
+            live = np.flatnonzero(self.rows.any(axis=1))
             self._live = int(live[-1]) + 1 if live.size else 0
         return self._live
 
@@ -228,13 +265,21 @@ class PeriodicTrajectory:
         """Coefficient of ``exp(i*n*t)`` for ``-n_t <= n <= n_t``."""
         if abs(n) > self.n_t:
             raise ValueError(f"mode {n} outside retained range |n| <= {self.n_t}")
-        if n >= 0:
-            return self.coeffs[n].copy()
-        return np.conj(self.coeffs[-n])
+        if abs(n) < self.rows.shape[0]:
+            row = self.rows[abs(n)]
+        else:
+            row = np.zeros(self.dim, dtype=complex)
+        return row.copy() if n >= 0 else np.conj(row)
 
     def top_mode(self):
         """The last live mode (`_live_rows`), 0 for the zero trajectory."""
         return max(self._live_rows() - 1, 0)
+
+    def vanishes_outside(self, modes):
+        """Whether every coefficient outside the mode numbers ``modes`` is
+        exactly zero."""
+        outside = ~np.isin(np.arange(self.rows.shape[0]), list(modes))
+        return not self.rows[outside].any()
 
     def sample_values(self, n_t=None):
         """Values at the ``M = 2*n_t + 2`` collocation times, shape (M, dim).
@@ -251,7 +296,7 @@ class PeriodicTrajectory:
         n_live = self._live_rows()
         if n_t < n_live - 1:
             raise ValueError(f"n_t = {n_t} is below the top mode {n_live - 1}")
-        kept = self.coeffs[:n_live]
+        kept = self.rows[:n_live]
         stacked = np.stack((kept.real, kept.imag), axis=1).reshape(-1, self.dim)
         return _dft_matrices(n_t)[0][:, : 2 * n_live] @ stacked
 
@@ -260,23 +305,28 @@ class PeriodicTrajectory:
         return 2.0 * np.pi * np.arange(m) / m
 
     def at_time(self, t):
-        """Evaluate the series at an arbitrary time, as a `StateVector`."""
-        phases = np.exp(1j * float(t) * np.arange(self.n_t + 1))
-        vals = phases @ self.coeffs
-        vals = 2.0 * vals - self.coeffs[0]  # n>=1 modes count twice (conjugates)
+        """Evaluate the series at an arbitrary time, as a `StateVector`.
+
+        The terms are summed row by row in mode order, so the zero rows
+        above the stored ones would add nothing."""
+        if not self.rows.shape[0]:
+            return StateVector(np.zeros(self.dim), self.dx)
+        phases = np.exp(1j * float(t) * np.arange(self.rows.shape[0]))
+        vals = (phases[:, None] * self.rows).sum(axis=0)
+        vals = 2.0 * vals - self.rows[0]  # n>=1 modes count twice (conjugates)
         return StateVector(vals.real, self.dx)
 
     # -- calculus and symmetries -------------------------------------------
 
     def time_derivative(self):
         """d/dt of the trajectory (mode ``n`` multiplied by ``i*n``)."""
-        factors = 1j * np.arange(self.n_t + 1)
-        return _adopt(self.coeffs * factors[:, None], self.dx)
+        factors = 1j * np.arange(self.rows.shape[0])
+        return _adopt(self.rows * factors[:, None], self.n_t, self.dx)
 
     def time_shift(self, theta):
         """The translated trajectory ``t -> u(t + theta, .)``."""
-        phases = np.exp(1j * float(theta) * np.arange(self.n_t + 1))
-        return _adopt(self.coeffs * phases[:, None], self.dx)
+        phases = np.exp(1j * float(theta) * np.arange(self.rows.shape[0]))
+        return _adopt(self.rows * phases[:, None], self.n_t, self.dx)
 
     # -- norms ---------------------------------------------------------------
 
@@ -288,37 +338,50 @@ class PeriodicTrajectory:
         numbers ``n >= 0``, restricts the sum to them by giving every other
         mode weight 0 (modes above ``n_t`` are not there to count): for
         finite coefficients, bitwise the norm of a copy with the other rows
-        zeroed.
+        zeroed.  The sum runs over the stored rows.
         """
-        w = np.full(self.n_t + 1, 2.0)
-        w[0] = 1.0
+        height = self.rows.shape[0]
+        w = np.full(height, 2.0)
+        w[:1] = 1.0
         if modes is not None:
-            w[~np.isin(np.arange(self.n_t + 1), list(modes))] = 0.0
-        power = np.einsum("n,nd->", w, (self.coeffs * np.conj(self.coeffs)).real)
+            w[~np.isin(np.arange(height), list(modes))] = 0.0
+        power = np.einsum("n,nd->", w, (self.rows * np.conj(self.rows)).real)
         return float(np.sqrt(power * self.dx))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        self._check_compatible(other)
-        return _adopt(self.coeffs + other.coeffs, self.dx)
+        return self._combine(np.add, other)
 
     def __sub__(self, other):
+        return self._combine(np.subtract, other)
+
+    def _combine(self, op, other):
+        """``op`` on the coefficients, row by row as on the full arrays: a
+        row that only one operand stores meets a zero row of the other."""
         self._check_compatible(other)
-        return _adopt(self.coeffs - other.coeffs, self.dx)
+        a, b = self.rows, other.rows
+        m = min(a.shape[0], b.shape[0])
+        out = np.empty((max(a.shape[0], b.shape[0]), self.dim), dtype=complex)
+        op(a[:m], b[:m], out=out[:m])
+        if a.shape[0] > m:
+            op(a[m:], 0.0, out=out[m:])
+        elif b.shape[0] > m:
+            op(0.0, b[m:], out=out[m:])
+        return _adopt(out, self.n_t, self.dx)
 
     def __mul__(self, scalar):
-        return _adopt(self.coeffs * float(scalar), self.dx)
+        return _adopt(self.rows * float(scalar), self.n_t, self.dx)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _adopt(-self.coeffs, self.dx)
+        return _adopt(-self.rows, self.n_t, self.dx)
 
     def _check_compatible(self, other):
         if not isinstance(other, PeriodicTrajectory):
             raise TypeError("expected a PeriodicTrajectory")
-        if other.coeffs.shape != self.coeffs.shape or other.dx != self.dx:
+        if (other.n_t, other.dim, other.dx) != (self.n_t, self.dim, self.dx):
             raise ValueError("trajectories live on different grids")
 
     def __repr__(self):
@@ -328,8 +391,9 @@ class PeriodicTrajectory:
         )
 
 
-def _adopt(coeffs, dx):
-    """A `PeriodicTrajectory` that takes ``coeffs`` as its own, no copy.
+def _adopt(rows, n_t, dx):
+    """A `PeriodicTrajectory` of truncation ``n_t`` that takes ``rows``,
+    its coefficient rows from mode 0 on, as its own, no copy.
 
     For complex C-contiguous arrays a caller has just allocated and keeps
     no other reference to (an array of another layout or dtype is copied
@@ -337,13 +401,14 @@ def _adopt(coeffs, dx):
     locked, so the caller must not write to it afterwards.
     """
     traj = PeriodicTrajectory.__new__(PeriodicTrajectory)
-    traj._own(np.require(coeffs, dtype=complex, requirements="C"), dx)
+    traj._own(np.require(rows, dtype=complex, requirements="C"), n_t, dx)
     return traj
 
 
 def zero_trajectory(n_t, dim, dx):
-    """The zero trajectory with the given truncation and grid."""
-    return PeriodicTrajectory(np.zeros((n_t + 1, dim), dtype=complex), dx)
+    """The zero trajectory with the given truncation and grid: it stores
+    no row."""
+    return _adopt(np.zeros((0, dim), dtype=complex), n_t, dx)
 
 
 @functools.lru_cache(maxsize=16)
@@ -384,13 +449,13 @@ def trajectory_from_samples(samples, dx, n_t=None):
         Spatial grid spacing.
     n_t : int, optional
         The result's truncation, ``M/2 - 1`` by default and at least that;
-        modes above ``M/2 - 1`` are zero.
+        modes above ``M/2 - 1`` are zero and not stored.
 
     Notes
     -----
     One product with the cached analysis matrix gives the real and the
     imaginary halves of the spectrum, written into one fresh complex
-    array that the result adopts.
+    array of ``M/2`` rows that the result adopts.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[0] % 2 != 0 or not arr.shape[0]:
@@ -399,10 +464,10 @@ def trajectory_from_samples(samples, dx, n_t=None):
         raise ValueError(f"n_t = {n_t} is below M/2 - 1 = {arr.shape[0] // 2 - 1}")
     n_modes = arr.shape[0] // 2
     halves = _dft_matrices(n_modes - 1)[1] @ arr
-    spec = np.zeros((n_modes if n_t is None else n_t + 1, arr.shape[1]), complex)
-    spec.real[:n_modes] = halves[:n_modes]
-    spec.imag[:n_modes] = halves[n_modes:]
-    return _adopt(spec, dx)
+    spec = np.empty((n_modes, arr.shape[1]), complex)
+    spec.real = halves[:n_modes]
+    spec.imag = halves[n_modes:]
+    return _adopt(spec, n_modes - 1 if n_t is None else n_t, dx)
 
 
 def single_harmonic(psi, n_t, dx=None):
@@ -429,9 +494,9 @@ def single_harmonic(psi, n_t, dx=None):
         data = np.asarray(psi, dtype=complex)
     if n_t < 1:
         raise ValueError("need n_t >= 1 to hold the first harmonic")
-    coeffs = np.zeros((n_t + 1, data.size), dtype=complex)
-    coeffs[1] = data / 2.0
-    return PeriodicTrajectory(coeffs, float(dx))
+    rows = np.zeros((2, data.size), dtype=complex)
+    rows[1] = data / 2.0
+    return _adopt(rows, n_t, dx)
 
 
 class AmplitudeFunctional:

@@ -1,10 +1,12 @@
 """Config parsing and the command-line driver, end to end on a coarse grid."""
 
 import csv
+import gc
 import json
 import os
 import pathlib
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -563,6 +565,31 @@ def test_cli_verify_exact_consistent(tmp_path):
     assert summary["passed"]
     assert summary["max_lambda_error"] <= 1e-8
     assert summary["max_state_error"] <= 1e-8
+
+
+def test_verify_exact_memory_does_not_grow_with_n_t(tmp_path):
+    """A trajectory stores its live Fourier rows alone, so on the coarse
+    mode-1 branch the most ``verify-exact`` holds at once hardly depends
+    on ``n_t``: its tracemalloc peak at ``n_t = 32`` stays within 1.25
+    times its peak at ``n_t = 4`` (2.3 times while every trajectory held
+    all ``n_t + 1`` rows)."""
+
+    def peak(n_t):
+        cfg = write_config(tmp_path, "problem.L = 20\nproblem.dx = 0.2\n"
+                           f"solver.n_t = {n_t}\n", f"n{n_t}.cfg")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = main(["verify-exact", "--config", cfg,
+                         "--out", str(tmp_path / f"out{n_t}")])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the first run imports and fills the caches
+    (code_4, low), (code_32, high) = peak(4), peak(32)
+    assert code_4 == code_32 == 0
+    assert high <= 1.25 * low, (high, low)
 
 
 @pytest.mark.parametrize("delta, code", [(1e-7, 1), (1e-9, 0)])

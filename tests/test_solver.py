@@ -797,7 +797,8 @@ def test_quasilinear_correction_is_second_order(quasi_branch):
 
 
 # ---------------------------------------------------------------------------
-# branch points keep only their live Fourier modes
+# branch points keep only their live Fourier modes: each holds its converged
+# iterate, which stores its live coefficient rows alone
 
 
 def recorded_sweep(monkeypatch, problem, functional, u_star, **kwargs):
@@ -817,21 +818,23 @@ def recorded_sweep(monkeypatch, problem, functional, u_star, **kwargs):
 
 
 def assert_points_give_back(result, iterates, live_rows):
-    """Each nontrivial point keeps ``live_rows`` coefficient rows, and
-    every read of its state is a fresh full-shaped, read-only copy of the
-    converged iterate; the trivial point keeps no row."""
+    """Each nontrivial point's state stores ``live_rows`` coefficient
+    rows, and every read of its coefficients is a fresh full-shaped,
+    read-only copy of the converged iterate's; the trivial point's state
+    stores no row."""
     assert not result.truncated and len(iterates) == len(result.points) - 1
     origin = result.points[0]
-    assert origin.rows.shape == (0, result.u_star.dim)
+    assert origin.u.rows.shape == (0, result.u_star.dim)
     assert not origin.u.coeffs.any()
     for pt, iterate in zip(result.points[1:], iterates):
-        assert pt.rows.shape == (live_rows, iterate.dim)
+        assert pt.u.rows.shape == (live_rows, iterate.dim)
+        assert not pt.u.rows.flags.writeable
         u = pt.u
         assert np.array_equal(u.coeffs, iterate.coeffs)
         assert u.dx == iterate.dx
         assert not u.coeffs.flags.writeable and u.coeffs.flags.c_contiguous
         assert not np.shares_memory(pt.u.coeffs, pt.u.coeffs)
-        assert not np.shares_memory(u.coeffs, pt.rows)
+        assert not np.shares_memory(u.coeffs, pt.u.rows)
 
 
 def test_semilinear_points_keep_modes_0_and_1(monkeypatch, coarse_problem,
@@ -858,7 +861,7 @@ def test_quasilinear_points_keep_modes_up_to_3(monkeypatch,
         alpha_max=0.1, steps=8, params_star=star.params)
     assert (result.newton_space, result.newton_max_mode) == ("half-wave", 3)
     assert_points_give_back(result, iterates, live_rows=4)
-    assert not any(pt.rows[0::2].any() for pt in result.points)
+    assert not any(pt.u.rows[0::2].any() for pt in result.points)
 
 
 def test_point_with_every_mode_live_keeps_every_row():
@@ -870,7 +873,7 @@ def test_point_with_every_mode_live_keeps_every_row():
         alpha=0.1, lam=0.01, sigma=0.0, u=u, residual=0.0, newton_iters=0,
         l_check=np.zeros(2), eta_norm=0.0,
     )
-    assert pt.rows.shape == (5, 6) and not np.shares_memory(pt.rows, coeffs)
+    assert pt.u.rows.shape == (5, 6) and not np.shares_memory(pt.u.rows, coeffs)
     assert np.array_equal(pt.u.coeffs, u.coeffs) and pt.u.dx == 0.5
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfkit.newton import TrajectoryLayout
 from hopfkit.trajectory import (
+    _adopt,
     _dft_matrices,
     ComplexStateVector,
     PeriodicTrajectory,
@@ -491,3 +493,123 @@ def test_complex_state_vector_ops():
         a + a.real
     with pytest.raises(TypeError, match="expected a StateVector"):
         a.real + a
+
+
+# ---------------------------------------------------------------------------
+# stored rows against the full-height array
+
+
+def _same(a, b):
+    """Equal bit for bit, a zero's sign aside: adding +0.0 turns -0.0 into
+    +0.0 and leaves every other value as it is."""
+    a, b = np.asarray(a) + 0.0, np.asarray(b) + 0.0
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _full_height(rng, n_t, dim, live):
+    """An ``(n_t + 1, dim)`` coefficient array whose rows from ``live`` on
+    are zero, row 0 real."""
+    full = np.zeros((n_t + 1, dim), dtype=complex)
+    full[:live] = rng.normal(size=(live, dim)) + 1j * rng.normal(size=(live, dim))
+    full[0] = full[0].real
+    return full
+
+
+def _pair(rng, n_t, dim, live, dx=0.3):
+    """The same trajectory twice: stored as its live rows, and stored at
+    full height, as every trajectory was before it kept its live rows."""
+    full = _full_height(rng, n_t, dim, live)
+    return PeriodicTrajectory(full, dx), _adopt(full.copy(), n_t, dx), full
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n_t=st.integers(0, 33), half_dim=st.integers(1, 4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_stored_rows_compute_as_the_full_height_array(n_t, half_dim, data, seed):
+    """On random ``n_t``, live rows ``L`` and ``dim``, every operation on a
+    trajectory that stores its ``L`` live rows equals the same operation
+    on the full-height array bit for bit (a zero's sign aside), its norms
+    to one ulp; so do the coefficient round trips and the layouts' flat
+    forms on the mode-1, odd-up-to-7 and full mode sets."""
+    rng = np.random.default_rng(seed)
+    dim, dx = 2 * half_dim, 0.3
+    live = data.draw(st.integers(0, n_t + 1), label="live")
+    other = data.draw(st.integers(0, n_t + 1), label="other live")
+    u, tall, full = _pair(rng, n_t, dim, live, dx)
+    w, w_tall, _ = _pair(rng, n_t, dim, other, dx)
+    assert u.rows.shape == (live, dim) and tall.rows.shape == (n_t + 1, dim)
+    assert not u.rows.flags.writeable and u.rows.flags.c_contiguous
+
+    # the coefficients read back, and round-trip through the constructor
+    assert _same(u.coeffs, full) and not u.coeffs.flags.writeable
+    assert not np.shares_memory(u.coeffs, u.rows)
+    again = PeriodicTrajectory(u.coeffs, dx)
+    assert _same(again.coeffs, full) and again.rows.shape == (live, dim)
+
+    theta, scalar = 0.7, -2.5
+    results = {
+        "add": (u + w, tall + w_tall), "sub": (u - w, tall - w_tall),
+        "sub_reversed": (w - u, w_tall - tall),
+        "mul": (u * scalar, tall * scalar), "rmul": (scalar * u, scalar * tall),
+        "neg": (-u, -tall), "time_derivative": (u.time_derivative(),
+                                                tall.time_derivative()),
+        "time_shift": (u.time_shift(theta), tall.time_shift(theta)),
+    }
+    for name, (short_result, tall_result) in results.items():
+        assert short_result.rows.shape[0] <= max(live, other), name
+        assert short_result.n_t == n_t and short_result.dx == dx, name
+        assert _same(short_result.coeffs, tall_result.coeffs), name
+    for n in range(-n_t, n_t + 1):
+        assert _same(u.fourier_coeff(n), tall.fourier_coeff(n))
+    for t in (0.0, 1.3, 5.9):
+        assert _same(u.at_time(t).data, tall.at_time(t).data)
+    assert _same(u.sample_values(), tall.sample_values())
+    assert _same(u.sample_values(n_t + 2), tall.sample_values(n_t + 2))
+    assert u.top_mode() == tall.top_mode()
+    for modes in (None, {0}, {1}, range(1, n_t + 1, 2), range(2, n_t + 1)):
+        assert abs(u.norm(modes) - tall.norm(modes)) <= np.spacing(tall.norm(modes))
+        if modes is not None:
+            assert u.vanishes_outside(modes) == tall.vanishes_outside(modes)
+    operator = sp.diags([np.arange(dim - 1.0), np.full(dim, -2.0), np.ones(dim - 1)],
+                        [-1, 0, 1], format="csr")  # a sparse operator, as A and B are
+    assert _same(u.apply_spatial(operator).coeffs, tall.apply_spatial(operator).coeffs)
+
+    # grid checks compare n_t, dim and dx, not the stored heights
+    for mismatched in (zero_trajectory(n_t + 1, dim, dx),
+                       zero_trajectory(n_t, dim + 2, dx),
+                       zero_trajectory(n_t, dim, 2 * dx)):
+        with pytest.raises(ValueError, match="different grids"):
+            u + mismatched
+    zero = zero_trajectory(n_t, dim, dx)
+    assert zero.rows.shape == (0, dim) and _same(zero.coeffs, np.zeros_like(full))
+    assert _same((u + zero).coeffs, full) and zero.norm() == 0.0
+
+    # the constructors that store fewer rows than n_t + 1
+    if n_t >= 1:
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        harmonic = single_harmonic(psi, n_t, dx)
+        expect = np.zeros_like(full)
+        expect[1] = psi / 2.0
+        assert harmonic.rows.shape == (2, dim) and _same(harmonic.coeffs, expect)
+    samples = rng.normal(size=(2 * (live // 2) + 2, dim))
+    spectrum = trajectory_from_samples(samples, dx, n_t)
+    alone = trajectory_from_samples(samples, dx)
+    assert spectrum.n_t == n_t and spectrum.rows.shape == alone.rows.shape
+    padded = np.zeros_like(full)
+    padded[: alone.rows.shape[0]] = alone.coeffs
+    assert _same(spectrum.coeffs, padded)
+
+    # the layouts' flat forms, from and to stored rows
+    layouts = [range(n_t + 1)]
+    if n_t >= 1:
+        layouts += [range(1, 2), range(1, min(n_t, 7) + 1, 2)]
+    for modes in layouts:
+        layout = TrajectoryLayout(n_t, dim // 2, dx, modes)
+        y = layout.flatten_trajectory(u)
+        assert _same(y, layout.flatten(full))
+        kept = np.zeros_like(full)
+        kept[modes] = full[modes]
+        assert layout.unflatten(y).shape == (modes[-1] + 1, dim)
+        assert _same(layout.unflatten(y), kept[: modes[-1] + 1])
+        back = layout.to_trajectory(y)
+        assert back.n_t == n_t and _same(back.coeffs, kept)
